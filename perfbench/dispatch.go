@@ -50,7 +50,7 @@ type hotCall struct{ f, i int }
 func runDispatch(o *options, r *report) error {
 	sz := dispatchSizesFor(o)
 	t := newTracer(o)
-	sets, setupS, err := setups(sz.setups, func(rep int) ([]*paperFn, error) {
+	sets, err := setups(r, sz.setups, func(rep int) ([]*paperFn, error) {
 		id := t.begin("setup")
 		defer t.end(id)
 		cfg := sz.data
@@ -65,7 +65,6 @@ func runDispatch(o *options, r *report) error {
 	if err != nil {
 		return err
 	}
-	r.set("setup_s", setupS, sz.setups)
 	var fns []*paperFn // every set's functions
 	for _, s := range sets {
 		fns = append(fns, s...)

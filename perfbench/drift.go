@@ -10,18 +10,18 @@ import (
 )
 
 // adapt_drift: the core layer used with writes beside reads. The five
-// functions are tuned offline on smaller corpora, for three independent
-// corpus sets, and each of the fifteen gets an online engine with the
+// functions are tuned offline on smaller corpora, for five independent
+// corpus sets, and each of the twenty-five gets an online engine with the
 // default policy, run synchronously so retrains happen on the calling
 // goroutine and every count is reproducible. The measured phase is a
 // sequence of drift phases, one function each in turn: at the
 // phase's first call every instance's cost vector rotates (or rotates
 // back), so the installed model goes stale and the engine must explore,
 // detect, retrain and swap; the phase ends a fixed number of calls after
-// the swap (or, if every retrain loses to the incumbent, at a cap). Calls
-// see novel feature vectors (a seeded relative jitter of
-// held-out inputs), so the memo never hits and the compiled and exact
-// tiers serve every call.
+// the swap. A phase that reaches a cap of calls without a swap is a failed
+// op, and its capped duration counts in adapt_ms. Calls see novel feature
+// vectors (a seeded relative jitter of held-out inputs), so the memo never
+// hits and the compiled and exact tiers serve every call.
 
 type driftSizes struct {
 	data   datasets.Config
@@ -42,7 +42,7 @@ func driftSizesFor(o *options) driftSizes {
 			setups: 1, batch: 96, tailCalls: 3072, maxCalls: 48000, phasesPerSecond: 5, jitter: 0.02, loopIters: 64}
 	}
 	return driftSizes{data: datasets.Config{Seed: o.seed, Scale: 0.05, Parallelism: 1},
-		setups: 3, batch: 96, tailCalls: 3072, maxCalls: 48000, phasesPerSecond: 200, jitter: 0.02, loopIters: 20000}
+		setups: 5, batch: 96, tailCalls: 3072, maxCalls: 48000, phasesPerSecond: 200, jitter: 0.02, loopIters: 20000}
 }
 
 // driftFn is one function under adaptation.
@@ -102,7 +102,7 @@ type phaseWindow struct {
 func runDrift(o *options, r *report) error {
 	sz := driftSizesFor(o)
 	t := newTracer(o)
-	sets, setupS, err := setups(sz.setups, func(rep int) ([]*driftFn, error) {
+	sets, err := setups(r, sz.setups, func(rep int) ([]*driftFn, error) {
 		id := t.begin("setup")
 		defer t.end(id)
 		cfg := sz.data
@@ -145,7 +145,6 @@ func runDrift(o *options, r *report) error {
 	if err != nil {
 		return err
 	}
-	r.set("setup_s", setupS, sz.setups)
 	paper := make([]*paperFn, len(fns))
 	for i, f := range fns {
 		paper[i] = f.paperFn
@@ -181,12 +180,14 @@ func runDrift(o *options, r *report) error {
 	var windows []phaseWindow
 	var ratioSum float64
 	var oracleCalls int64 // calls checked and counted in oracle_pct
-	var kept int64        // phases that retrained but kept the incumbent
+	var unswapped int64   // phases that ended without a swap
 	before := fnStats(paper)
 	for p := 0; p < phases; p++ {
 		fi := p % len(fns)
 		f := fns[fi]
-		f.rot ^= 1
+		if !o.freeze {
+			f.rot ^= 1
+		}
 		if o.corrupt && p == 0 {
 			for k := range f.ref[f.rot][0] {
 				f.ref[f.rot][0][k] *= 2
@@ -246,18 +247,19 @@ func runDrift(o *options, r *report) error {
 		}
 		end := f.eng.Stats()
 		windows = append(windows, phaseWindow{fi, st0.Calls, end.Calls})
+		if !swapped {
+			// The phase ran to the cap: its whole duration is adaptation
+			// time, so a change that stops swaps cannot shrink adapt_ms.
+			unswapped++
+			adapt.add(fi, sinceDriftRaw/1e6, sinceDrift/1e6)
+		}
 		r.attempted++
 		switch {
 		case bad != "":
 			r.fail("phase %d (%s): %s", p, f.suite.Name, bad)
-		case swapped:
-		case end.Retrains == st0.Retrains:
-			r.fail("phase %d (%s): drift never triggered a retrain", p, f.suite.Name)
-		default:
-			// Every retrain lost to the incumbent on the holdout: the
-			// incumbent serves both cost tables well (it can, after many
-			// phases), so keeping it is the right outcome, not a failure.
-			kept++
+		case !swapped:
+			r.miss("phase %d (%s): no swap in %d calls (%d retrains, %d rollbacks)", p, f.suite.Name,
+				end.Calls-st0.Calls, end.Retrains-st0.Retrains, end.Rollbacks-st0.Rollbacks)
 		}
 	}
 	measured := fnStats(paper).sub(before)
@@ -305,7 +307,7 @@ func runDrift(o *options, r *report) error {
 	r.counts["online.retrains"] = retrains
 	r.counts["online.swaps"] = swaps
 	r.counts["online.rollbacks"] = rollbacks
-	r.counts["online.phases_kept"] = kept
+	r.counts["online.phases_unswapped"] = unswapped
 	r.counts["online.events"] = int64(len(events))
 	r.counts["online.events_fnv32"] = hashLines(events)
 	if !o.trace {

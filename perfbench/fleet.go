@@ -31,7 +31,7 @@ import (
 // polls with nothing to change; then the costs rotate, drifted pushes run
 // until the push response reports retraining, the staged canary is
 // awaited, and adopt → serve → report rounds run until both pollers serve
-// the promoted version. Set-up runs five times on independent corpora;
+// the promoted version. Set-up runs eleven times on independent corpora;
 // the last fleet is measured.
 
 const (
@@ -70,7 +70,7 @@ type fleetSizes struct {
 
 func fleetSizesFor(o *options) fleetSizes {
 	sz := fleetSizes{data: datasets.Config{Seed: o.seed, Scale: 0.1, Parallelism: 1},
-		setups: 5, episodesPerSecond: 100, serve: 512, batch: 256, polls: 4,
+		setups: 11, episodesPerSecond: 100, serve: 512, batch: 256, polls: 4,
 		push: 16, window: 64, canaryCalls: 1024, minSamples: 768, loopIters: 20000}
 	if o.tiny {
 		sz.data = datasets.Config{Seed: o.seed, Scale: 0.02, TrainCount: 16, TestCount: 24, Parallelism: 1}
@@ -317,7 +317,8 @@ func (fr *fleetRun) timed(step func()) (raw, ref float64) {
 func runFleet(o *options, r *report) error {
 	// The daemon, its tuning worker and both clients share one processor,
 	// pinned, so the reference loop brackets work on the core it runs on
-	// (see pinToOneCPU).
+	// (see pinToOneCPU). The loop is closed, so one goroutine is runnable
+	// at a time and a second processor would not shorten an episode.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	unpin, err := pinToOneCPU()
 	if err != nil {
@@ -326,20 +327,22 @@ func runFleet(o *options, r *report) error {
 	defer unpin()
 	sz := fleetSizesFor(o)
 	t := newTracer(o)
-	fleets, setupS, err := setups(sz.setups, func(rep int) (*fleet, error) {
+	fleets, err := setups(r, sz.setups, func(rep int) (*fleet, error) {
 		id := t.begin("setup")
 		defer t.end(id)
 		return startFleet(o, sz, rep, t)
 	})
-	for _, f := range fleets[:max(len(fleets)-1, 0)] {
-		f.close()
-	}
 	if err != nil {
+		for _, f := range fleets {
+			f.close()
+		}
 		return err
+	}
+	for _, f := range fleets[:len(fleets)-1] {
+		f.close()
 	}
 	f := fleets[len(fleets)-1] // the measured fleet
 	defer f.close()
-	r.set("setup_s", setupS, sz.setups)
 
 	fr := &fleetRun{sz: sz, t: t, r: r, f: f, shift: driftShift(f.suite),
 		rng:   rand.New(rand.NewPCG(uint64(o.seed), 0x666c656574)), // "fleet"

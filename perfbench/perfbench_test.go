@@ -73,6 +73,27 @@ func TestCorruptReferenceFails(t *testing.T) {
 	}
 }
 
+// TestUnswappedPhaseFails freezes adapt_drift's cost tables, so phases do
+// not drift and few swap (a retrain can still improve a weak tiny model).
+// Every phase without a swap must count as a failed op while its outputs
+// stay correct, and every phase must add its duration to adapt_ms, capped
+// when it did not swap.
+func TestUnswappedPhaseFails(t *testing.T) {
+	o := &options{workload: "adapt_drift", seed: 3, seconds: 1, tiny: true, freeze: true, out: t.TempDir()}
+	res, rep, err := run(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unswapped := rep.counts["online.phases_unswapped"]
+	if !res.Correct || unswapped == 0 || int64(res.Failed) != unswapped {
+		t.Errorf("frozen costs: correct=%v failed=%d unswapped=%d of %d phases, want every unswapped phase failed with correct outputs",
+			res.Correct, res.Failed, unswapped, res.Attempted)
+	}
+	if m := res.Metrics["adapt_ms_p50"]; m.N != res.Attempted || m.Value <= 0 {
+		t.Errorf("adapt_ms_p50 = %v over %d phases, want one duration per phase", m.Value, m.N)
+	}
+}
+
 // TestCountsRepeat checks that one seed reproduces every deterministic
 // count exactly.
 func TestCountsRepeat(t *testing.T) {

@@ -80,7 +80,10 @@ type cpuMask [16]uint64
 // may run on and returns a function that restores the previous set.
 // fleet_rollout runs the daemon, its worker and both clients under
 // GOMAXPROCS 1; pinned, the reference loop and the work it brackets run on
-// the same host core, and requests do not hop between vCPUs.
+// the same host core, and requests do not hop between vCPUs. In
+// interleaved runs on the reference machine, the default of two
+// processors spread adapt_ms about three times as wide while the host was
+// busy, and a little wider otherwise (NOTES.md, Noise controls).
 func pinToOneCPU() (func(), error) {
 	var orig cpuMask
 	if _, _, e := syscall.RawSyscall(syscall.SYS_SCHED_GETAFFINITY, 0, unsafe.Sizeof(orig), uintptr(unsafe.Pointer(&orig))); e != 0 {
