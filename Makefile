@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-serving bench-ensemble bench-obs bakeoff-smoke lint ci clean
+.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-serving bench-ensemble bench-obs lint ci clean
 
 all: build
 
@@ -56,25 +56,28 @@ bench-call:
 	$(GO) test -run xxx -bench 'BenchmarkCall' -cpu 1,2,4 ./internal/core/
 
 # Online-adaptation smoke: replay a seeded drifting input stream through
-# cmd/nitro-tune's adaptation engine twice and assert the printed timeline
-# (drift detected -> retrain -> hot-swap -> recovered) is reproducible byte
-# for byte, then check the expected events actually appear. This is the
-# closed loop end to end: offline tune, synthetic mid-stream drift, online
-# retrain, model v2 swap.
+# cmd/nitro-tune's adaptation engine twice per classifier (the SVM and the
+# ensemble committee) and assert the printed timeline (drift detected ->
+# retrain -> hot-swap -> recovered) is reproducible byte for byte, then
+# check the expected events actually appear. This is the closed loop end to
+# end: offline tune, synthetic mid-stream drift, online retrain, model v2
+# swap. The ensemble run also catches nondeterminism in the committee vote.
 online-replay:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	printf '%s\n' '{"function":"sort","benchmark":"Sort","classifier":"svm","scale":0.1,"seed":3,"train_count":12,"test_count":12,"online_replay":600}' > "$$tmp/online.json" && \
-	$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run1.txt" && \
-	$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run2.txt" && \
-	if ! cmp -s "$$tmp/run1.txt" "$$tmp/run2.txt"; then \
-		echo "FAIL: online replay timeline is not reproducible:"; \
-		diff "$$tmp/run1.txt" "$$tmp/run2.txt"; exit 1; \
-	fi && \
-	for ev in '] drift:' '] retrain (' '] swap (v1 -> v2' '] recovered:'; do \
-		grep -F "$$ev" "$$tmp/run1.txt" >/dev/null || { \
-			echo "FAIL: timeline missing \"$$ev\" event:"; cat "$$tmp/run1.txt"; exit 1; }; \
-	done && \
-	echo "online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"
+	for clf in svm ensemble; do \
+		printf '{"function":"sort","benchmark":"Sort","classifier":"%s","scale":0.1,"seed":3,"train_count":12,"test_count":12,"online_replay":600}\n' "$$clf" > "$$tmp/online.json" && \
+		$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run1.txt" && \
+		$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run2.txt" || exit 1; \
+		if ! cmp -s "$$tmp/run1.txt" "$$tmp/run2.txt"; then \
+			echo "FAIL: $$clf online replay timeline is not reproducible:"; \
+			diff "$$tmp/run1.txt" "$$tmp/run2.txt"; exit 1; \
+		fi; \
+		for ev in '] drift:' '] retrain (' '] swap (v1 -> v2' '] recovered:'; do \
+			grep -F "$$ev" "$$tmp/run1.txt" >/dev/null || { \
+				echo "FAIL: $$clf timeline missing \"$$ev\" event:"; cat "$$tmp/run1.txt"; exit 1; }; \
+		done; \
+		echo "$$clf online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"; \
+	done
 
 # Dispatch-overhead study: distill all five benchmark models, time the
 # three dispatch tiers (memoized / compiled / exact) through a live replay
@@ -167,8 +170,7 @@ bench-serving:
 
 # Ensemble study: single-SVM vs four-member-committee selection quality,
 # training cost and per-prediction overhead across the benchmark corpora,
-# plus the epsilon-greedy vs LinUCB drift-response comparison, into
-# BENCH_ensemble.json. Run on a quiet machine for stable ns/op numbers.
+# into BENCH_ensemble.json. Run on a quiet machine for stable ns/op numbers.
 bench-ensemble:
 	$(GO) run ./cmd/nitro-experiments -run ensemble -scale 0.2 -train 24 -test 36 -nogrid -ensemble-json BENCH_ensemble.json
 
@@ -180,31 +182,6 @@ bench-ensemble:
 # the off/on arms are interleaved and best-of-N to shave scheduler noise.
 bench-obs:
 	$(GO) run ./cmd/nitro-experiments -run obs -obs-json BENCH_obs.json
-
-# Sequential-bakeoff smoke: replay the drifting stream through the online
-# engine with the ensemble classifier, LinUCB bandit routing and bakeoff
-# promotion all enabled, TWICE, and diff the transcripts byte for byte —
-# any nondeterminism in the committee vote, the bandit's arm selection or
-# the paired-t stopper fails the target. Then assert the bakeoff actually
-# ran: the timeline must show drift -> retrain -> bakeoff-start ->
-# bakeoff-promote (v2 in) rather than the legacy validate-then-swap path.
-bakeoff-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	printf '%s\n' '{"function":"sort","benchmark":"Sort","classifier":"ensemble","scale":0.1,"seed":3,"train_count":12,"test_count":12,"online_replay":600,"bandit":true,"bandit_min_confidence":1.1,"bakeoff":true}' > "$$tmp/bakeoff.json" && \
-	$(GO) run ./cmd/nitro-tune -spec "$$tmp/bakeoff.json" > "$$tmp/run1.txt" && \
-	$(GO) run ./cmd/nitro-tune -spec "$$tmp/bakeoff.json" > "$$tmp/run2.txt" && \
-	if ! cmp -s "$$tmp/run1.txt" "$$tmp/run2.txt"; then \
-		echo "FAIL: bakeoff replay timeline is not reproducible:"; \
-		diff "$$tmp/run1.txt" "$$tmp/run2.txt"; exit 1; \
-	fi && \
-	for ev in '] drift:' '] retrain (' '] bakeoff-start (' '] bakeoff-promote (v1 -> v2'; do \
-		grep -F "$$ev" "$$tmp/run1.txt" >/dev/null || { \
-			echo "FAIL: timeline missing \"$$ev\" event:"; cat "$$tmp/run1.txt"; exit 1; }; \
-	done && \
-	if grep -F '] swap (' "$$tmp/run1.txt" >/dev/null; then \
-		echo "FAIL: legacy swap event fired despite bakeoff promotion:"; cat "$$tmp/run1.txt"; exit 1; \
-	fi && \
-	echo "bakeoff replay reproducible: drift -> retrain -> bakeoff-start -> bakeoff-promote"
 
 # Static analysis beyond vet. Uses staticcheck when it is installed
 # (CI installs it); locally it is skipped with a note rather than failing

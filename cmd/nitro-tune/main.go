@@ -130,25 +130,6 @@ type Spec struct {
 	// DriftAt is the fraction of the online replay stream after which the
 	// drift is injected (default 0.3; must be in [0, 1)).
 	DriftAt float64 `json:"drift_at"`
-	// Bandit, when true, routes the online replay's low-confidence or
-	// drift-flagged predictions through a per-function LinUCB contextual
-	// bandit instead of uniform exploration: the bandit picks which variant
-	// to re-time from the feature vector and learns from the realised
-	// regret. Seeded and deterministic — the replay timeline stays
-	// reproducible byte for byte. Requires OnlineReplay > 0. The -bandit
-	// flag overrides the spec value.
-	Bandit bool `json:"bandit"`
-	// BanditMinConfidence is the model-confidence floor below which a
-	// prediction is handed to the bandit (0 uses the engine default, 0.6;
-	// values above 1 flag every prediction). Requires Bandit.
-	BanditMinConfidence float64 `json:"bandit_min_confidence"`
-	// Bakeoff, when true, replaces the online replay's validate-then-swap
-	// promotion with a sequential challenger-vs-incumbent bakeoff on paired
-	// live timings: the retrained model is promoted only when the paired-t
-	// evidence clears the bound, rejected when the incumbent wins, and the
-	// experiment's progress is narrated in the adaptation timeline.
-	// Requires OnlineReplay > 0. The -bakeoff flag overrides the spec value.
-	Bakeoff bool `json:"bakeoff"`
 
 	// StatsJSON additionally emits the replay context's CallStats — and, for
 	// an online replay, the engine's AdaptStats — as one machine-readable JSON
@@ -238,15 +219,6 @@ func validateSpec(spec Spec) error {
 	if spec.DriftAt > 0 && spec.OnlineReplay == 0 {
 		return bad("drift_at requires online_replay > 0")
 	}
-	if (spec.Bandit || spec.Bakeoff) && spec.OnlineReplay <= 0 {
-		return bad("bandit/bakeoff require online_replay > 0")
-	}
-	if spec.BanditMinConfidence < 0 {
-		return bad("bandit_min_confidence %v must be >= 0", spec.BanditMinConfidence)
-	}
-	if spec.BanditMinConfidence > 0 && !spec.Bandit {
-		return bad("bandit_min_confidence requires bandit")
-	}
 	if spec.StatsJSON && spec.Throughput <= 0 && spec.OnlineReplay <= 0 {
 		return bad("stats_json requires throughput > 0 or online_replay > 0")
 	}
@@ -330,8 +302,6 @@ func main() {
 	throughput := flag.Int("throughput", -1, "number of deployment-replay selections to time after tuning (0 = none, -1 = use spec value)")
 	injectFaults := flag.String("inject-faults", "", "inject seeded faults into one replay variant, e.g. \"variant=CSR,panic=0.15,delay=0.1,delayms=30,timeoutms=5\" (requires a throughput replay; overrides the spec value)")
 	onlineReplay := flag.Int("online-replay", -1, "number of deployment calls to replay through an online adaptation engine with a synthetic mid-stream drift (0 = none, -1 = use spec value); the printed timeline is reproducible byte for byte")
-	bandit := flag.Bool("bandit", false, "route low-confidence/drift-flagged predictions through a LinUCB contextual bandit during the online replay (overrides the spec value)")
-	bakeoff := flag.Bool("bakeoff", false, "promote retrained models through a sequential paired-timing bakeoff instead of validate-then-swap during the online replay (overrides the spec value)")
 	statsJSON := flag.Bool("stats-json", false, "emit replay CallStats/AdaptStats as machine-readable JSON lines (requires a throughput or online replay; overrides the spec value)")
 	trace := flag.String("trace", "", "decision tracing for the replays: off, sampled or always (requires a throughput or online replay; overrides the spec value)")
 	phaseTimings := flag.Bool("phase-timings", false, "print accumulated per-phase wall time of the offline pipeline (overrides the spec value)")
@@ -361,12 +331,6 @@ func main() {
 	}
 	if *onlineReplay >= 0 {
 		spec.OnlineReplay = *onlineReplay
-	}
-	if *bandit {
-		spec.Bandit = true
-	}
-	if *bakeoff {
-		spec.Bakeoff = true
 	}
 	if *statsJSON {
 		spec.StatsJSON = true

@@ -15,7 +15,6 @@ import (
 
 	"nitro/internal/autotuner"
 	"nitro/internal/core"
-	"nitro/internal/ensemble"
 	"nitro/internal/ml"
 	"nitro/internal/obs"
 	"nitro/internal/online"
@@ -49,14 +48,6 @@ func onlineReplayPolicy(spec Spec) online.Policy {
 		},
 		Seed:        spec.Seed,
 		Synchronous: true, // retrain inline: deterministic timeline
-	}
-	if spec.Bandit {
-		pol.Bandit = &online.BanditPolicy{MinConfidence: spec.BanditMinConfidence}
-	}
-	if spec.Bakeoff {
-		// A short stopper keeps the transcript readable: verdicts land within
-		// one or two windows of paired evidence.
-		pol.Bakeoff = &ensemble.BakeoffConfig{MinSamples: 8, MaxSamples: 120, Z: 2, MinEffect: 0.005}
 	}
 	if spec.Incremental != nil {
 		pol.Retrain.Incremental = true

@@ -131,20 +131,6 @@ func (cv *CodeVariant[In]) Selectable(idx int, in In) bool {
 // variant is registered).
 func (cv *CodeVariant[In]) DefaultIndex() int { return cv.defIdx }
 
-// ModelConfidence is the confidence-aware dispatch hook: the installed
-// model's calibrated estimate (in [0,1]) that its prediction for vec names
-// the truly fastest variant. Ensembles answer from their fitted reliability
-// curve; single models fall back to a score-margin heuristic; no installed
-// model reports 0 (nothing to trust). Adaptation engines call this only on
-// sampled calls — the dispatch hot path never pays for it.
-func (cx *Context) ModelConfidence(fn string, vec []float64) float64 {
-	m, ok := cx.Model(fn)
-	if !ok {
-		return 0
-	}
-	return m.Confidence(vec)
-}
-
 // AdaptStats is a point-in-time snapshot of one adaptation engine's
 // counters: how much it sampled and explored, what the drift detector saw,
 // and how many retrains, hot-swaps and rollbacks it performed. Produced by
@@ -187,31 +173,10 @@ type AdaptStats struct {
 	// (0 when unstamped or uninstalled).
 	ModelVersion int
 	// State is the drift state machine's current state ("healthy",
-	// "drifting", "retraining" or "bakeoff").
+	// "drifting" or "retraining").
 	State string
 	// Paused reports whether the engine is currently paused.
 	Paused bool
-	// BanditFlagged / BanditSkipped split the explore budget when a
-	// contextual bandit routes exploration: flagged calls (low confidence or
-	// unhealthy drift state) were re-timed bandit-directed, skipped calls
-	// were trusted and paid nothing.
-	BanditFlagged int64
-	BanditSkipped int64
-	// BanditPulls counts rewarded bandit arm pulls.
-	BanditPulls int64
-	// MeanConfidence is the running mean model confidence over sampled calls
-	// (0 when the bandit router is disabled).
-	MeanConfidence float64
-	// Bakeoffs counts sequential challenger-vs-incumbent experiments started;
-	// Promotes/Rejects/Timeouts split how they ended.
-	Bakeoffs        int64
-	BakeoffPromotes int64
-	BakeoffRejects  int64
-	BakeoffTimeouts int64
-	// BakeoffSamples / BakeoffMean describe the in-flight experiment (paired
-	// samples observed, running mean relative improvement); zero when idle.
-	BakeoffSamples int64
-	BakeoffMean    float64
 }
 
 // adaptStatsJSON fixes the wire field names of an AdaptStats snapshot, so
@@ -235,16 +200,6 @@ type adaptStatsJSON struct {
 	ModelVersion     int     `json:"model_version"`
 	State            string  `json:"state"`
 	Paused           bool    `json:"paused"`
-	BanditFlagged    int64   `json:"bandit_flagged,omitempty"`
-	BanditSkipped    int64   `json:"bandit_skipped,omitempty"`
-	BanditPulls      int64   `json:"bandit_pulls,omitempty"`
-	MeanConfidence   float64 `json:"mean_confidence,omitempty"`
-	Bakeoffs         int64   `json:"bakeoffs,omitempty"`
-	BakeoffPromotes  int64   `json:"bakeoff_promotes,omitempty"`
-	BakeoffRejects   int64   `json:"bakeoff_rejects,omitempty"`
-	BakeoffTimeouts  int64   `json:"bakeoff_timeouts,omitempty"`
-	BakeoffSamples   int64   `json:"bakeoff_samples,omitempty"`
-	BakeoffMean      float64 `json:"bakeoff_mean,omitempty"`
 }
 
 // MarshalJSON serializes the snapshot with stable snake_case field names.

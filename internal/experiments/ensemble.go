@@ -1,11 +1,9 @@
 package experiments
 
 // Ensemble study: quantify what the agreement-weighted committee buys (and
-// costs) over the single tuned SVM, and what LinUCB bandit-directed
-// exploration buys over uniform epsilon-greedy re-timing after a concept
-// drift. The JSON form (WriteEnsembleJSON) is the machine-readable
-// BENCH_ensemble.json artifact `make bench-ensemble` emits; EXPERIMENTS.md
-// records a reference run.
+// costs) over the single tuned SVM. The JSON form (WriteEnsembleJSON) is the
+// machine-readable BENCH_ensemble.json artifact `make bench-ensemble` emits;
+// EXPERIMENTS.md records a reference run.
 
 import (
 	"encoding/json"
@@ -15,9 +13,7 @@ import (
 	"time"
 
 	"nitro/internal/autotuner"
-	"nitro/internal/core"
 	"nitro/internal/ml"
-	"nitro/internal/online"
 )
 
 // EnsembleRow compares the single-SVM and four-member-ensemble selectors on
@@ -40,33 +36,16 @@ type EnsembleRow struct {
 	SVMPredictNs      float64 `json:"svm_predict_ns_op"`
 	EnsemblePredictNs float64 `json:"ensemble_predict_ns_op"`
 	// MeanConfidence is the ensemble's mean calibrated confidence over the
-	// test corpus — the signal the bandit router thresholds on.
+	// test corpus.
 	MeanConfidence float64 `json:"ensemble_mean_confidence"`
-}
-
-// ExplorationRow is one exploration strategy's drift response on a replayed
-// call stream: how many calls it took from the injected drift to the
-// recovering hot-swap, and what the exploration budget cost along the way.
-type ExplorationRow struct {
-	Strategy string `json:"strategy"`
-	// DriftToSwapCalls counts calls from the drift injection point to the
-	// hot-swap that recovered from it (-1 when no swap happened).
-	DriftToSwapCalls int64 `json:"drift_to_swap_calls"`
-	// Explored counts full re-timings spent; ExploreSeconds is their summed
-	// simulated cost — the regret paid to relearn the mapping.
-	Explored       int64   `json:"explored"`
-	ExploreSeconds float64 `json:"explore_seconds"`
-	Swaps          int64   `json:"swaps"`
-	BanditPulls    int64   `json:"bandit_pulls,omitempty"`
 }
 
 // EnsembleReport is the on-disk shape of BENCH_ensemble.json.
 type EnsembleReport struct {
 	// PredictCalls is the per-model prediction-timing iteration count (0 =
 	// timing skipped).
-	PredictCalls int              `json:"predict_calls"`
-	Rows         []EnsembleRow    `json:"rows"`
-	Exploration  []ExplorationRow `json:"exploration"`
+	PredictCalls int           `json:"predict_calls"`
+	Rows         []EnsembleRow `json:"rows"`
 }
 
 // EnsembleStudy runs the comparison over every suite. predictCalls is the
@@ -107,18 +86,6 @@ func EnsembleStudy(suites []*autotuner.Suite, opts Options, predictCalls int) (E
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	// The exploration comparison replays one drifting call stream per
-	// strategy over the first suite — both runs are seeded and synchronous,
-	// so the comparison is deterministic.
-	if len(suites) > 0 {
-		for _, strategy := range []string{"epsilon-greedy", "linucb"} {
-			row, err := runExploration(suites[0], opts, strategy)
-			if err != nil {
-				return rep, fmt.Errorf("exploration/%s: %w", strategy, err)
-			}
-			rep.Exploration = append(rep.Exploration, row)
-		}
-	}
 	return rep, nil
 }
 
@@ -155,97 +122,6 @@ func meanConfidence(model *ml.Model, s *autotuner.Suite) float64 {
 	return sum / float64(len(s.Test))
 }
 
-// explorationPolicy is the fixed adaptation configuration both strategies
-// replay under; only the bandit router differs.
-func explorationPolicy(opts Options, strategy string) online.Policy {
-	pol := online.Policy{
-		SamplePeriod:      2,
-		ExploreRate:       0.5,
-		ReservoirSize:     256,
-		Window:            20,
-		MismatchThreshold: 0.4,
-		RegretThreshold:   0.5,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
-		MinRetrainSamples: 24,
-		Retrain: autotuner.RetrainOptions{
-			TrainOptions: autotuner.TrainOptions{
-				Classifier:  opts.Train.Classifier,
-				Seed:        opts.Train.Seed,
-				Parallelism: opts.Train.Parallelism,
-			},
-		},
-		Seed:        opts.Train.Seed,
-		Synchronous: true,
-	}
-	if strategy == "linucb" {
-		// MinConfidence above 1 hands every sampled call to the bandit, so
-		// the comparison isolates the exploration economics: epsilon-greedy
-		// re-times every alternative variant on half the samples, LinUCB
-		// re-times the one arm it believes in on each of them.
-		pol.Bandit = &online.BanditPolicy{MinConfidence: 1.1}
-	}
-	return pol
-}
-
-// runExploration replays one drifting call stream (30% healthy, then every
-// instance's per-variant costs rotated by one slot) through a live
-// CodeVariant under the given exploration strategy and reports the drift
-// response.
-func runExploration(s *autotuner.Suite, opts Options, strategy string) (ExplorationRow, error) {
-	row := ExplorationRow{Strategy: strategy, DriftToSwapCalls: -1}
-	feasible := autotuner.FeasibleTest(s)
-	if len(feasible) == 0 {
-		return row, fmt.Errorf("no feasible test instances")
-	}
-	model, _, err := autotuner.Train(s.Train, opts.Train)
-	if err != nil {
-		return row, err
-	}
-	cx := core.NewContext()
-	cv, err := autotuner.ReplayVariant(cx, s, core.DefaultPolicy(s.Name))
-	if err != nil {
-		return row, err
-	}
-	if err := cx.SetModel(s.Name, model); err != nil {
-		return row, err
-	}
-	eng, err := online.Attach(cv, explorationPolicy(opts, strategy))
-	if err != nil {
-		return row, err
-	}
-	defer eng.Close()
-
-	const streamLen = 600
-	driftCall := streamLen * 3 / 10
-	for i := 0; i < streamLen; i++ {
-		in := feasible[i%len(feasible)]
-		if i >= driftCall {
-			rot := make([]float64, len(in.Times))
-			for j := range in.Times {
-				rot[j] = in.Times[(j+1)%len(in.Times)]
-			}
-			in.Times = rot
-		}
-		if _, _, err := cv.Call(in); err != nil {
-			continue // rotated instance lost all feasible variants
-		}
-	}
-	st := eng.Stats()
-	row.Explored = st.Explored
-	row.ExploreSeconds = st.ExploreSeconds
-	row.Swaps = st.Swaps
-	row.BanditPulls = st.BanditPulls
-	for _, ev := range eng.Events() {
-		if ev.Kind == online.EventSwap || ev.Kind == online.EventBakeoffPromote {
-			row.DriftToSwapCalls = ev.Call - int64(driftCall)
-			break
-		}
-	}
-	return row, nil
-}
-
 // FormatEnsemble renders the study as aligned text tables.
 func FormatEnsemble(rep EnsembleReport) string {
 	var b strings.Builder
@@ -262,19 +138,6 @@ func FormatEnsemble(rep EnsembleReport) string {
 		fmt.Fprintf(&b, "%-10s %8.2f%% %8.2f%% %9.1f%% %9.1f%% %10s %10s %10.3f\n",
 			r.Benchmark, 100*r.SVMPerf, 100*r.EnsemblePerf, 100*r.SVMExact, 100*r.EnsembleExact,
 			ns(r.SVMPredictNs), ns(r.EnsemblePredictNs), r.MeanConfidence)
-	}
-	if len(rep.Exploration) > 0 {
-		fmt.Fprintf(&b, "\nExploration after drift — epsilon-greedy vs LinUCB bandit\n")
-		fmt.Fprintf(&b, "%-15s %15s %10s %14s %6s\n",
-			"strategy", "drift->swap", "explored", "explore cost", "swaps")
-		for _, e := range rep.Exploration {
-			swap := "-"
-			if e.DriftToSwapCalls >= 0 {
-				swap = fmt.Sprintf("%d calls", e.DriftToSwapCalls)
-			}
-			fmt.Fprintf(&b, "%-15s %15s %10d %13.3fs %6d\n",
-				e.Strategy, swap, e.Explored, e.ExploreSeconds, e.Swaps)
-		}
 	}
 	return b.String()
 }

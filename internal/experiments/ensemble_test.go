@@ -27,26 +27,9 @@ func TestEnsembleStudy(t *testing.T) {
 			t.Errorf("%s: timing reported with predictCalls=0", r.Benchmark)
 		}
 	}
-	if len(rep.Exploration) != 2 {
-		t.Fatalf("want 2 exploration rows, got %d", len(rep.Exploration))
-	}
-	for _, e := range rep.Exploration {
-		if e.Explored <= 0 {
-			t.Errorf("%s: no exploration happened", e.Strategy)
-		}
-	}
-	if rep.Exploration[0].Strategy != "epsilon-greedy" || rep.Exploration[1].Strategy != "linucb" {
-		t.Fatalf("exploration strategies = %v, %v", rep.Exploration[0].Strategy, rep.Exploration[1].Strategy)
-	}
-	if rep.Exploration[1].BanditPulls <= 0 {
-		t.Error("linucb run recorded no bandit pulls")
-	}
 
-	text := FormatEnsemble(rep)
-	for _, want := range []string{"Ensemble committee", "epsilon-greedy", "linucb"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("format missing %q:\n%s", want, text)
-		}
+	if text := FormatEnsemble(rep); !strings.Contains(text, "Ensemble committee") {
+		t.Errorf("format missing the committee table:\n%s", text)
 	}
 	var buf bytes.Buffer
 	if err := WriteEnsembleJSON(&buf, rep); err != nil {
@@ -56,7 +39,7 @@ func TestEnsembleStudy(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
 		t.Fatalf("BENCH_ensemble.json does not round-trip: %v", err)
 	}
-	if len(round.Rows) != len(rep.Rows) || len(round.Exploration) != len(rep.Exploration) {
+	if len(round.Rows) != len(rep.Rows) {
 		t.Error("JSON round-trip lost rows")
 	}
 }

@@ -20,8 +20,7 @@ import (
 // agreement against its actual out-of-fold correctness — a reliability curve.
 // Confidence(x) reads that curve, so "0.9" means "predictions that looked
 // like this were right ~90% of the time on held-out data", not a raw vote
-// share. The online plane routes low-confidence calls to the contextual
-// bandit instead of trusting the label.
+// share.
 type Ensemble struct {
 	// Folds is the cross-validation fold count used by Fit to estimate member
 	// weights and fit the calibration curve (default 3).
@@ -419,8 +418,8 @@ func clamp01(v float64) float64 {
 // estimate (in [0,1]) that Predict(x) names the truly fastest variant. For
 // an ensemble classifier this reads the fitted reliability curve; for single
 // models it falls back to the top score's share of the (non-negative) score
-// mass — uncalibrated but monotone in the model's own margin. The online
-// bandit router keys its explore-or-trust decision on this value.
+// mass — uncalibrated but monotone in the model's own margin. Explain
+// reports it with every prediction.
 func (m *Model) Confidence(x []float64) float64 {
 	if m == nil || m.Classifier == nil {
 		return 0

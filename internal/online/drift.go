@@ -22,9 +22,6 @@ const (
 	StateDrifting
 	// StateRetraining: a background retrain is in flight.
 	StateRetraining
-	// StateBakeoff: a trained challenger is running a sequential paired-
-	// timing bakeoff against the incumbent.
-	StateBakeoff
 )
 
 func (s State) String() string {
@@ -35,8 +32,6 @@ func (s State) String() string {
 		return "drifting"
 	case StateRetraining:
 		return "retraining"
-	case StateBakeoff:
-		return "bakeoff"
 	default:
 		return fmt.Sprintf("state(%d)", int32(s))
 	}
@@ -181,11 +176,6 @@ func (d *detector) closeWindow() Verdict {
 
 // onRetrainStart marks a retrain in flight.
 func (d *detector) onRetrainStart() { d.state = StateRetraining }
-
-// onBakeoffStart marks a sequential bakeoff in flight: the state machine
-// parks (no drift declarations, no retrain requests) until the experiment
-// resolves through onSwap (promote) or onRollback (reject / timeout).
-func (d *detector) onBakeoffStart() { d.state = StateBakeoff }
 
 // onSwap records an accepted candidate hot-swap: the episode closes, a
 // cooldown suppresses immediate re-triggering, and the detector watches for

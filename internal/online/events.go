@@ -29,18 +29,8 @@ const (
 	// EventPaused / EventResumed: operator toggles.
 	EventPaused  EventKind = "paused"
 	EventResumed EventKind = "resumed"
-	// EventBakeoffStart: a trained challenger entered a sequential paired-
-	// timing bakeoff against the incumbent (the holdout verdict is advisory).
-	EventBakeoffStart EventKind = "bakeoff-start"
-	// EventBakeoffPromote: the stopper found the challenger statistically
-	// faster; it was hot-swapped in.
+	// EventBakeoffPromote is no longer emitted; the perfbench benchmark still uses it.
 	EventBakeoffPromote EventKind = "bakeoff-promote"
-	// EventBakeoffReject: the stopper found the challenger statistically
-	// slower; the incumbent stays.
-	EventBakeoffReject EventKind = "bakeoff-reject"
-	// EventBakeoffTimeout: the sample budget elapsed without significance;
-	// the incumbent stays.
-	EventBakeoffTimeout EventKind = "bakeoff-timeout"
 )
 
 // Event is one adaptation timeline entry.

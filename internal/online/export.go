@@ -63,18 +63,8 @@ func (e *Engine[In]) Collector(function string) obs.Collector {
 		gauge("nitro_adapt_explore_seconds", "Accumulated exploration cost (optimization-value seconds).", s.ExploreSeconds)
 		gauge("nitro_adapt_mismatch_rate", "Most recently closed window's mismatch rate.", s.LastMismatchRate)
 		gauge("nitro_adapt_regret", "Most recently closed window's mean relative regret.", s.LastRegret)
-		gauge("nitro_adapt_state", "Drift state (0=healthy,1=drifting,2=retraining,3=bakeoff).", float64(e.State()))
+		gauge("nitro_adapt_state", "Drift state (0=healthy,1=drifting,2=retraining).", float64(e.State()))
 		gauge("nitro_adapt_model_version", "Stamped version of the installed model.", float64(s.ModelVersion))
-		counter("nitro_bandit_flagged_total", "Explorations routed to the contextual bandit (low confidence or drift).", float64(s.BanditFlagged))
-		counter("nitro_bandit_skipped_total", "Explorations skipped because the model was confident and healthy.", float64(s.BanditSkipped))
-		counter("nitro_bandit_pulls_total", "Arm pulls recorded by the contextual bandit.", float64(s.BanditPulls))
-		gauge("nitro_ensemble_confidence_mean", "Mean calibrated prediction confidence over bandit-routed calls.", s.MeanConfidence)
-		counter("nitro_bakeoff_started_total", "Sequential challenger-vs-incumbent bakeoffs started.", float64(s.Bakeoffs))
-		counter("nitro_bakeoff_promotes_total", "Bakeoffs resolved by promoting the challenger.", float64(s.BakeoffPromotes))
-		counter("nitro_bakeoff_rejects_total", "Bakeoffs resolved by rejecting the challenger.", float64(s.BakeoffRejects))
-		counter("nitro_bakeoff_timeouts_total", "Bakeoffs that exhausted the sample budget undecided.", float64(s.BakeoffTimeouts))
-		gauge("nitro_bakeoff_samples", "Paired samples accumulated by the live bakeoff (0 when idle).", float64(s.BakeoffSamples))
-		gauge("nitro_bakeoff_mean_delta", "Mean paired relative speedup of the live bakeoff's challenger.", s.BakeoffMean)
 		paused := 0.0
 		if s.Paused {
 			paused = 1

@@ -44,16 +44,6 @@ func TestEngineCollectorExposition(t *testing.T) {
 		"nitro_adapt_state",
 		"nitro_adapt_model_version",
 		"nitro_adapt_paused",
-		"nitro_bandit_flagged_total",
-		"nitro_bandit_skipped_total",
-		"nitro_bandit_pulls_total",
-		"nitro_ensemble_confidence_mean",
-		"nitro_bakeoff_started_total",
-		"nitro_bakeoff_promotes_total",
-		"nitro_bakeoff_rejects_total",
-		"nitro_bakeoff_timeouts_total",
-		"nitro_bakeoff_samples",
-		"nitro_bakeoff_mean_delta",
 	} {
 		if !strings.Contains(text, name+`{function="stencil"}`) {
 			t.Errorf("exposition missing %s{function=\"stencil\"}:\n%s", name, text)

@@ -136,7 +136,6 @@ func (f *FleetDetector) Stats() FleetStats {
 // registry's retrain lifecycle into the state machine, exactly as the
 // in-process engine drives its private detector.
 func (f *FleetDetector) OnRetrainStart() { f.locked(func() { f.det.onRetrainStart() }) }
-func (f *FleetDetector) OnBakeoffStart() { f.locked(func() { f.det.onBakeoffStart() }) }
 func (f *FleetDetector) OnSwap()         { f.locked(func() { f.det.onSwap() }) }
 func (f *FleetDetector) OnRollback()     { f.locked(func() { f.det.onRollback() }) }
 func (f *FleetDetector) OnRetrainFailed() {

@@ -38,7 +38,6 @@ import (
 
 	"nitro/internal/autotuner"
 	"nitro/internal/core"
-	"nitro/internal/ensemble"
 	"nitro/internal/ml"
 )
 
@@ -93,33 +92,6 @@ type Policy struct {
 	// in the background — used by the deterministic replay harness and
 	// tests; production traffic wants the default (background) behaviour.
 	Synchronous bool
-	// Bandit, when non-nil, replaces epsilon-greedy uniform re-timing with a
-	// LinUCB contextual bandit router: sampled calls that win the epsilon
-	// draw are re-timed only when the installed model's calibrated confidence
-	// is low (or the drift state is unhealthy), and then on the single
-	// alternate the bandit picks for this feature vector rather than all of
-	// them. nil keeps the legacy uniform explore path bit-for-bit.
-	Bandit *BanditPolicy
-	// Bakeoff, when non-nil, replaces the temporal-holdout validate-then-
-	// hot-swap with a sequential paired-timing bakeoff: a retrained
-	// challenger serves shadow predictions on explored calls and is promoted
-	// / rejected by a paired-t stopper (see ensemble.Bakeoff). nil keeps the
-	// legacy instant holdout verdict.
-	Bakeoff *ensemble.BakeoffConfig
-}
-
-// BanditPolicy configures the contextual bandit explore router. Zero-value
-// fields take the documented defaults.
-type BanditPolicy struct {
-	// Alpha is the LinUCB confidence width (default 1.0): larger explores
-	// more aggressively.
-	Alpha float64
-	// Ridge is the l2 prior on each arm's design matrix (default 1.0).
-	Ridge float64
-	// MinConfidence flags a prediction for exploration when the model's
-	// calibrated confidence falls below it (default 0.6). Drift-flagged
-	// states (anything but healthy) always explore.
-	MinConfidence float64
 }
 
 // DefaultPolicy returns a balanced starting configuration: sample every 4th
@@ -171,19 +143,6 @@ func (p Policy) normalized() Policy {
 	}
 	if p.MinRetrainSamples <= 0 {
 		p.MinRetrainSamples = 20
-	}
-	if p.Bandit != nil {
-		b := *p.Bandit
-		if b.Alpha <= 0 {
-			b.Alpha = 1
-		}
-		if b.Ridge <= 0 {
-			b.Ridge = 1
-		}
-		if b.MinConfidence <= 0 {
-			b.MinConfidence = 0.6
-		}
-		p.Bandit = &b
 	}
 	return p
 }
@@ -262,19 +221,6 @@ type Engine[In any] struct {
 	retraining bool
 	events     []Event
 
-	// Bandit router state (nil / zero when Policy.Bandit is nil).
-	bandit                       *ensemble.Bandit
-	banditFlagged, banditSkipped int64
-	confSum                      float64
-	confCount                    int64
-
-	// Sequential-bakeoff state (nil / zero when no experiment is live).
-	bakeoff     *ensemble.Bakeoff
-	challenger  *ml.Model
-	challengerX [][]float64 // retrain corpus features, for promote-time distill
-	bakeoffs, bakeoffPromotes,
-	bakeoffRejects, bakeoffTimeouts int64
-
 	// Counters (under mu; snapshot by Stats). pausedCalls accumulates the
 	// core call count that flowed past the engine while it was paused;
 	// pauseMark is the core count at the moment of the last Pause (valid
@@ -314,9 +260,6 @@ func Attach[In any](cv *core.CodeVariant[In], pol Policy) (*Engine[In], error) {
 		rng:           rand.New(rand.NewPCG(uint64(pol.Seed), 0x6f6e6c696e65)), // "online"
 		reservoir:     make([]labelled, 0, pol.ReservoirSize),
 		det:           newDetector(pol),
-	}
-	if pol.Bandit != nil {
-		e.bandit = ensemble.NewBandit(pol.Bandit.Alpha, pol.Bandit.Ridge)
 	}
 	e.baseCalls.Store(int64(e.cx.Stats(e.fn).Calls))
 	cv.SetCallObserver(e)
@@ -400,11 +343,6 @@ func (e *Engine[In]) ObserveCall(o core.CallObservation[In]) {
 		return
 	}
 
-	if e.pol.Bandit != nil {
-		e.banditExplore(o)
-		return
-	}
-
 	lab, best, spent, fails := e.exploreInput(o)
 
 	e.mu.Lock()
@@ -412,9 +350,6 @@ func (e *Engine[In]) ObserveCall(o core.CallObservation[In]) {
 	e.exploreFails += fails
 	e.exploreSeconds += spent
 	job := e.recordExploredLocked(o, lab, best)
-	if e.bakeoff != nil {
-		e.feedBakeoffLocked(o, lab.times, e.challenger)
-	}
 	e.mu.Unlock()
 
 	e.runJob(job)
@@ -469,184 +404,11 @@ func (e *Engine[In]) recordExploredLocked(o core.CallObservation[In], lab labell
 			e.emit(Event{Kind: EventRecovered, MismatchRate: v.MismatchRate, Regret: v.Regret,
 				Detail: fmt.Sprintf("%d consecutive good windows", e.pol.RecoveryWindows)})
 		}
-		if v.WantRetrain && !e.retraining && e.bakeoff == nil {
+		if v.WantRetrain && !e.retraining {
 			job = e.startRetrainLocked(v.StreakStart)
 		}
 	}
 	return job
-}
-
-// banditExplore is the contextual-bandit explore path: confident-and-healthy
-// predictions are trusted (no re-timing at all); low-confidence or
-// drift-flagged predictions re-time exactly one alternate — the arm LinUCB
-// considers most uncertain-or-promising for this feature vector. When a
-// bakeoff is live the challenger's shadow pick is re-timed too, producing the
-// paired sample the stopper consumes. Deterministic: no RNG beyond the
-// epsilon draw the caller already made.
-func (e *Engine[In]) banditExplore(o core.CallObservation[In]) {
-	conf := e.cx.ModelConfidence(e.fn, o.Features)
-
-	nv := e.cv.NumVariants()
-	var eligible []int
-	for j := 0; j < nv; j++ {
-		if j != o.ChosenIdx && e.cv.Selectable(j, o.Input) {
-			eligible = append(eligible, j)
-		}
-	}
-
-	e.mu.Lock()
-	e.confSum += conf
-	e.confCount++
-	flagged := conf < e.pol.Bandit.MinConfidence || e.det.state != StateHealthy
-	arm := -1
-	if flagged {
-		e.banditFlagged++
-		arm = e.bandit.Select(o.Features, eligible)
-	} else {
-		e.banditSkipped++
-	}
-	chal := e.challenger // live bakeoff's challenger, if any
-	chalIdx := -1
-	if e.bakeoff != nil && chal != nil {
-		chalIdx = chal.Predict(o.Features)
-	}
-	e.mu.Unlock()
-
-	if arm < 0 && chalIdx < 0 {
-		return
-	}
-
-	times := make([]float64, nv)
-	for i := range times {
-		times[i] = math.Inf(1)
-	}
-	times[o.ChosenIdx] = o.Value
-	var spent float64
-	var fails int64
-	retime := func(j int) {
-		if j < 0 || j >= nv || j == o.ChosenIdx || !math.IsInf(times[j], 1) {
-			return
-		}
-		if !e.cv.Selectable(j, o.Input) {
-			return
-		}
-		v, err := e.cv.ObserveVariant(j, o.Input)
-		if err != nil {
-			fails++
-			return
-		}
-		times[j] = v
-		spent += v
-	}
-	retime(arm)
-	retime(chalIdx)
-
-	best, bestV := o.ChosenIdx, o.Value
-	for j, t := range times {
-		if t < bestV {
-			best, bestV = j, t
-		}
-	}
-	features := make([]float64, len(o.Features))
-	copy(features, o.Features)
-	lab := labelled{features: features, times: times}
-
-	e.mu.Lock()
-	e.exploreFails += fails
-	e.exploreSeconds += spent
-	var job func()
-	if flagged && arm >= 0 {
-		reward := -1.0 // a failed arm is the worst possible pull
-		if t := times[arm]; !math.IsInf(t, 1) && o.Value > 0 {
-			reward = (o.Value - t) / o.Value
-			if reward > 1 {
-				reward = 1
-			} else if reward < -1 {
-				reward = -1
-			}
-		}
-		e.bandit.Update(arm, features, reward)
-		e.explored++
-		job = e.recordExploredLocked(o, lab, best)
-	}
-	if chalIdx >= 0 {
-		e.feedBakeoffLocked(o, times, chal)
-	}
-	e.mu.Unlock()
-
-	e.runJob(job)
-}
-
-// feedBakeoffLocked folds one paired (incumbent, challenger) timing into the
-// live bakeoff and resolves it when the stopper reaches a verdict; mu must be
-// held. chal must be the challenger whose pick was re-timed — if the
-// experiment changed hands in between (async engines), the sample is dropped
-// rather than fed to the wrong experiment.
-func (e *Engine[In]) feedBakeoffLocked(o core.CallObservation[In], times []float64, chal *ml.Model) {
-	if e.bakeoff == nil || chal == nil || chal != e.challenger {
-		return
-	}
-	tInc := o.Value
-	if tInc <= 0 {
-		return
-	}
-	chalIdx := chal.Predict(o.Features)
-	var delta float64
-	switch {
-	case chalIdx == o.ChosenIdx:
-		delta = 0 // challenger agrees with the live pick: no paired difference
-	case chalIdx < 0 || chalIdx >= len(times):
-		return
-	case math.IsInf(times[chalIdx], 1):
-		delta = -1 // challenger picked a vetoed/failed variant: maximal loss
-	default:
-		delta = (tInc - times[chalIdx]) / tInc
-	}
-	if v := e.bakeoff.Observe(delta); v != ensemble.Undecided {
-		e.resolveBakeoffLocked(v)
-	}
-}
-
-// resolveBakeoffLocked applies a bakeoff verdict: promote hot-swaps the
-// challenger (after best-effort distillation), reject and timeout keep the
-// incumbent with a cooldown; mu must be held.
-func (e *Engine[In]) resolveBakeoffLocked(v ensemble.Verdict) {
-	b, chal, corpusX := e.bakeoff, e.challenger, e.challengerX
-	e.bakeoff, e.challenger, e.challengerX = nil, nil, nil
-	incumbent, _ := e.cx.Model(e.fn)
-	n, mean, t := b.N(), b.Mean(), b.TStat()
-	switch v {
-	case ensemble.Promote:
-		if chal.Compiled == nil && (e.pol.Retrain.Distill || (incumbent != nil && incumbent.Compiled != nil)) {
-			if c, derr := ml.Distill(chal, corpusX, e.pol.Retrain.DistillOpts); derr == nil {
-				chal.Compiled = c
-			}
-		}
-		if err := e.cx.SetModel(e.fn, chal); err != nil {
-			e.det.onRetrainFailed()
-			e.emit(Event{Kind: EventRetrainFailed, Detail: "bakeoff install: " + err.Error()})
-			return
-		}
-		e.swaps++
-		e.bakeoffPromotes++
-		e.det.onSwap()
-		e.emit(Event{Kind: EventBakeoffPromote, Version: chal.Version(),
-			Detail: fmt.Sprintf("v%d -> v%d: challenger faster by %.1f%% over %d paired samples (t=%.2f >= %.2f)",
-				incumbent.Version(), chal.Version(), 100*mean, n, t, b.Config().Z)})
-	case ensemble.Reject:
-		e.rollbacks++
-		e.bakeoffRejects++
-		e.det.onRollback()
-		e.emit(Event{Kind: EventBakeoffReject, Version: incumbent.Version(),
-			Detail: fmt.Sprintf("challenger v%d slower by %.1f%% over %d paired samples (t=%.2f <= -%.2f); incumbent v%d kept",
-				chal.Version(), -100*mean, n, t, b.Config().Z, incumbent.Version())})
-	case ensemble.Timeout:
-		e.bakeoffTimeouts++
-		e.det.onRollback()
-		e.emit(Event{Kind: EventBakeoffTimeout, Version: incumbent.Version(),
-			Detail: fmt.Sprintf("no verdict after %d paired samples (mean=%+.1f%% t=%.2f); incumbent v%d kept",
-				n, 100*mean, t, incumbent.Version())})
-	}
 }
 
 // exploreInput re-times every selectable non-chosen variant on the sampled
@@ -732,26 +494,6 @@ func (e *Engine[In]) runRetrain(obs []autotuner.Observation) {
 	if err != nil {
 		e.det.onRetrainFailed()
 		e.emit(Event{Kind: EventRetrainFailed, Detail: err.Error()})
-		return
-	}
-	if e.pol.Bakeoff != nil {
-		// Sequential bakeoff: the temporal-holdout verdict is advisory only —
-		// the challenger must prove itself on paired live timings before the
-		// stopper promotes it. The experiment's state machine parks in
-		// StateBakeoff until resolveBakeoffLocked applies the verdict.
-		e.bakeoff = ensemble.NewBakeoff(*e.pol.Bakeoff)
-		e.challenger = res.Model
-		rawX := make([][]float64, 0, len(obs))
-		for _, o := range obs {
-			rawX = append(rawX, o.Features)
-		}
-		e.challengerX = rawX
-		e.bakeoffs++
-		e.det.onBakeoffStart()
-		cfg := e.bakeoff.Config()
-		e.emit(Event{Kind: EventBakeoffStart, Version: res.Model.Version(),
-			Detail: fmt.Sprintf("challenger v%d vs incumbent v%d on paired live timings (holdout perf %.3f vs %.3f advisory; stop at |t|>=%.1f, n in [%d, %d])",
-				res.Model.Version(), incumbent.Version(), res.CandidatePerf, res.IncumbentPerf, cfg.Z, cfg.MinSamples, cfg.MaxSamples)})
 		return
 	}
 	if !res.Accepted {
@@ -842,22 +584,6 @@ func (e *Engine[In]) Stats() core.AdaptStats {
 		ModelVersion:     m.Version(),
 		State:            e.det.state.String(),
 		Paused:           e.paused.Load(),
-		BanditFlagged:    e.banditFlagged,
-		BanditSkipped:    e.banditSkipped,
-		Bakeoffs:         e.bakeoffs,
-		BakeoffPromotes:  e.bakeoffPromotes,
-		BakeoffRejects:   e.bakeoffRejects,
-		BakeoffTimeouts:  e.bakeoffTimeouts,
-	}
-	if e.bandit != nil {
-		st.BanditPulls = int64(e.bandit.Pulls())
-	}
-	if e.confCount > 0 {
-		st.MeanConfidence = e.confSum / float64(e.confCount)
-	}
-	if e.bakeoff != nil {
-		st.BakeoffSamples = int64(e.bakeoff.N())
-		st.BakeoffMean = e.bakeoff.Mean()
 	}
 	if e.retraining {
 		st.State = StateRetraining.String()

@@ -70,7 +70,7 @@ func (f *FleetDetector) Restore(s FleetSnapshot) {
 	f.mismatches = s.Mismatches
 	d := f.det
 	d.state = s.State
-	if d.state < StateHealthy || d.state > StateBakeoff {
+	if d.state < StateHealthy || d.state > StateRetraining {
 		d.state = StateHealthy
 	}
 	d.n = s.WindowN

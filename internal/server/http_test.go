@@ -437,8 +437,6 @@ func TestMetricsSurface(t *testing.T) {
 	}
 	for _, want := range []string{
 		"nitro_server_requests_total", "nitro_server_functions 1",
-		"nitro_server_bakeoff_promotes_total", "nitro_server_bakeoff_rejects_total",
-		"nitro_server_bakeoff_timeouts_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"nitro/internal/ensemble"
 	"nitro/internal/online"
 )
 
@@ -90,10 +89,6 @@ type journalRecord struct {
 	// Reporters are the per-reporter cumulative totals backing the fleet
 	// counters above (canary_progress only).
 	Reporters map[string]reporterCounts `json:"reporters,omitempty"`
-	// Bakeoff carries the sequential paired-timing experiment's cumulative
-	// state (canary_progress only; cumulative like the counters, so only
-	// the last snapshot matters on replay).
-	Bakeoff *ensemble.BakeoffState `json:"bakeoff,omitempty"`
 
 	// Drift detector snapshot.
 	Drift *online.FleetSnapshot `json:"drift,omitempty"`

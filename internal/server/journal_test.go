@@ -340,6 +340,37 @@ func appendRawRecord(t *testing.T, path, payload string) {
 	}
 }
 
+// TestJournalReplaysLegacyBakeoffRecords: a journal written by a daemon
+// that still ran sequential bakeoffs replays. The progress record's
+// bakeoff object is ignored, and the drift snapshot's bakeoff state (3),
+// which this build no longer has, restores as healthy.
+func TestJournalReplaysLegacyBakeoffRecords(t *testing.T) {
+	dir := t.TempDir()
+	r := newJournalRegistry(t, dir, nil)
+	stageCanary(t, r, 20, 1)
+	r.kill()
+
+	path := filepath.Join(dir, "journal.wal")
+	appendRawRecord(t, path, `{"op":"canary_progress","tenant":"acme","fn":"sort","version":2,"calls":30,"failures":1,"bakeoff":{"n":12,"mean":0.1,"m2":0.02}}`)
+	appendRawRecord(t, path, `{"op":"drift","tenant":"acme","fn":"sort","drift":{"seq":12,"samples":12,"state":3}}`)
+
+	r2 := newJournalRegistry(t, dir, nil)
+	defer r2.Close()
+	if rec := r2.Recovery(); rec.DroppedRecords != 0 || rec.TailError != nil {
+		t.Fatalf("recovery %+v, want every legacy record replayed", rec)
+	}
+	st, err := r2.Status("acme", "sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Deployment.Canary; c == nil || c.Version != 2 || c.Calls != 30 || c.Failures != 1 {
+		t.Fatalf("canary %+v, want v2 resumed at 30 calls / 1 failure", c)
+	}
+	if st.Drift.State != online.StateHealthy.String() || st.Drift.Samples != 12 {
+		t.Fatalf("drift %+v, want the legacy snapshot restored as healthy", st.Drift)
+	}
+}
+
 // TestJournalCompaction: once the log passes the compaction threshold it
 // is rewritten to the live state — strictly smaller, still resumable.
 func TestJournalCompaction(t *testing.T) {

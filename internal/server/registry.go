@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"nitro/internal/autotuner"
-	"nitro/internal/ensemble"
 	"nitro/internal/ml"
 	"nitro/internal/obs"
 	"nitro/internal/obs/trace"
@@ -107,13 +106,6 @@ type CanaryPolicy struct {
 	MinSamples int64 `json:"min_samples"`
 	// MaxFailureRate is the highest tolerated challenger failure share.
 	MaxFailureRate float64 `json:"max_failure_rate"`
-	// Sequential, when non-nil, additionally runs a paired-timing bakeoff
-	// over the pushed observation stream: the challenger's predicted variant
-	// is scored against the stable model's on every sample, and a paired-t
-	// stopper can settle the episode (promote or roll back) well before the
-	// failure-rate gate's fixed MinSamples budget. nil keeps the episode on
-	// the failure-rate gate alone.
-	Sequential *ensemble.BakeoffConfig `json:"sequential,omitempty"`
 }
 
 func (p CanaryPolicy) normalized() CanaryPolicy {
@@ -152,11 +144,6 @@ type CanaryState struct {
 	MaxFailureRate float64 `json:"max_failure_rate"`
 	Calls          int64   `json:"calls"`
 	Failures       int64   `json:"failures"`
-	// BakeoffSamples / BakeoffMean report the sequential bakeoff's running
-	// paired-sample count and mean relative challenger speedup (zero when
-	// the episode runs the failure-rate gate alone).
-	BakeoffSamples int64   `json:"bakeoff_samples,omitempty"`
-	BakeoffMean    float64 `json:"bakeoff_mean,omitempty"`
 }
 
 // Deployment is what a polling client acts on: the stable version everyone
@@ -206,12 +193,6 @@ type funcState struct {
 	// movement past this baseline, so at-least-once retries cannot
 	// double-count fleet samples. Reset at every episode boundary.
 	canaryReporters map[string]reporterCounts
-	// bakeoff is the live episode's sequential paired-timing experiment
-	// (nil when CanaryPolicy.Sequential is unset); decoded caches the
-	// challenger/stable models it scores samples against. Both reset at
-	// every episode boundary.
-	bakeoff *ensemble.Bakeoff
-	decoded map[int]*ml.Model
 
 	detector  *online.FleetDetector
 	reservoir []autotuner.Observation
@@ -555,13 +536,6 @@ func (r *Registry) replayJournal(records []journalRecord) map[*funcState]string 
 				MaxFailureRate: rec.MaxFailureRate,
 			}
 			fs.canaryReporters = nil
-			// The stopper's config is re-derived from the current policy (like
-			// the drift detector's), so a config change between restarts wins;
-			// a later progress record restores the accumulated state.
-			fs.bakeoff, fs.decoded = nil, nil
-			if seq := r.cfg.Canary.Sequential; seq != nil {
-				fs.bakeoff = ensemble.NewBakeoff(*seq)
-			}
 			fs.lastDec = DecisionPending
 			fs.autoTuned = rec.Auto
 		case opCanaryProgress:
@@ -574,21 +548,12 @@ func (r *Registry) replayJournal(records []journalRecord) map[*funcState]string 
 			fs.canary.Calls = rec.Calls
 			fs.canary.Failures = rec.Failures
 			fs.canaryReporters = rec.Reporters
-			if fs.bakeoff != nil && rec.Bakeoff != nil {
-				// Cumulative experiment state: the last snapshot wins, and a
-				// corrupt one degrades to restarting the experiment, never to
-				// poisoning it.
-				if b, err := ensemble.RestoreBakeoff(*rec.Bakeoff); err == nil {
-					fs.bakeoff = b
-				}
-			}
 		case opCanaryEnd:
 			// The verdict is journaled before deployment.json is rewritten;
 			// replay closes the gap if the crash landed between the two.
 			if fs.canary != nil && fs.canary.Version == rec.Version {
 				fs.canary = nil
 				fs.canaryReporters = nil
-				fs.bakeoff, fs.decoded = nil, nil
 				fs.autoTuned = false
 			}
 			prevStable, prevDec := fs.stable, fs.lastDec
@@ -703,15 +668,10 @@ func (r *Registry) liveRecordsLocked() []journalRecord {
 				recs = append(recs, journalRecord{Op: opCanaryStart, Tenant: tn, Function: fn,
 					Version: c.Version, ETag: c.ETag, Trace: c.Trace, Fraction: c.Fraction,
 					MinSamples: c.MinSamples, MaxFailureRate: c.MaxFailureRate, Auto: fs.autoTuned})
-				if c.Calls > 0 || len(fs.canaryReporters) > 0 || (fs.bakeoff != nil && fs.bakeoff.N() > 0) {
-					rec := journalRecord{Op: opCanaryProgress, Tenant: tn, Function: fn,
+				if c.Calls > 0 || len(fs.canaryReporters) > 0 {
+					recs = append(recs, journalRecord{Op: opCanaryProgress, Tenant: tn, Function: fn,
 						Version: c.Version, Calls: c.Calls, Failures: c.Failures,
-						Reporters: fs.canaryReporters}
-					if fs.bakeoff != nil {
-						snap := fs.bakeoff.Snapshot()
-						rec.Bakeoff = &snap
-					}
-					recs = append(recs, rec)
+						Reporters: fs.canaryReporters})
 				}
 			}
 		}
@@ -909,10 +869,6 @@ func (r *Registry) deploymentLocked(fs *funcState) Deployment {
 	}
 	if fs.canary != nil {
 		c := *fs.canary
-		if fs.bakeoff != nil {
-			c.BakeoffSamples = int64(fs.bakeoff.N())
-			c.BakeoffMean = fs.bakeoff.Mean()
-		}
 		d.Canary = &c
 	}
 	return d
@@ -1026,11 +982,6 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 			MaxFailureRate: pol.MaxFailureRate,
 		}
 		fs.canaryReporters = nil
-		fs.bakeoff, fs.decoded = nil, nil
-		if pol.Sequential != nil {
-			fs.bakeoff = ensemble.NewBakeoff(*pol.Sequential)
-			fs.detector.OnBakeoffStart()
-		}
 		fs.lastDec = DecisionPending
 		fs.autoTuned = auto
 		r.metrics.canariesStarted.Add(1)
@@ -1152,6 +1103,52 @@ func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version 
 	return fs.lastDec, r.deploymentLocked(fs), nil
 }
 
+// endCanaryLocked settles the live canary episode with a verdict. WAL-first:
+// the decision record is durable before deployment.json changes. Registry
+// mu must be held.
+func (r *Registry) endCanaryLocked(ctx context.Context, tenant string, fs *funcState, version int, promoted bool) error {
+	episode := ""
+	if fs.canary != nil {
+		episode = fs.canary.Trace
+	}
+	fs.canary = nil
+	fs.canaryReporters = nil
+	fs.autoTuned = false
+	event := "canary.rollback"
+	if promoted {
+		fs.stable = version
+		fs.lastDec = DecisionPromoted
+		fs.detector.OnSwap()
+		r.metrics.canariesPromoted.Add(1)
+		event = "canary.promote"
+	} else {
+		fs.lastDec = DecisionRolledBack
+		fs.detector.OnRollback()
+		r.metrics.canariesRolledBack.Add(1)
+	}
+	// The verdict trace is the request that settled the episode; the episode
+	// field links back to the request that started it.
+	fs.lastDecTrace = trace.From(ctx)
+	r.cfg.Log.Event(ctx, "server", event,
+		trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
+		trace.F("version", fmt.Sprint(version)), trace.F("episode", episode))
+	if err := r.journalAppend(journalRecord{Op: opCanaryEnd, Tenant: tenant,
+		Function: fs.spec.Name, Version: version, Decision: fs.lastDec,
+		Trace: trace.From(ctx)}); err != nil {
+		return err
+	}
+	if err := r.journalDriftLocked(ctx, tenant, fs); err != nil {
+		return err
+	}
+	if err := r.persistArtifact(tenant, fs); err != nil {
+		return err
+	}
+	if r.journal != nil && r.journal.sizeBytes() > r.cfg.JournalCompactBytes {
+		return r.compactJournalLocked()
+	}
+	return nil
+}
+
 // PushObservations ingests samples pushed by a client: rate-limited by the
 // tenant's token bucket, folded into the bounded reservoir (labelled
 // retraining corpus) and into the fleet drift detector. A detector verdict
@@ -1196,12 +1193,6 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 	}
 	r.metrics.samplesIngested.Add(int64(len(samples)))
 	ts.tm.observations.Add(int64(len(samples)))
-	// The same batch can double as paired bakeoff evidence: every sample
-	// carries the full timing vector, so the live sequential canary (if any)
-	// scores challenger vs stable picks on it and may settle right here.
-	if err := r.feedCanaryBakeoffLocked(ctx, tenant, fs, samples); err != nil {
-		return online.FleetStats{}, err
-	}
 	if wantRetrain && !fs.autoTuned && fs.pendingTunes == 0 && len(fs.reservoir) >= r.cfg.MinRetrainSamples {
 		if _, err := r.submitTuneLocked(ctx, ts, fs, true); err == nil {
 			r.metrics.autoTunes.Add(1)

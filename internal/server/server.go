@@ -38,9 +38,6 @@ type serverMetrics struct {
 	canariesPromoted   atomic.Int64
 	canariesRolledBack atomic.Int64
 	canariesResumed    atomic.Int64
-	bakeoffPromotes    atomic.Int64
-	bakeoffRejects     atomic.Int64
-	bakeoffTimeouts    atomic.Int64
 
 	journalAppends     atomic.Int64
 	journalReplayed    atomic.Int64
@@ -78,9 +75,6 @@ func (r *Registry) Collector() obs.Collector {
 		emit(counter("nitro_server_canaries_promoted_total", "Canary episodes that promoted the challenger.", &m.canariesPromoted))
 		emit(counter("nitro_server_canaries_rolled_back_total", "Canary episodes rolled back.", &m.canariesRolledBack))
 		emit(counter("nitro_server_canaries_resumed_total", "Canary episodes resumed from the journal after a restart.", &m.canariesResumed))
-		emit(counter("nitro_server_bakeoff_promotes_total", "Canary episodes settled early by the sequential bakeoff promoting the challenger.", &m.bakeoffPromotes))
-		emit(counter("nitro_server_bakeoff_rejects_total", "Canary episodes settled early by the sequential bakeoff rejecting the challenger.", &m.bakeoffRejects))
-		emit(counter("nitro_server_bakeoff_timeouts_total", "Sequential bakeoffs that exhausted their sample budget undecided.", &m.bakeoffTimeouts))
 		emit(counter("nitro_server_journal_appends_total", "Durable journal records appended.", &m.journalAppends))
 		emit(counter("nitro_server_journal_records_replayed_total", "Journal records replayed at startup.", &m.journalReplayed))
 		emit(counter("nitro_server_journal_records_dropped_total", "Journal records dropped at replay (uncorroborated by the artifact store).", &m.journalDropped))

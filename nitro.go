@@ -96,7 +96,6 @@ import (
 
 	"nitro/internal/autotuner"
 	"nitro/internal/core"
-	"nitro/internal/ensemble"
 	"nitro/internal/ml"
 	"nitro/internal/obs"
 	"nitro/internal/obs/trace"
@@ -242,22 +241,6 @@ type AdaptStats = core.AdaptStats
 // optional BvSB incremental seeding, holdout fraction, acceptance margin).
 type RetrainOptions = autotuner.RetrainOptions
 
-// BanditPolicy enables LinUCB contextual-bandit exploration routing in an
-// adaptation engine (AdaptPolicy.Bandit): predictions whose calibrated
-// confidence falls below MinConfidence — or that arrive while the drift
-// detector is unhealthy — are handed to a per-function bandit that picks
-// which variant to re-time from the feature vector and learns from the
-// realised regret; confident healthy predictions are trusted for free.
-type BanditPolicy = online.BanditPolicy
-
-// Bandit is the seeded LinUCB contextual bandit itself (ridge-regression
-// per-arm payoff model, UCB selection, deterministic tie-breaks).
-type Bandit = ensemble.Bandit
-
-// NewBandit constructs a LinUCB bandit with exploration width alpha and
-// ridge regularisation (zeros select the defaults).
-func NewBandit(alpha, ridge float64) *Bandit { return ensemble.NewBandit(alpha, ridge) }
-
 // Classifier is the pluggable variant-selection model interface
 // (Fit/Predict/Scores/Classes/Name) every committee member implements.
 type Classifier = ml.Classifier
@@ -270,33 +253,6 @@ type Ensemble = ml.Ensemble
 // NewEnsemble constructs the default four-member committee (pass explicit
 // members to override).
 func NewEnsemble(members ...Classifier) *Ensemble { return ml.NewEnsemble(members...) }
-
-// BakeoffConfig configures the sequential paired-timing stopper that
-// replaces validate-then-swap promotion when set on AdaptPolicy.Bakeoff (or
-// on the tuning daemon's CanaryPolicy.Sequential): a retrained challenger
-// is promoted only when the paired-t evidence on live timings clears the
-// bound, rejected when the incumbent wins, and timed out — incumbent kept —
-// when the sample budget ends undecided.
-type BakeoffConfig = ensemble.BakeoffConfig
-
-// Bakeoff is the running challenger-vs-incumbent experiment; observe paired
-// deltas and read the verdict.
-type Bakeoff = ensemble.Bakeoff
-
-// NewBakeoff starts a sequential bakeoff under cfg.
-func NewBakeoff(cfg BakeoffConfig) *Bakeoff { return ensemble.NewBakeoff(cfg) }
-
-// BakeoffVerdict is a bakeoff outcome: Undecided, Promote, Reject or
-// Timeout.
-type BakeoffVerdict = ensemble.Verdict
-
-// Bakeoff verdicts.
-const (
-	BakeoffUndecided = ensemble.Undecided
-	BakeoffPromote   = ensemble.Promote
-	BakeoffReject    = ensemble.Reject
-	BakeoffTimeout   = ensemble.Timeout
-)
 
 // Model is a trained variant-selection model: classifier, feature scaler and
 // metadata, hot-swappable via Context.SetModel/LoadModel.

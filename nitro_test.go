@@ -305,9 +305,9 @@ func BenchmarkAblationFeatureEvalSerial(b *testing.B)   { benchFeatureMode(b, fa
 func BenchmarkAblationFeatureEvalParallel(b *testing.B) { benchFeatureMode(b, true, false) }
 func BenchmarkAblationFeatureEvalAsync(b *testing.B)    { benchFeatureMode(b, true, true) }
 
-// TestPublicAPIEnsembleAndBakeoff exercises the committee classifier, the
-// LinUCB bandit and the sequential bakeoff through the facade re-exports.
-func TestPublicAPIEnsembleAndBakeoff(t *testing.T) {
+// TestPublicAPIEnsemble exercises the committee classifier through the
+// facade re-exports.
+func TestPublicAPIEnsemble(t *testing.T) {
 	cv := buildToy(t, nitro.DefaultPolicy("toy"))
 	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "ensemble", Seed: 7})
 	if _, err := tuner.Tune(toyInputs()); err != nil {
@@ -332,27 +332,5 @@ func TestPublicAPIEnsembleAndBakeoff(t *testing.T) {
 	}
 	if c := model.Confidence([]float64{18}); c <= 0 || c > 1 {
 		t.Errorf("calibrated confidence %v out of (0, 1]", c)
-	}
-
-	bd := nitro.NewBandit(1, 1)
-	for i := 0; i < 20; i++ {
-		arm := bd.Select([]float64{float64(i % 3)}, []int{0, 1})
-		reward := 0.0
-		if arm == 1 {
-			reward = 1
-		}
-		bd.Update(arm, []float64{float64(i % 3)}, reward)
-	}
-	if bd.Pulls() != 20 {
-		t.Errorf("bandit pulls %d, want 20", bd.Pulls())
-	}
-
-	b := nitro.NewBakeoff(nitro.BakeoffConfig{MinSamples: 4, MaxSamples: 50, Z: 2, MinEffect: 0.01})
-	verdict := nitro.BakeoffUndecided
-	for i := 0; verdict == nitro.BakeoffUndecided && i < 50; i++ {
-		verdict = b.Observe(0.2 + 0.01*float64(i%3))
-	}
-	if verdict != nitro.BakeoffPromote {
-		t.Errorf("verdict %v, want promote for a consistently faster challenger", verdict)
 	}
 }
