@@ -25,9 +25,12 @@ race:
 # Fault-injection stress: the robustness suites (panic isolation, deadlines,
 # quarantine breaker, seeded fault harness) under the race detector, with a
 # hard wall-clock bound so a hung fallback path fails fast instead of
-# wedging CI.
+# wedging CI. The second run repeats the memo hot-swap tests and the
+# ensemble's parallel fit ten times, the two places where a race or a
+# timing-dependent assertion once hid behind a single passing run.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
+	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestEnsemble' ./internal/core/ ./internal/ml/
 
 # Native-fuzzer smoke: a short bounded run of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
@@ -86,7 +89,7 @@ online-replay:
 # ns/op numbers.
 bench-dispatch:
 	$(GO) run ./cmd/nitro-experiments -run dispatch -scale 0.2 -train 24 -test 36 -nogrid -dispatch-json BENCH_dispatch.json
-	$(GO) test -run xxx -bench 'BenchmarkCallMemoHit|BenchmarkCallCompiled|BenchmarkCallExact|BenchmarkCallNoModel' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkCallMemoHit|BenchmarkCallNovel|BenchmarkCallCompiled|BenchmarkCallExact|BenchmarkCallNoModel' -benchmem ./internal/core/
 
 # CI agreement gate: every benchmark's tuned model must distill into a
 # compiled artifact that agrees with the exact classifier on >= 99% of the

@@ -3,6 +3,7 @@ package core
 // Per-tier dispatch benchmarks: one bench per rung of the dispatch ladder,
 // so regressions in a single tier are attributable. BenchmarkCallMemoHit is
 // the steady-state repeat-caller fast path the sub-100ns target applies to;
+// BenchmarkCallNovel is its opposite, a memo miss on every call;
 // BenchmarkCallCompiled and BenchmarkCallExact isolate the compiled walk and
 // the full scaler+SVM pass by disabling the tiers above them.
 
@@ -31,6 +32,21 @@ func benchCalls(b *testing.B, cv *CodeVariant[testInput], distinct int) {
 func BenchmarkCallMemoHit(b *testing.B) {
 	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-memo"))
 	benchCalls(b, cv, 1)
+}
+
+// BenchmarkCallNovel: memo on, a never-seen vector every call — the miss
+// path, where the memo only records each vector's fingerprint and the
+// compiled walk or the exact pass decides.
+func BenchmarkCallNovel(b *testing.B) {
+	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-novel"))
+	b.ReportAllocs()
+	x := 0.0
+	for b.Loop() {
+		x += 0.25
+		if _, _, err := cv.Call(testInput{X: x}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkCallCompiled: memo disabled, every call walks the compiled

@@ -7,6 +7,7 @@ package core
 // gatekeeper for the memo cache's lock-free publication protocol.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,25 +55,38 @@ func distilledConcurrentCV(tb testing.TB, policy TuningPolicy) (*CodeVariant[tes
 }
 
 func TestDispatchTierCounters(t *testing.T) {
-	cv, _ := buildConcurrentCV(t, DefaultPolicy("tiers"))
-	in := testInput{X: 7}
-	for i := 0; i < 5; i++ {
-		if _, name, err := cv.Call(in); err != nil || name != "large" {
-			t.Fatalf("call %d: (%q, %v), want large", i, name, err)
+	cv, model := buildConcurrentCV(t, DefaultPolicy("tiers"))
+	cx := cv.Context()
+	calls := 0
+	// call dispatches x, expects variant want, and checks the cumulative
+	// tier counters.
+	call := func(step string, x float64, want string, exact, memo int) {
+		t.Helper()
+		calls++
+		if _, name, err := cv.Call(testInput{X: x}); err != nil || name != want {
+			t.Fatalf("%s: (%q, %v), want %s", step, name, err, want)
+		}
+		st := cx.Stats("tiers")
+		if st.Calls != calls || st.ExactFallbacks != exact || st.MemoHits != memo || st.CompiledHits != 0 {
+			t.Fatalf("%s: %+v, want %d exact + %d memo", step, st, exact, memo)
 		}
 	}
-	st := cv.Context().Stats("tiers")
-	if st.Calls != 5 || st.ExactFallbacks != 1 || st.MemoHits != 4 || st.CompiledHits != 0 {
-		t.Fatalf("after 5 identical calls: %+v, want 1 exact + 4 memo", st)
+	// Admission: a vector's first miss leaves no entry, its second miss
+	// stores the prediction, and every later call is a memo hit.
+	call("first miss", 7, "large", 1, 0)
+	call("second miss", 7, "large", 2, 0)
+	for i := 1; i <= 4; i++ {
+		call("repeat", 7, "large", 2, i)
 	}
+	// SetModel bumps the epoch: a vector admitted before the swap refills
+	// its entry on its first miss after it.
+	if err := cx.SetModel("tiers", model); err != nil {
+		t.Fatal(err)
+	}
+	call("refill after SetModel", 7, "large", 3, 4)
+	call("hit after refill", 7, "large", 3, 5)
 	// A different input misses the memo and pays the exact path once more.
-	if _, name, err := cv.Call(testInput{X: 1}); err != nil || name != "small" {
-		t.Fatalf("distinct call: (%q, %v), want small", name, err)
-	}
-	st = cv.Context().Stats("tiers")
-	if st.ExactFallbacks != 2 || st.MemoHits != 4 {
-		t.Fatalf("after distinct input: %+v, want 2 exact + 4 memo", st)
-	}
+	call("distinct input", 1, "small", 4, 5)
 }
 
 func TestMemoDisabledByPolicy(t *testing.T) {
@@ -145,7 +159,7 @@ func TestMemoInvalidatedOnSetModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := testInput{X: 5}
-	for i := 0; i < 2; i++ { // second call is a memo hit
+	for i := 0; i < 3; i++ { // the second miss stores, the third call hits
 		if _, name, err := cv.Call(in); err != nil || name != "v0" {
 			t.Fatalf("pre-swap call %d: (%q, %v), want v0", i, name, err)
 		}
@@ -159,7 +173,7 @@ func TestMemoInvalidatedOnSetModel(t *testing.T) {
 	if _, name, err := cv.Call(in); err != nil || name != "v1" {
 		t.Fatalf("post-swap call served (%q, %v), want v1 — stale memo entry dispatched", name, err)
 	}
-	if st := cx.Stats("swap"); st.ExactFallbacks != 2 {
+	if st := cx.Stats("swap"); st.ExactFallbacks != 3 {
 		t.Fatalf("post-swap call did not re-predict: %+v", st)
 	}
 }
@@ -173,14 +187,14 @@ func TestMemoInvalidatedOnQuarantineTransition(t *testing.T) {
 	boom := cv.AddVariant("boom", func(testInput) float64 { panic("down") })
 
 	in := testInput{X: 7}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, _, err := cv.Call(in); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := cv.Context().Stats("qepoch")
-	if st.MemoHits != 1 || st.ExactFallbacks != 1 {
-		t.Fatalf("warmup: %+v, want 1 exact + 1 memo", st)
+	if st.MemoHits != 1 || st.ExactFallbacks != 2 {
+		t.Fatalf("warmup: %+v, want 2 exact + 1 memo", st)
 	}
 	// Trip boom's breaker through the exploration path (not a served call).
 	for i := 0; i < 2; i++ {
@@ -194,7 +208,7 @@ func TestMemoInvalidatedOnQuarantineTransition(t *testing.T) {
 	if _, _, err := cv.Call(in); err != nil {
 		t.Fatal(err)
 	}
-	if st = cv.Context().Stats("qepoch"); st.ExactFallbacks != 2 {
+	if st = cv.Context().Stats("qepoch"); st.ExactFallbacks != 3 {
 		t.Fatalf("post-trip call reused a stale memo entry: %+v", st)
 	}
 }
@@ -205,7 +219,9 @@ func TestMemoInvalidatedOnQuarantineTransition(t *testing.T) {
 // the call), the dispatched variant must be the one the installed model of
 // that phase predicts — i.e. no call after SetModel returns may be decided by
 // a stale cached prediction. Run under -race this also polices the memo
-// cache's publication protocol.
+// cache's publication protocol. The swapper waits for a new memo hit before
+// each swap, so the loop serves at least one hit per swap instead of racing
+// through all its swaps between two calls.
 func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 	cx := NewContext()
 	cv := New[testInput](cx, DefaultPolicy("stress"))
@@ -235,6 +251,15 @@ func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for j := 1; j <= swaps; j++ {
+			hits := cx.Stats("stress").MemoHits
+			deadline := time.Now().Add(30 * time.Second)
+			for cx.Stats("stress").MemoHits == hits {
+				if time.Now().After(deadline) {
+					t.Errorf("swap %d: no memo hit within 30s", j)
+					return
+				}
+				runtime.Gosched()
+			}
 			phase.Add(1) // odd: swap in flight
 			if err := cx.SetModel("stress", models[j%2]); err != nil {
 				t.Error(err)
@@ -281,9 +306,8 @@ func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 	if n := stale.Load(); n != 0 {
 		t.Fatalf("%d calls in a stable phase dispatched the other model's pick — stale memo served after swap", n)
 	}
-	st := cx.Stats("stress")
-	if st.MemoHits == 0 {
-		t.Fatalf("stress loop never hit the memo tier: %+v", st)
+	if st := cx.Stats("stress"); st.MemoHits < swaps {
+		t.Fatalf("stress loop hit the memo tier %d times over %d swaps: %+v", st.MemoHits, swaps, st)
 	}
 }
 
@@ -333,8 +357,10 @@ func TestCallFastPathZeroAlloc(t *testing.T) {
 	}
 	cv, _ := distilledConcurrentCV(t, DefaultPolicy("zeroalloc"))
 	in := testInput{X: 7}
-	if _, _, err := cv.Call(in); err != nil { // warm memo + pools
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // warm pools; the second miss stores the entry
+		if _, _, err := cv.Call(in); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := testing.AllocsPerRun(500, func() {
 		if _, _, err := cv.Call(in); err != nil {
@@ -342,5 +368,54 @@ func TestCallFastPathZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("memoized Call allocates %v per run, want 0", n)
+	}
+}
+
+// A Call whose feature vector the memo has never seen must not allocate
+// either: its miss only records the vector's fingerprint.
+func TestCallNovelInputsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	cv, _ := distilledConcurrentCV(t, DefaultPolicy("novel"))
+	x := 0.0
+	if n := testing.AllocsPerRun(500, func() {
+		x += 0.25
+		if _, _, err := cv.Call(testInput{X: x}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("novel-input Call allocates %v per run, want 0", n)
+	}
+	if st := cv.Context().Stats("novel"); st.MemoHits != 0 {
+		t.Fatalf("novel inputs hit the memo: %+v", st)
+	}
+}
+
+// Scan resistance: with a single memo slot, a one-off miss of another vector
+// must not evict the resident entry.
+func TestMemoOneOffMissKeepsResidentEntry(t *testing.T) {
+	p := DefaultPolicy("scan")
+	p.Dispatch.MemoSize = 1
+	cv, _ := buildConcurrentCV(t, p)
+	cx := cv.Context()
+	a, b := testInput{X: 7}, testInput{X: 1}
+	for i := 0; i < 3; i++ {
+		if _, name, err := cv.Call(a); err != nil || name != "large" {
+			t.Fatalf("warmup call %d: (%q, %v), want large", i, name, err)
+		}
+	}
+	hits := cx.Stats("scan").MemoHits
+	if hits == 0 {
+		t.Fatalf("vector A never became resident: %+v", cx.Stats("scan"))
+	}
+	if _, name, err := cv.Call(b); err != nil || name != "small" {
+		t.Fatalf("one-off call: (%q, %v), want small", name, err)
+	}
+	if _, name, err := cv.Call(a); err != nil || name != "large" {
+		t.Fatalf("resident call: (%q, %v), want large", name, err)
+	}
+	if st := cx.Stats("scan"); st.MemoHits != hits+1 {
+		t.Fatalf("one-off miss of B evicted A: %+v, want %d memo hits", st, hits+1)
 	}
 }

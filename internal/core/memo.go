@@ -33,9 +33,20 @@ import (
 //     fresh, which would serve old-model picks after a swap; the ordering
 //     makes that impossible. Go's atomics are sequentially consistent, so a
 //     call that starts after SetModel returns must observe the bumped epoch.
+//
+// Admission: a slot's entry is replaced only by a vector whose miss follows
+// its own previous miss there. seen holds, per slot, the fingerprint of the
+// last vector that missed in it — TinyLFU's doorkeeper cut down to one word
+// per direct-mapped slot. A stream of never-repeated vectors then costs one
+// atomic store per miss instead of two allocations and a pointer publish,
+// and a one-off miss cannot evict a resident entry. seen is advisory: it
+// never keys a hit (lookup still checks hash, vector and epochs), and it is
+// not reset on hot-swap or quarantine transitions, so a vector admitted
+// before an epoch bump refills on its first miss after it.
 type memoCache struct {
 	mask  uint64
 	slots []atomic.Pointer[memoEntry]
+	seen  []atomic.Uint64
 }
 
 // memoEntry is one immutable cache cell: published with an atomic pointer
@@ -61,7 +72,11 @@ func newMemoCache(size int) *memoCache {
 	for n < size {
 		n <<= 1
 	}
-	return &memoCache{mask: uint64(n - 1), slots: make([]atomic.Pointer[memoEntry], n)}
+	return &memoCache{
+		mask:  uint64(n - 1),
+		slots: make([]atomic.Pointer[memoEntry], n),
+		seen:  make([]atomic.Uint64, n),
+	}
 }
 
 // memoHash fingerprints a feature vector: FNV-1a folded over the float64
@@ -100,10 +115,17 @@ func (c *memoCache) lookup(h uint64, vec []float64, mEpoch, qEpoch uint64) (int,
 	return int(e.pred), true
 }
 
-// store publishes a prediction computed under the given epochs. The vector is
-// copied: callers recycle their feature buffers.
+// store publishes a prediction computed under the given epochs, or, when the
+// slot's previous miss was another vector, only records this one's
+// fingerprint (see memoCache). The vector is copied: callers recycle their
+// feature buffers.
 func (c *memoCache) store(h uint64, vec []float64, pred int, mEpoch, qEpoch uint64) {
-	c.slots[h&c.mask].Store(&memoEntry{
+	i := h & c.mask
+	if c.seen[i].Load() != h {
+		c.seen[i].Store(h)
+		return
+	}
+	c.slots[i].Store(&memoEntry{
 		hash:   h,
 		mEpoch: mEpoch,
 		qEpoch: qEpoch,

@@ -102,7 +102,8 @@ const (
 
 // timeTier measures the steady-state serial Call cost of one dispatch tier
 // through a replay CodeVariant: tierMemo hammers one hot input so the memo
-// cache serves every call after the first; tierCompiled disables the memo and
+// cache serves every call after the second (the miss that admits it);
+// tierCompiled disables the memo and
 // cycles distinct inputs through the compiled walk; tierExact disables both
 // fast tiers — the full scaler + classifier pass every call paid before this
 // subsystem existed.

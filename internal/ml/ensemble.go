@@ -131,6 +131,10 @@ func (e *Ensemble) Fit(ds *Dataset) error {
 	// Out-of-fold predicted labels, per member per sample; oof[mi] == nil
 	// means member mi has no CV estimate (unknown type or dataset too small).
 	oof := make([][]int, nm)
+	// protos[mi] is an untrained copy of member mi, taken before the sweep:
+	// a CV job must not read the live member while its final fit writes it
+	// (SVM.Fit resolves a zero RBF gamma in place).
+	protos := make([]Classifier, nm)
 	canCV := len(e.classes) > 1 && ds.Len() >= 2*folds
 	var trains, tests [][]int
 	if canCV {
@@ -140,7 +144,7 @@ func (e *Ensemble) Fit(ds *Dataset) error {
 			return err
 		}
 		for mi := range oof {
-			if freshLike(e.members[mi]) != nil {
+			if protos[mi] = freshLike(e.members[mi]); protos[mi] != nil {
 				oof[mi] = make([]int, ds.Len())
 			}
 		}
@@ -163,7 +167,7 @@ func (e *Ensemble) Fit(ds *Dataset) error {
 		if oof[mi] == nil {
 			return
 		}
-		clf := freshLike(e.members[mi])
+		clf := freshLike(protos[mi])
 		if err := clf.Fit(ds.Subset(trains[fi])); err != nil {
 			errs[p] = err
 			return
