@@ -32,11 +32,14 @@ stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
 	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestEnsemble' ./internal/core/ ./internal/ml/
 
-# Native-fuzzer smoke: a short bounded run of the model-deserializer fuzz
+# Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
-# point). The accumulated corpus keeps regressions reproducible.
+# point) and the sort-variant fuzz target (every variant sorts like
+# sort.Float64s, Cost equals Run's time). The accumulated corpus keeps
+# regressions reproducible.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalModel -fuzztime 10s ./internal/ml/
+	$(GO) test -run xxx -fuzz FuzzSortVariants -fuzztime 10s ./internal/sortbench/
 
 # Full benchmark sweep (figures + ablations + ML kernels + the
 # deployment-runtime parallel-call benches in internal/core).

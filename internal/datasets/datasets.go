@@ -3,10 +3,14 @@
 // for the paper's external collections (UFL Sparse Matrix collection,
 // DIMACS10 graphs, generated key/sample sequences); corpus sizes default to
 // the paper's Fig. 4 (SpMV 54/100, Solver 26/100, BFS 20/148, Histogram
-// 200/1291, Sort 120/600). Each builder runs every code variant on every
-// input once (constraint-vetoed or failing variants score +Inf) and packages
-// the results as autotuner.Suite instances, including per-feature
-// evaluation-cost estimates for the Fig. 8 overhead analysis.
+// 200/1291, Sort 120/600). Each builder labels every input by pricing every
+// code variant on it once (constraint-vetoed or failing variants score +Inf)
+// and packages the results as autotuner.Suite instances, including
+// per-feature evaluation-cost estimates for the Fig. 8 overhead analysis.
+// SpMV, Solvers and Histogram run each variant; BFS prices every variant
+// from one cached traversal per source; Sort prices each variant with its
+// cost model alone, because a sort's simulated time does not depend on the
+// sorted keys.
 package datasets
 
 import (

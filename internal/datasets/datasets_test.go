@@ -1,6 +1,9 @@
 package datasets
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -306,5 +309,40 @@ func TestKeplerSuiteDiffers(t *testing.T) {
 	}
 	if same {
 		t.Error("Kepler and Fermi produced identical cost surfaces")
+	}
+}
+
+// sortLabelsDigest hashes a Sort suite's instance IDs and the bits of every
+// feature and label time, train set first.
+func sortLabelsDigest(s *autotuner.Suite) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, set := range [][]autotuner.Instance{s.Train, s.Test} {
+		for _, in := range set {
+			h.Write([]byte(in.ID))
+			for _, vs := range [][]float64{in.Features, in.Times} {
+				for _, v := range vs {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSortLabelsGolden pins every Sort label bit for bit: pricing variants
+// from their cost models must give exactly the times that running them gave,
+// serially and across workers.
+func TestSortLabelsGolden(t *testing.T) {
+	const want = "fed4a5907bf8d33d58b58bf9f4c1918101ba58cb05552dc01617467fdbdf7ab9"
+	for _, par := range []int{1, 0} {
+		s, err := Sort(Config{Seed: 9, Scale: 0.05, Parallelism: par}, gpusim.Fermi())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortLabelsDigest(s); got != want {
+			t.Errorf("Parallelism %d: Sort label digest = %s, want %s", par, got, want)
+		}
 	}
 }

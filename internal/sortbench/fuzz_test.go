@@ -1,0 +1,72 @@
+package sortbench
+
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"testing"
+)
+
+// fuzzKeyBytes encodes keys as the little-endian float64 bytes
+// FuzzSortVariants decodes.
+func fuzzKeyBytes(keys []float64) []byte {
+	out := make([]byte, 8*len(keys))
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(k))
+	}
+	return out
+}
+
+// FuzzSortVariants decodes the fuzz bytes as float64 keys (a trailing partial
+// key is dropped) and a width flag. NewProblem must accept exactly the
+// non-empty NaN-free inputs, and on each one every variant must sort like
+// sort.Float64s, Cost must equal Run's Seconds bit for bit, and the maximum
+// displacement must lie in [0, n).
+func FuzzSortVariants(f *testing.F) {
+	f.Add(fuzzKeyBytes([]float64{3, math.NaN(), 1, 2, math.NaN(), 0}), true)
+	f.Add(fuzzKeyBytes([]float64{math.Inf(1), -1, math.Copysign(0, -1), 0, math.Inf(-1), -1}), false)
+	f.Add(fuzzKeyBytes(ReverseSortedKeys(Tile+1, 1)), true)
+	f.Add(fuzzKeyBytes(AlmostSortedKeys(2*Tile+5, 0.22, 64, 2)), false)
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
+		keys := make([]float64, len(data)/8)
+		hasNaN := false
+		for i := range keys {
+			keys[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			hasNaN = hasNaN || math.IsNaN(keys[i])
+		}
+		bits := 32
+		if wide {
+			bits = 64
+		}
+		p, err := NewProblem(keys, bits)
+		if (err == nil) != (len(keys) > 0 && !hasNaN) {
+			t.Fatalf("NewProblem(%d keys, NaN=%v) error = %v", len(keys), hasNaN, err)
+		}
+		if err != nil {
+			return
+		}
+		want := append([]float64(nil), keys...)
+		sort.Float64s(want)
+		for _, v := range Variants() {
+			res, err := v.Run(p, dev())
+			if err != nil {
+				t.Fatalf("%s: %v", v.Name, err)
+			}
+			if len(res.Sorted) != len(want) {
+				t.Fatalf("%s: %d keys out, %d in", v.Name, len(res.Sorted), len(want))
+			}
+			for i := range want {
+				if res.Sorted[i] != want[i] {
+					t.Fatalf("%s: key %d = %v, want %v", v.Name, i, res.Sorted[i], want[i])
+				}
+			}
+			if c := v.Cost(p, dev()); math.Float64bits(c) != math.Float64bits(res.Seconds) {
+				t.Fatalf("%s: Cost %v, Run %v", v.Name, c, res.Seconds)
+			}
+		}
+		if d := p.MaxDisplacement(); d < 0 || d >= len(keys) {
+			t.Fatalf("MaxDisplacement = %d for %d keys", d, len(keys))
+		}
+	})
+}

@@ -3,12 +3,14 @@
 // CUB's radix sort: three real sorting algorithms over floating-point keys,
 // the paper's three selection features (N, Nbits, NAscSeq), and seeded key
 // generators for the uniform-random, reverse-sorted and almost-sorted test
-// categories on 32- and 64-bit keys. Each variant sorts for real; its
-// simulated GPU cost follows the algorithm's pass structure (radix pays per
-// key bit, merge pays log N passes, locality sort pays only for the observed
-// disorder), which reproduces the paper's crossovers: radix dominates 32-bit
-// keys, merge/locality overtake it on 64-bit keys, and locality sort wins on
-// almost-sorted inputs.
+// categories on 32- and 64-bit keys. Each variant's Run sorts for real and
+// reports the simulated GPU time its Cost prices from the algorithm's pass
+// structure (radix pays per key bit, merge pays log N passes, locality sort
+// pays only for the observed disorder), which reproduces the paper's
+// crossovers: radix dominates 32-bit keys, merge/locality overtake it on
+// 64-bit keys, and locality sort wins on almost-sorted inputs. The price
+// depends only on the key count, the key width and the maximum key
+// displacement, never on the sorted keys, so a labeller can call Cost alone.
 package sortbench
 
 import (
@@ -16,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"nitro/internal/gpusim"
 )
@@ -31,17 +34,24 @@ type Problem struct {
 	Keys []float64
 	Bits int
 
+	dispOnce sync.Once
 	maxDisp  int
-	dispDone bool
 }
 
-// NewProblem validates and wraps a sorting workload.
+// NewProblem validates and wraps a sorting workload. NaN keys are rejected:
+// they have no place in a total order, so the variants would disagree on
+// where to put them.
 func NewProblem(keys []float64, bits int) (*Problem, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("sortbench: empty input")
 	}
 	if bits != 32 && bits != 64 {
 		return nil, errors.New("sortbench: key width must be 32 or 64 bits")
+	}
+	for _, k := range keys {
+		if math.IsNaN(k) {
+			return nil, errors.New("sortbench: NaN key")
+		}
 	}
 	return &Problem{Keys: keys, Bits: bits}, nil
 }
@@ -50,22 +60,18 @@ func NewProblem(keys []float64, bits int) (*Problem, error) {
 func (p *Problem) KeyBytes() int { return p.Bits / 8 }
 
 // MaxDisplacement returns the largest distance any key must travel to its
-// sorted position (cached; the locality-sort cost model uses it). The stable
-// rank assignment uses an LSD radix sort over the order-preserving bit
-// transform, so it is O(n) rather than comparison-bound.
+// sorted position (computed once and safe for concurrent use; the
+// locality-sort cost model uses it). The stable rank assignment uses an LSD
+// radix sort over the order-preserving bit transform, so it is O(n) rather
+// than comparison-bound.
 func (p *Problem) MaxDisplacement() int {
-	if p.dispDone {
-		return p.maxDisp
-	}
-	idx := sortIndicesByKey(p.Keys)
-	for rank, orig := range idx {
-		if d := rank - int(orig); d > p.maxDisp {
-			p.maxDisp = d
-		} else if -d > p.maxDisp {
-			p.maxDisp = -d
+	p.dispOnce.Do(func() {
+		maxDisp := 0
+		for rank, orig := range sortIndicesByKey(p.Keys) {
+			maxDisp = max(maxDisp, rank-int(orig), int(orig)-rank)
 		}
-	}
-	p.dispDone = true
+		p.maxDisp = maxDisp
+	})
 	return p.maxDisp
 }
 
@@ -136,19 +142,22 @@ type Result struct {
 	Seconds float64
 }
 
-// Variant is one sorting code variant.
+// Variant is one sorting code variant. Run sorts the keys for real and
+// reports Cost's time; Cost is the pass-structure price alone, bit-identical
+// to Run's Seconds without the sort.
 type Variant struct {
 	Name string
 	Run  func(p *Problem, dev *gpusim.Device) (Result, error)
+	Cost func(p *Problem, dev *gpusim.Device) float64
 }
 
 // Variants returns the paper's three variants in Fig. 4 order: Merge Sort,
 // Locality Sort, Radix Sort.
 func Variants() []Variant {
 	return []Variant{
-		{Name: "Merge", Run: MergeSort},
-		{Name: "Locality", Run: LocalitySort},
-		{Name: "Radix", Run: RadixSort},
+		{Name: "Merge", Run: MergeSort, Cost: mergeCost},
+		{Name: "Locality", Run: LocalitySort, Cost: localityCost},
+		{Name: "Radix", Run: RadixSort, Cost: radixCost},
 	}
 }
 
@@ -243,6 +252,11 @@ func tileRuns(keys []float64) ([]float64, [][2]int) {
 // MergeSort is the ModernGPU merge sort: block sort then log(N/Tile)
 // full-width global merge passes.
 func MergeSort(p *Problem, dev *gpusim.Device) (Result, error) {
+	return Result{Sorted: mergeRuns(tileRuns(p.Keys)), Seconds: mergeCost(p, dev)}, nil
+}
+
+// mergeCost prices MergeSort's pass structure.
+func mergeCost(p *Problem, dev *gpusim.Device) float64 {
 	n, kb := len(p.Keys), p.KeyBytes()
 	run := gpusim.NewRun(dev)
 	k := run.Launch("mergesort", minInt(n, dev.MaxResidentThreads()*2))
@@ -252,9 +266,7 @@ func MergeSort(p *Problem, dev *gpusim.Device) (Result, error) {
 		k.Latency(float64(dev.LaunchOverheadNs) / 2) // per-pass kernel boundary
 	}
 	run.Done(k)
-
-	cur, runs := tileRuns(p.Keys)
-	return Result{Sorted: mergeRuns(cur, runs), Seconds: run.Seconds()}, nil
+	return run.Seconds()
 }
 
 // LocalitySort is the ModernGPU locality sort: after block sort, merge
@@ -262,6 +274,11 @@ func MergeSort(p *Problem, dev *gpusim.Device) (Result, error) {
 // nearly-sorted inputs finish in one cheap pass. A run-detection prepass
 // reads the keys once.
 func LocalitySort(p *Problem, dev *gpusim.Device) (Result, error) {
+	return Result{Sorted: mergeRuns(tileRuns(p.Keys)), Seconds: localityCost(p, dev)}, nil
+}
+
+// localityCost prices LocalitySort's pass structure.
+func localityCost(p *Problem, dev *gpusim.Device) float64 {
 	n, kb := len(p.Keys), p.KeyBytes()
 	disp := p.MaxDisplacement()
 	passes := 1
@@ -280,15 +297,18 @@ func LocalitySort(p *Problem, dev *gpusim.Device) (Result, error) {
 		k.Latency(float64(dev.LaunchOverheadNs) / 2)
 	}
 	run.Done(k)
-
-	cur, runs := tileRuns(p.Keys)
-	return Result{Sorted: mergeRuns(cur, runs), Seconds: run.Seconds()}, nil
+	return run.Seconds()
 }
 
 // RadixSort is the CUB LSD radix sort: Bits/8 digit passes, each a
 // histogram+scan+scatter round trip over the keys with semi-coalesced
 // scatter writes.
 func RadixSort(p *Problem, dev *gpusim.Device) (Result, error) {
+	return Result{Sorted: radixSortFloat64(p.Keys), Seconds: radixCost(p, dev)}, nil
+}
+
+// radixCost prices RadixSort's pass structure.
+func radixCost(p *Problem, dev *gpusim.Device) float64 {
 	n, kb := len(p.Keys), p.KeyBytes()
 	passes := p.Bits / 8
 	run := gpusim.NewRun(dev)
@@ -301,8 +321,7 @@ func RadixSort(p *Problem, dev *gpusim.Device) (Result, error) {
 		k.Latency(float64(dev.LaunchOverheadNs)) // 3 kernels per digit
 	}
 	run.Done(k)
-
-	return Result{Sorted: radixSortFloat64(p.Keys), Seconds: run.Seconds()}, nil
+	return run.Seconds()
 }
 
 // radixSortFloat64 sorts by the IEEE-754 order-preserving bit transform with

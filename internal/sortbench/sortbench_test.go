@@ -3,6 +3,7 @@ package sortbench
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +272,94 @@ func TestDuplicateKeysStable(t *testing.T) {
 		res, err := v.Run(p, dev())
 		if err != nil || !isSorted(res.Sorted) {
 			t.Fatalf("%s failed on duplicate-heavy input: %v", v.Name, err)
+		}
+	}
+}
+
+// TestNewProblemRejectsNaN: NaN has no place in a total order, so the
+// variants disagreed on where to put it (merge-based sorts first, radix
+// last) and MaxDisplacement ranked by the radix order.
+func TestNewProblemRejectsNaN(t *testing.T) {
+	for _, keys := range [][]float64{{3, math.NaN(), 1, 2, math.NaN(), 0}, {math.NaN()}} {
+		if _, err := NewProblem(keys, 64); err == nil {
+			t.Errorf("NewProblem(%v) accepted a NaN key", keys)
+		}
+	}
+	if _, err := NewProblem([]float64{math.Inf(1), 0, math.Inf(-1)}, 64); err != nil {
+		t.Errorf("infinite keys rejected: %v", err)
+	}
+}
+
+// TestMaxDisplacementConcurrent runs LocalitySort on one Problem from several
+// goroutines, as a variant callback may be under concurrent calls; the
+// cached displacement must be race-free (run under -race) and agree.
+func TestMaxDisplacementConcurrent(t *testing.T) {
+	p, _ := NewProblem(AlmostSortedKeys(4*Tile, 0.22, 64, 11), 64)
+	const workers = 4
+	secs := make([]float64, workers)
+	disps := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res, err := LocalitySort(p, dev())
+			if err != nil {
+				t.Error(err)
+			}
+			secs[w], disps[w] = res.Seconds, p.MaxDisplacement()
+		}(w)
+	}
+	wg.Wait()
+	fresh, _ := NewProblem(p.Keys, 64)
+	want := fresh.MaxDisplacement()
+	for w := range secs {
+		if secs[w] != secs[0] || disps[w] != want {
+			t.Fatalf("worker %d: seconds %v disp %d, want %v and %d", w, secs[w], disps[w], secs[0], want)
+		}
+	}
+}
+
+// TestCostMatchesRun pins the split between pricing and sorting: every
+// variant's Cost must equal its Run's Seconds bit for bit, since corpus
+// labelling prices with Cost while deployment runs Run.
+func TestCostMatchesRun(t *testing.T) {
+	gens := map[string]func(n int) []float64{
+		"uniform":     func(n int) []float64 { return UniformKeys(n, 1) },
+		"normal":      func(n int) []float64 { return NormalKeys(n, 2) },
+		"exponential": func(n int) []float64 { return ExponentialKeys(n, 3) },
+		"reverse":     func(n int) []float64 { return ReverseSortedKeys(n, 4) },
+		"almost":      func(n int) []float64 { return AlmostSortedKeys(n, 0.22, 64, 5) },
+		"sorted":      func(n int) []float64 { return reverse(ReverseSortedKeys(n, 6)) },
+		"duplicates": func(n int) []float64 {
+			keys := make([]float64, n)
+			for i := range keys {
+				keys[i] = float64(i % 7)
+			}
+			return keys
+		},
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 2, Tile - 1, Tile, Tile + 1, 5*Tile + 3} {
+			keys := gen(n)
+			for _, bits := range []int{32, 64} {
+				p, err := NewProblem(keys, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "sorted" && p.MaxDisplacement() != 0 {
+					t.Fatalf("sorted n=%d: displacement %d", n, p.MaxDisplacement())
+				}
+				for _, v := range Variants() {
+					res, err := v.Run(p, dev())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c := v.Cost(p, dev()); math.Float64bits(c) != math.Float64bits(res.Seconds) {
+						t.Errorf("%s %s n=%d %d-bit: Cost %v, Run %v", v.Name, name, n, bits, c, res.Seconds)
+					}
+				}
+			}
 		}
 	}
 }
