@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-serving bench-ensemble bench-obs lint ci clean
+.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-ensemble lint ci clean
 
 all: build
 
@@ -85,14 +85,12 @@ online-replay:
 		echo "$$clf online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"; \
 	done
 
-# Dispatch-overhead study: distill all five benchmark models, time the
-# three dispatch tiers (memoized / compiled / exact) through a live replay
-# CodeVariant, and emit the machine-readable BENCH_dispatch.json artifact
-# alongside the per-tier Go benchmarks. Run on a quiet machine for stable
-# ns/op numbers.
+# Per-tier dispatch benchmarks: one Call benchmark per rung of the ladder
+# (memo hit, a miss the compiled walk decides, the exact pass, no model).
+# Run on a quiet machine for stable ns/op numbers; the end-to-end and
+# per-layer dispatch numbers come from perfbench (BENCHMARK.json).
 bench-dispatch:
-	$(GO) run ./cmd/nitro-experiments -run dispatch -scale 0.2 -train 24 -test 36 -nogrid -dispatch-json BENCH_dispatch.json
-	$(GO) test -run xxx -bench 'BenchmarkCallMemoHit|BenchmarkCallNovel|BenchmarkCallCompiled|BenchmarkCallExact|BenchmarkCallNoModel' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkCallMemoHit|BenchmarkCallNovel|BenchmarkCallExact|BenchmarkCallNoModel' -benchmem ./internal/core/
 
 # CI agreement gate: every benchmark's tuned model must distill into a
 # compiled artifact that agrees with the exact classifier on >= 99% of the
@@ -168,31 +166,19 @@ trace-smoke:
 	$(GO) run ./cmd/nitro-server -smoke-trace
 	$(GO) test -race -run 'TestTraceSurvivesKillRestart|TestObservabilityDoubleRunDeterminism|TestTraceHeaderEchoAndSanitize|TestFlightEndpoint|TestPullVersionHeaderOn200And304' ./internal/server/...
 
-# Serving-latency bench: drive a live daemon over HTTP and record
-# pull/push/observation latency percentiles plus shed behaviour under
-# overload into BENCH_serving.json.
-bench-serving:
-	$(GO) run ./cmd/nitro-experiments -run serving -serving-json BENCH_serving.json
-
 # Ensemble study: single-SVM vs four-member-committee selection quality,
 # training cost and per-prediction overhead across the benchmark corpora,
 # into BENCH_ensemble.json. Run on a quiet machine for stable ns/op numbers.
 bench-ensemble:
 	$(GO) run ./cmd/nitro-experiments -run ensemble -scale 0.2 -train 24 -test 36 -nogrid -ensemble-json BENCH_ensemble.json
 
-# Observability-overhead bench: run the per-route latency harness against
-# a daemon with the tracing plane at its defaults and again with the full
-# plane on (debug slog + client-injected trace ids on every request), and
-# record the p50-based overhead per route into BENCH_obs.json. The
-# acceptance bar is <2% on the artifact pull path; run on a quiet machine —
-# the off/on arms are interleaved and best-of-N to shave scheduler noise.
-bench-obs:
-	$(GO) run ./cmd/nitro-experiments -run obs -obs-json BENCH_obs.json
-
-# Static analysis beyond vet. Uses staticcheck when it is installed
-# (CI installs it); locally it is skipped with a note rather than failing
-# the build, because the toolchain image is offline.
+# Static analysis beyond vet: every tracked Go file must be gofmt-clean
+# (git ls-files keeps build output such as .bench_build/ out of the scan),
+# then staticcheck when it is installed (CI installs it); locally that is
+# skipped with a note rather than failing the build, because the toolchain
+# image is offline.
 lint: vet
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

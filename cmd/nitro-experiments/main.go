@@ -4,16 +4,21 @@
 //
 // Usage:
 //
-//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|dispatch|extension|portability|all]
+//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|classifiers|extension|noise|portability|ensemble|all]
 //	                  [-scale 1.0] [-seed 42] [-iters 50]
 //	                  [-classifier svm|knn|tree] [-nogrid]
+//
+// An unknown -run value exits with status 2 before any corpus is built.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,78 +28,41 @@ import (
 	"nitro/internal/gpusim"
 )
 
+// runNames lists the valid -run values. "all" runs every paper experiment;
+// "ensemble" is opt-in (a wall-clock study, not a paper figure) and is not
+// part of "all".
+var runNames = []string{"setup", "fig5", "fig6", "fig7", "fig8", "headline", "classifiers",
+	"extension", "noise", "portability", "ensemble", "all"}
+
 func main() {
-	run := flag.String("run", "all", "which experiment to run: setup, fig5, fig6, fig7, fig8, headline, dispatch, extension, portability, all")
-	scale := flag.Float64("scale", 1.0, "instance-size scale in (0,1]")
-	seed := flag.Int64("seed", 42, "corpus generation seed")
-	iters := flag.Int("iters", 50, "incremental-tuning iteration budget (fig7)")
-	classifier := flag.String("classifier", "svm", "classifier: svm, knn or tree")
-	nogrid := flag.Bool("nogrid", false, "disable the cross-validated SVM grid search")
-	trainN := flag.Int("train", 0, "override training corpus size (0 = paper)")
-	testN := flag.Int("test", 0, "override test corpus size (0 = paper)")
-	csvDir := flag.String("csvdir", "", "also write per-figure CSV files into this directory")
-	dispatchCalls := flag.Int("dispatch-calls", 200000, "per-tier Call timing iterations for -run dispatch (0 = quality only)")
-	dispatchJSON := flag.String("dispatch-json", "", "write the dispatch study as machine-readable JSON to this path (BENCH_dispatch.json)")
-	parallelism := flag.Int("parallelism", 0, "worker count for corpus labelling, grid search and per-suite figures (0 = all cores, 1 = serial); results are identical at every setting")
-	servingCalls := flag.Int("serving-calls", 200, "per-route samples for -run serving")
-	servingJSON := flag.String("serving-json", "", "write the serving study as machine-readable JSON to this path (BENCH_serving.json)")
-	ensembleCalls := flag.Int("ensemble-calls", 20000, "per-model prediction-timing iterations for -run ensemble (0 = quality only)")
-	ensembleJSON := flag.String("ensemble-json", "", "write the ensemble study as machine-readable JSON to this path (BENCH_ensemble.json)")
-	obsCalls := flag.Int("obs-calls", 400, "per-route samples for -run obs")
-	obsJSON := flag.String("obs-json", "", "write the observability-overhead study as machine-readable JSON to this path (BENCH_obs.json)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// The serving study drives a live registry daemon over HTTP; it needs no
-	// corpora, so it branches before the (expensive) suite build. Like the
-	// dispatch study it is opt-in: wall-clock latencies are only meaningful
-	// on a quiet machine.
-	if strings.EqualFold(*run, "serving") {
-		rep, err := experiments.Serving(*servingCalls)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatServing(rep))
-		if *servingJSON != "" {
-			f, err := os.Create(*servingJSON)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WriteServingJSON(f, rep); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *servingJSON)
-		}
-		return
+// run parses args, checks -run and runs the selected experiments, returning
+// the process exit status: 0 on success, 1 when an experiment fails, 2 for
+// bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nitro-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "all", "which experiment to run: "+strings.Join(runNames, ", "))
+	scale := fs.Float64("scale", 1.0, "instance-size scale in (0,1]")
+	seed := fs.Int64("seed", 42, "corpus generation seed")
+	iters := fs.Int("iters", 50, "incremental-tuning iteration budget (fig7)")
+	classifier := fs.String("classifier", "svm", "classifier: svm, knn or tree")
+	nogrid := fs.Bool("nogrid", false, "disable the cross-validated SVM grid search")
+	trainN := fs.Int("train", 0, "override training corpus size (0 = paper)")
+	testN := fs.Int("test", 0, "override test corpus size (0 = paper)")
+	csvDir := fs.String("csvdir", "", "also write per-figure CSV files into this directory")
+	parallelism := fs.Int("parallelism", 0, "worker count for corpus labelling, grid search and per-suite figures (0 = all cores, 1 = serial); results are identical at every setting")
+	ensembleCalls := fs.Int("ensemble-calls", 20000, "per-model prediction-timing iterations for -run ensemble (0 = quality only)")
+	ensembleJSON := fs.String("ensemble-json", "", "write the ensemble study as machine-readable JSON to this path (BENCH_ensemble.json)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	// The observability study also drives live daemons over HTTP and needs
-	// no corpora; like serving it branches before the suite build and its
-	// wall-clock overheads are only meaningful on a quiet machine.
-	if strings.EqualFold(*run, "obs") {
-		rep, err := experiments.ObsStudy(*obsCalls)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatObs(rep))
-		if *obsJSON != "" {
-			f, err := os.Create(*obsJSON)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WriteObsJSON(f, rep); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *obsJSON)
-		}
-		return
+	name := strings.ToLower(*runFlag)
+	if !slices.Contains(runNames, name) {
+		fmt.Fprintf(stderr, "nitro-experiments: unknown -run %q; valid values: %s\n", *runFlag, strings.Join(runNames, ", "))
+		return 2
 	}
 
 	opts := experiments.Options{
@@ -107,150 +75,144 @@ func main() {
 			Parallelism: *parallelism,
 		},
 	}
+	err := runExperiments(stdout, name, opts, *iters, *csvDir, *ensembleCalls, *ensembleJSON)
+	if err != nil {
+		fmt.Fprintln(stderr, "nitro-experiments:", err)
+		return 1
+	}
+	return 0
+}
+
+// runExperiments builds the five corpora once and runs the experiment(s)
+// name selects, printing each table to out.
+func runExperiments(out io.Writer, name string, opts experiments.Options, iters int, csvDir string, ensembleCalls int, ensembleJSON string) error {
 	dev := gpusim.Fermi()
-	fmt.Printf("device: %s\n", dev)
+	fmt.Fprintf(out, "device: %s\n", dev)
 
 	start := time.Now()
 	suites, err := experiments.BuildSuites(opts, dev)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("built 5 corpora in %v\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "built 5 corpora in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	want := func(name string) bool { return *run == "all" || strings.EqualFold(*run, name) }
-	csvOut := func(fig string, write func(w *os.File) error) {
-		if *csvDir == "" {
-			return
+	want := func(fig string) bool { return name == "all" || name == fig }
+	csvOut := func(fig string, write func(w io.Writer) error) error {
+		if csvDir == "" {
+			return nil
 		}
-		path := filepath.Join(*csvDir, experiments.CSVName(fig))
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
+		path := filepath.Join(csvDir, experiments.CSVName(fig))
+		if err := writeFile(path, write); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(out, "wrote %s\n", path)
+		return nil
 	}
 
 	if want("setup") {
 		rows := experiments.Setup(suites)
-		fmt.Println(experiments.FormatSetup(rows))
-		csvOut("setup", func(w *os.File) error { return experiments.WriteSetupCSV(w, rows) })
+		fmt.Fprintln(out, experiments.FormatSetup(rows))
+		if err := csvOut("setup", func(w io.Writer) error { return experiments.WriteSetupCSV(w, rows) }); err != nil {
+			return err
+		}
 	}
 	if want("fig5") {
 		rows, err := experiments.Fig5(suites, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatFig5(rows))
-		csvOut("fig5", func(w *os.File) error { return experiments.WriteFig5CSV(w, rows) })
+		fmt.Fprintln(out, experiments.FormatFig5(rows))
+		if err := csvOut("fig5", func(w io.Writer) error { return experiments.WriteFig5CSV(w, rows) }); err != nil {
+			return err
+		}
 	}
 	if want("fig6") || want("headline") {
 		h, err := experiments.Headline(suites, opts, dev)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatHeadline(h))
-		csvOut("fig6", func(w *os.File) error { return experiments.WriteFig6CSV(w, h.Rows) })
+		fmt.Fprintln(out, experiments.FormatHeadline(h))
+		if err := csvOut("fig6", func(w io.Writer) error { return experiments.WriteFig6CSV(w, h.Rows) }); err != nil {
+			return err
+		}
 	}
 	if want("fig7") {
-		curves, err := experiments.Fig7(suites, opts, *iters)
+		curves, err := experiments.Fig7(suites, opts, iters)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatFig7(curves))
-		csvOut("fig7", func(w *os.File) error { return experiments.WriteFig7CSV(w, curves) })
+		fmt.Fprintln(out, experiments.FormatFig7(curves))
+		if err := csvOut("fig7", func(w io.Writer) error { return experiments.WriteFig7CSV(w, curves) }); err != nil {
+			return err
+		}
 	}
 	if want("fig8") {
 		rows, err := experiments.Fig8(suites, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatFig8(rows))
-		csvOut("fig8", func(w *os.File) error { return experiments.WriteFig8CSV(w, rows) })
-	}
-	// The dispatch study is opt-in (not part of "all"): it is a wall-clock
-	// micro-benchmark of the selection engine, not a paper figure, and its
-	// timings are only meaningful on a quiet machine.
-	if strings.EqualFold(*run, "dispatch") {
-		rows, err := experiments.Dispatch(suites, opts, *dispatchCalls)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.FormatDispatch(rows))
-		if *dispatchJSON != "" {
-			f, err := os.Create(*dispatchJSON)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WriteDispatchJSON(f, rows, *dispatchCalls); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *dispatchJSON)
+		fmt.Fprintln(out, experiments.FormatFig8(rows))
+		if err := csvOut("fig8", func(w io.Writer) error { return experiments.WriteFig8CSV(w, rows) }); err != nil {
+			return err
 		}
 	}
-	// The ensemble study is opt-in like dispatch: its prediction timings are
-	// wall-clock micro-benchmarks, only meaningful on a quiet machine.
-	if strings.EqualFold(*run, "ensemble") {
-		rep, err := experiments.EnsembleStudy(suites, opts, *ensembleCalls)
+	// The ensemble study is opt-in (not part of "all"): its prediction
+	// timings are wall-clock micro-benchmarks, only meaningful on a quiet
+	// machine.
+	if name == "ensemble" {
+		rep, err := experiments.EnsembleStudy(suites, opts, ensembleCalls)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatEnsemble(rep))
-		if *ensembleJSON != "" {
-			f, err := os.Create(*ensembleJSON)
-			if err != nil {
-				fatal(err)
+		fmt.Fprintln(out, experiments.FormatEnsemble(rep))
+		if ensembleJSON != "" {
+			if err := writeFile(ensembleJSON, func(w io.Writer) error { return experiments.WriteEnsembleJSON(w, rep) }); err != nil {
+				return err
 			}
-			if err := experiments.WriteEnsembleJSON(f, rep); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *ensembleJSON)
+			fmt.Fprintf(out, "wrote %s\n", ensembleJSON)
 		}
 	}
 	if want("classifiers") {
 		rows, err := experiments.ClassifierComparison(suites, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatClassifierComparison(rows))
-		csvOut("classifiers", func(w *os.File) error { return experiments.WriteClassifierCSV(w, rows) })
+		fmt.Fprintln(out, experiments.FormatClassifierComparison(rows))
+		if err := csvOut("classifiers", func(w io.Writer) error { return experiments.WriteClassifierCSV(w, rows) }); err != nil {
+			return err
+		}
 	}
 	if want("extension") {
 		rows, err := experiments.Extension(opts, dev)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatExtension(rows))
+		fmt.Fprintln(out, experiments.FormatExtension(rows))
 	}
 	if want("noise") {
 		rows, err := experiments.NoiseRobustness(suites, opts, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatNoise(rows))
+		fmt.Fprintln(out, experiments.FormatNoise(rows))
 	}
 	if want("portability") {
 		res, err := experiments.Portability(opts, dev, gpusim.Kepler())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.FormatPortability(res))
+		fmt.Fprintln(out, experiments.FormatPortability(res))
 	}
-	fmt.Printf("total wall time %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "total wall time %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nitro-experiments:", err)
-	os.Exit(1)
+// writeFile creates path and fills it with write, reporting the first error
+// of writing or closing.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

@@ -153,12 +153,8 @@ func inspect(data []byte, predict string, out io.Writer) error {
 		}
 	}
 	if c := model.Compiled; c != nil {
-		grid := "no grid"
-		if c.Grid != nil {
-			grid = fmt.Sprintf("grid res %d", c.Grid.Res)
-		}
-		fmt.Fprintf(out, "compiled dispatch: %d nodes depth %d, agreement %.2f%%, exact fallback %.1f%%, margin %g, %s (corpus %d)\n",
-			len(c.Nodes), c.Depth(), 100*c.Agreement, 100*c.FallbackRate, c.Margin, grid, c.CorpusSize)
+		fmt.Fprintf(out, "compiled dispatch: %d nodes depth %d, agreement %.2f%%, exact fallback %.1f%%, margin %g (corpus %d)\n",
+			len(c.Nodes), c.Depth(), 100*c.Agreement, 100*c.FallbackRate, c.Margin, c.CorpusSize)
 	}
 	if predict == "" {
 		return nil
@@ -194,7 +190,6 @@ func inspectJSON(data []byte, out io.Writer) error {
 		FallbackRate float64 `json:"fallback_rate"`
 		Margin       float64 `json:"margin"`
 		CorpusSize   int     `json:"corpus_size"`
-		GridRes      int     `json:"grid_res,omitempty"`
 	}
 	type ensembleMember struct {
 		Name   string  `json:"name"`
@@ -240,9 +235,6 @@ func inspectJSON(data []byte, out io.Writer) error {
 			FallbackRate: c.FallbackRate,
 			Margin:       c.Margin,
 			CorpusSize:   c.CorpusSize,
-		}
-		if c.Grid != nil {
-			summary.Compiled.GridRes = c.Grid.Res
 		}
 	}
 	enc, err := json.MarshalIndent(summary, "", "  ")

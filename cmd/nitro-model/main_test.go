@@ -390,7 +390,7 @@ func TestRunJSONMode(t *testing.T) {
 }
 
 // compiledFixtureModel is fixtureModel with a distilled compiled artifact
-// (plus decision grid) installed before serialization.
+// installed before serialization.
 func compiledFixtureModel(t *testing.T) []byte {
 	t.Helper()
 	model, err := ml.UnmarshalModel(fixtureModel(t))
@@ -401,7 +401,7 @@ func compiledFixtureModel(t *testing.T) []byte {
 	for x := 0; x < 10; x++ {
 		corpus[x] = []float64{float64(x), 2 * float64(x)}
 	}
-	c, err := ml.Distill(model, corpus, ml.DistillOptions{Grid: true})
+	c, err := ml.Distill(model, corpus, ml.DistillOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,6 @@ func TestInspectCompiledModel(t *testing.T) {
 			Nodes      int     `json:"nodes"`
 			Agreement  float64 `json:"agreement"`
 			CorpusSize int     `json:"corpus_size"`
-			GridRes    int     `json:"grid_res"`
 		} `json:"compiled"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &summary); err != nil {

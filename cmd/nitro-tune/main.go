@@ -71,9 +71,6 @@ type Spec struct {
 	// reason is printed and the exact model ships alone. The -distill flag
 	// overrides the spec value.
 	Distill bool `json:"distill"`
-	// DistillGrid additionally precomputes the O(1) decision-grid lookup on
-	// the compiled artifact (low-dimensional functions only).
-	DistillGrid bool `json:"distill_grid"`
 
 	// Parallelism is the worker count used for corpus labelling and the SVM
 	// grid search (0 = all cores, 1 = serial). Results are bit-identical at
@@ -432,7 +429,6 @@ func runSpec(spec Spec, out io.Writer) error {
 		Parallelism: spec.Parallelism,
 		Phases:      tel.phases,
 		Distill:     spec.Distill,
-		DistillOpts: ml.DistillOptions{Grid: spec.DistillGrid},
 	}
 	var model *ml.Model
 	var distillNote string

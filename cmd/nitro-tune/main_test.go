@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -468,6 +469,29 @@ func TestRunSpecDistill(t *testing.T) {
 		t.Errorf("distilled artifact missing from written model:\n%s", out)
 	} else if model.Compiled.Agreement < 0.99 {
 		t.Errorf("installed artifact agreement %v below gate", model.Compiled.Agreement)
+	}
+}
+
+// Specs written while nitro-tune could precompute a decision grid may still
+// set that spec key; it is ignored and the spec runs as if it were absent.
+func TestRunSpecIgnoresLegacyDistillGrid(t *testing.T) {
+	legacy := `{"function":"sort","benchmark":"Sort","classifier":"svm","scale":0.1,"seed":3,
+		"train_count":12,"test_count":12,"evaluate":true,"distill":true,"distill_grid":true}`
+	var got Spec
+	if err := json.Unmarshal([]byte(legacy), &got); err != nil {
+		t.Fatalf("legacy spec no longer loads: %v", err)
+	}
+	want := smallSpec()
+	want.Distill = true
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy spec decoded as %+v, want %+v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := runSpec(got, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "compiled dispatch:") {
+		t.Errorf("output missing compiled dispatch report:\n%s", buf.String())
 	}
 }
 

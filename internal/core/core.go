@@ -55,11 +55,13 @@ var ErrAllVariantsVetoed = errors.New("core: all variants vetoed by constraints"
 // errNoVariants is returned when Call runs before any variant is registered.
 var errNoVariants = errors.New("core: no variants registered")
 
-// ErrModelMismatch is wrapped by SetModel/LoadModel when an installed model
-// is structurally incompatible with the registered tunable function (scaler
-// feature dimension != registered feature count, or a class label outside
-// the registered variant range). Installing such a model used to succeed and
-// then corrupt or crash the predict path on the first call.
+// ErrModelMismatch is wrapped by SetModel, LoadModel and SetCanary when a
+// model is structurally incompatible with the registered tunable function
+// (scaler feature dimension != registered feature count, or a class label
+// of the classifier or of its compiled artifact outside the registered
+// variant range). Installing such a model used to succeed and then corrupt
+// or crash the predict path, or silently serve the default variant, on the
+// first call.
 var ErrModelMismatch = errors.New("core: model incompatible with registered function")
 
 // modelSlot is one function's installed-model cell. The pointer is swapped
@@ -328,9 +330,10 @@ func (cx *Context) noteShape(fn string, featureDim, numVariants int) {
 
 // validateModel checks m against the registered shape of fn (when one is
 // known): the scaler's feature dimension must match the registered feature
-// count, and every class label must name a registered variant. A model
-// installed before any CodeVariant registered fn's features/variants is
-// accepted as-is (there is nothing to check it against yet).
+// count, and every class label, the classifier's and the compiled
+// artifact's alike, must name a registered variant. A model installed
+// before any CodeVariant registered fn's features/variants is accepted
+// as-is (there is nothing to check it against yet).
 func (cx *Context) validateModel(fn string, m *ml.Model) error {
 	cx.mu.Lock()
 	shape, ok := cx.shapes[fn]
@@ -342,8 +345,15 @@ func (cx *Context) validateModel(fn string, m *ml.Model) error {
 		return fmt.Errorf("%w: scaler expects %d features, function %q registers %d",
 			ErrModelMismatch, len(m.Scaler.Min), fn, shape.featureDim)
 	}
-	if shape.numVariants > 0 && m.Classifier != nil {
-		for _, c := range m.Classifier.Classes() {
+	if shape.numVariants > 0 {
+		var labels []int
+		if m.Classifier != nil {
+			labels = append(labels, m.Classifier.Classes()...)
+		}
+		if m.Compiled != nil {
+			labels = append(labels, m.Compiled.Classes...)
+		}
+		for _, c := range labels {
 			if c < 0 || c >= shape.numVariants {
 				return fmt.Errorf("%w: class label %d outside function %q's %d registered variants",
 					ErrModelMismatch, c, fn, shape.numVariants)
@@ -520,27 +530,6 @@ type TuningPolicy struct {
 	// zero value disables it (no behaviour change relative to the
 	// pre-fault-tolerance runtime).
 	Quarantine QuarantinePolicy
-	// Dispatch tunes the fast-path prediction tiers (memoization and the
-	// compiled artifact); the zero value enables both with defaults.
-	Dispatch DispatchPolicy
-}
-
-// DispatchPolicy configures the prediction tier ladder. The zero value is
-// the recommended configuration: memoization on with the default cache size,
-// compiled artifacts honoured when the installed model carries one. Both
-// tiers are outcome-preserving by construction (the memo caches raw
-// predictions only, the compiled tier falls back to the exact model near
-// decision boundaries), so disabling them is a debugging aid, not a safety
-// lever.
-type DispatchPolicy struct {
-	// DisableMemo turns off the feature-vector memoization cache.
-	DisableMemo bool
-	// MemoSize is the memo slot count, rounded up to a power of two
-	// (default 1024).
-	MemoSize int
-	// DisableCompiled makes prediction always evaluate the exact classifier,
-	// ignoring any compiled artifact installed on the model.
-	DisableCompiled bool
 }
 
 // DefaultPolicy returns the paper's defaults: constraints on, serial
@@ -602,9 +591,9 @@ type CodeVariant[In any] struct {
 	model *modelSlot
 	stats *funcStats
 
-	// memo is the feature-vector → raw-prediction cache (nil when the policy
-	// disables it). Per CodeVariant, invalidated by epoch stamping on model
-	// hot-swap and quarantine transitions; see memoCache.
+	// memo is the feature-vector → raw-prediction cache. Per CodeVariant,
+	// invalidated by epoch stamping on model hot-swap and quarantine
+	// transitions; see memoCache.
 	memo *memoCache
 
 	// anyCost records whether any registered feature carries a Cost model;
@@ -631,17 +620,14 @@ func New[In any](cx *Context, policy TuningPolicy) *CodeVariant[In] {
 		cx = NewContext()
 	}
 	policy.Quarantine = policy.Quarantine.normalized()
-	cv := &CodeVariant[In]{
+	return &CodeVariant[In]{
 		cx:     cx,
 		policy: policy,
 		defIdx: -1,
 		model:  cx.slotFor(policy.Name),
 		stats:  cx.statsFor(policy.Name),
+		memo:   newMemoCache(memoSlots),
 	}
-	if !policy.Dispatch.DisableMemo {
-		cv.memo = newMemoCache(policy.Dispatch.MemoSize)
-	}
-	return cv
 }
 
 // Context returns the bound tuning context.
@@ -902,32 +888,19 @@ func (cv *CodeVariant[In]) predictVec(vec []float64) (int, ml.Tier, *canaryCell)
 		cv.stats.recordTier(tier)
 		return pred, tier, cs
 	}
-	var mEpoch, qEpoch, h uint64
-	if cv.memo != nil {
-		mEpoch = cv.model.epoch.Load()
-		qEpoch = cv.stats.qEpoch.Load()
-	}
+	mEpoch := cv.model.epoch.Load()
+	qEpoch := cv.stats.qEpoch.Load()
 	m := cv.model.p.Load()
 	if m == nil {
 		return -1, ml.TierNone, nil
 	}
-	if cv.memo != nil {
-		h = memoHash(vec)
-		if pred, ok := cv.memo.lookup(h, vec, mEpoch, qEpoch); ok {
-			cv.stats.recordTier(ml.TierMemo)
-			return pred, ml.TierMemo, nil
-		}
+	h := memoHash(vec)
+	if pred, ok := cv.memo.lookup(h, vec, mEpoch, qEpoch); ok {
+		cv.stats.recordTier(ml.TierMemo)
+		return pred, ml.TierMemo, nil
 	}
-	var pred int
-	tier := ml.TierExact
-	if cv.policy.Dispatch.DisableCompiled {
-		pred = m.PredictExact(vec)
-	} else {
-		pred, tier = m.PredictTier(vec)
-	}
-	if cv.memo != nil {
-		cv.memo.store(h, vec, pred, mEpoch, qEpoch)
-	}
+	pred, tier := m.PredictTier(vec)
+	cv.memo.store(h, vec, pred, mEpoch, qEpoch)
 	cv.stats.recordTier(tier)
 	return pred, tier, nil
 }
@@ -1179,11 +1152,8 @@ func (cv *CodeVariant[In]) CallConcurrentCtx(ctx context.Context, ins []In, para
 // hot-swap. Tier counters are recorded here, at prediction time.
 func (cv *CodeVariant[In]) batchPredict(vecs [][]float64) []*prediction {
 	preds := make([]*prediction, len(vecs))
-	var mEpoch, qEpoch uint64
-	if cv.memo != nil {
-		mEpoch = cv.model.epoch.Load()
-		qEpoch = cv.stats.qEpoch.Load()
-	}
+	mEpoch := cv.model.epoch.Load()
+	qEpoch := cv.stats.qEpoch.Load()
 	m := cv.model.p.Load()
 	canary := cv.model.canary.Load()
 	if m == nil {
@@ -1205,13 +1175,11 @@ func (cv *CodeVariant[In]) batchPredict(vecs [][]float64) []*prediction {
 			cv.stats.recordTier(tier)
 			continue
 		}
-		if cv.memo != nil {
-			if pred, ok := cv.memo.lookup(memoHash(vec), vec, mEpoch, qEpoch); ok {
-				store[i] = prediction{pred: pred, tier: ml.TierMemo}
-				preds[i] = &store[i]
-				cv.stats.recordTier(ml.TierMemo)
-				continue
-			}
+		if pred, ok := cv.memo.lookup(memoHash(vec), vec, mEpoch, qEpoch); ok {
+			store[i] = prediction{pred: pred, tier: ml.TierMemo}
+			preds[i] = &store[i]
+			cv.stats.recordTier(ml.TierMemo)
+			continue
 		}
 		missVecs = append(missVecs, vec)
 		missIdx = append(missIdx, i)
@@ -1219,24 +1187,11 @@ func (cv *CodeVariant[In]) batchPredict(vecs [][]float64) []*prediction {
 	if len(missVecs) == 0 {
 		return preds
 	}
-	var mp []int
-	var mt []ml.Tier
-	if cv.policy.Dispatch.DisableCompiled {
-		mp = make([]int, len(missVecs))
-		mt = make([]ml.Tier, len(missVecs))
-		for j, vec := range missVecs {
-			mp[j] = m.PredictExact(vec)
-			mt[j] = ml.TierExact
-		}
-	} else {
-		mp, mt = m.PredictAll(missVecs)
-	}
+	mp, mt := m.PredictAll(missVecs)
 	for j, i := range missIdx {
 		store[i] = prediction{pred: mp[j], tier: mt[j]}
 		preds[i] = &store[i]
-		if cv.memo != nil {
-			cv.memo.store(memoHash(vecs[i]), vecs[i], mp[j], mEpoch, qEpoch)
-		}
+		cv.memo.store(memoHash(vecs[i]), vecs[i], mp[j], mEpoch, qEpoch)
 		cv.stats.recordTier(mt[j])
 	}
 	return preds

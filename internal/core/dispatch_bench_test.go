@@ -2,10 +2,10 @@ package core
 
 // Per-tier dispatch benchmarks: one bench per rung of the dispatch ladder,
 // so regressions in a single tier are attributable. BenchmarkCallMemoHit is
-// the steady-state repeat-caller fast path the sub-100ns target applies to;
-// BenchmarkCallNovel is its opposite, a memo miss on every call;
-// BenchmarkCallCompiled and BenchmarkCallExact isolate the compiled walk and
-// the full scaler+SVM pass by disabling the tiers above them.
+// the steady-state repeat-caller fast path; BenchmarkCallNovel is its
+// opposite, a memo miss on every call;
+// BenchmarkCallExact times the full scaler+SVM pass with an undistilled
+// model on inputs the memo has never seen.
 
 import (
 	"testing"
@@ -34,11 +34,24 @@ func BenchmarkCallMemoHit(b *testing.B) {
 	benchCalls(b, cv, 1)
 }
 
-// BenchmarkCallNovel: memo on, a never-seen vector every call — the miss
-// path, where the memo only records each vector's fingerprint and the
-// compiled walk or the exact pass decides.
+// BenchmarkCallNovel: a never-seen vector every call — the miss path, where
+// the memo only records each vector's fingerprint and the compiled walk or
+// the exact pass decides.
 func BenchmarkCallNovel(b *testing.B) {
 	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-novel"))
+	benchNovel(b, cv)
+}
+
+// BenchmarkCallExact: an undistilled model and a never-seen vector every
+// call, so neither the memo nor a compiled walk can decide — the full
+// scaler + SVM pass.
+func BenchmarkCallExact(b *testing.B) {
+	cv, _ := buildConcurrentCV(b, DefaultPolicy("bench-exact"))
+	benchNovel(b, cv)
+}
+
+// benchNovel calls cv on a fresh input every iteration.
+func benchNovel(b *testing.B, cv *CodeVariant[testInput]) {
 	b.ReportAllocs()
 	x := 0.0
 	for b.Loop() {
@@ -47,25 +60,6 @@ func BenchmarkCallNovel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCallCompiled: memo disabled, every call walks the compiled
-// program (inputs cycle so no tier above can help).
-func BenchmarkCallCompiled(b *testing.B) {
-	p := DefaultPolicy("bench-compiled")
-	p.Dispatch.DisableMemo = true
-	cv, _ := distilledConcurrentCV(b, p)
-	benchCalls(b, cv, 8)
-}
-
-// BenchmarkCallExact: both fast tiers disabled — the full scaler + SVM pass
-// every call paid before this subsystem landed.
-func BenchmarkCallExact(b *testing.B) {
-	p := DefaultPolicy("bench-exact")
-	p.Dispatch.DisableMemo = true
-	p.Dispatch.DisableCompiled = true
-	cv, _ := distilledConcurrentCV(b, p)
-	benchCalls(b, cv, 8)
 }
 
 // BenchmarkCallNoModel: the default-variant path (no model installed).

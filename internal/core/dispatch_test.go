@@ -1,10 +1,10 @@
 package core
 
 // Tests for the tiered dispatch ladder (memo cache -> compiled artifact ->
-// exact classifier): counter accounting, policy switches, epoch invalidation
-// on model hot-swap and quarantine transitions, batched-vs-serial identity,
-// and the zero-allocation fast path. The swap stress test is the -race
-// gatekeeper for the memo cache's lock-free publication protocol.
+// exact classifier): counter accounting, epoch invalidation on model
+// hot-swap and quarantine transitions, batched-vs-serial identity, and the
+// zero-allocation fast path. The swap stress test is the -race gatekeeper
+// for the memo cache's lock-free publication protocol.
 
 import (
 	"runtime"
@@ -89,34 +89,20 @@ func TestDispatchTierCounters(t *testing.T) {
 	call("distinct input", 1, "small", 4, 5)
 }
 
-func TestMemoDisabledByPolicy(t *testing.T) {
-	p := DefaultPolicy("nomemo")
-	p.Dispatch.DisableMemo = true
-	cv, _ := buildConcurrentCV(t, p)
-	in := testInput{X: 7}
-	for i := 0; i < 4; i++ {
-		if _, _, err := cv.Call(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := cv.Context().Stats("nomemo")
-	if st.MemoHits != 0 || st.ExactFallbacks != 4 {
-		t.Fatalf("with memo disabled: %+v, want every call exact", st)
-	}
-}
-
 // With a compiled artifact installed, the served variant choice must be
 // identical to exact-only dispatch on every corpus input, and the compiled
-// tier must actually decide calls (memo disabled so tiers stay visible).
+// tier must actually decide calls. The exact twin serves the same model
+// without its artifact, and each input is called once, so the memo (which
+// admits a vector on its second miss) never answers and tiers stay visible.
 func TestCompiledTierServesIdenticalChoices(t *testing.T) {
-	p := DefaultPolicy("compiled")
-	p.Dispatch.DisableMemo = true
-	cv, _ := distilledConcurrentCV(t, p)
+	cv, model := distilledConcurrentCV(t, DefaultPolicy("compiled"))
 
-	pExact := DefaultPolicy("exactonly")
-	pExact.Dispatch.DisableMemo = true
-	pExact.Dispatch.DisableCompiled = true
-	cvExact, _ := distilledConcurrentCV(t, pExact)
+	cvExact, _ := buildConcurrentCV(t, DefaultPolicy("exactonly"))
+	exact := *model
+	exact.Compiled = nil
+	if err := cvExact.Context().SetModel("exactonly", &exact); err != nil {
+		t.Fatal(err)
+	}
 
 	for x := 0.0; x < 10; x++ {
 		in := testInput{X: x}
@@ -137,8 +123,8 @@ func TestCompiledTierServesIdenticalChoices(t *testing.T) {
 		t.Fatalf("compiled tier never decided: %+v", st)
 	}
 	stE := cvExact.Context().Stats("exactonly")
-	if stE.CompiledHits != 0 || stE.ExactFallbacks != 10 {
-		t.Fatalf("DisableCompiled leaked compiled hits: %+v", stE)
+	if stE.CompiledHits != 0 || stE.MemoHits != 0 || stE.ExactFallbacks != 10 {
+		t.Fatalf("model without an artifact served a fast tier: %+v", stE)
 	}
 }
 
@@ -395,9 +381,8 @@ func TestCallNovelInputsZeroAlloc(t *testing.T) {
 // Scan resistance: with a single memo slot, a one-off miss of another vector
 // must not evict the resident entry.
 func TestMemoOneOffMissKeepsResidentEntry(t *testing.T) {
-	p := DefaultPolicy("scan")
-	p.Dispatch.MemoSize = 1
-	cv, _ := buildConcurrentCV(t, p)
+	cv, _ := buildConcurrentCV(t, DefaultPolicy("scan"))
+	cv.memo = newMemoCache(1)
 	cx := cv.Context()
 	a, b := testInput{X: 7}, testInput{X: 1}
 	for i := 0; i < 3; i++ {

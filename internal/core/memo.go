@@ -59,15 +59,12 @@ type memoEntry struct {
 	pred   int32
 }
 
-// defaultMemoSize is the default slot count (power of two).
-const defaultMemoSize = 1024
+// memoSlots is the slot count of every CodeVariant's cache (power of two).
+const memoSlots = 1024
 
 // newMemoCache builds a cache with at least size slots (rounded up to a
-// power of two; size <= 0 selects the default).
+// power of two).
 func newMemoCache(size int) *memoCache {
-	if size <= 0 {
-		size = defaultMemoSize
-	}
 	n := 1
 	for n < size {
 		n <<= 1

@@ -609,6 +609,48 @@ func TestLoadModelRejectsMismatch(t *testing.T) {
 	}
 }
 
+// A compiled artifact whose class labels name no registered variant must be
+// rejected by every install path, like an out-of-range classifier label:
+// installed, it would answer calls with a label dispatch cannot serve and
+// route them to the default variant.
+func TestInstallRejectsOutOfRangeCompiledClasses(t *testing.T) {
+	cv, model := buildConcurrentCV(t, DefaultPolicy("shape4")) // 2 variants: labels 0..1
+	cx := cv.Context()
+	bad := *model
+	bad.Compiled = &ml.Compiled{
+		Nodes:   []ml.CompiledNode{{Left: -1, Right: -1, Class: 0}},
+		Classes: []int{9},
+		Dim:     1,
+	}
+	if err := bad.Compiled.Validate(); err != nil {
+		t.Fatalf("artifact should be structurally valid: %v", err)
+	}
+	if err := cx.SetModel("shape4", &bad); !errors.Is(err, ErrModelMismatch) {
+		t.Errorf("SetModel: want ErrModelMismatch for compiled label 9 on a 2-variant function, got %v", err)
+	}
+	if err := cx.SetCanary("shape4", &bad, 1); !errors.Is(err, ErrModelMismatch) {
+		t.Errorf("SetCanary: want ErrModelMismatch for compiled label 9, got %v", err)
+	}
+	data, err := ml.MarshalModel(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/model.json"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cx.LoadModel("shape4", path); !errors.Is(err, ErrModelMismatch) {
+		t.Errorf("LoadModel: want ErrModelMismatch for compiled label 9, got %v", err)
+	}
+	// The model installed before the rejections keeps serving its own pick.
+	if _, name, err := cv.Call(testInput{X: 7}); err != nil || name != "large" {
+		t.Fatalf("Call(7) = (%q, %v), want large from the installed model", name, err)
+	}
+	if st := cx.Stats("shape4"); st.DefaultFallbacks != 0 || st.CompiledHits != 0 {
+		t.Fatalf("rejected artifact served calls: %+v", st)
+	}
+}
+
 func TestSetModelAcceptsUnknownShape(t *testing.T) {
 	// No CodeVariant registered this function: nothing to validate against.
 	cx := NewContext()
@@ -635,7 +677,7 @@ func TestQuarantineHalfOpenSingleProbe(t *testing.T) {
 	pol := QuarantinePolicy{Threshold: 1, Window: time.Second, Cooldown: time.Millisecond}.normalized()
 	var b breaker
 
-	if b.onFailure(brClosed, 0, pol); !b.open(time.Millisecond.Nanoseconds()-1) {
+	if b.onFailure(brClosed, 0, pol); !b.open(time.Millisecond.Nanoseconds() - 1) {
 		t.Fatal("breaker did not trip on threshold failure")
 	}
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"nitro/internal/autotuner"
@@ -31,67 +28,28 @@ func TestCompiledAgreementCorpora(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Dispatch(suites, opts, 0)
-	if err != nil {
-		t.Fatal(err)
+	if len(suites) != 5 {
+		t.Fatalf("want 5 suites, got %d", len(suites))
 	}
-	if len(rows) != 5 {
-		t.Fatalf("want 5 rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Agreement < 0.99 {
-			t.Errorf("%s: agreement %.4f below the 0.99 gate", r.Benchmark, r.Agreement)
+	for _, s := range suites {
+		model, err := DistillSuite(s, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.FallbackRate > 0.5 {
-			t.Errorf("%s: fallback rate %.2f above the 0.5 cap", r.Benchmark, r.FallbackRate)
+		c := model.Compiled
+		t.Logf("%-10s agreement %6.2f%%  fallback %5.1f%%  nodes %3d  depth %d",
+			s.Name, 100*c.Agreement, 100*c.FallbackRate, len(c.Nodes), c.Depth())
+		if c.Agreement < 0.99 {
+			t.Errorf("%s: agreement %.4f below the 0.99 gate", s.Name, c.Agreement)
+		}
+		if c.FallbackRate > 0.5 {
+			t.Errorf("%s: fallback rate %.2f above the 0.5 cap", s.Name, c.FallbackRate)
 		}
 		// A single-leaf program is valid when one variant dominates the whole
 		// corpus (the exact model is constant there too) — only an empty
 		// program is malformed.
-		if r.Nodes == 0 {
-			t.Errorf("%s: empty compiled program", r.Benchmark)
+		if len(c.Nodes) == 0 {
+			t.Errorf("%s: empty compiled program", s.Name)
 		}
-		if r.MemoNs != 0 || r.CompiledNs != 0 || r.ExactNs != 0 {
-			t.Errorf("%s: timings should be zero with calls=0", r.Benchmark)
-		}
-	}
-	text := FormatDispatch(rows)
-	for _, want := range []string{"SpMV", "Sort", "agreement", "compiled"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestDispatchTiming runs the timing harness at a tiny iteration count on one
-// suite and checks the JSON artifact shape — the wall-clock numbers
-// themselves are machine-dependent and not asserted.
-func TestDispatchTiming(t *testing.T) {
-	suites, opts, _ := buildSmall(t)
-	rows, err := Dispatch(suites[:1], opts, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.MemoNs <= 0 || r.CompiledNs <= 0 || r.ExactNs <= 0 {
-		t.Fatalf("expected positive per-tier timings, got %+v", r)
-	}
-	var buf bytes.Buffer
-	if err := WriteDispatchJSON(&buf, rows, 200); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		MinAgreement float64       `json:"min_agreement"`
-		Calls        int           `json:"calls_per_tier"`
-		Rows         []DispatchRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if rep.MinAgreement != 0.99 || rep.Calls != 200 || len(rep.Rows) != 1 {
-		t.Errorf("artifact metadata wrong: %+v", rep)
-	}
-	if rep.Rows[0] != r {
-		t.Errorf("row did not round-trip: %+v != %+v", rep.Rows[0], r)
 	}
 }

@@ -79,27 +79,10 @@ type Compiled struct {
 	// CorpusSize is the number of corpus vectors the artifact was distilled
 	// and calibrated on.
 	CorpusSize int `json:"corpus_size"`
-	// Grid is the optional precomputed decision grid (nil when disabled).
-	Grid *DecisionGrid `json:"grid,omitempty"`
-}
-
-// DecisionGrid is an optional precomputed lookup over a bounded box of the
-// scaled feature space. Each cell stores the class index the whole cell maps
-// to with at least Margin clearance at every split, or -1 when any point of
-// the cell could land near a boundary (those take the tree walk instead).
-type DecisionGrid struct {
-	// Res is the number of cells per dimension.
-	Res int `json:"res"`
-	// Lo / Hi are the box corners, one per dimension.
-	Lo []float64 `json:"lo"`
-	Hi []float64 `json:"hi"`
-	// Cells is the row-major cell table, len Res^dim; values index
-	// Compiled.Classes, -1 marks walk-required cells.
-	Cells []int8 `json:"cells"`
 }
 
 // DistillOptions configures Distill. The zero value is usable: depth-8 CART,
-// 99% agreement gate, 50% fallback-rate cap, no grid.
+// 99% agreement gate, 50% fallback-rate cap.
 type DistillOptions struct {
 	// MaxDepth bounds the CART tree depth (default 8).
 	MaxDepth int
@@ -112,17 +95,6 @@ type DistillOptions struct {
 	// than this corpus fraction to the exact model (default 0.5) — a fast
 	// path nobody hits is not a fast path.
 	MaxFallbackRate float64
-	// Grid additionally precomputes a decision grid when the feature space is
-	// low-dimensional (Dim <= 3).
-	Grid bool
-	// GridRes is the grid resolution per dimension (default 24).
-	GridRes int
-}
-
-// DefaultDistillOptions returns the zero value with defaults filled — the
-// configuration Distill actually runs with when given DistillOptions{}.
-func DefaultDistillOptions() DistillOptions {
-	return DistillOptions{}.normalized()
 }
 
 // normalized fills defaults.
@@ -139,9 +111,6 @@ func (o DistillOptions) normalized() DistillOptions {
 	if o.MaxFallbackRate <= 0 {
 		o.MaxFallbackRate = 0.5
 	}
-	if o.GridRes <= 0 {
-		o.GridRes = 24
-	}
 	return o
 }
 
@@ -150,23 +119,11 @@ func (o DistillOptions) normalized() DistillOptions {
 // exact-only dispatch.
 var ErrDistillRejected = errors.New("ml: distilled artifact rejected")
 
-// maxGridDim bounds grid dimensionality: cells grow as Res^dim.
-const maxGridDim = 3
-
-// gridPad widens the grid box past the corpus extremes (scaled space) so
-// mildly extrapolated inputs still hit the grid.
-const gridPad = 0.1
-
 // Predict walks the compiled program over a scaled feature vector and returns
 // the predicted class label plus ok=true when the walk kept at least Margin
 // clearance from every boundary it evaluated. ok=false means the caller must
 // fall back to the exact model. x must have length Dim.
 func (c *Compiled) Predict(x []float64) (int, bool) {
-	if g := c.Grid; g != nil {
-		if ci := g.lookup(x); ci >= 0 {
-			return c.Classes[ci], true
-		}
-	}
 	class, margin := c.walk(x)
 	return class, margin >= c.Margin
 }
@@ -194,24 +151,6 @@ func (c *Compiled) walk(x []float64) (class int, margin float64) {
 			i = int(n.Right)
 		}
 	}
-}
-
-// lookup maps x to its cell's class index, or -1 when x falls outside the box
-// or in a walk-required cell.
-func (g *DecisionGrid) lookup(x []float64) int {
-	idx := 0
-	for j, v := range x {
-		lo, hi := g.Lo[j], g.Hi[j]
-		if v < lo || v >= hi {
-			return -1
-		}
-		cell := int(float64(g.Res) * (v - lo) / (hi - lo))
-		if cell >= g.Res { // float round-up at the top edge
-			cell = g.Res - 1
-		}
-		idx = idx*g.Res + cell
-	}
-	return int(g.Cells[idx])
 }
 
 // Validate checks structural integrity: every child edge points forward and
@@ -256,32 +195,6 @@ func (c *Compiled) Validate() error {
 		}
 		if math.IsNaN(n.Threshold) {
 			return fmt.Errorf("ml: compiled node %d: NaN threshold", i)
-		}
-	}
-	if g := c.Grid; g != nil {
-		if g.Res < 1 || g.Res > 1024 {
-			return fmt.Errorf("ml: decision grid res %d out of range", g.Res)
-		}
-		if len(g.Lo) != c.Dim || len(g.Hi) != c.Dim {
-			return fmt.Errorf("ml: decision grid corners have %d/%d dims, want %d", len(g.Lo), len(g.Hi), c.Dim)
-		}
-		cells := 1
-		for j := 0; j < c.Dim; j++ {
-			if !(g.Lo[j] < g.Hi[j]) { // also rejects NaN
-				return fmt.Errorf("ml: decision grid dim %d: lo %v >= hi %v", j, g.Lo[j], g.Hi[j])
-			}
-			if cells > len(g.Cells) { // overflow guard before multiply
-				return errors.New("ml: decision grid cell table too small")
-			}
-			cells *= g.Res
-		}
-		if len(g.Cells) != cells {
-			return fmt.Errorf("ml: decision grid has %d cells, want %d", len(g.Cells), cells)
-		}
-		for i, ci := range g.Cells {
-			if ci < -1 || int(ci) >= len(c.Classes) {
-				return fmt.Errorf("ml: decision grid cell %d: class index %d out of range", i, ci)
-			}
 		}
 	}
 	return nil
@@ -400,10 +313,6 @@ func Distill(model *Model, corpus [][]float64, opts DistillOptions) (*Compiled, 
 		return nil, fmt.Errorf("%w: calibrated margin %.4g routes %.1f%% of corpus to exact path (cap %.1f%%)",
 			ErrDistillRejected, c.Margin, 100*c.FallbackRate, 100*opts.MaxFallbackRate)
 	}
-
-	if opts.Grid && dim <= maxGridDim {
-		c.Grid = buildGrid(c, scaled, opts.GridRes)
-	}
 	return c, nil
 }
 
@@ -434,76 +343,4 @@ func flattenTree(t *DecisionTree) []CompiledNode {
 	}
 	emit(t.root)
 	return nodes
-}
-
-// buildGrid precomputes the decision grid over a padded bounding box of the
-// corpus. Each cell is resolved by a cell-aware walk: descend only while the
-// whole cell range lies at least Margin clear of the split threshold; any
-// ambiguity marks the cell walk-required (-1), so a grid hit is exactly
-// equivalent to a confident tree walk.
-func buildGrid(c *Compiled, corpus [][]float64, res int) *DecisionGrid {
-	if len(c.Classes) > 127 { // cells are int8
-		return nil
-	}
-	dim := c.Dim
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
-	}
-	for _, x := range corpus {
-		for j, v := range x {
-			lo[j] = math.Min(lo[j], v)
-			hi[j] = math.Max(hi[j], v)
-		}
-	}
-	for j := 0; j < dim; j++ {
-		lo[j] -= gridPad
-		hi[j] += gridPad
-		if !(lo[j] < hi[j]) {
-			return nil
-		}
-	}
-	cells := 1
-	for j := 0; j < dim; j++ {
-		cells *= res
-	}
-	g := &DecisionGrid{Res: res, Lo: lo, Hi: hi, Cells: make([]int8, cells)}
-	cellLo := make([]float64, dim)
-	cellHi := make([]float64, dim)
-	for idx := 0; idx < cells; idx++ {
-		rem := idx
-		for j := dim - 1; j >= 0; j-- {
-			cell := rem % res
-			rem /= res
-			span := (hi[j] - lo[j]) / float64(res)
-			cellLo[j] = lo[j] + float64(cell)*span
-			cellHi[j] = cellLo[j] + span
-		}
-		g.Cells[idx] = int8(cellClass(c, cellLo, cellHi))
-	}
-	return g
-}
-
-// cellClass resolves the class index an axis-aligned cell maps to with Margin
-// clearance at every split on its path, or -1 when the cell straddles (or
-// comes within Margin of) any boundary.
-func cellClass(c *Compiled, lo, hi []float64) int {
-	i := 0
-	for {
-		n := &c.Nodes[i]
-		if n.Left < 0 {
-			return int(n.Class)
-		}
-		f := n.Feature
-		switch {
-		case hi[f] <= n.Threshold-c.Margin:
-			// Every x in the cell has threshold - x[f] >= margin: safe left.
-			i = int(n.Left)
-		case lo[f] > n.Threshold+c.Margin:
-			i = int(n.Right)
-		default:
-			return -1
-		}
-	}
 }

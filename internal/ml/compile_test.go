@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -155,7 +156,7 @@ func TestDistillInputErrors(t *testing.T) {
 }
 
 // Validate must reject every malformed artifact shape the deserializer could
-// be handed: cycles, dangling indices, bad calibration, bad grids.
+// be handed: cycles, dangling indices, bad calibration.
 func TestCompiledValidateRejectsMalformed(t *testing.T) {
 	leaf := func(class int32) CompiledNode { return CompiledNode{Left: -1, Right: -1, Class: class} }
 	good := func() *Compiled {
@@ -187,20 +188,6 @@ func TestCompiledValidateRejectsMalformed(t *testing.T) {
 		"feature out of dim": func(c *Compiled) { c.Nodes[0].Feature = 2 },
 		"leaf class range":   func(c *Compiled) { c.Nodes[1].Class = 7 },
 		"NaN threshold":      func(c *Compiled) { c.Nodes[0].Threshold = math.NaN() },
-		"grid res zero":      func(c *Compiled) { c.Grid = &DecisionGrid{Res: 0} },
-		"grid res too large": func(c *Compiled) { c.Grid = &DecisionGrid{Res: 2048} },
-		"grid corner dims":   func(c *Compiled) { c.Grid = &DecisionGrid{Res: 2, Lo: []float64{0}, Hi: []float64{1}} },
-		"grid lo >= hi": func(c *Compiled) {
-			c.Grid = &DecisionGrid{Res: 2, Lo: []float64{0, 1}, Hi: []float64{1, 1}, Cells: make([]int8, 4)}
-		},
-		"grid cell count": func(c *Compiled) {
-			c.Grid = &DecisionGrid{Res: 2, Lo: []float64{0, 0}, Hi: []float64{1, 1}, Cells: make([]int8, 3)}
-		},
-		"grid cell class oob": func(c *Compiled) {
-			g := &DecisionGrid{Res: 2, Lo: []float64{0, 0}, Hi: []float64{1, 1}, Cells: make([]int8, 4)}
-			g.Cells[2] = 5
-			c.Grid = g
-		},
 	}
 	for name, mutate := range cases {
 		c := good()
@@ -228,42 +215,10 @@ func TestCompiledDepth(t *testing.T) {
 	}
 }
 
-// A grid hit must be exactly equivalent to a confident tree walk: with and
-// without the grid, Predict returns identical (class, ok) everywhere.
-func TestGridMatchesWalk(t *testing.T) {
-	model, corpus, c := distilledBlobModel(t, 120, 3, 2, 0.8, 21, DistillOptions{Grid: true, GridRes: 16})
-	if c.Grid == nil {
-		t.Fatal("grid was not built for a 2-dimensional corpus")
-	}
-	noGrid := *c
-	noGrid.Grid = nil
-	gridHits := 0
-	rng := rand.New(rand.NewSource(8))
-	probe := func(scaled []float64) {
-		p1, ok1 := c.Predict(scaled)
-		p2, ok2 := noGrid.Predict(scaled)
-		if ok1 != ok2 || (ok1 && p1 != p2) {
-			t.Fatalf("grid diverged from walk at %v: (%d,%v) vs (%d,%v)", scaled, p1, ok1, p2, ok2)
-		}
-		if c.Grid.lookup(scaled) >= 0 {
-			gridHits++
-		}
-	}
-	for _, x := range corpus {
-		probe(model.Scaler.Transform(x))
-	}
-	for i := 0; i < 2000; i++ {
-		probe([]float64{rng.Float64()*2.4 - 1.2, rng.Float64()*2.4 - 1.2})
-	}
-	if gridHits == 0 {
-		t.Fatal("grid never resolved a cell — every cell is walk-required")
-	}
-}
-
 // Serialization must round-trip the compiled artifact and its calibration
 // metadata, and the deserialized model must keep serving identical choices.
 func TestCompiledSerializationRoundTrip(t *testing.T) {
-	model, corpus, c := distilledBlobModel(t, 100, 3, 2, 0.7, 13, DistillOptions{Grid: true})
+	model, corpus, c := distilledBlobModel(t, 100, 3, 2, 0.7, 13, DistillOptions{})
 	data, err := MarshalModel(model)
 	if err != nil {
 		t.Fatal(err)
@@ -280,15 +235,57 @@ func TestCompiledSerializationRoundTrip(t *testing.T) {
 		bc.Margin != c.Margin || bc.CorpusSize != c.CorpusSize || bc.Dim != c.Dim {
 		t.Fatalf("calibration metadata changed: %+v vs %+v", bc, c)
 	}
-	if (bc.Grid == nil) != (c.Grid == nil) {
-		t.Fatal("grid presence changed in round trip")
-	}
 	for i, x := range corpus {
 		wantPred, wantTier := model.PredictTier(x)
 		gotPred, gotTier := back.PredictTier(x)
 		if gotPred != wantPred || gotTier != wantTier {
 			t.Fatalf("corpus point %d: (%d,%s) after round trip, want (%d,%s)",
 				i, gotPred, gotTier, wantPred, wantTier)
+		}
+	}
+}
+
+// Model files written while Compiled could carry a precomputed decision grid
+// may hold a "grid" object in their compiled block. Such a file must still
+// decode, and the grid must be ignored: every prediction and tier matches the
+// same model without it.
+func TestUnmarshalIgnoresLegacyGrid(t *testing.T) {
+	model, corpus, c := distilledBlobModel(t, 100, 3, 2, 0.7, 13, DistillOptions{})
+	data, err := MarshalModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]any
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	// A grid the old validator accepted: Res^Dim cells, Lo < Hi in every
+	// dimension, each cell -1 (walk) or a class index.
+	const res = 4
+	cells := make([]int, res*res)
+	for i := range cells {
+		cells[i] = i%(len(c.Classes)+1) - 1
+	}
+	env["compiled"].(map[string]any)["grid"] = map[string]any{
+		"res": res, "lo": []float64{-1.1, -1.1}, "hi": []float64{1.1, 1.1}, "cells": cells,
+	}
+	legacy, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalModel(legacy)
+	if err != nil {
+		t.Fatalf("model with a legacy decision grid no longer decodes: %v", err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i, x := range corpus {
+		for _, probe := range [][]float64{x, {x[0] + rng.NormFloat64(), x[1] + rng.NormFloat64()}} {
+			wantPred, wantTier := model.PredictTier(probe)
+			gotPred, gotTier := back.PredictTier(probe)
+			if gotPred != wantPred || gotTier != wantTier {
+				t.Fatalf("probe %d %v: (%d,%s) with the legacy grid, want (%d,%s)",
+					i, probe, gotPred, gotTier, wantPred, wantTier)
+			}
 		}
 	}
 }

@@ -42,14 +42,14 @@ func fuzzSeedModels(tb testing.TB) [][]byte {
 		}
 		out = append(out, data)
 	}
-	// One model carrying a distilled compiled artifact (with decision grid),
-	// so the fuzzer exercises the compiled round-trip and validation paths.
+	// One model carrying a distilled compiled artifact, so the fuzzer
+	// exercises the compiled round-trip and validation paths.
 	svm := NewSVM(RBFKernel{Gamma: 0.5}, 4)
 	if err := svm.Fit(scaled); err != nil {
 		tb.Fatal(err)
 	}
 	withCompiled := &Model{Classifier: svm, Scaler: scaler}
-	c, err := Distill(withCompiled, ds.X, DistillOptions{Grid: true, GridRes: 8})
+	c, err := Distill(withCompiled, ds.X, DistillOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -64,11 +64,6 @@ func (m *Model) predictCompiledLazy(c *Compiled, x []float64) (int, bool) {
 	if len(sc.Min) != len(x) {
 		return 0, false
 	}
-	if g := c.Grid; g != nil {
-		if ci := gridLookupLazy(g, sc, x); ci >= 0 {
-			return c.Classes[ci], true
-		}
-	}
 	margin := math.Inf(1)
 	i := 0
 	for {
@@ -89,24 +84,6 @@ func (m *Model) predictCompiledLazy(c *Compiled, x []float64) (int, bool) {
 			i = int(n.Right)
 		}
 	}
-}
-
-// gridLookupLazy is DecisionGrid.lookup with on-the-fly scaling.
-func gridLookupLazy(g *DecisionGrid, sc *Scaler, x []float64) int {
-	idx := 0
-	for j := range x {
-		v := sc.scaleOne(j, x[j])
-		lo, hi := g.Lo[j], g.Hi[j]
-		if v < lo || v >= hi {
-			return -1
-		}
-		cell := int(float64(g.Res) * (v - lo) / (hi - lo))
-		if cell >= g.Res { // float round-up at the top edge
-			cell = g.Res - 1
-		}
-		idx = idx*g.Res + cell
-	}
-	return int(g.Cells[idx])
 }
 
 // PredictExact classifies x through the exact classifier, bypassing any

@@ -137,9 +137,9 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 		Delay:     time.Millisecond,
 	})
 	c2, err := New(Config{
-		BaseURL:    "http://" + d2.Addr(),
-		Token:      "tok-fleet",
-		HTTPClient: &http.Client{Transport: ft},
+		BaseURL:         "http://" + d2.Addr(),
+		Token:           "tok-fleet",
+		HTTPClient:      &http.Client{Transport: ft},
 		Retries:         8,
 		Backoff:         2 * time.Millisecond,
 		MaxBackoff:      20 * time.Millisecond,

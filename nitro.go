@@ -163,8 +163,9 @@ type VariantError = core.VariantError
 // TuningPolicy.VariantTimeout.
 var ErrVariantTimeout = core.ErrVariantTimeout
 
-// ErrModelMismatch is wrapped by Context.SetModel/LoadModel when a model is
-// structurally incompatible with the registered tunable function.
+// ErrModelMismatch is wrapped by Context.SetModel, LoadModel and SetCanary
+// when a model, or its compiled artifact, is structurally incompatible with
+// the registered tunable function.
 var ErrModelMismatch = core.ErrModelMismatch
 
 // ErrInjectedFault is the error mode injected by WrapFault.
@@ -258,17 +259,13 @@ func NewEnsemble(members ...Classifier) *Ensemble { return ml.NewEnsemble(member
 // metadata, hot-swappable via Context.SetModel/LoadModel.
 type Model = ml.Model
 
-// DispatchPolicy tunes the fast-path prediction tiers (memoization cache and
-// compiled artifact) via TuningPolicy.Dispatch; the zero value enables both.
-type DispatchPolicy = core.DispatchPolicy
-
 // Compiled is the distilled fast-dispatch artifact an ml.Distill run attaches
 // to a Model: a flattened threshold program over the scaled feature space
 // with a calibrated exact-model fallback margin.
 type Compiled = ml.Compiled
 
 // DistillOptions configures Distill (CART depth, agreement gate, fallback
-// cap, optional decision grid); the zero value selects the defaults.
+// cap); the zero value selects the defaults.
 type DistillOptions = ml.DistillOptions
 
 // Distill compiles a model's decision function into a fast dispatch artifact
