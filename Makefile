@@ -34,12 +34,17 @@ stress:
 
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
-# point) and the sort-variant fuzz target (every variant sorts like
-# sort.Float64s, Cost equals Run's time). The accumulated corpus keeps
+# point), the sort-variant fuzz target (every variant sorts like
+# sort.Float64s, Cost equals Run's time) and the journal fuzz target
+# (recovery from arbitrary journal.wal bytes keeps the intact prefix, and
+# reopening and appending read back what was kept). Every journal execution
+# fsyncs, so its input minimization is capped at 500 executions; the
+# default 60 s cap would take the whole run. The accumulated corpus keeps
 # regressions reproducible.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalModel -fuzztime 10s ./internal/ml/
 	$(GO) test -run xxx -fuzz FuzzSortVariants -fuzztime 10s ./internal/sortbench/
+	$(GO) test -run xxx -fuzz FuzzJournal -fuzztime 10s -fuzzminimizetime 500x ./internal/server/
 
 # Full benchmark sweep (figures + ablations + ML kernels + the
 # deployment-runtime parallel-call benches in internal/core).

@@ -216,8 +216,9 @@ func (q *JobQueue) Cancel(id string) error {
 	}
 	job, queued := q.pending[id]
 	if !queued {
+		state := st.State // a worker rewrites *st under q.mu
 		q.mu.Unlock()
-		return fmt.Errorf("%w: %q is %s", ErrNotCancelable, id, st.State)
+		return fmt.Errorf("%w: %q is %s", ErrNotCancelable, id, state)
 	}
 	delete(q.pending, id)
 	st.State = JobCanceled

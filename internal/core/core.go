@@ -329,11 +329,11 @@ func (cx *Context) noteShape(fn string, featureDim, numVariants int) {
 }
 
 // validateModel checks m against the registered shape of fn (when one is
-// known): the scaler's feature dimension must match the registered feature
-// count, and every class label, the classifier's and the compiled
-// artifact's alike, must name a registered variant. A model installed
-// before any CodeVariant registered fn's features/variants is accepted
-// as-is (there is nothing to check it against yet).
+// known) with ml.Model.CheckShape: the scaler's feature dimension must match
+// the registered feature count, and every class label, the classifier's and
+// the compiled artifact's alike, must name a registered variant. A model
+// installed before any CodeVariant registered fn's features/variants is
+// accepted as-is (there is nothing to check it against yet).
 func (cx *Context) validateModel(fn string, m *ml.Model) error {
 	cx.mu.Lock()
 	shape, ok := cx.shapes[fn]
@@ -341,24 +341,8 @@ func (cx *Context) validateModel(fn string, m *ml.Model) error {
 	if !ok {
 		return nil
 	}
-	if shape.featureDim > 0 && m.Scaler != nil && m.Scaler.Fitted() && len(m.Scaler.Min) != shape.featureDim {
-		return fmt.Errorf("%w: scaler expects %d features, function %q registers %d",
-			ErrModelMismatch, len(m.Scaler.Min), fn, shape.featureDim)
-	}
-	if shape.numVariants > 0 {
-		var labels []int
-		if m.Classifier != nil {
-			labels = append(labels, m.Classifier.Classes()...)
-		}
-		if m.Compiled != nil {
-			labels = append(labels, m.Compiled.Classes...)
-		}
-		for _, c := range labels {
-			if c < 0 || c >= shape.numVariants {
-				return fmt.Errorf("%w: class label %d outside function %q's %d registered variants",
-					ErrModelMismatch, c, fn, shape.numVariants)
-			}
-		}
+	if err := m.CheckShape(shape.featureDim, shape.numVariants); err != nil {
+		return fmt.Errorf("%w: function %q: %v", ErrModelMismatch, fn, err)
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package ml
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -132,8 +132,19 @@ func TestEnsembleSerializationGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"kind": "ensemble"`) {
-		t.Fatalf("artifact lacks the ensemble kind:\n%s", data)
+	var kinds struct {
+		Kind     string `json:"kind"`
+		Ensemble struct {
+			Members []struct {
+				Kind string `json:"kind"`
+			} `json:"members"`
+		} `json:"ensemble"`
+	}
+	if err := json.Unmarshal(data, &kinds); err != nil {
+		t.Fatal(err)
+	}
+	if kinds.Kind != "ensemble" || len(kinds.Ensemble.Members) == 0 {
+		t.Fatalf("artifact lacks the ensemble kind or its members:\n%s", data)
 	}
 	m2, err := UnmarshalModel(data)
 	if err != nil {

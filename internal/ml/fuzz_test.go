@@ -66,9 +66,17 @@ func fuzzSeedModels(tb testing.TB) [][]byte {
 // deserializes must round-trip to a fixed point (marshal ∘ unmarshal is
 // idempotent, so nothing is silently lost or mutated).
 func FuzzUnmarshalModel(f *testing.F) {
-	for _, seed := range fuzzSeedModels(f) {
+	seeds := fuzzSeedModels(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
+	// The distilled SVM seed again, in the per-pair form artifacts had
+	// before the shared support-vector table.
+	withCompiled, err := UnmarshalModel(seeds[len(seeds)-1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacyArtifact(f, withCompiled))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kind":"svm"}`))
 	f.Add([]byte(`{"kind":"knn","meta":{"version":2,"created_at":"2026-08-06T00:00:00Z","trained_on":7},"knn":{"k":1}}`))
@@ -90,6 +98,16 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":1,"r":2,"c":-1,"t":0.5},{"f":0,"l":-1,"r":-1,"c":0,"t":0},{"f":0,"l":-1,"r":-1,"c":1,"t":0}],"classes":[0,1],"dim":1,"margin":0.01,"agreement":1,"fallback_rate":0,"corpus_size":2}}`))
 	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":0,"r":0,"c":-1,"t":0.5}],"classes":[0],"dim":1,"margin":0.01}}`))
 	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":0,"grid":{"res":2,"lo":[0],"hi":[1],"cells":[0,0,0]}}}`))
+	// Margin seeds: the 5e-324 fast path and the literals it must not
+	// change the meaning of.
+	for _, lit := range marginLiterals {
+		f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":` + lit + `}}`))
+	}
+	// SVM table seeds: a valid table, then an out-of-range and a negative
+	// index, a length mismatch and a pair carrying both forms.
+	for _, pair := range []string{`"sv":[1,0]`, `"sv":[0,2]`, `"sv":[-1,0]`, `"sv":[0]`, `"sv":[0,1],"svs":[[0],[1]]`} {
+		f.Add([]byte(`{"kind":"svm","svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":[[0],[1]],"pairs":[{"a":0,"b":1,` + pair + `,"coefs":[1,-1],"rho":0,"iters":1}]}}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalModel(data) // must never panic
 		if err != nil {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -208,16 +209,40 @@ func TestGramSVMMatchesSVM(t *testing.T) {
 
 // TestSVCacheMatchesDirectDecision verifies the shared support-vector kernel
 // cache: Scores/DecisionValues computed through the per-distinct-SV cache
-// must equal the uncached pairwise decision sums.
+// must equal the uncached pairwise decision sums, and the table holds each
+// support vector once, also when training rows repeat (four copies of
+// every row here, as an observation reservoir holds repeated inputs; at
+// C = 1 the copies of a bounded point are support vectors of several
+// pairs).
 func TestSVCacheMatchesDirectDecision(t *testing.T) {
-	ds := blobs(80, 4, 3, 0.8, 43)
-	m := NewSVM(RBFKernel{Gamma: 0.3}, 8)
+	checkSVCache(t, blobs(80, 4, 3, 0.8, 43), 8)
+	overlapping := blobs(40, 4, 3, 2.5, 45)
+	repeated := &Dataset{}
+	for copies := 0; copies < 4; copies++ {
+		for i, x := range overlapping.X {
+			repeated.Append(append([]float64(nil), x...), overlapping.Y[i])
+		}
+	}
+	checkSVCache(t, repeated, 1)
+}
+
+func checkSVCache(t *testing.T, ds *Dataset, c float64) {
+	t.Helper()
+	m := NewSVM(RBFKernel{Gamma: 0.3}, c)
 	if err := m.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
 	if m.NumDistinctSupportVectors() > m.NumSupportVectors() {
 		t.Fatalf("distinct SVs %d > total SV references %d",
 			m.NumDistinctSupportVectors(), m.NumSupportVectors())
+	}
+	rows := map[string]bool{}
+	for _, sv := range m.svRows {
+		key := fmt.Sprint(sv)
+		if rows[key] {
+			t.Fatalf("support vector %v has two table rows", sv)
+		}
+		rows[key] = true
 	}
 	probe := blobs(40, 4, 3, 1.2, 44)
 	for _, x := range probe.X {

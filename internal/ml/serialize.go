@@ -48,6 +48,32 @@ func (m *Model) Version() int {
 	return m.Meta.Version
 }
 
+// CheckShape reports whether m fits a function with the given feature and
+// variant counts: a fitted scaler must expect exactly features inputs, and
+// every class label, the classifier's and the compiled program's alike,
+// must name one of variants variants. A count of zero skips its check.
+func (m *Model) CheckShape(features, variants int) error {
+	if features > 0 && m.Scaler != nil && m.Scaler.Fitted() && len(m.Scaler.Min) != features {
+		return fmt.Errorf("scaler expects %d features, function has %d", len(m.Scaler.Min), features)
+	}
+	if variants <= 0 {
+		return nil
+	}
+	var labels []int
+	if m.Classifier != nil {
+		labels = append(labels, m.Classifier.Classes()...)
+	}
+	if m.Compiled != nil {
+		labels = append(labels, m.Compiled.Classes...)
+	}
+	for _, c := range labels {
+		if c < 0 || c >= variants {
+			return fmt.Errorf("class label %d outside the function's %d variants", c, variants)
+		}
+	}
+	return nil
+}
+
 // Predict scales x (if a scaler is present) and classifies it, routing
 // through the compiled artifact when one is installed and confident; see
 // PredictTier for the tier-reporting variant.
@@ -64,20 +90,28 @@ func (m *Model) Scores(x []float64) []float64 {
 	return m.Classifier.Scores(x)
 }
 
+// svmPairJSON is one one-vs-one machine. SV indexes the SVM's shared
+// support-vector table, aligned with Coefs. SVs is the per-pair form that
+// artifacts written before the table existed carry; it is still read, and
+// written only for an SVM that has no shared table.
 type svmPairJSON struct {
-	A      int         `json:"a"`
-	B      int         `json:"b"`
-	SVs    [][]float64 `json:"svs"`
-	Coefs  []float64   `json:"coefs"`
-	Rho    float64     `json:"rho"`
-	Iters  int         `json:"iters"`
-	Kernel kernelSpec  `json:"-"`
+	A     int         `json:"a"`
+	B     int         `json:"b"`
+	SV    []int       `json:"sv,omitempty"`
+	SVs   [][]float64 `json:"svs,omitempty"`
+	Coefs []float64   `json:"coefs"`
+	Rho   float64     `json:"rho"`
+	Iters int         `json:"iters"`
 }
 
+// svmJSON is an SVM body. SVs is the shared support-vector table (the
+// model's svRows, in table order), so a vector shared by several pairs is
+// written once.
 type svmJSON struct {
 	C       float64       `json:"c"`
 	Kernel  kernelSpec    `json:"kernel"`
 	Classes []int         `json:"classes"`
+	SVs     [][]float64   `json:"svs,omitempty"`
 	Pairs   []svmPairJSON `json:"pairs"`
 }
 
@@ -131,13 +165,7 @@ func envelopeClassifier(c Classifier, env *modelJSON, nested bool) error {
 	switch c := c.(type) {
 	case *SVM:
 		env.Kind = "svm"
-		sj := &svmJSON{C: c.C, Kernel: specOf(c.kernel), Classes: c.classes}
-		for _, p := range c.pairs {
-			sj.Pairs = append(sj.Pairs, svmPairJSON{
-				A: p.a, B: p.b, SVs: p.sol.svX, Coefs: p.sol.svCoef, Rho: p.sol.rho, Iters: p.sol.iters,
-			})
-		}
-		env.SVM = sj
+		env.SVM = svmBody(c)
 	case *KNN:
 		env.Kind = "knn"
 		kj := &knnJSON{K: c.K, Classes: c.classes}
@@ -174,8 +202,68 @@ func envelopeClassifier(c Classifier, env *modelJSON, nested bool) error {
 	return nil
 }
 
+// svmBody builds c's JSON body: the shared support-vector table with per-pair
+// indices into it, or, for an SVM without a table, each pair's own support
+// vectors.
+func svmBody(c *SVM) *svmJSON {
+	sj := &svmJSON{C: c.C, Kernel: specOf(c.kernel), Classes: c.classes, SVs: c.svRows}
+	for _, p := range c.pairs {
+		pj := svmPairJSON{A: p.a, B: p.b, Coefs: p.sol.svCoef, Rho: p.sol.rho, Iters: p.sol.iters}
+		if c.svRows != nil {
+			pj.SV = p.svID
+		} else {
+			pj.SVs = p.sol.svX
+		}
+		sj.Pairs = append(sj.Pairs, pj)
+	}
+	return sj
+}
+
+// svmFromBody rebuilds an SVM from its JSON body. A body with a shared table
+// installs it as svRows and each pair's indices as its svID; a body in the
+// per-pair form rebuilds the table by content (buildSVCache). A bad index, a
+// pair mixing both forms or a support-vector count that differs from the
+// coefficient count is an error, so a corrupt artifact never yields a model
+// that panics or silently drops support vectors.
+func svmFromBody(sj *svmJSON) (*SVM, error) {
+	k, err := sj.Kernel.kernel()
+	if err != nil {
+		return nil, err
+	}
+	svm := NewSVM(k, sj.C)
+	svm.classes = sj.Classes
+	for i, p := range sj.Pairs {
+		sol := &smoResult{svX: p.SVs, svCoef: p.Coefs, rho: p.Rho, iters: p.Iters}
+		switch {
+		case sj.SVs != nil && p.SVs != nil:
+			return nil, fmt.Errorf("ml: svm pair %d carries its own svs beside the shared table", i)
+		case sj.SVs == nil && p.SV != nil:
+			return nil, fmt.Errorf("ml: svm pair %d indexes a missing support-vector table", i)
+		case sj.SVs != nil:
+			sol.svX = make([][]float64, len(p.SV))
+			for s, id := range p.SV {
+				if id < 0 || id >= len(sj.SVs) {
+					return nil, fmt.Errorf("ml: svm pair %d: support vector %d of a %d-row table", i, id, len(sj.SVs))
+				}
+				sol.svX[s] = sj.SVs[id]
+			}
+		}
+		if len(sol.svX) != len(p.Coefs) {
+			return nil, fmt.Errorf("ml: svm pair %d has %d support vectors but %d coefficients", i, len(sol.svX), len(p.Coefs))
+		}
+		svm.pairs = append(svm.pairs, svmPair{a: p.A, b: p.B, sol: sol, svID: p.SV})
+	}
+	if sj.SVs == nil {
+		svm.buildSVCache()
+		return svm, nil
+	}
+	svm.svRows = sj.SVs
+	svm.buildClassIndex()
+	return svm, nil
+}
+
 // MarshalModel serializes a fitted model (SVM, KNN, DecisionTree, Logistic or
-// Ensemble) with its scaler to JSON.
+// Ensemble) with its scaler to compact JSON.
 func MarshalModel(m *Model) ([]byte, error) {
 	if m == nil || m.Classifier == nil {
 		return nil, fmt.Errorf("ml: nil model")
@@ -184,7 +272,7 @@ func MarshalModel(m *Model) ([]byte, error) {
 	if err := envelopeClassifier(m.Classifier, &env, false); err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(env, "", "  ")
+	return json.Marshal(env)
 }
 
 // UnmarshalModel reconstructs a model serialized by MarshalModel.
@@ -220,20 +308,7 @@ func classifierFromEnvelope(env *modelJSON, nested bool) (Classifier, error) {
 		if env.SVM == nil {
 			return nil, fmt.Errorf("ml: svm model missing body")
 		}
-		k, err := env.SVM.Kernel.kernel()
-		if err != nil {
-			return nil, err
-		}
-		svm := NewSVM(k, env.SVM.C)
-		svm.classes = env.SVM.Classes
-		for _, p := range env.SVM.Pairs {
-			svm.pairs = append(svm.pairs, svmPair{
-				a: p.A, b: p.B,
-				sol: &smoResult{svX: p.SVs, svCoef: p.Coefs, rho: p.Rho, iters: p.Iters},
-			})
-		}
-		svm.buildSVCache()
-		return svm, nil
+		return svmFromBody(env.SVM)
 	case "knn":
 		if env.KNN == nil {
 			return nil, fmt.Errorf("ml: knn model missing body")

@@ -46,9 +46,9 @@ type SVM struct {
 	// the kernel per pair.
 	//
 	// Concurrency audit (deployment runtime): svRows, classIdx, classes,
-	// pairs and kernel are all written only by Fit/fit/buildSVCache (i.e.
-	// training or deserialization) and read-only afterwards; Scores,
-	// Predict and DecisionValues allocate their scratch (kv, out) per call.
+	// pairs and kernel are all written only by Fit/fit or by model
+	// deserialization, and read-only afterwards; Scores, Predict and
+	// DecisionValues allocate their scratch (kv, out) per call.
 	// A fitted *SVM is therefore safe for unlimited concurrent prediction —
 	// the property core.CodeVariant's lock-free predict path relies on.
 	svRows [][]float64
@@ -113,9 +113,9 @@ func (m *SVM) fit(ds *Dataset, km [][]float64) error {
 	if len(m.classes) == 1 {
 		return nil // degenerate: always predict the single class
 	}
-	// rowID assigns each dataset row used as a support vector one slot in
-	// the shared svRows table, deduplicating across pairs.
-	rowID := make(map[int]int)
+	// seen assigns each distinct support vector one slot in the shared
+	// svRows table, deduplicating across pairs (svSlot).
+	seen := make(map[string]int)
 	for i := 0; i < len(m.classes); i++ {
 		for j := i + 1; j < len(m.classes); j++ {
 			a, b := m.classes[i], m.classes[j]
@@ -144,16 +144,9 @@ func (m *SVM) fit(ds *Dataset, km [][]float64) error {
 			if err != nil {
 				return fmt.Errorf("ml: pair (%d,%d): %w", a, b, err)
 			}
-			p := svmPair{a: a, b: b, sol: sol, svID: make([]int, len(sol.svIdx))}
-			for s, t := range sol.svIdx {
-				row := gi[t]
-				id, ok := rowID[row]
-				if !ok {
-					id = len(m.svRows)
-					m.svRows = append(m.svRows, ds.X[row])
-					rowID[row] = id
-				}
-				p.svID[s] = id
+			p := svmPair{a: a, b: b, sol: sol, svID: make([]int, len(sol.svX))}
+			for s, sv := range sol.svX {
+				p.svID[s] = m.svSlot(seen, sv)
 			}
 			m.pairs = append(m.pairs, p)
 		}
@@ -272,32 +265,39 @@ func (m *SVM) buildClassIndex() {
 	}
 }
 
-// buildSVCache rebuilds the shared support-vector table by vector content,
-// deduplicating identical vectors across pairs. fit builds the table from
-// dataset row identity; this variant serves deserialized models, where row
-// identity is lost but equal content still implies equal kernel values.
+// buildSVCache rebuilds the shared support-vector table from the pairs' own
+// support vectors, for models decoded from the per-pair artifact form. It
+// walks the pairs in fit's order, so it rebuilds the table fit built.
 func (m *SVM) buildSVCache() {
 	m.buildClassIndex()
 	m.svRows = nil
 	seen := make(map[string]int)
-	var key []byte
 	for i := range m.pairs {
 		p := &m.pairs[i]
 		p.svID = make([]int, len(p.sol.svX))
 		for s, sv := range p.sol.svX {
-			key = key[:0]
-			for _, v := range sv {
-				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
-			}
-			id, ok := seen[string(key)]
-			if !ok {
-				id = len(m.svRows)
-				m.svRows = append(m.svRows, sv)
-				seen[string(key)] = id
-			}
-			p.svID[s] = id
+			p.svID[s] = m.svSlot(seen, sv)
 		}
 	}
+}
+
+// svSlot returns sv's slot in the shared svRows table, appending sv when no
+// row has its content yet; seen maps content to slot. Equal content implies
+// equal kernel values, so pairs sharing a slot read bit-identical values,
+// and training rows that repeat (observations of one input) cost one
+// kernel evaluation.
+func (m *SVM) svSlot(seen map[string]int, sv []float64) int {
+	key := make([]byte, 0, 8*len(sv))
+	for _, v := range sv {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	}
+	id, ok := seen[string(key)]
+	if !ok {
+		id = len(m.svRows)
+		m.svRows = append(m.svRows, sv)
+		seen[string(key)] = id
+	}
+	return id
 }
 
 // NumDistinctSupportVectors returns the size of the shared support-vector

@@ -230,17 +230,26 @@ func quarantineTail(f *os.File, path string, off int64) string {
 	return qpath
 }
 
-// append frames, writes and fsyncs one record. The record is durable when
-// append returns.
-func (j *journal) append(rec journalRecord) error {
+// frameRecord encodes rec as one journal frame.
+func frameRecord(rec journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
+	return frame, nil
+}
+
+// append frames, writes and fsyncs one record. The record is durable when
+// append returns.
+func (j *journal) append(rec journalRecord) error {
+	frame, err := frameRecord(rec)
+	if err != nil {
+		return err
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -281,16 +290,12 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	}
 	var size int64
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
+		frame, err := frameRecord(rec)
 		if err != nil {
 			nf.Close()
 			os.Remove(tmp)
 			return err
 		}
-		frame := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-		copy(frame[8:], payload)
 		if _, err := nf.Write(frame); err != nil {
 			nf.Close()
 			os.Remove(tmp)

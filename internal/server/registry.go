@@ -1006,16 +1006,14 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 	return r.journalDriftLocked(ctx, tenant, fs)
 }
 
-// validateAgainstSpec rejects models whose class labels exceed the
-// registered variant count (they would misdispatch on every client).
+// validateAgainstSpec rejects models that do not fit spec's features and
+// variants: every client's install would refuse them with ErrModelMismatch.
 func validateAgainstSpec(m *ml.Model, spec FunctionSpec) error {
 	if m == nil || m.Classifier == nil {
 		return fmt.Errorf("%w: artifact has no classifier", ErrInvalid)
 	}
-	for _, c := range m.Classifier.Classes() {
-		if c < 0 || c >= len(spec.Variants) {
-			return fmt.Errorf("%w: model class %d out of range for %d variants", ErrInvalid, c, len(spec.Variants))
-		}
+	if err := m.CheckShape(len(spec.Features), len(spec.Variants)); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return nil
 }
