@@ -25,9 +25,10 @@ race:
 # Fault-injection stress: the robustness suites (panic isolation, deadlines,
 # quarantine breaker, seeded fault harness) under the race detector, with a
 # hard wall-clock bound so a hung fallback path fails fast instead of
-# wedging CI. The second run repeats the memo hot-swap tests and the
-# ensemble's parallel fit ten times, the two places where a race or a
-# timing-dependent assertion once hid behind a single passing run.
+# wedging CI. The second run repeats the memo tests (hot-swap, and the
+# quarantine re-check on a memo hit) and the ensemble's parallel fit ten
+# times, the places where a race or a timing-dependent assertion once hid
+# behind a single passing run.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
 	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestEnsemble' ./internal/core/ ./internal/ml/
@@ -57,7 +58,7 @@ bench-parallel:
 	$(GO) test -run xxx -bench 'GridSearch|Fig4Setup' ./internal/ml/ .
 
 # Deployment-runtime benchmarks: the lock-free selection hot path under
-# b.RunParallel (Call / CallFixed futures / batched CallConcurrent), at one
+# b.RunParallel (Call / CallFixed futures / CallConcurrent), at one
 # and several scheduler threads, plus the adaptation-overhead benches
 # (BenchmarkCallAdaptive{Off,On,OnExploring}) that bound what an attached
 # online engine costs per call. Run on a multi-core host for scaling
@@ -99,8 +100,9 @@ bench-dispatch:
 
 # CI agreement gate: every benchmark's tuned model must distill into a
 # compiled artifact that agrees with the exact classifier on >= 99% of the
-# training corpus (and the serve-time tiers must pick identical variants —
-# the equivalence tests in internal/core and internal/ml).
+# training corpus (and the serve-time tiers must pick identical variants,
+# per call and through CallConcurrent — the equivalence tests in
+# internal/core and internal/ml).
 dispatch-agreement:
 	$(GO) test -run 'TestCompiledAgreementCorpora' -v ./internal/experiments/
 	$(GO) test -run 'TestServedChoiceMatchesExactOnCorpus|TestCompiledTierServesIdenticalChoices|TestCallConcurrentBatchedMatchesSerialTiers' ./internal/ml/ ./internal/core/

@@ -249,6 +249,16 @@ func runSmoke() error {
 		return fmt.Errorf("cached re-pull did not 304 (%+v, %v)", again, err)
 	}
 	fmt.Printf("smoke: pulled model v%d (%d bytes, etag %s), revalidation 304 ok\n", pull.Version, len(pull.Data), pull.ETag)
+	// A registry tune job distills the model it ships, so every client
+	// serves it on the compiled tier.
+	model, err := ml.DecodeArtifact(pull.Data, pull.ETag)
+	if err != nil {
+		return fmt.Errorf("decode pulled artifact: %w", err)
+	}
+	if model.Compiled == nil {
+		return fmt.Errorf("pulled artifact v%d carries no compiled program", pull.Version)
+	}
+	fmt.Printf("smoke: pulled model carries a %d-node compiled program\n", len(model.Compiled.Nodes))
 
 	resp, err := http.Get("http://" + d.Addr() + "/metrics")
 	if err != nil {
@@ -281,6 +291,10 @@ func runSmoke() error {
 
 // chaosSpec is the function used by the chaos smoke.
 var chaosSpec = server.FunctionSpec{Name: "chaos-sort", Features: []string{"x"}, Variants: []string{"a", "b"}, Default: 0}
+
+// chaosReporter is the canary reporter identity the chaos and trace smokes
+// send their cumulative totals under.
+const chaosReporter = "smoke-client"
 
 // chaosArtifact trains a deterministic 1-feature/2-class model; distinct
 // boundaries yield distinct artifact bytes, so two pushes stage a canary.
@@ -380,7 +394,7 @@ func chaosLifecycle(seed int64) (transcript string, err error) {
 			return "", fmt.Errorf("push v%d: %w", i+1, err)
 		}
 	}
-	dec, dep, err := c.ReportCanary(ctx, chaosSpec.Name, 2, 20, 1)
+	dec, dep, err := c.ReportCanary(ctx, chaosSpec.Name, 2, chaosReporter, 20, 1)
 	if err != nil {
 		return "", fmt.Errorf("mid-canary report: %w", err)
 	}
@@ -446,7 +460,9 @@ func chaosLifecycle(seed int64) (transcript string, err error) {
 		if reports++; reports > 20 {
 			return "", fmt.Errorf("canary did not settle after %d reports", reports)
 		}
-		decision, _, err = cc.ReportCanary(ctx, chaosSpec.Name, 2, 10, 0)
+		// Cumulative totals: 10 more calls per round past the 20 reported
+		// before the crash, so a retried report cannot count twice.
+		decision, _, err = cc.ReportCanary(ctx, chaosSpec.Name, 2, chaosReporter, 20+10*int64(reports), 1)
 		if err != nil {
 			return "", fmt.Errorf("canary report %d dropped under chaos: %w", reports, err)
 		}

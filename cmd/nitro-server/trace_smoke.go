@@ -87,7 +87,7 @@ func runTraceSmoke() error {
 			return fmt.Errorf("push v%d: %w", i+1, err)
 		}
 	}
-	dec, dep, err := c.ReportCanary(ctx, spec.Name, 2, 20, 0)
+	dec, dep, err := c.ReportCanary(ctx, spec.Name, 2, chaosReporter, 20, 0)
 	if err != nil {
 		return fmt.Errorf("canary report: %w", err)
 	}

@@ -64,14 +64,6 @@ type Spec struct {
 	ModelOut   string  `json:"model_out"`
 	Evaluate   bool    `json:"evaluate"`
 
-	// Distill, when true, distills the fitted classifier into a compiled
-	// dispatch artifact over the training corpus and installs it on the
-	// written model when it passes the agreement/fallback gates (the
-	// sub-100ns deployment fast path). Rejection is not an error — the
-	// reason is printed and the exact model ships alone. The -distill flag
-	// overrides the spec value.
-	Distill bool `json:"distill"`
-
 	// Parallelism is the worker count used for corpus labelling and the SVM
 	// grid search (0 = all cores, 1 = serial). Results are bit-identical at
 	// every setting; the -parallelism flag overrides the spec value.
@@ -303,7 +295,6 @@ func main() {
 	trace := flag.String("trace", "", "decision tracing for the replays: off, sampled or always (requires a throughput or online replay; overrides the spec value)")
 	phaseTimings := flag.Bool("phase-timings", false, "print accumulated per-phase wall time of the offline pipeline (overrides the spec value)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live telemetry endpoint (/metrics, /vars, /healthz) on this address for the run, e.g. 127.0.0.1:9090 (overrides the spec value)")
-	distill := flag.Bool("distill", false, "distill the fitted classifier into a compiled dispatch artifact when it passes the agreement gates (overrides the spec value)")
 	flag.Parse()
 	if *specPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: nitro-tune -spec tuning.json")
@@ -340,9 +331,6 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		spec.MetricsAddr = *metricsAddr
-	}
-	if *distill {
-		spec.Distill = true
 	}
 	if err := runSpec(spec, os.Stdout); err != nil {
 		fatal(err)
@@ -428,10 +416,8 @@ func runSpec(spec Spec, out io.Writer) error {
 		Seed:        spec.Seed,
 		Parallelism: spec.Parallelism,
 		Phases:      tel.phases,
-		Distill:     spec.Distill,
 	}
 	var model *ml.Model
-	var distillNote string
 	if spec.Incremental != nil {
 		res, err := autotuner.IncrementalTune(suite, autotuner.IncrementalOptions{
 			TrainOptions:   opts,
@@ -442,7 +428,6 @@ func runSpec(spec Spec, out io.Writer) error {
 			return err
 		}
 		model = res.Model
-		distillNote = res.DistillNote
 		fmt.Fprintf(out, "incremental tuning: seed %d, %d exhaustive-search queries\n", res.SeedSize, res.Queries)
 	} else {
 		m, rep, err := autotuner.Train(suite.Train, opts)
@@ -450,7 +435,6 @@ func runSpec(spec Spec, out io.Writer) error {
 			return err
 		}
 		model = m
-		distillNote = rep.DistillNote
 		fmt.Fprintf(out, "trained on %d labelled inputs (%d skipped), training accuracy %.1f%%\n",
 			len(rep.Labels), rep.Skipped, 100*rep.TrainAccuracy)
 		if rep.Grid.Evaluated > 0 {
@@ -458,13 +442,25 @@ func runSpec(spec Spec, out io.Writer) error {
 				rep.Grid.C, rep.Grid.Gamma, 100*rep.Grid.Accuracy, rep.Grid.Evaluated)
 		}
 	}
-	if spec.Distill {
-		if c := model.Compiled; c != nil {
-			fmt.Fprintf(out, "compiled dispatch: %d nodes depth %d, agreement %.2f%%, exact fallback %.1f%%\n",
-				len(c.Nodes), c.Depth(), 100*c.Agreement, 100*c.FallbackRate)
-		} else {
-			fmt.Fprintf(out, "compiled dispatch: not installed (%s)\n", distillNote)
+	// The written model carries the compiled fast path (the sub-100ns
+	// deployment tier) whenever a program passes its gates; rejection is not
+	// an error, and the exact model then ships alone. The batch model is
+	// distilled over the rows Train fitted, the incremental one over every
+	// training input, whose features the active learner computed up front.
+	var rows [][]float64
+	for _, in := range suite.Train {
+		if best, _ := in.Best(); best >= 0 || spec.Incremental != nil {
+			rows = append(rows, in.Features)
 		}
+	}
+	stopDistill := tel.phases.Start("distill")
+	_, distillNote := autotuner.DistillModel(model, rows)
+	stopDistill()
+	if c := model.Compiled; c != nil {
+		fmt.Fprintf(out, "compiled dispatch: %d nodes depth %d, agreement %.2f%%, exact fallback %.1f%%\n",
+			len(c.Nodes), c.Depth(), 100*c.Agreement, 100*c.FallbackRate)
+	} else {
+		fmt.Fprintf(out, "compiled dispatch: not installed (%s)\n", distillNote)
 	}
 	if spec.ModelOut != "" {
 		data, err := ml.MarshalModel(model)

@@ -438,20 +438,26 @@ func TestRunSpecInjectFaultsUnknownVariant(t *testing.T) {
 	}
 }
 
-// TestRunSpecDistill checks that "distill": true produces a model file with a
-// compiled dispatch artifact installed (or, if the gates reject it, that the
-// rejection is reported instead of silently dropped).
+// TestRunSpecDistill: every run distills the model it writes and reports the
+// compiled program, on the batch path and (TestRunSpecDistillIncremental) on
+// the incremental one.
 func TestRunSpecDistill(t *testing.T) {
-	spec := smallSpec()
-	spec.Distill = true
+	checkDistilledRun(t, smallSpec())
+}
+
+// checkDistilledRun runs spec with a model file and requires the written
+// model to carry a compiled program that passed its agreement gate, and the
+// output to report it.
+func checkDistilledRun(t *testing.T, spec Spec) {
+	t.Helper()
 	spec.ModelOut = filepath.Join(t.TempDir(), "sort.model.json")
 	var buf bytes.Buffer
 	if err := runSpec(spec, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "compiled dispatch:") {
-		t.Fatalf("output missing compiled dispatch report:\n%s", out)
+	if !strings.Contains(out, "compiled dispatch: ") || strings.Contains(out, "not installed") {
+		t.Fatalf("output does not report an installed compiled program:\n%s", out)
 	}
 	data, err := os.ReadFile(spec.ModelOut)
 	if err != nil {
@@ -461,19 +467,17 @@ func TestRunSpecDistill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(out, "not installed") {
-		if model.Compiled != nil {
-			t.Error("report says not installed but artifact present")
-		}
-	} else if model.Compiled == nil {
-		t.Errorf("distilled artifact missing from written model:\n%s", out)
-	} else if model.Compiled.Agreement < 0.99 {
-		t.Errorf("installed artifact agreement %v below gate", model.Compiled.Agreement)
+	if model.Compiled == nil {
+		t.Fatalf("written model carries no compiled program:\n%s", out)
+	}
+	if model.Compiled.Agreement < 0.99 {
+		t.Errorf("installed program agreement %v below gate", model.Compiled.Agreement)
 	}
 }
 
-// Specs written while nitro-tune could precompute a decision grid may still
-// set that spec key; it is ignored and the spec runs as if it were absent.
+// Specs written while nitro-tune could precompute a decision grid, or while
+// distillation was opt-in, may still set those spec keys; they are ignored
+// and the spec runs as if they were absent.
 func TestRunSpecIgnoresLegacyDistillGrid(t *testing.T) {
 	legacy := `{"function":"sort","benchmark":"Sort","classifier":"svm","scale":0.1,"seed":3,
 		"train_count":12,"test_count":12,"evaluate":true,"distill":true,"distill_grid":true}`
@@ -481,9 +485,7 @@ func TestRunSpecIgnoresLegacyDistillGrid(t *testing.T) {
 	if err := json.Unmarshal([]byte(legacy), &got); err != nil {
 		t.Fatalf("legacy spec no longer loads: %v", err)
 	}
-	want := smallSpec()
-	want.Distill = true
-	if !reflect.DeepEqual(got, want) {
+	if want := smallSpec(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy spec decoded as %+v, want %+v", got, want)
 	}
 	var buf bytes.Buffer
@@ -495,20 +497,13 @@ func TestRunSpecIgnoresLegacyDistillGrid(t *testing.T) {
 	}
 }
 
-// TestRunSpecDistillIncremental: the distill hook also runs on the
-// incremental-tuning path.
+// TestRunSpecDistillIncremental: the incremental-tuning path writes a
+// distilled model too.
 func TestRunSpecDistillIncremental(t *testing.T) {
 	spec := smallSpec()
-	spec.Distill = true
 	spec.Incremental = &struct {
 		Iterations     int     `json:"iterations"`
 		TargetAccuracy float64 `json:"target_accuracy"`
 	}{Iterations: 5}
-	var buf bytes.Buffer
-	if err := runSpec(spec, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "compiled dispatch:") {
-		t.Errorf("output missing compiled dispatch report:\n%s", buf.String())
-	}
+	checkDistilledRun(t, spec)
 }

@@ -83,16 +83,6 @@ type TrainOptions struct {
 	// nil tracker is a valid no-op, so instrumentation costs nothing when
 	// unset.
 	Phases *obs.PhaseTracker
-	// Distill, when set, distills the fitted model into a compiled dispatch
-	// artifact (ml.Distill) over the training corpus. Distillation is
-	// best-effort: an artifact that fails the agreement/fallback gates is
-	// simply not installed (Report.DistillNote records why) and the exact
-	// model ships alone. Off by default, so offline tuning artifacts stay
-	// byte-identical to previous releases unless opted in.
-	Distill bool
-	// DistillOpts configures the distiller; the zero value selects the
-	// defaults (depth-8 CART, 99% agreement gate).
-	DistillOpts ml.DistillOptions
 }
 
 // Report summarizes a training run.
@@ -102,9 +92,10 @@ type Report struct {
 	Skipped       int // instances where no variant was feasible
 	TrainAccuracy float64
 	Grid          ml.GridSearchResult
-	// Distilled reports whether a compiled dispatch artifact passed its
-	// gates and was installed on the model; DistillNote carries the
-	// agreement/fallback summary (or the rejection reason).
+	// Distilled reports whether Tuner.TuneCtx installed a compiled dispatch
+	// artifact on the model it deployed; DistillNote carries the
+	// agreement/fallback summary (or the rejection reason). Train leaves
+	// both zero: it returns the exact model.
 	Distilled   bool
 	DistillNote string
 }
@@ -151,7 +142,9 @@ func makeClassifier(opts TrainOptions) (func() ml.Classifier, error) {
 
 // Train labels the instances by exhaustive search (already embodied in their
 // Times), scales features to [-1, 1], fits the configured classifier and
-// returns the deployable model.
+// returns the paper's exact model. Code that serves the model distills it
+// first (DistillModel); Train itself never does, so every evaluation of its
+// result judges the exact classifier.
 func Train(instances []Instance, opts TrainOptions) (*ml.Model, Report, error) {
 	rep := Report{LabelCounts: map[int]int{}}
 	ds, labels, skipped := buildDataset(instances)
@@ -208,20 +201,24 @@ func Train(instances []Instance, opts TrainOptions) (*ml.Model, Report, error) {
 	model := &ml.Model{Classifier: clf, Scaler: scaler,
 		Meta: &ml.ModelMeta{Version: 1, TrainedOn: ds.Len()}}
 	rep.TrainAccuracy = ml.Accuracy(clf, scaled)
-	if opts.Distill {
-		stopDistill := opts.Phases.Start("distill")
-		rep.Distilled, rep.DistillNote = distillModel(model, ds.X, opts.DistillOpts)
-		stopDistill()
-	}
 	return model, rep, nil
 }
 
-// distillModel distills model over the raw training matrix and installs the
-// artifact when it passes its gates. Best-effort by design: a rejected or
-// failed distillation leaves the exact model untouched and reports why —
-// losing the fast path must never lose the model.
-func distillModel(model *ml.Model, rawX [][]float64, opts ml.DistillOptions) (bool, string) {
-	c, err := ml.Distill(model, rawX, opts)
+// fittedRows returns the raw feature vectors Train fits: those of the
+// instances with at least one feasible variant, in order.
+func fittedRows(instances []Instance) [][]float64 {
+	ds, _, _ := buildDataset(instances)
+	return ds.X
+}
+
+// DistillModel distills model over the raw feature rows (ml.Distill with
+// the default options) and installs the compiled program when it passes its
+// agreement and fallback gates. Every model the tuner hands to a serving
+// context goes through it. Best-effort by design: a rejected or failed
+// distillation leaves the exact model untouched and reports why — losing
+// the fast path must never lose the model.
+func DistillModel(model *ml.Model, rawX [][]float64) (bool, string) {
+	c, err := ml.Distill(model, rawX, ml.DistillOptions{})
 	if err != nil {
 		return false, err.Error()
 	}
@@ -385,7 +382,9 @@ func (t *Tuner[In]) Tune(inputs []In) (Report, error) {
 // TuneCtx is Tune with caller-controlled cancellation: once ctx is cancelled
 // no further inputs are labelled and TuneCtx returns ctx.Err() without
 // training or installing a model. With a background context it is
-// byte-identical to Tune.
+// byte-identical to Tune. The trained model is distilled over the rows it
+// was fitted on before it is installed (DistillModel); Report.Distilled and
+// Report.DistillNote say how that went.
 func (t *Tuner[In]) TuneCtx(ctx context.Context, inputs []In) (Report, error) {
 	if t.CV == nil {
 		return Report{}, errors.New("autotuner: nil code variant")
@@ -406,6 +405,9 @@ func (t *Tuner[In]) TuneCtx(ctx context.Context, inputs []In) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	stopDistill := t.Opts.Phases.Start("distill")
+	rep.Distilled, rep.DistillNote = DistillModel(model, fittedRows(instances))
+	stopDistill()
 	stopInstall := t.Opts.Phases.Start("install")
 	err = t.CV.Context().SetModel(t.CV.Policy().Name, model)
 	stopInstall()

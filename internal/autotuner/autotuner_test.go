@@ -3,6 +3,7 @@ package autotuner
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,10 @@ func TestTrainAndEvaluate(t *testing.T) {
 	}
 	if len(rep.LabelCounts) < 2 {
 		t.Errorf("labels collapsed: %v", rep.LabelCounts)
+	}
+	// Train returns the paper's exact model; only serving paths distill.
+	if model.Compiled != nil || rep.Distilled || rep.DistillNote != "" {
+		t.Errorf("Train distilled its model (note %q)", rep.DistillNote)
 	}
 	eval := Evaluate(model, s, s.Test)
 	if eval.MeanPerf < 0.85 {
@@ -264,6 +269,14 @@ func TestLiveTunerEndToEnd(t *testing.T) {
 	}
 	if rep.TrainAccuracy < 0.9 {
 		t.Errorf("live tuner train accuracy %v", rep.TrainAccuracy)
+	}
+	// The separable corpus distills, and the installed model carries the
+	// program.
+	if m, _ := cx.Model("toy"); m == nil || m.Compiled == nil {
+		t.Fatal("Tune installed a model without a compiled program")
+	}
+	if !rep.Distilled || !strings.HasPrefix(rep.DistillNote, "compiled dispatch: ") {
+		t.Errorf("report Distilled=%v note %q, want the installed program's summary", rep.Distilled, rep.DistillNote)
 	}
 	_, name, _ := cv.Call(1.0)
 	if name != "low" {

@@ -30,11 +30,6 @@ type IncrementalResult struct {
 	// PerfCurve, when a test suite was supplied, holds the mean performance
 	// (Evaluate.MeanPerf) after the seed model and after every iteration.
 	PerfCurve []float64
-	// Distilled reports whether a compiled dispatch artifact passed its
-	// gates and was installed on the final model (TrainOptions.Distill);
-	// DistillNote carries the distiller's summary or rejection reason.
-	Distilled   bool
-	DistillNote string
 }
 
 // seedAndPool splits the training instances into a seed set with at least
@@ -71,7 +66,8 @@ func seedAndPool(instances []Instance) (seed []Instance, pool []Instance) {
 // instances. Feature vectors for the whole pool are assumed cheap (the
 // paper's key observation); exhaustive-search labels are only "paid" for the
 // seed plus the queried points. When suiteForCurve is non-nil the returned
-// PerfCurve tracks test-set performance after each iteration (Fig. 7).
+// PerfCurve tracks test-set performance after each iteration (Fig. 7). Like
+// Train it returns the exact model.
 func IncrementalTune(s *Suite, opts IncrementalOptions, suiteForCurve *Suite) (IncrementalResult, error) {
 	res := IncrementalResult{}
 	seed, pool := seedAndPool(s.Train)
@@ -168,15 +164,6 @@ func IncrementalTune(s *Suite, opts IncrementalOptions, suiteForCurve *Suite) (I
 	res.Queries = al.Queries()
 	res.Model = &ml.Model{Classifier: al.Classifier(), Scaler: scaler,
 		Meta: &ml.ModelMeta{Version: 1, TrainedOn: len(seed) + al.Queries()}}
-	if opts.Distill {
-		// Distill over the full raw training corpus — features were computed
-		// for every pool instance up front, so the compiled artifact is
-		// calibrated against the same input distribution the exact model
-		// will serve, not just the queried subset.
-		stop := opts.Phases.Start("distill")
-		res.Distilled, res.DistillNote = distillModel(res.Model, allX, opts.DistillOpts)
-		stop()
-	}
 	return res, nil
 }
 

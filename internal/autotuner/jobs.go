@@ -8,9 +8,10 @@ package autotuner
 // with ErrQueueFull and the HTTP layer turns that into 429.
 //
 // Jobs train with the same offline pipeline as nitro-tune (Train over
-// labelled Instances), so a server-side retrain is byte-identical to what
-// the CLI would have produced from the same corpus: the model Meta carries
-// BaseVersion+1 and a zero CreatedAt, keeping artifacts content-addressable.
+// labelled Instances, then DistillModel over the rows Train fitted), so a
+// server-side retrain is byte-identical to what the CLI would have produced
+// from the same corpus: the model Meta carries BaseVersion+1 and a zero
+// CreatedAt, keeping artifacts content-addressable.
 
 import (
 	"context"
@@ -325,6 +326,7 @@ func (q *JobQueue) run(id string, job TuneJob) JobStatus {
 		st.Error = err.Error()
 		return st
 	}
+	DistillModel(model, fittedRows(job.Instances))
 	// Re-stamp the generation over the incumbent's; CreatedAt stays zero so
 	// identical corpora yield byte-identical artifacts.
 	model.Meta = &ml.ModelMeta{Version: job.BaseVersion + 1, TrainedOn: len(job.Instances) - report.Skipped}

@@ -24,7 +24,7 @@ func jobInstances(n int) []Instance {
 }
 
 // TestJobQueueRunsJob: a submitted job trains a model stamped BaseVersion+1
-// with zero CreatedAt and reports done.
+// with zero CreatedAt, distills it, and reports done.
 func TestJobQueueRunsJob(t *testing.T) {
 	q := NewJobQueue(2, 4)
 	defer q.Close()
@@ -50,6 +50,9 @@ func TestJobQueueRunsJob(t *testing.T) {
 	}
 	if !st.Model.Meta.CreatedAt.IsZero() {
 		t.Fatal("server-trained model has a wall-clock timestamp; artifacts must stay deterministic")
+	}
+	if st.Model.Compiled == nil {
+		t.Fatal("job model carries no compiled program")
 	}
 	if got, ok := q.Status(id); !ok || got.State != JobDone {
 		t.Fatalf("Status(%s) = %+v, %v", id, got, ok)

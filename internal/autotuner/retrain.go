@@ -82,7 +82,9 @@ var errNoObservations = errors.New("autotuner: not enough observations to retrai
 // data it has not seen and that best reflects the drifted distribution.
 // The candidate is stamped incumbent.Version+1 and returned regardless of
 // the verdict; the caller hot-swaps it only when Accepted (and otherwise
-// rolls back to the incumbent by doing nothing).
+// rolls back to the incumbent by doing nothing). An accepted candidate is
+// distilled after the verdict (DistillModel), so it carries a compiled
+// program whenever one passes its gates; a rejected one stays exact.
 //
 // ctx cancels the run between pipeline stages; the candidate is NOT
 // installed by this function, so cancellation never leaves a half-deployed
@@ -158,17 +160,6 @@ func (t *Tuner[In]) RetrainFromObservations(ctx context.Context, obs []Observati
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	// The batch path distills inside Train; the incremental path builds its
-	// model through the BvSB loop, so distill here. Either way a candidate
-	// that should carry a compiled artifact gets one before validation, and a
-	// rejected artifact just ships the exact model (best-effort).
-	if opts.Distill && candidate.Compiled == nil {
-		rawX := make([][]float64, len(train))
-		for i := range train {
-			rawX[i] = train[i].Features
-		}
-		distillModel(candidate, rawX, opts.DistillOpts)
-	}
 
 	candidate.Meta = &ml.ModelMeta{
 		Version:   incumbent.Version() + 1,
@@ -187,6 +178,16 @@ func (t *Tuner[In]) RetrainFromObservations(ctx context.Context, obs []Observati
 		res.Accepted = res.CandidatePerf >= res.IncumbentPerf+opts.MinImprovement
 	} else {
 		res.Accepted = true
+	}
+	if res.Accepted {
+		// The holdout judged the exact candidate; only the model that will
+		// be installed pays for distillation, over every observation in the
+		// order the caller passed them.
+		rawX := make([][]float64, len(obs))
+		for i, o := range obs {
+			rawX[i] = o.Features
+		}
+		DistillModel(candidate, rawX)
 	}
 	return res, nil
 }

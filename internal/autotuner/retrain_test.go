@@ -91,6 +91,9 @@ func TestRetrainFromObservationsAcceptsOnDrift(t *testing.T) {
 	if res.TrainSize+res.HoldoutSize != len(drifted) {
 		t.Fatalf("split %d+%d != %d", res.TrainSize, res.HoldoutSize, len(drifted))
 	}
+	if res.Model.Compiled == nil {
+		t.Fatal("accepted candidate was not distilled")
+	}
 	// The candidate must install cleanly through the validated hot-swap path.
 	if err := cx.SetModel(s.Name, res.Model); err != nil {
 		t.Fatalf("hot-swap of accepted candidate: %v", err)
@@ -116,6 +119,11 @@ func TestRetrainFromObservationsRejectsWorseCandidate(t *testing.T) {
 	}
 	if res.Model == nil || res.Model.Version() != 2 {
 		t.Fatalf("rejected candidate should still be returned stamped v2, got %+v", res.Model)
+	}
+	// Only an accepted candidate is distilled; the holdout judged this one
+	// exact, and it stays exact.
+	if res.Model.Compiled != nil {
+		t.Fatal("rejected candidate carries a compiled program")
 	}
 }
 

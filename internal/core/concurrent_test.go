@@ -257,7 +257,7 @@ func BenchmarkCallFixedParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCallConcurrentBatch measures batched dispatch over internal/par.
+// BenchmarkCallConcurrentBatch measures CallConcurrent over internal/par.
 func BenchmarkCallConcurrentBatch(b *testing.B) {
 	cv, _ := buildConcurrentCV(b, DefaultPolicy("bench"))
 	ins := make([]testInput, 1024)

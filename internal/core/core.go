@@ -153,10 +153,6 @@ type funcStats struct {
 	// (Context.EnableLatencyHistograms). Nil — the default — costs the record
 	// hot path exactly one atomic pointer load.
 	hists atomic.Pointer[histTable]
-	// qEpoch counts quarantine-state transitions (trips and recoveries).
-	// Like modelSlot.epoch it stamps memo entries, so any breaker state
-	// change atomically invalidates the memoization tier.
-	qEpoch atomic.Uint64
 }
 
 // breakerFor returns (creating if needed) the named variant's breaker.
@@ -200,18 +196,11 @@ func (fs *funcStats) recordFailure(panicked, timedOut bool) {
 // recordHop counts one failure-driven fallback attempt.
 func (fs *funcStats) recordHop() { fs.shard().failFb.Add(1) }
 
-// recordTrip counts one quarantine trip and invalidates the memo tier.
-func (fs *funcStats) recordTrip() {
-	fs.shard().trips.Add(1)
-	fs.qEpoch.Add(1)
-}
+// recordTrip counts one quarantine trip.
+func (fs *funcStats) recordTrip() { fs.shard().trips.Add(1) }
 
-// recordRecovery counts one successful half-open probe and invalidates the
-// memo tier.
-func (fs *funcStats) recordRecovery() {
-	fs.shard().recoveries.Add(1)
-	fs.qEpoch.Add(1)
-}
+// recordRecovery counts one successful half-open probe.
+func (fs *funcStats) recordRecovery() { fs.shard().recoveries.Add(1) }
 
 // recordTier counts one model prediction against the tier that served it.
 func (fs *funcStats) recordTier(t ml.Tier) {
@@ -576,8 +565,7 @@ type CodeVariant[In any] struct {
 	stats *funcStats
 
 	// memo is the feature-vector → raw-prediction cache. Per CodeVariant,
-	// invalidated by epoch stamping on model hot-swap and quarantine
-	// transitions; see memoCache.
+	// invalidated by epoch stamping on model hot-swap; see memoCache.
 	memo *memoCache
 
 	// anyCost records whether any registered feature carries a Cost model;
@@ -849,7 +837,7 @@ func (cv *CodeVariant[In]) CallFixed(f *Fixed[In]) (float64, string, error) {
 // The second result reports whether a fallback happened. When constraints
 // veto every variant the index is -1 and the error is ErrAllVariantsVetoed.
 func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) {
-	idx, _, _, fellBack, _, err := cv.selectWithPred(in, vec, nil)
+	idx, _, _, fellBack, _, err := cv.selectWithPred(in, vec)
 	return idx, fellBack, err
 }
 
@@ -859,7 +847,7 @@ func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) 
 // here — at prediction time — so memoized, compiled and exact predictions
 // are counted exactly once each.
 //
-// Ordering invariant: both epochs are loaded BEFORE the model pointer; see
+// Ordering invariant: the epoch is loaded BEFORE the model pointer; see
 // memoCache for why the reverse order would be unsound under hot-swap.
 //
 // When a canary is installed, each call first draws whether the challenger
@@ -872,29 +860,26 @@ func (cv *CodeVariant[In]) predictVec(vec []float64) (int, ml.Tier, *canaryCell)
 		cv.stats.recordTier(tier)
 		return pred, tier, cs
 	}
-	mEpoch := cv.model.epoch.Load()
-	qEpoch := cv.stats.qEpoch.Load()
+	epoch := cv.model.epoch.Load()
 	m := cv.model.p.Load()
 	if m == nil {
 		return -1, ml.TierNone, nil
 	}
 	h := memoHash(vec)
-	if pred, ok := cv.memo.lookup(h, vec, mEpoch, qEpoch); ok {
+	if pred, ok := cv.memo.lookup(h, vec, epoch); ok {
 		cv.stats.recordTier(ml.TierMemo)
 		return pred, ml.TierMemo, nil
 	}
 	pred, tier := m.PredictTier(vec)
-	cv.memo.store(h, vec, pred, mEpoch, qEpoch)
+	cv.memo.store(h, vec, pred, epoch)
 	cv.stats.recordTier(tier)
 	return pred, tier, nil
 }
 
 // selectWithPred is SelectIndex plus the model's raw prediction (-1 when no
 // model is installed) and the tier that produced it — what the adaptation
-// observer and the decision tracer need beyond the index. When pre is
-// non-nil it carries a prediction the batched path already computed (and
-// counted); selection consumes it instead of re-predicting.
-func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64, pre *prediction) (int, int, ml.Tier, bool, *canaryCell, error) {
+// observer and the decision tracer need beyond the index.
+func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Tier, bool, *canaryCell, error) {
 	if len(cv.variants) == 0 {
 		return -1, -1, ml.TierNone, false, nil, errNoVariants
 	}
@@ -902,14 +887,7 @@ func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64, pre *prediction)
 	if cv.policy.Quarantine.Enabled() {
 		now = nowNanos()
 	}
-	var pred int
-	var tier ml.Tier
-	var cs *canaryCell
-	if pre != nil {
-		pred, tier, cs = pre.pred, pre.tier, pre.cs
-	} else {
-		pred, tier, cs = cv.predictVec(vec)
-	}
+	pred, tier, cs := cv.predictVec(vec)
 	rawPred := pred
 	if tier != ml.TierNone {
 		if pred >= 0 && pred < len(cv.variants) && cv.selectable(pred, in, now) {
@@ -954,23 +932,17 @@ type dispatchResult struct {
 // When a tracer is installed and admits this call, the dispatch is wrapped in
 // a DecisionTrace capture; the untraced path pays one atomic load.
 func (cv *CodeVariant[In]) dispatch(ctx context.Context, in In, vec []float64, featSeconds float64) (float64, string, error) {
-	return cv.dispatchPre(ctx, in, vec, featSeconds, nil)
-}
-
-// dispatchPre is dispatch with an optional precomputed prediction (the
-// batched CallConcurrent path threads its per-input result through pre).
-func (cv *CodeVariant[In]) dispatchPre(ctx context.Context, in In, vec []float64, featSeconds float64, pre *prediction) (float64, string, error) {
 	if t := cv.tracer.Load(); t != nil && t.Admit() {
-		return cv.dispatchTraced(ctx, t, in, vec, featSeconds, pre)
+		return cv.dispatchTraced(ctx, t, in, vec, featSeconds)
 	}
-	r := cv.dispatchRun(ctx, in, vec, featSeconds, pre)
+	r := cv.dispatchRun(ctx, in, vec, featSeconds)
 	return r.value, r.name, r.err
 }
 
 // dispatchRun is the single dispatch implementation behind both the traced
 // and untraced paths.
-func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64, featSeconds float64, pre *prediction) dispatchResult {
-	idx, pred, tier, fellBack, cs, err := cv.selectWithPred(in, vec, pre)
+func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64, featSeconds float64) dispatchResult {
+	idx, pred, tier, fellBack, cs, err := cv.selectWithPred(in, vec)
 	if err != nil {
 		if cs != nil {
 			cs.record(true)
@@ -1052,7 +1024,7 @@ func (cv *CodeVariant[In]) CallCtx(ctx context.Context, in In) (float64, string,
 // it: Fixed.Features hands the vector to the caller, who may retain it.
 var featVecPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// CallResult is one outcome of a batched dispatch.
+// CallResult is one input's outcome of CallConcurrent.
 type CallResult struct {
 	Value   float64
 	Variant string
@@ -1073,51 +1045,18 @@ func (cv *CodeVariant[In]) CallConcurrent(ins []In, parallelism int) []CallResul
 // once ctx is cancelled no further inputs are dispatched, and every input
 // that never ran carries ctx.Err() in its result slot. Inputs already in
 // flight finish (or are abandoned by their own CallCtx per the cancellation
-// rules). With a background context it is byte-identical to CallConcurrent.
-//
-// The batch is dispatched in three phases: feature evaluation fans out over
-// the workers, then ONE batched prediction pass classifies every evaluated
-// vector with shared scratch (memo lookups plus ml.Model.PredictAll — one
-// scaler/kernel scratch for N vectors instead of N independent Predicts),
-// then execution fans back out consuming the precomputed predictions.
-// Per-input results are identical to N independent CallCtx calls: PredictAll
-// is prediction-for-prediction equivalent to Predict, and constraints /
-// quarantine are still checked per input at dispatch time.
+// rules). Every result that ran is exactly CallCtx on that input. With a
+// background context it is byte-identical to CallConcurrent.
 func (cv *CodeVariant[In]) CallConcurrentCtx(ctx context.Context, ins []In, parallelism int) []CallResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := make([]CallResult, len(ins))
-	if len(ins) == 0 {
-		return out
-	}
-	if len(cv.variants) == 0 {
-		for i := range out {
-			out[i].Err = errNoVariants
-		}
-		return out
-	}
-	workers := par.Workers(parallelism)
-
-	// Phase 1: evaluate features for every input.
-	vecs := make([][]float64, len(ins))
-	secs := make([]float64, len(ins))
-	cerr := par.ForCtx(ctx, len(ins), workers, func(i int) {
-		vecs[i], secs[i] = cv.evalFeatures(ins[i])
-	})
-
-	// Phase 2: one batched prediction pass over the evaluated vectors
-	// (vecs[i] stays nil for inputs phase 1 never reached).
-	preds := cv.batchPredict(vecs)
-
-	// Phase 3: dispatch each input, consuming its precomputed prediction.
 	ran := make([]bool, len(ins))
-	if cerr == nil {
-		cerr = par.ForCtx(ctx, len(ins), workers, func(i int) {
-			ran[i] = true
-			out[i].Value, out[i].Variant, out[i].Err = cv.dispatchPre(ctx, ins[i], vecs[i], secs[i], preds[i])
-		})
-	}
+	cerr := par.ForCtx(ctx, len(ins), par.Workers(parallelism), func(i int) {
+		ran[i] = true
+		out[i].Value, out[i].Variant, out[i].Err = cv.CallCtx(ctx, ins[i])
+	})
 	if cerr != nil {
 		for i := range out {
 			if !ran[i] {
@@ -1126,59 +1065,6 @@ func (cv *CodeVariant[In]) CallConcurrentCtx(ctx context.Context, ins []In, para
 		}
 	}
 	return out
-}
-
-// batchPredict runs the prediction ladder over a batch of feature vectors
-// (nil rows are skipped, yielding nil predictions that make dispatch predict
-// on demand). Epochs are loaded before the model pointer, exactly like
-// predictVec; the whole batch is stamped with one epoch pair, which mirrors
-// the serial path's prediction-then-execution window under a racing
-// hot-swap. Tier counters are recorded here, at prediction time.
-func (cv *CodeVariant[In]) batchPredict(vecs [][]float64) []*prediction {
-	preds := make([]*prediction, len(vecs))
-	mEpoch := cv.model.epoch.Load()
-	qEpoch := cv.stats.qEpoch.Load()
-	m := cv.model.p.Load()
-	canary := cv.model.canary.Load()
-	if m == nil {
-		return preds
-	}
-	store := make([]prediction, len(vecs))
-	var missVecs [][]float64
-	var missIdx []int
-	for i, vec := range vecs {
-		if vec == nil {
-			continue
-		}
-		// Per-input canary draw, exactly like the serial path; canary-served
-		// inputs bypass the memo cache in both directions.
-		if canary != nil && canary.admit() {
-			pred, tier := canary.model.PredictTier(vec)
-			store[i] = prediction{pred: pred, tier: tier, cs: canary}
-			preds[i] = &store[i]
-			cv.stats.recordTier(tier)
-			continue
-		}
-		if pred, ok := cv.memo.lookup(memoHash(vec), vec, mEpoch, qEpoch); ok {
-			store[i] = prediction{pred: pred, tier: ml.TierMemo}
-			preds[i] = &store[i]
-			cv.stats.recordTier(ml.TierMemo)
-			continue
-		}
-		missVecs = append(missVecs, vec)
-		missIdx = append(missIdx, i)
-	}
-	if len(missVecs) == 0 {
-		return preds
-	}
-	mp, mt := m.PredictAll(missVecs)
-	for j, i := range missIdx {
-		store[i] = prediction{pred: mp[j], tier: mt[j]}
-		preds[i] = &store[i]
-		cv.memo.store(memoHash(vecs[i]), vecs[i], mp[j], mEpoch, qEpoch)
-		cv.stats.recordTier(mt[j])
-	}
-	return preds
 }
 
 // ExhaustiveSearch runs every variant on in (vetoed variants score +Inf, per

@@ -2,9 +2,9 @@ package core
 
 // Tests for the tiered dispatch ladder (memo cache -> compiled artifact ->
 // exact classifier): counter accounting, epoch invalidation on model
-// hot-swap and quarantine transitions, batched-vs-serial identity, and the
-// zero-allocation fast path. The swap stress test is the -race gatekeeper
-// for the memo cache's lock-free publication protocol.
+// hot-swap, quarantine re-checks on memo hits, CallConcurrent-vs-serial
+// identity, and the zero-allocation fast path. The swap stress test is the
+// -race gatekeeper for the memo cache's lock-free publication protocol.
 
 import (
 	"runtime"
@@ -164,38 +164,85 @@ func TestMemoInvalidatedOnSetModel(t *testing.T) {
 	}
 }
 
-// A quarantine trip (or recovery) bumps the quarantine epoch, which must
-// invalidate memoized predictions even though the model never changed.
-func TestMemoInvalidatedOnQuarantineTransition(t *testing.T) {
-	p := DefaultPolicy("qepoch")
-	p.Quarantine = QuarantinePolicy{Threshold: 2, Window: time.Minute, Cooldown: time.Hour}
-	cv, _ := buildConcurrentCV(t, p)
-	boom := cv.AddVariant("boom", func(testInput) float64 { panic("down") })
+// A memo hit carries only the model's raw prediction; selection re-checks
+// quarantine on every call. So when the memoized pick trips its breaker, the
+// next call is still a memo hit, but it falls back without running the
+// quarantined variant, and after recovery the same hit serves it again.
+func TestMemoHitRechecksQuarantine(t *testing.T) {
+	p := DefaultPolicy("qmemo")
+	p.Quarantine = QuarantinePolicy{Threshold: 2, Window: time.Minute, Cooldown: 500 * time.Millisecond}
+	cx := NewContext()
+	cv := New[testInput](cx, p)
+	cv.AddVariant("v0", func(testInput) float64 { return 0 })
+	var down atomic.Bool
+	var runs atomic.Int64
+	v1 := cv.AddVariant("v1", func(testInput) float64 {
+		runs.Add(1)
+		if down.Load() {
+			panic("down")
+		}
+		return 1
+	})
+	if err := cv.SetDefault("v0"); err != nil {
+		t.Fatal(err)
+	}
+	cv.AddInputFeature(Feature[testInput]{Name: "x", Eval: func(in testInput) float64 { return in.X }})
+	if err := cx.SetModel("qmemo", singleClassModel(t, v1)); err != nil {
+		t.Fatal(err)
+	}
 
 	in := testInput{X: 7}
-	for i := 0; i < 3; i++ {
-		if _, _, err := cv.Call(in); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 3; i++ { // the second miss stores, the third call hits
+		if _, name, err := cv.Call(in); err != nil || name != "v1" {
+			t.Fatalf("warmup call %d: (%q, %v), want v1", i, name, err)
 		}
 	}
-	st := cv.Context().Stats("qepoch")
+	st := cx.Stats("qmemo")
 	if st.MemoHits != 1 || st.ExactFallbacks != 2 {
 		t.Fatalf("warmup: %+v, want 2 exact + 1 memo", st)
 	}
-	// Trip boom's breaker through the exploration path (not a served call).
+
+	// Trip v1's breaker through the exploration path (not a served call).
+	down.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := cv.ObserveVariant(boom, in); err == nil {
-			t.Fatal("boom should fail")
+		if _, err := cv.ObserveVariant(v1, in); err == nil {
+			t.Fatal("v1 should fail while down")
 		}
 	}
-	if st = cv.Context().Stats("qepoch"); st.Quarantined != 1 {
+	if st = cx.Stats("qmemo"); st.Quarantined != 1 {
 		t.Fatalf("breaker never tripped: %+v", st)
 	}
-	if _, _, err := cv.Call(in); err != nil {
-		t.Fatal(err)
+	before := runs.Load()
+	if _, name, err := cv.Call(in); err != nil || name != "v0" {
+		t.Fatalf("call on a quarantined pick: (%q, %v), want fallback v0", name, err)
 	}
-	if st = cv.Context().Stats("qepoch"); st.ExactFallbacks != 3 {
-		t.Fatalf("post-trip call reused a stale memo entry: %+v", st)
+	if got := runs.Load(); got != before {
+		t.Fatalf("quarantined v1 ran %d time(s) on a memo hit", got-before)
+	}
+	if st = cx.Stats("qmemo"); st.MemoHits != 2 || st.ExactFallbacks != 2 || st.DefaultFallbacks != 1 {
+		t.Fatalf("post-trip call: %+v, want a memo hit that fell back", st)
+	}
+
+	// Recover v1 with a successful half-open probe once the cooldown ends.
+	down.Store(false)
+	deadline := time.Now().Add(10 * time.Second)
+	for !cv.Selectable(v1, in) {
+		if time.Now().After(deadline) {
+			t.Fatal("cooldown never elapsed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := cv.ObserveVariant(v1, in); err != nil {
+		t.Fatalf("half-open probe: %v", err)
+	}
+	if st = cx.Stats("qmemo"); st.Recoveries != 1 {
+		t.Fatalf("probe did not recover v1: %+v", st)
+	}
+	if _, name, err := cv.Call(in); err != nil || name != "v1" {
+		t.Fatalf("post-recovery call: (%q, %v), want v1", name, err)
+	}
+	if st = cx.Stats("qmemo"); st.MemoHits != 3 || st.ExactFallbacks != 2 {
+		t.Fatalf("post-recovery call: %+v, want a third memo hit", st)
 	}
 }
 
@@ -297,8 +344,8 @@ func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 	}
 }
 
-// Batched CallConcurrent must produce per-input results identical to N
-// independent serial calls, with the memo and compiled tiers engaged.
+// CallConcurrent must produce per-input results identical to N independent
+// serial calls, with the memo and compiled tiers engaged.
 func TestCallConcurrentBatchedMatchesSerialTiers(t *testing.T) {
 	cv, _ := distilledConcurrentCV(t, DefaultPolicy("batch"))
 	cvSerial, _ := distilledConcurrentCV(t, DefaultPolicy("batch-serial"))
@@ -307,8 +354,8 @@ func TestCallConcurrentBatchedMatchesSerialTiers(t *testing.T) {
 	for i := range ins {
 		ins[i] = testInput{X: float64(i % 8)}
 	}
-	// Two rounds: the first populates the memo (intra-batch duplicates all
-	// miss — lookups run before any store), the second is served from it.
+	// Two rounds over 8 distinct inputs: the first fills the memo as each
+	// input misses twice, the second is served from it.
 	for round := 0; round < 2; round++ {
 		res := cv.CallConcurrent(ins, 4)
 		for i, r := range res {

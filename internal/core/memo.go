@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sync/atomic"
-
-	"nitro/internal/ml"
 )
 
 // This file is the memoization tier of the dispatch ladder: a bounded,
@@ -18,14 +16,15 @@ import (
 //   - The cache memoizes ONLY the model's raw prediction, never the dispatch
 //     outcome. Constraints and quarantine (selectable) are re-checked on
 //     every call, so a memo hit can never dispatch a variant a full predict
-//     path would have rejected.
+//     path would have rejected, and a quarantine trip or recovery cannot
+//     make an entry wrong: a hit whose predicted variant is quarantined
+//     falls back exactly like a fresh prediction would.
 //   - Entries are keyed by the exact feature vector (fingerprint plus full
 //     equality check, so hash collisions can never alias two inputs) AND by
-//     two epochs: the model slot's install epoch and the function's
-//     quarantine epoch. SetModel and every breaker trip/recovery bump their
-//     epoch, which instantly invalidates every cached entry without touching
-//     the cache itself.
-//   - Epochs are read BEFORE the model pointer on the predict path. A store
+//     the model slot's install epoch. SetModel bumps the epoch, which
+//     instantly invalidates every cached entry without touching the cache
+//     itself.
+//   - The epoch is read BEFORE the model pointer on the predict path. A store
 //     racing a hot-swap can therefore only under-stamp its entry (epoch read
 //     before the swap, prediction computed from the new model) — such an
 //     entry is conservatively treated as stale and recomputed. Reading the
@@ -40,9 +39,9 @@ import (
 // per direct-mapped slot. A stream of never-repeated vectors then costs one
 // atomic store per miss instead of two allocations and a pointer publish,
 // and a one-off miss cannot evict a resident entry. seen is advisory: it
-// never keys a hit (lookup still checks hash, vector and epochs), and it is
-// not reset on hot-swap or quarantine transitions, so a vector admitted
-// before an epoch bump refills on its first miss after it.
+// never keys a hit (lookup still checks hash, vector and epoch), and it is
+// not reset on hot-swap, so a vector admitted before an epoch bump refills
+// on its first miss after it.
 type memoCache struct {
 	mask  uint64
 	slots []atomic.Pointer[memoEntry]
@@ -52,11 +51,10 @@ type memoCache struct {
 // memoEntry is one immutable cache cell: published with an atomic pointer
 // store, never mutated afterwards, so readers need no locks.
 type memoEntry struct {
-	hash   uint64
-	mEpoch uint64 // model-install epoch the prediction was computed under
-	qEpoch uint64 // quarantine epoch ditto
-	vec    []float64
-	pred   int32
+	hash  uint64
+	epoch uint64 // model-install epoch the prediction was computed under
+	vec   []float64
+	pred  int32
 }
 
 // memoSlots is the slot count of every CodeVariant's cache (power of two).
@@ -97,11 +95,11 @@ func memoHash(vec []float64) uint64 {
 }
 
 // lookup returns the memoized prediction for vec computed under exactly the
-// given epochs, when present. NaN features never match themselves, so such
+// given epoch, when present. NaN features never match themselves, so such
 // vectors simply always miss.
-func (c *memoCache) lookup(h uint64, vec []float64, mEpoch, qEpoch uint64) (int, bool) {
+func (c *memoCache) lookup(h uint64, vec []float64, epoch uint64) (int, bool) {
 	e := c.slots[h&c.mask].Load()
-	if e == nil || e.hash != h || e.mEpoch != mEpoch || e.qEpoch != qEpoch || len(e.vec) != len(vec) {
+	if e == nil || e.hash != h || e.epoch != epoch || len(e.vec) != len(vec) {
 		return 0, false
 	}
 	for i, v := range vec {
@@ -112,32 +110,20 @@ func (c *memoCache) lookup(h uint64, vec []float64, mEpoch, qEpoch uint64) (int,
 	return int(e.pred), true
 }
 
-// store publishes a prediction computed under the given epochs, or, when the
+// store publishes a prediction computed under the given epoch, or, when the
 // slot's previous miss was another vector, only records this one's
 // fingerprint (see memoCache). The vector is copied: callers recycle their
 // feature buffers.
-func (c *memoCache) store(h uint64, vec []float64, pred int, mEpoch, qEpoch uint64) {
+func (c *memoCache) store(h uint64, vec []float64, pred int, epoch uint64) {
 	i := h & c.mask
 	if c.seen[i].Load() != h {
 		c.seen[i].Store(h)
 		return
 	}
 	c.slots[i].Store(&memoEntry{
-		hash:   h,
-		mEpoch: mEpoch,
-		qEpoch: qEpoch,
-		vec:    append([]float64(nil), vec...),
-		pred:   int32(pred),
+		hash:  h,
+		epoch: epoch,
+		vec:   append([]float64(nil), vec...),
+		pred:  int32(pred),
 	})
-}
-
-// prediction is a model prediction precomputed by the batched CallConcurrent
-// path and threaded into dispatch, so phase 3 consumes it instead of
-// re-predicting per input.
-type prediction struct {
-	pred int
-	tier ml.Tier
-	// cs is non-nil when the prediction was served by an installed canary
-	// challenger; dispatch accounts the call's outcome on it.
-	cs *canaryCell
 }

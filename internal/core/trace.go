@@ -46,7 +46,7 @@ func (cv *CodeVariant[In]) Tracer() *obs.Tracer { return cv.tracer.Load() }
 // the model explanation (raw + scaled features, per-class scores, pairwise
 // SVM decision values, ranked preference order), the selection-time veto and
 // quarantine view, the executed variant and the failure fallback hop count.
-func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in In, vec []float64, featSeconds float64, pre *prediction) (float64, string, error) {
+func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in In, vec []float64, featSeconds float64) (float64, string, error) {
 	start := time.Now()
 	rec := obs.DecisionTrace{
 		Function:    cv.policy.Name,
@@ -80,7 +80,7 @@ func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in
 			}
 		}
 	}
-	r := cv.dispatchRun(ctx, in, vec, featSeconds, pre)
+	r := cv.dispatchRun(ctx, in, vec, featSeconds)
 	rec.FellBack = r.fellBack
 	rec.FallbackHops = r.hops
 	rec.ChosenIdx = r.idx

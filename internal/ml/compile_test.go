@@ -322,32 +322,6 @@ func TestUnmarshalRejectsBadCompiled(t *testing.T) {
 	}
 }
 
-// PredictAll must be observationally identical to per-vector PredictTier,
-// with nil rows yielding (-1, TierNone).
-func TestPredictAllMatchesPredictTier(t *testing.T) {
-	model, corpus, _ := distilledBlobModel(t, 80, 3, 2, 0.8, 31, DistillOptions{})
-	xs := make([][]float64, 0, len(corpus)+2)
-	xs = append(xs, nil)
-	xs = append(xs, corpus...)
-	xs = append(xs, nil)
-	preds, tiers := model.PredictAll(xs)
-	if len(preds) != len(xs) || len(tiers) != len(xs) {
-		t.Fatalf("result lengths %d/%d, want %d", len(preds), len(tiers), len(xs))
-	}
-	for i, x := range xs {
-		if x == nil {
-			if preds[i] != -1 || tiers[i] != TierNone {
-				t.Fatalf("nil row %d: got (%d,%s)", i, preds[i], tiers[i])
-			}
-			continue
-		}
-		wantPred, wantTier := model.PredictTier(x)
-		if preds[i] != wantPred || tiers[i] != wantTier {
-			t.Fatalf("row %d: (%d,%s), want (%d,%s)", i, preds[i], tiers[i], wantPred, wantTier)
-		}
-	}
-}
-
 func TestTierString(t *testing.T) {
 	want := map[Tier]string{TierNone: "", TierExact: "exact", TierCompiled: "compiled", TierMemo: "memo", Tier(99): ""}
 	for tier, s := range want {

@@ -7,10 +7,10 @@ import (
 
 // This file is the allocation-free prediction front end of Model: the tiered
 // PredictTier entry point (compiled artifact first, exact classifier as the
-// fallback) and the batch PredictAll used by core's CallConcurrent. All
-// per-call scratch lives in a pooled predictScratch, so the steady-state
-// exact path performs zero heap allocations — the remaining cost is the
-// scaler pass plus one kernel evaluation per distinct support vector.
+// fallback). All per-call scratch lives in a pooled predictScratch, so the
+// steady-state exact path performs zero heap allocations — the remaining
+// cost is the scaler pass plus one kernel evaluation per distinct support
+// vector.
 
 // predictScratch holds the per-prediction work buffers: the scaled feature
 // vector, the kernel-value cache (one slot per distinct support vector) and
@@ -95,25 +95,6 @@ func (m *Model) PredictExact(x []float64) int {
 	return pred
 }
 
-// PredictAll classifies a batch of feature vectors with one shared scratch —
-// the batched path CallConcurrent uses instead of N independent Predicts.
-// Nil rows (inputs whose feature evaluation failed) yield pred -1 and
-// TierNone. Both returned slices have len(xs).
-func (m *Model) PredictAll(xs [][]float64) ([]int, []Tier) {
-	preds := make([]int, len(xs))
-	tiers := make([]Tier, len(xs))
-	s := predictPool.Get().(*predictScratch)
-	for i, x := range xs {
-		if x == nil {
-			preds[i] = -1
-			continue
-		}
-		preds[i], tiers[i] = m.predictTierScratch(x, s)
-	}
-	predictPool.Put(s)
-	return preds, tiers
-}
-
 // scaleScratch maps x into the model's scaled feature space using the
 // scratch's pooled buffer, or returns x unchanged when no scaler is fitted.
 func (m *Model) scaleScratch(x []float64, s *predictScratch) []float64 {
@@ -123,17 +104,6 @@ func (m *Model) scaleScratch(x []float64, s *predictScratch) []float64 {
 	s.scaled = growFloats(s.scaled, len(x))
 	m.Scaler.TransformInto(s.scaled, x)
 	return s.scaled
-}
-
-// predictTierScratch is the scratch-threaded core of PredictTier.
-func (m *Model) predictTierScratch(x []float64, s *predictScratch) (int, Tier) {
-	scaled := m.scaleScratch(x, s)
-	if c := m.Compiled; c != nil && len(scaled) == c.Dim {
-		if pred, ok := c.Predict(scaled); ok {
-			return pred, TierCompiled
-		}
-	}
-	return m.classifyScratch(scaled, s), TierExact
 }
 
 // classifyScratch runs the exact classifier on an already-scaled vector. The

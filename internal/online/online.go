@@ -38,7 +38,6 @@ import (
 
 	"nitro/internal/autotuner"
 	"nitro/internal/core"
-	"nitro/internal/ml"
 )
 
 // Policy configures an adaptation engine. The zero value is invalid;
@@ -504,21 +503,9 @@ func (e *Engine[In]) runRetrain(obs []autotuner.Observation) {
 				res.CandidatePerf, res.IncumbentPerf, e.pol.Retrain.MinImprovement, incumbent.Version())})
 		return
 	}
-	// Re-distill before installing: a validated candidate must not silently
-	// lose the compiled fast path the incumbent was serving with. Covers
-	// engines whose retrain options never opted into distillation but whose
-	// offline model shipped an artifact. Best-effort — a rejected artifact
-	// hot-swaps the exact model alone.
 	distilled := ""
-	if res.Model.Compiled == nil && (e.pol.Retrain.Distill || (incumbent != nil && incumbent.Compiled != nil)) {
-		rawX := make([][]float64, 0, len(obs))
-		for _, o := range obs {
-			rawX = append(rawX, o.Features)
-		}
-		if c, derr := ml.Distill(res.Model, rawX, e.pol.Retrain.DistillOpts); derr == nil {
-			res.Model.Compiled = c
-			distilled = "; distilled"
-		}
+	if res.Model.Compiled != nil {
+		distilled = "; distilled"
 	}
 	if err := e.cx.SetModel(e.fn, res.Model); err != nil {
 		e.det.onRetrainFailed()

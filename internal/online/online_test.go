@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,8 +193,9 @@ func driveDriftScenario(t *testing.T, seed int64) *Engine[autotuner.Instance] {
 
 // TestDriftRetrainSwap is the subsystem's end-to-end: sustained drift is
 // detected, the first retrain defers for lack of samples, the eventual
-// retrain's candidate wins the holdout and is hot-swapped in as v2, and the
-// post-swap windows recover.
+// retrain's candidate wins the holdout and is hot-swapped in as v2 carrying a
+// compiled program (the offline v1 was exact), and the post-swap windows
+// recover.
 func TestDriftRetrainSwap(t *testing.T) {
 	eng := driveDriftScenario(t, 42)
 	defer eng.Close()
@@ -233,6 +235,15 @@ func TestDriftRetrainSwap(t *testing.T) {
 	want := []EventKind{EventDrift, EventDeferred, EventDeferred, EventRetrain, EventSwap, EventRecovered}
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("event order = %v, want %v", order, want)
+	}
+
+	if m, _ := eng.cx.Model(eng.fn); m == nil || m.Compiled == nil {
+		t.Error("accepted retrain installed a model without a compiled program")
+	}
+	for _, ev := range eng.Events() {
+		if ev.Kind == EventSwap && !strings.HasSuffix(ev.Detail, "; distilled") {
+			t.Errorf("swap event %q does not report the installed program", ev.Detail)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Half the gate's samples are in when the daemon dies.
-	if dec, _, err := c1.ReportCanary(ctx, chaosFn, 2, 20, 1); err != nil || dec != server.DecisionPending {
+	if dec, _, err := c1.ReportCanary(ctx, chaosFn, 2, "e2e", 20, 1); err != nil || dec != server.DecisionPending {
 		t.Fatalf("mid-canary report: (%q, %v), want pending", dec, err)
 	}
 	d1.Kill()
@@ -202,8 +202,10 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 	calls := 0
 	decision := server.DecisionPending
 	for decision == server.DecisionPending {
-		dec, _, err := c2.ReportCanary(ctx, chaosFn, 2, 10, 0)
+		// Cumulative totals: 10 more clean calls per report past the 20
+		// reported before the crash.
 		calls++
+		dec, _, err := c2.ReportCanary(ctx, chaosFn, 2, "e2e", 20+10*int64(calls), 1)
 		if err != nil {
 			t.Fatalf("canary report %d dropped under chaos: %v", calls, err)
 		}

@@ -597,25 +597,13 @@ func (c *Client) Job(ctx context.Context, id string) (autotuner.JobStatus, error
 	return st, nil
 }
 
-// ReportCanary folds local challenger outcome deltas into the fleet
-// aggregate and returns the server's decision plus the (possibly updated)
-// deployment. The deltas are applied verbatim on every delivery, so a
-// report retried after a lost response can double-count; long-lived
-// pollers use ReportCanaryAs, whose cumulative totals are idempotent.
-func (c *Client) ReportCanary(ctx context.Context, fn string, version int, calls, failures int64) (string, server.Deployment, error) {
-	return c.reportCanary(ctx, fn, version, "", calls, failures)
-}
-
-// ReportCanaryAs reports this poller's *cumulative* challenger totals for
-// the episode under a stable reporter identity. The server folds in only
+// ReportCanary reports the reporter's *cumulative* challenger totals for
+// the episode under a stable reporter identity and returns the server's
+// decision plus the (possibly updated) deployment. The server folds in only
 // the movement past the reporter's last accepted totals, so a report
 // replayed by the retry layer (applied once, response lost, body re-sent)
-// is a no-op instead of a double count.
-func (c *Client) ReportCanaryAs(ctx context.Context, fn string, version int, reporter string, calls, failures int64) (string, server.Deployment, error) {
-	return c.reportCanary(ctx, fn, version, reporter, calls, failures)
-}
-
-func (c *Client) reportCanary(ctx context.Context, fn string, version int, reporter string, calls, failures int64) (string, server.Deployment, error) {
+// is a no-op instead of a double count. The reporter must be non-empty.
+func (c *Client) ReportCanary(ctx context.Context, fn string, version int, reporter string, calls, failures int64) (string, server.Deployment, error) {
 	path := "/api/v1/functions/" + fn + "/canary/report"
 	body, err := json.Marshal(struct {
 		Version  int    `json:"version"`

@@ -178,6 +178,14 @@ func TestEndToEndCanaryLifecycle(t *testing.T) {
 	if _, name, err := cv2.Call(e2eInput{X: 8}); err != nil || name != "b" {
 		t.Fatalf("v1 dispatch: (%q, %v), want b", name, err)
 	}
+	// The tune job distilled the model it stored, so the fleet serves it
+	// from the compiled tier.
+	if m, err := ml.DecodeArtifact(pull1.Data, pull1.ETag); err != nil || m.Compiled == nil {
+		t.Fatalf("tuned artifact decodes to %+v (err %v), want a compiled program", m, err)
+	}
+	if st := cx1.Stats(e2eFn); st.CompiledHits == 0 {
+		t.Fatalf("poller-installed model served no compiled call: %+v", st)
+	}
 
 	// Phase 3: both clients push drifted observations; the pooled samples
 	// trip fleet-wide drift and auto-submit a retrain, which stages v2 as a

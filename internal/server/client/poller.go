@@ -241,7 +241,7 @@ func (p *Poller) reportCanary(ctx context.Context) (string, error) {
 	// the server compute the delta itself and drop retry replays — no
 	// local delta bookkeeping, no double counts when a response is lost.
 	st := p.cx.CanaryStats(p.fn)
-	dec, _, err := p.c.ReportCanaryAs(ctx, p.fn, p.canaryVersion, p.reporter, st.Calls, st.Failures)
+	dec, _, err := p.c.ReportCanary(ctx, p.fn, p.canaryVersion, p.reporter, st.Calls, st.Failures)
 	if err != nil {
 		return "", err
 	}

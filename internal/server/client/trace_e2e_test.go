@@ -135,7 +135,7 @@ func TestTraceSurvivesKillRestart(t *testing.T) {
 		t.Fatalf("first poll %+v, want stable installed and canary adopted", res)
 	}
 	// Half the gate's samples are in when the daemon dies mid-canary.
-	if dec, _, err := c1.ReportCanary(ctx, tracedFn, 2, 10, 0); err != nil || dec != server.DecisionPending {
+	if dec, _, err := c1.ReportCanary(ctx, tracedFn, 2, "e2e", 10, 0); err != nil || dec != server.DecisionPending {
 		t.Fatalf("mid-canary report: (%q, %v), want pending", dec, err)
 	}
 	d1.Kill()
@@ -188,7 +188,7 @@ func TestTraceSurvivesKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, dep, err := c2.ReportCanary(ctx, tracedFn, 2, 10, 0)
+	dec, dep, err := c2.ReportCanary(ctx, tracedFn, 2, "e2e", 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,10 +353,9 @@ func (r *Registry) handleJob(w http.ResponseWriter, req *http.Request, tenant st
 	writeJSON(w, http.StatusOK, st)
 }
 
-// canaryReportBody carries one client's challenger outcomes. With a
-// reporter ID the counters are that reporter's cumulative totals for the
-// episode (idempotent under retries); without one they are verbatim
-// deltas.
+// canaryReportBody carries one client's challenger outcomes: the
+// reporter's cumulative totals for the episode (idempotent under retries).
+// A body without a reporter is rejected with 400.
 type canaryReportBody struct {
 	Version  int    `json:"version"`
 	Reporter string `json:"reporter,omitempty"`

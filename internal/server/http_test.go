@@ -446,57 +446,66 @@ func TestMetricsSurface(t *testing.T) {
 }
 
 // TestPersistenceReload: artifacts and deployment pointers survive a daemon
-// restart from DataDir. With the journal on (the default) an in-flight
-// canary is resumed at its recorded gate; with DisableJournal it aborts
-// back to stable (the pre-journal behavior).
+// restart from DataDir, and the journal resumes an in-flight canary at its
+// recorded gate.
 func TestPersistenceReload(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"journal resumes canary", false},
-		{"disabled journal aborts canary", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			mutate := func(cfg *Config) {
-				cfg.Registry.DataDir = dir
-				cfg.Registry.DisableJournal = tc.disable
-			}
+	t.Run("journal resumes canary", func(t *testing.T) {
+		dir := t.TempDir()
+		mutate := func(cfg *Config) { cfg.Registry.DataDir = dir }
 
-			_, hs := newTestDaemon(t, mutate)
-			mustStatus(t, req(t, hs, "POST", "/api/v1/functions", "tok-acme", specBody(t, testSpec()), nil), http.StatusCreated)
-			mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 4.5), nil), http.StatusCreated)
-			resp := req(t, hs, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil)
-			first := mustStatus(t, resp, http.StatusOK)
-			etag := resp.Header.Get("ETag")
-			// Stage (but never settle) a canary v2.
-			mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5), nil), http.StatusCreated)
-			hs.Close()
+		_, hs := newTestDaemon(t, mutate)
+		mustStatus(t, req(t, hs, "POST", "/api/v1/functions", "tok-acme", specBody(t, testSpec()), nil), http.StatusCreated)
+		mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 4.5), nil), http.StatusCreated)
+		resp := req(t, hs, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil)
+		first := mustStatus(t, resp, http.StatusOK)
+		etag := resp.Header.Get("ETag")
+		// Stage (but never settle) a canary v2.
+		mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5), nil), http.StatusCreated)
+		hs.Close()
 
-			_, hs2 := newTestDaemon(t, mutate)
-			resp = req(t, hs2, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil)
-			reloaded := mustStatus(t, resp, http.StatusOK)
-			if !bytes.Equal(first, reloaded) || resp.Header.Get("ETag") != etag {
-				t.Fatal("reloaded stable artifact differs from the original")
-			}
-			data := mustStatus(t, req(t, hs2, "GET", "/api/v1/functions/sort/deployment", "tok-acme", nil, nil), http.StatusOK)
-			var dep Deployment
-			if err := json.Unmarshal(data, &dep); err != nil {
-				t.Fatal(err)
-			}
-			if dep.Stable != 1 || dep.Latest != 2 {
-				t.Fatalf("reloaded deployment = %+v, want stable v1, latest v2", dep)
-			}
-			if tc.disable {
-				if dep.Canary != nil {
-					t.Fatalf("journal disabled but canary restored: %+v", dep.Canary)
-				}
-			} else if dep.Canary == nil || dep.Canary.Version != 2 {
-				t.Fatalf("journaled canary not resumed: %+v", dep.Canary)
-			}
-			// The v2 artifact is still pullable by version.
-			mustStatus(t, req(t, hs2, "GET", "/api/v1/functions/sort/model?version=2", "tok-acme", nil, nil), http.StatusOK)
-		})
+		_, hs2 := newTestDaemon(t, mutate)
+		resp = req(t, hs2, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil)
+		reloaded := mustStatus(t, resp, http.StatusOK)
+		if !bytes.Equal(first, reloaded) || resp.Header.Get("ETag") != etag {
+			t.Fatal("reloaded stable artifact differs from the original")
+		}
+		data := mustStatus(t, req(t, hs2, "GET", "/api/v1/functions/sort/deployment", "tok-acme", nil, nil), http.StatusOK)
+		var dep Deployment
+		if err := json.Unmarshal(data, &dep); err != nil {
+			t.Fatal(err)
+		}
+		if dep.Stable != 1 || dep.Latest != 2 {
+			t.Fatalf("reloaded deployment = %+v, want stable v1, latest v2", dep)
+		}
+		if dep.Canary == nil || dep.Canary.Version != 2 {
+			t.Fatalf("journaled canary not resumed: %+v", dep.Canary)
+		}
+		// The v2 artifact is still pullable by version.
+		mustStatus(t, req(t, hs2, "GET", "/api/v1/functions/sort/model?version=2", "tok-acme", nil, nil), http.StatusOK)
+	})
+}
+
+// TestCanaryReportRequiresReporter: a canary report without a reporter is
+// refused with 400 before anything is counted. Only reporter-keyed
+// cumulative totals are safe under the client's at-least-once retries.
+func TestCanaryReportRequiresReporter(t *testing.T) {
+	_, hs := newTestDaemon(t, nil)
+	mustStatus(t, req(t, hs, "POST", "/api/v1/functions", "tok-acme", specBody(t, testSpec()), nil), http.StatusCreated)
+	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 4.5), nil), http.StatusCreated)
+	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5), nil), http.StatusCreated)
+	report := func(body string, want int) {
+		t.Helper()
+		mustStatus(t, req(t, hs, "POST", "/api/v1/functions/sort/canary/report", "tok-acme", []byte(body), nil), want)
+	}
+	report(`{"version":2,"reporter":"p1","calls":5,"failures":1}`, http.StatusOK)
+	report(`{"version":2,"calls":10,"failures":0}`, http.StatusBadRequest)
+	report(`{"version":2,"reporter":"","calls":10,"failures":0}`, http.StatusBadRequest)
+	data := mustStatus(t, req(t, hs, "GET", "/api/v1/functions/sort/deployment", "tok-acme", nil, nil), http.StatusOK)
+	var dep Deployment
+	if err := json.Unmarshal(data, &dep); err != nil {
+		t.Fatal(err)
+	}
+	if c := dep.Canary; c == nil || c.Calls != 5 || c.Failures != 1 {
+		t.Fatalf("canary after rejected reports = %+v, want 5 calls / 1 failure", c)
 	}
 }

@@ -32,7 +32,8 @@ func newJournalRegistry(t *testing.T, dir string, mutate func(*RegistryConfig)) 
 }
 
 // stageCanary registers the test function, promotes v1, stages a v2 canary
-// and reports some (insufficient) fleet progress against it.
+// and reports some (insufficient) fleet progress against it, as the
+// cumulative totals of reporter "rep-1".
 func stageCanary(t *testing.T, r *Registry, calls, failures int64) {
 	t.Helper()
 	if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
@@ -45,7 +46,7 @@ func stageCanary(t *testing.T, r *Registry, calls, failures int64) {
 		t.Fatal(err)
 	}
 	if calls > 0 {
-		dec, _, err := r.ReportCanary(context.Background(), "acme", "sort", 2, "", calls, failures)
+		dec, _, err := r.ReportCanary(context.Background(), "acme", "sort", 2, "rep-1", calls, failures)
 		if err != nil || dec != DecisionPending {
 			t.Fatalf("staging report: decision %q err %v, want pending", dec, err)
 		}
@@ -77,8 +78,9 @@ func TestJournalResumeAfterKill(t *testing.T) {
 	if c == nil || c.Version != 2 || c.Calls != 20 || c.Failures != 1 {
 		t.Fatalf("resumed canary = %+v, want v2 with 20 calls / 1 failure", c)
 	}
-	// The resumed episode settles normally: enough healthy reports promote.
-	dec, _, err := r2.ReportCanary(context.Background(), "acme", "sort", 2, "", c.MinSamples-c.Calls, 0)
+	// The resumed episode settles normally: the reporter's baseline was
+	// restored, so its totals reaching the gate promote.
+	dec, _, err := r2.ReportCanary(context.Background(), "acme", "sort", 2, "rep-1", c.MinSamples, c.Failures)
 	if err != nil || dec != DecisionPromoted {
 		t.Fatalf("post-resume verdict %q err %v, want promoted", dec, err)
 	}
@@ -306,11 +308,11 @@ func TestCanaryReportIdempotentPerReporter(t *testing.T) {
 	// The response was lost and the client retried the identical body: the
 	// fleet aggregate must not move.
 	report(r, "p1", 20, 1, 20, 1)
-	// Progress folds in only the movement past the baseline; a second
-	// reporter contributes independently; anonymous deltas apply verbatim.
+	// Progress folds in only the movement past the baseline; other
+	// reporters contribute independently.
 	report(r, "p1", 25, 1, 25, 1)
 	report(r, "p2", 10, 0, 35, 1)
-	report(r, "", 4, 0, 39, 1)
+	report(r, "p3", 4, 0, 39, 1)
 
 	// Crash mid-episode: the baselines replay from the journal, so even a
 	// report retried *across the restart* is still a no-op.
@@ -343,7 +345,9 @@ func appendRawRecord(t *testing.T, path, payload string) {
 // TestJournalReplaysLegacyBakeoffRecords: a journal written by a daemon
 // that still ran sequential bakeoffs replays. The progress record's
 // bakeoff object is ignored, and the drift snapshot's bakeoff state (3),
-// which this build no longer has, restores as healthy.
+// which this build no longer has, restores as healthy. The progress record
+// carries no reporter baselines, as those daemons wrote for anonymous
+// reports: reporter-keyed totals then fold in on top of its counts.
 func TestJournalReplaysLegacyBakeoffRecords(t *testing.T) {
 	dir := t.TempDir()
 	r := newJournalRegistry(t, dir, nil)
@@ -369,6 +373,10 @@ func TestJournalReplaysLegacyBakeoffRecords(t *testing.T) {
 	if st.Drift.State != online.StateHealthy.String() || st.Drift.Samples != 12 {
 		t.Fatalf("drift %+v, want the legacy snapshot restored as healthy", st.Drift)
 	}
+	dec, dep, err := r2.ReportCanary(context.Background(), "acme", "sort", 2, "rep-1", 5, 0)
+	if err != nil || dec != DecisionPending || dep.Canary.Calls != 35 || dep.Canary.Failures != 1 {
+		t.Fatalf("report after legacy replay: (%q, %+v, %v), want pending at 35 calls / 1 failure", dec, dep.Canary, err)
+	}
 }
 
 // TestJournalCompaction: once the log passes the compaction threshold it
@@ -381,7 +389,7 @@ func TestJournalCompaction(t *testing.T) {
 	stageCanary(t, r, 0, 0)
 	// Roll the canary back (failure rate 100%) — the verdict triggers the
 	// size check and compacts.
-	if dec, _, err := r.ReportCanary(context.Background(), "acme", "sort", 2, "", 60, 60); err != nil || dec != DecisionRolledBack {
+	if dec, _, err := r.ReportCanary(context.Background(), "acme", "sort", 2, "rep-1", 60, 60); err != nil || dec != DecisionRolledBack {
 		t.Fatalf("decision %v err %v, want rolledback", dec, err)
 	}
 	size := r.journal.sizeBytes()

@@ -283,10 +283,6 @@ type RegistryConfig struct {
 	// control traffic only at the full cap — with 503 + Retry-After, so
 	// the canary lifecycle keeps making progress while telemetry degrades.
 	MaxInflight int
-	// DisableJournal turns off the write-ahead journal even when DataDir is
-	// set, restoring the pre-journal behavior: a restart aborts in-flight
-	// canaries back to stable.
-	DisableJournal bool
 	// JournalCompactBytes triggers journal compaction (rewrite from live
 	// state) once the log grows past this size (default 1 MiB).
 	JournalCompactBytes int64
@@ -304,8 +300,7 @@ type RegistryConfig struct {
 
 // RecoveryReport describes what journal recovery did at startup.
 type RecoveryReport struct {
-	// Journal reports whether journaling is active (DataDir set, not
-	// disabled).
+	// Journal reports whether journaling is active (DataDir set).
 	Journal bool `json:"journal"`
 	// CleanShutdown reports that the previous run closed in order (the
 	// journal ended with a clean-shutdown marker); false after a crash.
@@ -414,10 +409,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		if err := r.load(); err != nil {
 			return nil, err
 		}
-		if !cfg.DisableJournal {
-			if err := r.openAndReplayJournal(); err != nil {
-				return nil, err
-			}
+		if err := r.openAndReplayJournal(); err != nil {
+			return nil, err
 		}
 	}
 	r.jobs = autotuner.NewJobQueueObs(cfg.Workers, cfg.QueueCapacity, cfg.Log)
@@ -1019,16 +1012,18 @@ func validateAgainstSpec(m *ml.Model, spec FunctionSpec) error {
 }
 
 // ReportCanary folds one client's challenger outcomes into the fleet
-// aggregate and returns the resulting decision. With a non-empty reporter,
-// calls/failures are that reporter's *cumulative* totals for the episode
-// and only the movement past the reporter's last accepted totals is
-// applied — a report replayed by an at-least-once retry layer (applied
-// once, response lost, body re-sent) is a no-op instead of a double count.
-// An empty reporter applies calls/failures as verbatim deltas (one-shot
-// tools; not retry-safe). Reports for a version that is not the live
-// canary return the settled decision for that version (promoted if it
-// became stable, rolled back otherwise) so laggard clients converge.
+// aggregate and returns the resulting decision. calls/failures are the
+// reporter's *cumulative* totals for the episode, and only the movement past
+// the reporter's last accepted totals is applied — a report replayed by an
+// at-least-once retry layer (applied once, response lost, body re-sent) is
+// a no-op instead of a double count. An empty reporter is rejected with
+// ErrInvalid before anything is counted. Reports for a version that is not
+// the live canary return the settled decision for that version (promoted if
+// it became stable, rolled back otherwise) so laggard clients converge.
 func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version int, reporter string, calls, failures int64) (string, Deployment, error) {
+	if reporter == "" {
+		return "", Deployment{}, fmt.Errorf("%w: canary report without a reporter", ErrInvalid)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ts, err := r.tenant(tenant)
@@ -1053,20 +1048,17 @@ func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version 
 		return "", Deployment{}, fmt.Errorf("%w: bad canary report (%d calls, %d failures)", ErrInvalid, calls, failures)
 	}
 	c := fs.canary
-	addCalls, addFails := calls, failures
-	if reporter != "" {
-		prev := fs.canaryReporters[reporter]
-		if calls < prev.Calls || failures < prev.Failures {
-			// The reporter's counters went backwards: its local canary slot
-			// restarted, so its new totals contribute from a fresh baseline.
-			prev = reporterCounts{}
-		}
-		addCalls, addFails = calls-prev.Calls, failures-prev.Failures
-		if fs.canaryReporters == nil {
-			fs.canaryReporters = make(map[string]reporterCounts)
-		}
-		fs.canaryReporters[reporter] = reporterCounts{Calls: calls, Failures: failures}
+	prev := fs.canaryReporters[reporter]
+	if calls < prev.Calls || failures < prev.Failures {
+		// The reporter's counters went backwards: its local canary slot
+		// restarted, so its new totals contribute from a fresh baseline.
+		prev = reporterCounts{}
 	}
+	addCalls, addFails := calls-prev.Calls, failures-prev.Failures
+	if fs.canaryReporters == nil {
+		fs.canaryReporters = make(map[string]reporterCounts)
+	}
+	fs.canaryReporters[reporter] = reporterCounts{Calls: calls, Failures: failures}
 	c.Calls += addCalls
 	c.Failures += addFails
 	r.cfg.Log.Event(ctx, "server", "canary.report",
@@ -1076,7 +1068,7 @@ func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version 
 		trace.F("calls", strconv.FormatInt(c.Calls, 10)),
 		trace.F("failures", strconv.FormatInt(c.Failures, 10)))
 	if c.Calls < c.MinSamples {
-		if reporter != "" && addCalls == 0 && addFails == 0 {
+		if addCalls == 0 && addFails == 0 {
 			// Replayed duplicate: nothing moved, skip the fsync.
 			return DecisionPending, r.deploymentLocked(fs), nil
 		}
@@ -1384,8 +1376,7 @@ func (r *Registry) persistSpec(tenant string, spec FunctionSpec) error {
 
 // persistArtifact writes the newest artifact and the deployment pointer.
 // The canary episode is persisted separately, through the write-ahead
-// journal; with journaling disabled, a daemon restart aborts in-flight
-// canaries back to the stable version, which is the safe default.
+// journal.
 func (r *Registry) persistArtifact(tenant string, fs *funcState) error {
 	if r.cfg.DataDir == "" {
 		return nil
@@ -1488,8 +1479,6 @@ func (r *Registry) loadFunc(dir string) (*funcState, error) {
 		return nil, err
 	}
 	// A canary that was live at shutdown is not restored here: journal
-	// replay (openAndReplayJournal) resumes it. With journaling disabled,
-	// clients fall back to stable and the next drift episode re-stages the
-	// candidate.
+	// replay (openAndReplayJournal) resumes it.
 	return fs, nil
 }

@@ -31,7 +31,7 @@
 //	cv.AddInputFeature(nitro.Feature[MyInput]{Name: "size", Eval: size})
 //
 //	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
-//	tuner.Tune(trainingInputs)     // exhaustive search + SVM fit
+//	tuner.Tune(trainingInputs)     // exhaustive search + SVM fit + distill
 //
 //	value, chosen, err := cv.Call(input)  // adaptive dispatch
 //
@@ -259,22 +259,10 @@ func NewEnsemble(members ...Classifier) *Ensemble { return ml.NewEnsemble(member
 // metadata, hot-swappable via Context.SetModel/LoadModel.
 type Model = ml.Model
 
-// Compiled is the distilled fast-dispatch artifact an ml.Distill run attaches
-// to a Model: a flattened threshold program over the scaled feature space
-// with a calibrated exact-model fallback margin.
+// Compiled is the distilled fast-dispatch artifact the autotuner attaches to
+// every Model it installs: a flattened threshold program over the scaled
+// feature space with a calibrated exact-model fallback margin.
 type Compiled = ml.Compiled
-
-// DistillOptions configures Distill (CART depth, agreement gate, fallback
-// cap); the zero value selects the defaults.
-type DistillOptions = ml.DistillOptions
-
-// Distill compiles a model's decision function into a fast dispatch artifact
-// trained on the model's own labels over corpus, installed only when it
-// agrees with the exact model on at least the configured share of the corpus
-// (99% by default). Attach the result to Model.Compiled.
-func Distill(m *Model, corpus [][]float64, opts DistillOptions) (*Compiled, error) {
-	return ml.Distill(m, corpus, opts)
-}
 
 // Tier identifies which dispatch tier served a prediction (see CallStats'
 // MemoHits/CompiledHits/ExactFallbacks and DecisionTrace.Tier).
