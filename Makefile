@@ -36,16 +36,22 @@ stress:
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
 # point), the sort-variant fuzz target (every variant sorts like
-# sort.Float64s, Cost equals Run's time) and the journal fuzz target
+# sort.Float64s, Cost equals Run's time), the journal fuzz target
 # (recovery from arbitrary journal.wal bytes keeps the intact prefix, and
-# reopening and appending read back what was kept). Every journal execution
-# fsyncs, so its input minimization is capped at 500 executions; the
-# default 60 s cap would take the whole run. The accumulated corpus keeps
-# regressions reproducible.
+# reopening and appending read back what was kept) and the registry's
+# request decoders: observation frames (an accepted frame re-encodes to
+# the same bytes), observation JSON (every accepted batch decodes equal as
+# a frame) and function specs (an accepted spec round-trips). Every journal
+# execution fsyncs, so its input minimization is capped at 500 executions;
+# the default 60 s cap would take the whole run. The accumulated corpus
+# keeps regressions reproducible.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalModel -fuzztime 10s ./internal/ml/
 	$(GO) test -run xxx -fuzz FuzzSortVariants -fuzztime 10s ./internal/sortbench/
 	$(GO) test -run xxx -fuzz FuzzJournal -fuzztime 10s -fuzzminimizetime 500x ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzSampleFrame -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzObservationsJSON -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzFunctionSpec -fuzztime 10s ./internal/server/
 
 # Full benchmark sweep (figures + ablations + ML kernels + the
 # deployment-runtime parallel-call benches in internal/core).
@@ -135,7 +141,9 @@ metrics-smoke:
 
 # Registry-daemon smoke: nitro-server's built-in self-test drives an
 # ephemeral daemon end to end over real HTTP — register a function, push
-# an observation corpus, queue a tuning job, pull the versioned artifact
+# an observation corpus (a binary frame from the client and a plain JSON
+# batch, both of which the registry must count), queue a tuning job,
+# pull the versioned artifact
 # (verifying the content-addressed ETag and the 304 revalidation path),
 # validate the /metrics exposition, and shut down gracefully; the binary
 # exits non-zero on any failure. The Go tests then cover the full API

@@ -9,13 +9,15 @@
 // listener with the API.
 //
 // -smoke runs a self-contained end-to-end check instead of serving: an
-// ephemeral daemon is driven through register -> push observations ->
+// ephemeral daemon is driven through register -> push observations (one
+// binary frame from the client, one plain JSON body as curl sends it) ->
 // tune -> pull artifact -> scrape metrics -> graceful shutdown, and the
 // process exits non-zero if any step misbehaves. CI uses it as the
 // server equivalent of the telemetry smoke.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -213,7 +215,20 @@ func runSmoke() error {
 	if _, err := c.PushObservations(ctx, fn, samples); err != nil {
 		return fmt.Errorf("push observations: %w", err)
 	}
-	fmt.Printf("smoke: pushed %d observations\n", len(samples))
+	// The client pushes binary frames; older clients and curl post plain
+	// JSON, which the route must keep accepting.
+	jsonBatch := samples[:10]
+	if err := postJSONObservations(ctx, "http://"+d.Addr(), "smoke-token", fn, jsonBatch); err != nil {
+		return fmt.Errorf("push observations as JSON: %w", err)
+	}
+	st, err := c.Status(ctx, fn)
+	if err != nil {
+		return fmt.Errorf("status: %w", err)
+	}
+	if want := int64(len(samples) + len(jsonBatch)); st.Observations != want {
+		return fmt.Errorf("registry counted %d observations, want %d from the frame and the JSON batch", st.Observations, want)
+	}
+	fmt.Printf("smoke: pushed %d observations as a frame and %d as plain JSON\n", len(samples), len(jsonBatch))
 
 	job, err := c.Tune(ctx, fn)
 	if err != nil {
@@ -286,6 +301,34 @@ func runSmoke() error {
 	}
 	fmt.Println("smoke: graceful shutdown ok")
 	fmt.Println("nitro-server smoke: PASS")
+	return nil
+}
+
+// postJSONObservations pushes samples the way curl and older clients do:
+// one plain net/http POST of a JSON body.
+func postJSONObservations(ctx context.Context, base, token, fn string, samples []online.RemoteSample) error {
+	body, err := json.Marshal(map[string]any{"samples": samples})
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/api/v1/functions/"+fn+"/observations", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(reply)))
+	}
 	return nil
 }
 

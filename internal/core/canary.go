@@ -4,12 +4,13 @@
 //
 // A canary rides the same per-function modelSlot the hot-swap machinery
 // uses: one extra atomic pointer holds the challenger, and predictVec draws
-// per call (lock-free, on math/rand/v2's per-thread generator) whether this
-// call is served by the challenger or by the stable tiers. Canary-served
-// predictions bypass the memo cache in both directions — they never read a
-// stable-model entry and never poison the cache with challenger predictions
-// — so clearing or promoting a canary needs no epoch bump and invalidates
-// nothing.
+// per call whether this call is served by the challenger or by the stable
+// tiers. The draw is a pure function of the cell's admission count, so
+// serial callers get the same split, and the same memo contents, on every
+// run. Canary-served predictions bypass the memo cache in both directions —
+// they never read a stable-model entry and never poison the cache with
+// challenger predictions — so clearing or promoting a canary needs no epoch
+// bump and invalidates nothing.
 //
 // The cell keeps its own atomic calls/failures counters: a canary-served
 // call counts as failed when its pick was vetoed or quarantined at selection
@@ -22,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 
 	"nitro/internal/ml"
@@ -35,11 +35,14 @@ import (
 type canaryCell struct {
 	model    *ml.Model
 	fraction float64
+	draws    atomic.Uint64 // admissions drawn at a fraction strictly inside (0, 1)
 	calls    atomic.Int64
 	failures atomic.Int64
 }
 
-// admit draws whether one call is served by the challenger.
+// admit draws whether one call is served by the challenger: the k-th draw
+// compares the k-th output of splitmix64 (seed 0), as a uniform value in
+// [0, 1), with the fraction.
 func (c *canaryCell) admit() bool {
 	if c.fraction >= 1 {
 		return true
@@ -47,7 +50,11 @@ func (c *canaryCell) admit() bool {
 	if c.fraction <= 0 {
 		return false
 	}
-	return rand.Float64() < c.fraction
+	x := c.draws.Add(1) * 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11)*0x1p-53 < c.fraction
 }
 
 // record accounts one canary-served dispatch outcome.

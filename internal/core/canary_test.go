@@ -253,3 +253,55 @@ func TestCanarySwapStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCanaryAdmissionRepeats: the canary split is a function of the call
+// count, so two fresh contexts given the same challenger and the same
+// serial calls serve the same calls with it, record equal CanaryStats and
+// leave the same memo traffic; over 10,000 calls the challenger's share
+// lies within 0.3 ± 0.015.
+func TestCanaryAdmissionRepeats(t *testing.T) {
+	const calls = 10000
+	run := func() ([]string, CanaryStats, CallStats) {
+		cv, _ := buildConcurrentCV(t, DefaultPolicy("split"))
+		cx := cv.Context()
+		if err := cx.SetCanary("split", singleClassModel(t, 1), 0.3); err != nil {
+			t.Fatal(err)
+		}
+		served := make([]string, calls)
+		for i := range served {
+			_, name, err := cv.Call(testInput{X: float64(i % 4)})
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			served[i] = name
+		}
+		return served, cx.CanaryStats("split"), cx.Stats("split")
+	}
+	served1, canary1, stats1 := run()
+	served2, canary2, stats2 := run()
+	if canary1 != canary2 {
+		t.Fatalf("canary stats differ between runs: %+v vs %+v", canary1, canary2)
+	}
+	for i := range served1 {
+		if served1[i] != served2[i] {
+			t.Fatalf("call %d served %q, then %q", i, served1[i], served2[i])
+		}
+	}
+	if stats1.MemoHits != stats2.MemoHits || stats1.CompiledHits != stats2.CompiledHits || stats1.ExactFallbacks != stats2.ExactFallbacks {
+		t.Fatalf("tier counts differ between runs: %+v vs %+v", stats1, stats2)
+	}
+	// Inputs below 4 make the stable model pick "small" and the challenger
+	// "large", so the served names count the challenger's calls.
+	large := 0
+	for _, name := range served1 {
+		if name == "large" {
+			large++
+		}
+	}
+	if int64(large) != canary1.Calls {
+		t.Fatalf("%d calls served large, canary counted %d", large, canary1.Calls)
+	}
+	if share := float64(canary1.Calls) / calls; math.Abs(share-0.3) > 0.015 {
+		t.Fatalf("challenger served %.4f of calls, want 0.3 ± 0.015", share)
+	}
+}

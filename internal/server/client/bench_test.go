@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"testing"
 
 	"nitro/internal/online"
@@ -105,8 +108,8 @@ func BenchmarkPullModelRevalidate(b *testing.B) {
 }
 
 // BenchmarkPushObservations measures shipping a batch of labelled samples
-// through validation, rate accounting, reservoir ingest and the fleet
-// drift detector, per batch size.
+// as a binary frame through validation, rate accounting, reservoir ingest
+// and the fleet drift detector, per batch size.
 func BenchmarkPushObservations(b *testing.B) {
 	for _, batch := range []int{1, 32, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -118,6 +121,45 @@ func BenchmarkPushObservations(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.PushObservations(ctx, "bench-fn", samples); err != nil {
 					b.Fatalf("push: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPushObservationsJSON is BenchmarkPushObservations for the JSON
+// body older clients and curl send: the same batches, marshalled per push
+// and posted over raw HTTP, with the response decoded as the client does.
+func BenchmarkPushObservationsJSON(b *testing.B) {
+	for _, batch := range []int{1, 32, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			c, stop := benchSetup(b)
+			defer stop()
+			url := c.cfg.BaseURL + "/api/v1/functions/bench-fn/observations"
+			samples := benchSamples(batch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body, err := json.Marshal(map[string]any{"samples": samples})
+				if err != nil {
+					b.Fatal(err)
+				}
+				req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				req.Header.Set("Authorization", "Bearer "+c.cfg.Token)
+				req.Header.Set("Content-Type", "application/json")
+				resp, err := c.cfg.HTTPClient.Do(req)
+				if err != nil {
+					b.Fatalf("push: %v", err)
+				}
+				var out struct {
+					Drift online.FleetStats `json:"drift"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					b.Fatalf("push: status %d, %v", resp.StatusCode, err)
 				}
 			}
 		})

@@ -450,7 +450,10 @@ func (c *Client) RegisterFunction(ctx context.Context, spec server.FunctionSpec)
 	return decodeOrErr(resp, "/api/v1/functions", nil)
 }
 
-var jsonHeaders = map[string]string{"Content-Type": "application/json"}
+var (
+	jsonHeaders  = map[string]string{"Content-Type": "application/json"}
+	frameHeaders = map[string]string{"Content-Type": server.SampleFrameType}
+)
 
 // Status fetches a function's full observable state (spec, deployment,
 // drift, corpus size).
@@ -547,14 +550,16 @@ func (c *Client) PushModel(ctx context.Context, fn string, data []byte, ifMatch 
 }
 
 // PushObservations ships a batch of labelled samples to the fleet detector
-// and returns the server's drift stats.
+// as one binary sample frame and returns the server's drift stats. A NaN
+// or ±Inf value fails before any request, naming the sample. Registries
+// older than the frame answer it with 400, so upgrade daemons first.
 func (c *Client) PushObservations(ctx context.Context, fn string, samples []online.RemoteSample) (online.FleetStats, error) {
 	path := "/api/v1/functions/" + fn + "/observations"
-	body, err := json.Marshal(map[string]any{"samples": samples})
+	body, err := server.AppendSampleFrame(nil, samples)
 	if err != nil {
-		return online.FleetStats{}, err
+		return online.FleetStats{}, fmt.Errorf("client: push %s observations: %w", fn, err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, path, jsonHeaders, body)
+	resp, err := c.do(ctx, http.MethodPost, path, frameHeaders, body)
 	if err != nil {
 		return online.FleetStats{}, err
 	}

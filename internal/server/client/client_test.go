@@ -3,12 +3,19 @@ package client
 import (
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nitro/internal/online"
+	"nitro/internal/server"
 )
 
 func testClient(t *testing.T, url string, sleeps *[]time.Duration) *Client {
@@ -374,5 +381,56 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{BaseURL: "http://x"}); err == nil {
 		t.Fatal("empty token accepted")
+	}
+}
+
+// TestPushObservationsSendsFrame: a push travels as one binary sample
+// frame under its media type and decodes to the batch; a batch holding a
+// NaN or ±Inf fails before any request, naming the sample.
+func TestPushObservationsSendsFrame(t *testing.T) {
+	var requests atomic.Int64
+	var got []online.RemoteSample
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if ct := r.Header.Get("Content-Type"); ct != server.SampleFrameType {
+			t.Errorf("push sent Content-Type %q, want %q", ct, server.SampleFrameType)
+		}
+		data, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		if got, err = server.DecodeSampleFrame(data); err != nil {
+			t.Errorf("push body is not a frame: %v", err)
+		}
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"drift":{"state":"healthy","samples":2}}`))
+	}))
+	defer hs.Close()
+
+	c := testClient(t, hs.URL, nil)
+	batch := []online.RemoteSample{
+		{Features: []float64{3, math.Copysign(0, -1)}, Times: []float64{1.5, 2}, Predicted: 1},
+		{Features: []float64{5e-324, 7}, Times: []float64{math.MaxFloat64, 0.25}, Predicted: -1},
+	}
+	st, err := c.PushObservations(context.Background(), "f", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "healthy" || st.Samples != 2 || requests.Load() != 1 {
+		t.Fatalf("stats %+v after %d requests, want the server's healthy/2 after 1", st, requests.Load())
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("server decoded %+v, want %+v", got, batch)
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		poisoned := append(slices.Clone(batch), online.RemoteSample{Features: []float64{1, 2}, Times: []float64{1, bad}, Predicted: 0})
+		_, err := c.PushObservations(context.Background(), "f", poisoned)
+		if err == nil || !strings.Contains(err.Error(), "sample 2: time 1") {
+			t.Fatalf("push with %v: err %v, want one naming sample 2's time 1", bad, err)
+		}
+	}
+	if requests.Load() != 1 {
+		t.Fatalf("non-finite batches reached the server (%d requests)", requests.Load())
 	}
 }

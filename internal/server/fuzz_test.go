@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
+	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,4 +119,139 @@ func intactFrame(b []byte) bool {
 	payload := b[8 : 8+n]
 	var rec journalRecord
 	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(b[4:]) && json.Unmarshal(payload, &rec) == nil
+}
+
+// FuzzSampleFrame feeds arbitrary bytes to DecodeSampleFrame. It must never
+// panic; an accepted frame re-encodes to the same bytes, and it never
+// decodes more values than len(data)/8.
+func FuzzSampleFrame(f *testing.F) {
+	good := []online.RemoteSample{
+		{Features: []float64{1, math.Copysign(0, -1)}, Times: []float64{0.5, 2}, Predicted: 1},
+		{Features: []float64{}, Times: []float64{math.MaxFloat64}, Predicted: -1},
+	}
+	valid, err := AppendSampleFrame(nil, good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	huge := binary.LittleEndian.AppendUint32([]byte(sampleFrameMagic), math.MaxUint32)
+	for _, seed := range [][]byte{
+		nil,
+		valid,
+		valid[:len(valid)-1],
+		append(bytes.Clone(valid), 0),
+		append(huge, 0xff, 0xff, 0xff, 0xff),
+		[]byte(`{"samples":[]}`),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := DecodeSampleFrame(data)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("rejection %v is not ErrInvalid", err)
+			}
+			return
+		}
+		values := 0
+		for _, s := range samples {
+			values += len(s.Features) + len(s.Times)
+		}
+		if values > len(data)/8 {
+			t.Fatalf("decoded %d values from %d bytes", values, len(data))
+		}
+		again, err := AppendSampleFrame(nil, samples)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted frame re-encodes to different bytes")
+		}
+	})
+}
+
+// FuzzObservationsJSON feeds arbitrary bytes to the observations route's
+// JSON decoding. It must never panic, and every batch it accepts encodes
+// as a frame that decodes to the same samples: the two body forms accept
+// the same values.
+func FuzzObservationsJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"samples":[{"features":[1,-0,5e-324],"times":[1.5,1e308],"predicted":2}]}`,
+		`{"samples":[{"features":[],"times":null,"predicted":-1},null]}`,
+		`{"Samples":[{"FEATURES":[1],"times":[2],"predicted":0}]} trailing`,
+		`{"samples":[]}`,
+		`{"samples":[{"predicted":1.5}]}`,
+		`{"samples":[{"features":[1e400]}]}`,
+		`{"samples":[{"extra":1}]}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := httptest.NewRequest("POST", "/api/v1/functions/fn/observations", bytes.NewReader(data))
+		req.Header.Set("Content-Type", "application/json")
+		samples, err := decodeObservations(req)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("rejection %v is not ErrInvalid", err)
+			}
+			return
+		}
+		frame, err := AppendSampleFrame(nil, samples)
+		if err != nil {
+			t.Fatalf("JSON accepted a batch a frame cannot carry: %v", err)
+		}
+		viaFrame, err := DecodeSampleFrame(frame)
+		if err != nil {
+			t.Fatalf("frame decoder rejected a batch the JSON decoder accepted: %v", err)
+		}
+		if !sameSamples(viaFrame, samples) {
+			t.Fatalf("frame decoded %+v, JSON %+v", viaFrame, samples)
+		}
+	})
+}
+
+// FuzzFunctionSpec feeds arbitrary bytes to the register route's strict
+// JSON decoding and FunctionSpec.validate. Neither may panic, and an
+// accepted spec survives json.Marshal and a second decode unchanged.
+func FuzzFunctionSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"sort","features":["n"],"variants":["merge","radix"],"default":1}`,
+		`{"name":"a.b-c_d","features":["é","x"],"variants":["a","a","b"],"default":0}`,
+		`{"name":"-bad","features":["n"],"variants":["a","b"]}`,
+		`{"name":"sort","features":[],"variants":["a","b"],"default":0}`,
+		`{"name":"sort","features":["n"],"variants":["a","b"],"default":2}`,
+		`{"name":"sort","features":["n"],"variants":["a","b"],"unknown":1}`,
+		`{"name":"sort","features":["n"],"variants":["a","b"],"default":1e3}`,
+		`{"name":"sort","features":["\xff"],"variants":["a","b"],"default":0}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	decode := func(data []byte) (FunctionSpec, error) {
+		req := httptest.NewRequest("POST", "/api/v1/functions", bytes.NewReader(data))
+		var spec FunctionSpec
+		if err := decodeBody(req, &spec); err != nil {
+			return spec, err
+		}
+		return spec, spec.validate()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("rejection %v is not ErrInvalid", err)
+			}
+			return
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("marshal accepted spec: %v", err)
+		}
+		again, err := decode(out)
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("spec changed across a round trip: %+v -> %+v", spec, again)
+		}
+	})
 }

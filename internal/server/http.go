@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -312,22 +313,42 @@ func (r *Registry) handlePush(w http.ResponseWriter, req *http.Request, tenant s
 	writeJSON(w, http.StatusCreated, dep)
 }
 
-// observationsBody is the push payload: a batch of remote samples.
+// observationsBody is the JSON push payload: a batch of remote samples.
 type observationsBody struct {
 	Samples []online.RemoteSample `json:"samples"`
 }
 
-func (r *Registry) handleObservations(w http.ResponseWriter, req *http.Request, tenant string) {
+// decodeObservations reads one pushed batch: a binary sample frame when the
+// request's media type is SampleFrameType, the strict JSON body for
+// anything else (older clients, curl). Both forms reject an empty batch.
+func decodeObservations(req *http.Request) ([]online.RemoteSample, error) {
+	if mt, _, err := mime.ParseMediaType(req.Header.Get("Content-Type")); err == nil && mt == SampleFrameType {
+		data, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
+		if err == nil && len(data) > maxBodyBytes {
+			err = fmt.Errorf("frame over %d bytes", maxBodyBytes)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
+		return DecodeSampleFrame(data)
+	}
 	var body observationsBody
 	if err := decodeBody(req, &body); err != nil {
+		return nil, err
+	}
+	if len(body.Samples) == 0 {
+		return nil, errEmptyBatch
+	}
+	return body.Samples, nil
+}
+
+func (r *Registry) handleObservations(w http.ResponseWriter, req *http.Request, tenant string) {
+	samples, err := decodeObservations(req)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(body.Samples) == 0 {
-		writeErr(w, fmt.Errorf("%w: empty sample batch", ErrInvalid))
-		return
-	}
-	stats, err := r.PushObservations(req.Context(), tenant, req.PathValue("fn"), body.Samples)
+	stats, err := r.PushObservations(req.Context(), tenant, req.PathValue("fn"), samples)
 	if err != nil {
 		writeErr(w, err)
 		return
