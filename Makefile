@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-ensemble lint ci clean
+.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-ensemble perfbench-check lint ci clean
 
 all: build
 
@@ -186,6 +186,13 @@ trace-smoke:
 # into BENCH_ensemble.json. Run on a quiet machine for stable ns/op numbers.
 bench-ensemble:
 	$(GO) run ./cmd/nitro-experiments -run ensemble -scale 0.2 -train 24 -test 36 -nogrid -ensemble-json BENCH_ensemble.json
+
+# Benchmark build check: perfbench/ is its own module (replace nitro => ../),
+# so `go vet ./...` and `go test ./...` at the root never compile it. Vet and
+# test it against this tree, offline, so a change that deletes a name the
+# benchmark uses fails here instead of in the next benchmark run.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
 
 # Static analysis beyond vet: every tracked Go file must be gofmt-clean
 # (git ls-files keeps build output such as .bench_build/ out of the scan),

@@ -23,7 +23,7 @@ import (
 // onlineReplayPolicy is the fixed adaptation configuration the replay uses:
 // every 2nd call is a sampling candidate and half the samples are explored,
 // so roughly a quarter of the stream is re-timed; 20-observation windows
-// with a 2-window drift hysteresis keep the timeline short enough to read.
+// (two bad ones in a row are drift) keep the timeline short enough to read.
 // Only the stream length, drift point, classifier and seed come from the
 // spec — everything else is pinned so transcripts are comparable across
 // specs.
@@ -34,10 +34,6 @@ func onlineReplayPolicy(spec Spec) online.Policy {
 		ReservoirSize:     256,
 		Window:            20,
 		MismatchThreshold: 0.4,
-		RegretThreshold:   0.5,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
 		MinRetrainSamples: 24,
 		Retrain: autotuner.RetrainOptions{
 			TrainOptions: autotuner.TrainOptions{

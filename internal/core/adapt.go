@@ -11,11 +11,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
-
-	"nitro/internal/obs"
 )
 
 // CallObservation is what the runtime tells an installed CallObserver about
@@ -138,83 +135,45 @@ func (cv *CodeVariant[In]) DefaultIndex() int { return cv.defIdx }
 // deployment-statistics snapshots live (and serialize) together.
 type AdaptStats struct {
 	// Calls counts dispatches seen by the observer hook.
-	Calls int64
+	Calls int64 `json:"calls"`
 	// Sampled counts calls admitted by the rate limiter.
-	Sampled int64
+	Sampled int64 `json:"sampled"`
 	// Explored counts sampled calls on which the epsilon-greedy budget spent
 	// a full re-timing of the alternative variants.
-	Explored int64
+	Explored int64 `json:"explored"`
 	// ExploreFailures counts variant failures during exploration re-timings.
-	ExploreFailures int64
+	ExploreFailures int64 `json:"explore_failures"`
 	// ExploreSeconds accumulates the optimization value (by convention,
 	// seconds) spent re-timing alternatives — the exploration budget's cost.
-	ExploreSeconds float64
+	ExploreSeconds float64 `json:"explore_seconds"`
 	// Mismatches counts explored observations whose observed-best variant
 	// differed from the model's prediction.
-	Mismatches int64
+	Mismatches int64 `json:"mismatches"`
 	// Windows counts completed drift-detector windows.
-	Windows int64
+	Windows int64 `json:"windows"`
 	// LastMismatchRate / LastRegret are the most recently closed window's
 	// mismatch rate and mean relative regret.
-	LastMismatchRate float64
-	LastRegret       float64
-	// Drifts counts sustained-drift detections (hysteresis satisfied).
-	Drifts int64
-	// Retrains counts background retraining runs started.
-	Retrains int64
-	// RetrainsDeferred counts drift windows where retraining was deferred
-	// for lack of labelled samples.
-	RetrainsDeferred int64
-	// Swaps counts accepted candidates hot-swapped into the model slot.
-	Swaps int64
-	// Rollbacks counts candidates rejected on the holdout (incumbent kept).
-	Rollbacks int64
-	// ModelVersion is the stamped version of the currently installed model
-	// (0 when unstamped or uninstalled).
-	ModelVersion int
-	// State is the drift state machine's current state ("healthy",
-	// "drifting" or "retraining").
-	State string
-	// Paused reports whether the engine is currently paused.
-	Paused bool
-}
-
-// adaptStatsJSON fixes the wire field names of an AdaptStats snapshot, so
-// external scrapers get a stable schema instead of reaching into struct
-// fields.
-type adaptStatsJSON struct {
-	Calls            int64   `json:"calls"`
-	Sampled          int64   `json:"sampled"`
-	Explored         int64   `json:"explored"`
-	ExploreFailures  int64   `json:"explore_failures"`
-	ExploreSeconds   float64 `json:"explore_seconds"`
-	Mismatches       int64   `json:"mismatches"`
-	Windows          int64   `json:"windows"`
 	LastMismatchRate float64 `json:"last_mismatch_rate"`
 	LastRegret       float64 `json:"last_regret"`
-	Drifts           int64   `json:"drifts"`
-	Retrains         int64   `json:"retrains"`
-	RetrainsDeferred int64   `json:"retrains_deferred"`
-	Swaps            int64   `json:"swaps"`
-	Rollbacks        int64   `json:"rollbacks"`
-	ModelVersion     int     `json:"model_version"`
-	State            string  `json:"state"`
-	Paused           bool    `json:"paused"`
-}
-
-// MarshalJSON serializes the snapshot with stable snake_case field names.
-func (s AdaptStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(adaptStatsJSON(s))
-}
-
-// UnmarshalJSON accepts the MarshalJSON wire form.
-func (s *AdaptStats) UnmarshalJSON(data []byte) error {
-	var j adaptStatsJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*s = AdaptStats(j)
-	return nil
+	// Drifts counts sustained-drift detections (hysteresis satisfied).
+	Drifts int64 `json:"drifts"`
+	// Retrains counts background retraining runs started.
+	Retrains int64 `json:"retrains"`
+	// RetrainsDeferred counts drift windows where retraining was deferred
+	// for lack of labelled samples.
+	RetrainsDeferred int64 `json:"retrains_deferred"`
+	// Swaps counts accepted candidates hot-swapped into the model slot.
+	Swaps int64 `json:"swaps"`
+	// Rollbacks counts candidates rejected on the holdout (incumbent kept).
+	Rollbacks int64 `json:"rollbacks"`
+	// ModelVersion is the stamped version of the currently installed model
+	// (0 when unstamped or uninstalled).
+	ModelVersion int `json:"model_version"`
+	// State is the drift state machine's current state ("healthy",
+	// "drifting" or "retraining").
+	State string `json:"state"`
+	// Paused reports whether the engine is currently paused.
+	Paused bool `json:"paused"`
 }
 
 // String renders a one-line human-readable snapshot.
@@ -223,40 +182,6 @@ func (s AdaptStats) String() string {
 		"adapt: state=%s v%d calls=%d sampled=%d explored=%d mismatch=%.1f%% regret=%.3f windows=%d drifts=%d retrains=%d swaps=%d rollbacks=%d",
 		s.State, s.ModelVersion, s.Calls, s.Sampled, s.Explored,
 		100*s.LastMismatchRate, s.LastRegret, s.Windows, s.Drifts, s.Retrains, s.Swaps, s.Rollbacks)
-}
-
-// callStatsJSON fixes CallStats's wire field names (see adaptStatsJSON).
-type callStatsJSON struct {
-	Calls            int                           `json:"calls"`
-	PerVariant       map[string]int                `json:"per_variant"`
-	DefaultFallbacks int                           `json:"default_fallbacks"`
-	TotalValue       float64                       `json:"total_value"`
-	FeatureSeconds   float64                       `json:"feature_seconds"`
-	Panics           int                           `json:"panics"`
-	Timeouts         int                           `json:"timeouts"`
-	Fallbacks        int                           `json:"fallbacks"`
-	Quarantined      int                           `json:"quarantined"`
-	Recoveries       int                           `json:"recoveries"`
-	MemoHits         int                           `json:"memo_hits"`
-	CompiledHits     int                           `json:"compiled_hits"`
-	ExactFallbacks   int                           `json:"exact_fallbacks"`
-	Latency          map[string]obs.LatencySummary `json:"latency,omitempty"`
-}
-
-// MarshalJSON serializes the snapshot with stable snake_case field names
-// (map keys sort, so the output is deterministic).
-func (s CallStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(callStatsJSON(s))
-}
-
-// UnmarshalJSON accepts the MarshalJSON wire form.
-func (s *CallStats) UnmarshalJSON(data []byte) error {
-	var j callStatsJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*s = CallStats(j)
-	return nil
 }
 
 // String renders a one-line human-readable snapshot.

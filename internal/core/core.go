@@ -421,29 +421,29 @@ func (cx *Context) LoadModel(fn, path string) error {
 // CallStats aggregates deployment-time selection statistics for one tunable
 // function.
 type CallStats struct {
-	Calls            int
-	PerVariant       map[string]int
-	DefaultFallbacks int
-	TotalValue       float64
-	FeatureSeconds   float64
+	Calls            int            `json:"calls"`
+	PerVariant       map[string]int `json:"per_variant"`
+	DefaultFallbacks int            `json:"default_fallbacks"`
+	TotalValue       float64        `json:"total_value"`
+	FeatureSeconds   float64        `json:"feature_seconds"`
 
 	// Failure accounting (fault-tolerant dispatch).
 
 	// Panics counts variant invocations that panicked and were recovered.
-	Panics int
+	Panics int `json:"panics"`
 	// Timeouts counts variant invocations that exceeded VariantTimeout.
-	Timeouts int
+	Timeouts int `json:"timeouts"`
 	// Fallbacks counts failure-driven fallback hops: every additional
 	// variant attempted after a panic/timeout/abort (distinct from
 	// DefaultFallbacks, which counts constraint/model fallbacks at
 	// selection time).
-	Fallbacks int
+	Fallbacks int `json:"fallbacks"`
 	// Quarantined counts quarantine trips — times a variant's circuit
 	// breaker opened after Threshold failures inside one Window.
-	Quarantined int
+	Quarantined int `json:"quarantined"`
 	// Recoveries counts successful half-open probes — times a quarantined
 	// variant was readmitted to selection.
-	Recoveries int
+	Recoveries int `json:"recoveries"`
 
 	// Dispatch-tier accounting: every model prediction lands in exactly one
 	// of the three buckets below (calls without an installed model land in
@@ -452,14 +452,14 @@ type CallStats struct {
 	// ExactFallbacks evaluated the exact classifier — either because no
 	// artifact is installed or because the input landed within the
 	// calibrated margin of a distilled decision boundary.
-	MemoHits       int
-	CompiledHits   int
-	ExactFallbacks int
+	MemoHits       int `json:"memo_hits"`
+	CompiledHits   int `json:"compiled_hits"`
+	ExactFallbacks int `json:"exact_fallbacks"`
 
 	// Latency holds the per-variant latency digest (p50/p95/p99 plus the
 	// regret estimate relative to the best variant), populated only after
 	// Context.EnableLatencyHistograms(fn); nil otherwise.
-	Latency map[string]obs.LatencySummary
+	Latency map[string]obs.LatencySummary `json:"latency,omitempty"`
 }
 
 // Stats returns a snapshot of the call statistics for fn. Taken under
@@ -837,15 +837,16 @@ func (cv *CodeVariant[In]) CallFixed(f *Fixed[In]) (float64, string, error) {
 // The second result reports whether a fallback happened. When constraints
 // veto every variant the index is -1 and the error is ErrAllVariantsVetoed.
 func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) {
-	idx, _, _, fellBack, _, err := cv.selectWithPred(in, vec)
+	idx, _, _, fellBack, _, _, err := cv.selectWithPred(in, vec)
 	return idx, fellBack, err
 }
 
 // predictVec runs the model prediction ladder for one feature vector: memo
 // cache, then the model's own tiers (compiled artifact, exact classifier).
-// It returns (-1, TierNone) without a model. The tier counter is recorded
-// here — at prediction time — so memoized, compiled and exact predictions
-// are counted exactly once each.
+// It returns the prediction, its tier and the model that made it: the
+// challenger, or the stable pointer it loaded; (-1, TierNone, nil) without
+// a model. The tier counter is recorded here — at prediction time — so
+// memoized, compiled and exact predictions are counted exactly once each.
 //
 // Ordering invariant: the epoch is loaded BEFORE the model pointer; see
 // memoCache for why the reverse order would be unsound under hot-swap.
@@ -854,73 +855,79 @@ func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) 
 // serves it; canary-served predictions skip the memo cache in both
 // directions (no stable-entry reads, no challenger stores) and return the
 // cell so dispatch can account the outcome.
-func (cv *CodeVariant[In]) predictVec(vec []float64) (int, ml.Tier, *canaryCell) {
+func (cv *CodeVariant[In]) predictVec(vec []float64) (int, ml.Tier, *ml.Model, *canaryCell) {
 	if cs := cv.model.canary.Load(); cs != nil && cs.admit() {
 		pred, tier := cs.model.PredictTier(vec)
 		cv.stats.recordTier(tier)
-		return pred, tier, cs
+		return pred, tier, cs.model, cs
 	}
 	epoch := cv.model.epoch.Load()
 	m := cv.model.p.Load()
 	if m == nil {
-		return -1, ml.TierNone, nil
+		return -1, ml.TierNone, nil, nil
 	}
 	h := memoHash(vec)
 	if pred, ok := cv.memo.lookup(h, vec, epoch); ok {
 		cv.stats.recordTier(ml.TierMemo)
-		return pred, ml.TierMemo, nil
+		return pred, ml.TierMemo, m, nil
 	}
 	pred, tier := m.PredictTier(vec)
 	cv.memo.store(h, vec, pred, epoch)
 	cv.stats.recordTier(tier)
-	return pred, tier, nil
+	return pred, tier, m, nil
 }
 
 // selectWithPred is SelectIndex plus the model's raw prediction (-1 when no
-// model is installed) and the tier that produced it — what the adaptation
-// observer and the decision tracer need beyond the index.
-func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Tier, bool, *canaryCell, error) {
+// model is installed), the tier that produced it, the model that made it
+// and the canary cell when the challenger served the call — what the
+// adaptation observer, the canary accounting and the decision tracer need
+// beyond the index.
+func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Tier, bool, *ml.Model, *canaryCell, error) {
 	if len(cv.variants) == 0 {
-		return -1, -1, ml.TierNone, false, nil, errNoVariants
+		return -1, -1, ml.TierNone, false, nil, nil, errNoVariants
 	}
 	var now int64
 	if cv.policy.Quarantine.Enabled() {
 		now = nowNanos()
 	}
-	pred, tier, cs := cv.predictVec(vec)
-	rawPred := pred
+	pred, tier, m, cs := cv.predictVec(vec)
 	if tier != ml.TierNone {
 		if pred >= 0 && pred < len(cv.variants) && cv.selectable(pred, in, now) {
-			return pred, rawPred, tier, false, cs, nil
+			return pred, pred, tier, false, m, cs, nil
 		}
 	}
 	// Fallback chain: the default variant only if it passes its own
 	// constraints (a vetoed default must never execute), then the first
 	// allowed variant in registration order.
 	if idx := cv.firstFallback(func(i int) bool { return cv.selectable(i, in, now) }); idx >= 0 {
-		return idx, rawPred, tier, true, cs, nil
+		return idx, pred, tier, true, m, cs, nil
 	}
 	if cv.policy.Quarantine.Enabled() {
 		// Everything allowed is quarantined: last resort, constraints only.
 		if idx := cv.firstFallback(func(i int) bool { return cv.Allowed(i, in) }); idx >= 0 {
-			return idx, rawPred, tier, true, cs, nil
+			return idx, pred, tier, true, m, cs, nil
 		}
 	}
-	return -1, rawPred, tier, true, cs, ErrAllVariantsVetoed
+	return -1, pred, tier, true, m, cs, ErrAllVariantsVetoed
 }
 
 // dispatchResult is the full outcome of one dispatch: what ran, whether
-// selection fell back, and how many failure-driven fallback hops were taken —
-// everything the decision tracer needs beyond the (value, name, err) triple
-// the Call paths return.
+// selection fell back, how many failure-driven fallback hops were taken and
+// which model predicted the call — everything the decision tracer needs
+// beyond the (value, name, err) triple the Call paths return.
+//
+// The small fields go last, so the struct packs into 72 bytes: the
+// untraced path zeroes and copies it inline, where a larger one takes a
+// runtime call each way.
 type dispatchResult struct {
 	value    float64
 	idx      int
 	name     string
-	fellBack bool
 	hops     int
-	tier     ml.Tier
+	model    *ml.Model
 	err      error
+	tier     ml.Tier
+	fellBack bool
 }
 
 // dispatch runs selection + execution + statistics on an already evaluated
@@ -942,12 +949,12 @@ func (cv *CodeVariant[In]) dispatch(ctx context.Context, in In, vec []float64, f
 // dispatchRun is the single dispatch implementation behind both the traced
 // and untraced paths.
 func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64, featSeconds float64) dispatchResult {
-	idx, pred, tier, fellBack, cs, err := cv.selectWithPred(in, vec)
+	idx, pred, tier, fellBack, m, cs, err := cv.selectWithPred(in, vec)
 	if err != nil {
 		if cs != nil {
 			cs.record(true)
 		}
-		return dispatchResult{idx: -1, fellBack: fellBack, tier: tier, err: err}
+		return dispatchResult{idx: -1, fellBack: fellBack, tier: tier, model: m, err: err}
 	}
 	value, verr := cv.exec(ctx, idx, in, featSeconds, fellBack)
 	if verr == nil {
@@ -958,19 +965,19 @@ func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64
 			cs.record(fellBack)
 		}
 		cv.observe(in, vec, pred, idx, value, fellBack)
-		return dispatchResult{value: value, idx: idx, name: cv.variants[idx].name, fellBack: fellBack, tier: tier}
+		return dispatchResult{value: value, idx: idx, name: cv.variants[idx].name, fellBack: fellBack, tier: tier, model: m}
 	}
 	var ve *VariantError
 	if !errors.As(verr, &ve) {
 		// Caller cancellation says nothing about the challenger: no canary
 		// accounting either way.
-		return dispatchResult{idx: -1, fellBack: fellBack, tier: tier, err: verr} // context cancellation: do not fall back
+		return dispatchResult{idx: -1, fellBack: fellBack, tier: tier, model: m, err: verr} // context cancellation: do not fall back
 	}
 	if cs != nil {
 		cs.record(true)
 	}
 	value, cidx, hops, ferr := cv.dispatchFallback(ctx, in, vec, featSeconds, idx, pred, verr)
-	r := dispatchResult{value: value, idx: cidx, fellBack: true, hops: hops, tier: tier, err: ferr}
+	r := dispatchResult{value: value, idx: cidx, fellBack: true, hops: hops, tier: tier, model: m, err: ferr}
 	if cidx >= 0 && ferr == nil {
 		r.name = cv.variants[cidx].name
 	}

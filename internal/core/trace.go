@@ -43,9 +43,11 @@ func (cv *CodeVariant[In]) DisableTracing() { cv.tracer.Store(nil) }
 func (cv *CodeVariant[In]) Tracer() *obs.Tracer { return cv.tracer.Load() }
 
 // dispatchTraced runs one admitted dispatch under full decision capture:
-// the model explanation (raw + scaled features, per-class scores, pairwise
-// SVM decision values, ranked preference order), the selection-time veto and
-// quarantine view, the executed variant and the failure fallback hop count.
+// the selection-time veto and quarantine view, the executed variant and the
+// failure fallback hop count, and the explanation (raw + scaled features,
+// per-class scores, pairwise SVM decision values, ranked preference order)
+// of the model that predicted the call — the canary's challenger when it
+// served the call, else the stable model the dispatch loaded.
 func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in In, vec []float64, featSeconds float64) (float64, string, error) {
 	start := time.Now()
 	rec := obs.DecisionTrace{
@@ -54,16 +56,6 @@ func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in
 		Predicted:   -1,
 		ChosenIdx:   -1,
 		Start:       start,
-	}
-	if m := cv.model.p.Load(); m != nil {
-		ex := m.Explain(vec)
-		rec.ScaledFeatures = ex.Scaled
-		rec.Classes = ex.Classes
-		rec.Scores = ex.Scores
-		rec.PairDecisions = ex.PairDecisions
-		rec.Ranked = ex.Ranked
-		rec.Predicted = ex.Predicted
-		rec.ModelVersion = ex.Version
 	}
 	var now int64
 	if cv.policy.Quarantine.Enabled() {
@@ -81,6 +73,16 @@ func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in
 		}
 	}
 	r := cv.dispatchRun(ctx, in, vec, featSeconds)
+	if r.model != nil {
+		ex := r.model.Explain(vec)
+		rec.ScaledFeatures = ex.Scaled
+		rec.Classes = ex.Classes
+		rec.Scores = ex.Scores
+		rec.PairDecisions = ex.PairDecisions
+		rec.Ranked = ex.Ranked
+		rec.Predicted = ex.Predicted
+		rec.ModelVersion = ex.Version
+	}
 	rec.FellBack = r.fellBack
 	rec.FallbackHops = r.hops
 	rec.ChosenIdx = r.idx

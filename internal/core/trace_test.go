@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nitro/internal/ml"
 	"nitro/internal/obs"
 )
 
@@ -304,6 +305,49 @@ func TestTracedDispatchMatchesUntraced(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("tracing changed dispatch results:\n%s---\n%s", a, b)
+	}
+}
+
+// TestTraceNamesServingModel: a traced call explains the model that
+// predicted it. At fraction 1 the canary's v7 challenger serves every call,
+// so the trace carries its version, prediction and scores; at fraction 0
+// the stable model serves and is the one named.
+func TestTraceNamesServingModel(t *testing.T) {
+	cv, stable := buildConcurrentCV(t, DefaultPolicy("tracecanary"))
+	cx := cv.Context()
+	stable.Meta = &ml.ModelMeta{Version: 6}
+	if err := cx.SetModel("tracecanary", stable); err != nil {
+		t.Fatal(err)
+	}
+	challenger := singleClassModel(t, 1) // "large" everywhere
+	challenger.Meta = &ml.ModelMeta{Version: 7}
+	tr := cv.EnableTracing(obs.TracePolicy{Mode: obs.TraceAlways})
+	x := []float64{1} // the stable model picks "small" here
+
+	for _, c := range []struct {
+		fraction  float64
+		model     *ml.Model
+		version   int
+		predicted int
+		chosen    string
+	}{
+		{1, challenger, 7, 1, "large"},
+		{0, stable, 6, 0, "small"},
+	} {
+		if err := cx.SetCanary("tracecanary", challenger, c.fraction); err != nil {
+			t.Fatal(err)
+		}
+		if _, name, err := cv.Call(testInput{X: x[0]}); err != nil || name != c.chosen {
+			t.Fatalf("fraction %v: Call = (%q, %v), want %q", c.fraction, name, err, c.chosen)
+		}
+		rec := tr.Recent(1)[0]
+		ex := c.model.Explain(x)
+		if rec.ModelVersion != c.version || rec.Predicted != c.predicted || rec.Chosen != c.chosen || rec.FellBack {
+			t.Errorf("fraction %v: trace %s, want v%d predicting %d and choosing %s", c.fraction, rec, c.version, c.predicted, c.chosen)
+		}
+		if fmt.Sprint(rec.Scores, rec.Ranked) != fmt.Sprint(ex.Scores, ex.Ranked) {
+			t.Errorf("fraction %v: trace scores %v ranked %v, want %v %v", c.fraction, rec.Scores, rec.Ranked, ex.Scores, ex.Ranked)
+		}
 	}
 }
 

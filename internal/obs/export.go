@@ -165,10 +165,19 @@ func validateMetric(m Metric) error {
 	return nil
 }
 
+// labelValueEscaper applies the exposition format's only three label-value
+// escapes; every other byte, a tab or a NUL included, goes out as it is.
+var labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // labelString renders {k="v",...} (empty string for no labels), with one
 // extra label appended when extra is non-nil.
 func labelString(labels []Label, extra *Label) string {
-	if len(labels) == 0 && extra == nil {
+	if extra != nil {
+		// The full slice expression makes append copy, so the caller's
+		// backing array is never written.
+		labels = append(labels[:len(labels):len(labels)], *extra)
+	}
+	if len(labels) == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -177,28 +186,17 @@ func labelString(labels []Label, extra *Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-	}
-	if extra != nil {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", extra.Key, extra.Value)
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		labelValueEscaper.WriteString(&b, l.Value)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
 // fmtValue renders a sample value the way Prometheus expects.
-func fmtValue(v float64) string { return strconv64(v) }
-
-func strconv64(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	if s == "+Inf" || s == "-Inf" {
-		return s
-	}
-	return s
-}
+func fmtValue(v float64) string { return fmt.Sprintf("%g", v) }
 
 // WritePrometheus writes the registry's metrics in Prometheus text
 // exposition format (version 0.0.4). Metrics are grouped by name with one

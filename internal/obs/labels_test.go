@@ -44,6 +44,39 @@ func TestValidatePrometheusTextLabels(t *testing.T) {
 	}
 }
 
+// TestLabelValuesUseExpositionEscapes: a label value is written with the
+// exposition format's escapes for backslash, double quote and newline and
+// every other byte as it is (a tab, a NUL, UTF-8), so the registry's own
+// scrape passes its lint whatever the value holds.
+func TestLabelValuesUseExpositionEscapes(t *testing.T) {
+	value := "a\tb\x00c\"d\\e\nf\u00e9"
+	r := NewRegistry()
+	r.Register(func(emit func(Metric)) {
+		emit(Counter("nitro_server_tenant_requests_total", "Requests per tenant.", 1,
+			Label{Key: "tenant", Value: value}))
+		emit(Metric{Name: "nitro_request_seconds", Help: "Request latency.", Kind: KindHistogram,
+			Labels:  []Label{{Key: "route", Value: value}},
+			Buckets: []Bucket{{LE: 0.5, Count: 1}}, Count: 1, Sum: 0.25})
+	})
+	text, err := r.PrometheusText()
+	if err != nil {
+		t.Fatalf("exposition failed: %v", err)
+	}
+	if err := ValidatePrometheusText(text); err != nil {
+		t.Fatalf("exposition fails its own lint: %v\n%s", err, text)
+	}
+	rendered := "a\tb\x00c\\\"d\\\\e\\nf\u00e9"
+	for _, want := range []string{
+		`nitro_server_tenant_requests_total{tenant="` + rendered + `"} 1`,
+		`nitro_request_seconds_bucket{route="` + rendered + `",le="0.5"} 1`,
+		`nitro_request_seconds_bucket{route="` + rendered + `",le="+Inf"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
 // TestLabeledSeriesRoundTrip: labeled metrics written by the registry must
 // pass the same lint a live scrape runs, and distinct label values must
 // produce distinct sorted sample lines under one TYPE header.

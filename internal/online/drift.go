@@ -1,6 +1,7 @@
-// Drift detection: a windowed mismatch-rate / regret detector with
-// thresholds and hysteresis, driving the sampling → drift → retrain →
-// swap/rollback state machine of the adaptation engine.
+// Drift detection: a windowed mismatch-rate detector with a threshold and
+// fixed hysteresis, driving the sampling → drift → retrain → swap/rollback
+// state machine of the adaptation engine. Each window's mean relative regret
+// is measured and reported alongside, but decides nothing.
 //
 // The detector is deliberately a pure, lock-free state machine over explored
 // observations — the Engine serializes access and executes the side effects
@@ -15,7 +16,7 @@ type State int32
 
 const (
 	// StateHealthy: the installed model matches the observed input
-	// distribution (mismatch/regret below thresholds).
+	// distribution (mismatch rate below the threshold).
 	StateHealthy State = iota
 	// StateDrifting: sustained drift detected (hysteresis satisfied); the
 	// engine is accumulating labelled samples toward a retrain.
@@ -41,17 +42,18 @@ func (s State) String() string {
 // observation.
 type Verdict struct {
 	// WindowClosed reports that this observation completed a window;
-	// MismatchRate / Regret / Bad describe it.
+	// MismatchRate / Regret / Bad describe it. Bad is MismatchRate reaching
+	// the policy's MismatchThreshold; Regret is reported only.
 	WindowClosed bool
 	MismatchRate float64
 	Regret       float64
 	Bad          bool
 	// DriftDetected fires once per sustained-drift episode, when the bad
-	// streak reaches the hysteresis.
+	// streak reaches driftWindows.
 	DriftDetected bool
-	// Recovered fires once after a swap, when the good streak reaches the
-	// recovery hysteresis — the post-swap mismatch rate has stayed below the
-	// thresholds long enough to call the episode closed.
+	// Recovered fires once after a swap, when the good streak reaches
+	// recoveryWindows — the post-swap mismatch rate has stayed below the
+	// threshold long enough to call the episode closed.
 	Recovered bool
 	// WantRetrain asks the engine to start a retrain now (state is Drifting,
 	// no cooldown pending). The engine still gates on sample availability
@@ -63,16 +65,22 @@ type Verdict struct {
 	StreakStart int64
 }
 
+// The fixed hysteresis, in windows: consecutive bad windows that declare
+// drift, consecutive good windows that close an episode after a swap (or
+// stand a false alarm down), and windows after a swap, rollback or failed
+// retrain before another retrain may be asked for.
+const (
+	driftWindows    = 2
+	recoveryWindows = 2
+	cooldownWindows = 2
+)
+
 // detector accumulates explored observations into tumbling windows and runs
 // the drift state machine. Not safe for concurrent use; the Engine guards it.
 type detector struct {
 	// Configuration (copied from the normalized Policy).
 	window            int
 	mismatchThreshold float64
-	regretThreshold   float64
-	driftWindows      int
-	recoveryWindows   int
-	cooldownWindows   int
 
 	state State
 
@@ -101,10 +109,6 @@ func newDetector(p Policy) *detector {
 	return &detector{
 		window:            p.Window,
 		mismatchThreshold: p.MismatchThreshold,
-		regretThreshold:   p.RegretThreshold,
-		driftWindows:      p.DriftWindows,
-		recoveryWindows:   p.RecoveryWindows,
-		cooldownWindows:   p.CooldownWindows,
 		state:             StateHealthy,
 	}
 }
@@ -132,7 +136,7 @@ func (d *detector) closeWindow() Verdict {
 	v := Verdict{WindowClosed: true}
 	v.MismatchRate = float64(d.mismatches) / float64(d.n)
 	v.Regret = d.regretSum / float64(d.n)
-	v.Bad = v.MismatchRate >= d.mismatchThreshold || v.Regret >= d.regretThreshold
+	v.Bad = v.MismatchRate >= d.mismatchThreshold
 	d.lastMismatch, d.lastRegret = v.MismatchRate, v.Regret
 	d.windows++
 
@@ -145,11 +149,11 @@ func (d *detector) closeWindow() Verdict {
 	} else {
 		d.goodStreak++
 		d.badStreak = 0
-		if d.recoveredPending && d.goodStreak >= d.recoveryWindows {
+		if d.recoveredPending && d.goodStreak >= recoveryWindows {
 			d.recoveredPending = false
 			v.Recovered = true
 		}
-		if d.state == StateDrifting && d.goodStreak >= d.recoveryWindows {
+		if d.state == StateDrifting && d.goodStreak >= recoveryWindows {
 			// False alarm (or the drift reverted on its own): stand down
 			// without spending a retrain.
 			d.state = StateHealthy
@@ -159,7 +163,7 @@ func (d *detector) closeWindow() Verdict {
 		d.cooldown--
 	}
 
-	if d.state == StateHealthy && d.cooldown == 0 && d.badStreak >= d.driftWindows {
+	if d.state == StateHealthy && d.cooldown == 0 && d.badStreak >= driftWindows {
 		d.state = StateDrifting
 		d.drifts++
 		v.DriftDetected = true
@@ -184,7 +188,7 @@ func (d *detector) onRetrainStart() { d.state = StateRetraining }
 func (d *detector) onSwap() {
 	d.state = StateHealthy
 	d.badStreak, d.goodStreak = 0, 0
-	d.cooldown = d.cooldownWindows
+	d.cooldown = cooldownWindows
 	d.recoveredPending = true
 	d.n, d.mismatches, d.regretSum = 0, 0, 0
 }
@@ -194,7 +198,7 @@ func (d *detector) onSwap() {
 // another retrain (by then more labelled samples have accumulated).
 func (d *detector) onRollback() {
 	d.state = StateDrifting
-	d.cooldown = d.cooldownWindows
+	d.cooldown = cooldownWindows
 }
 
 // onRetrainFailed records a retrain that errored out; treated like a

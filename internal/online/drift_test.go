@@ -4,14 +4,7 @@ import "testing"
 
 // detPolicy is a small, fast detector configuration for unit tests.
 func detPolicy() Policy {
-	return Policy{
-		Window:            4,
-		MismatchThreshold: 0.5,
-		RegretThreshold:   0.5,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
-	}.normalized()
+	return Policy{Window: 4, MismatchThreshold: 0.5}.normalized()
 }
 
 // feed pushes n observations with the given mismatch flag and regret,
@@ -48,14 +41,39 @@ func TestDetectorWindowRates(t *testing.T) {
 		t.Errorf("regret = %v", v.Regret)
 	}
 	if v.Bad {
-		t.Error("window below both thresholds marked bad")
+		t.Error("window below the mismatch threshold marked bad")
 	}
 	if d.state != StateHealthy {
 		t.Errorf("state = %v", d.state)
 	}
 }
 
-// TestDetectorDriftHysteresis: one bad window is not drift; DriftWindows
+// TestDetectorRegretDecidesNothing: a window is bad exactly when its
+// mismatch rate reaches the threshold. Regret, however large, is reported
+// but neither marks a window bad nor keeps a mismatched one good.
+func TestDetectorRegretDecidesNothing(t *testing.T) {
+	d := newDetector(detPolicy())
+	var seq int64
+	for _, v := range feed(d, &seq, 12, false, 9) {
+		if v.Bad || v.DriftDetected || v.Regret != 9 {
+			t.Fatalf("regret-only window: %+v", v)
+		}
+	}
+	if d.state != StateHealthy {
+		t.Fatalf("regret alone moved the state to %v", d.state)
+	}
+	// Two of four mismatched reaches the 0.5 threshold at zero regret.
+	var closed []Verdict
+	for i := 0; i < 2; i++ {
+		closed = append(closed, feed(d, &seq, 2, true, 0)...)
+		closed = append(closed, feed(d, &seq, 2, false, 0)...)
+	}
+	if len(closed) != 2 || !closed[0].Bad || closed[0].MismatchRate != 0.5 || !closed[1].DriftDetected {
+		t.Fatalf("mismatch-only windows: %+v", closed)
+	}
+}
+
+// TestDetectorDriftHysteresis: one bad window is not drift; driftWindows
 // consecutive bad windows are, and then every closed window asks for a
 // retrain until the state machine moves on.
 func TestDetectorDriftHysteresis(t *testing.T) {
@@ -68,7 +86,7 @@ func TestDetectorDriftHysteresis(t *testing.T) {
 	closed = feed(d, &seq, 4, true, 1)
 	v := closed[0]
 	if !v.DriftDetected || d.state != StateDrifting {
-		t.Fatalf("no drift after %d bad windows: %+v state=%v", d.driftWindows, v, d.state)
+		t.Fatalf("no drift after %d bad windows: %+v state=%v", driftWindows, v, d.state)
 	}
 	if !v.WantRetrain {
 		t.Fatal("drifting detector should want a retrain")
@@ -149,7 +167,7 @@ func TestDetectorSwapRecoveryAndCooldown(t *testing.T) {
 }
 
 // TestDetectorRollbackCooldown: a rollback keeps the detector drifting but
-// backs off asking for retrains for CooldownWindows windows.
+// backs off asking for retrains for cooldownWindows windows.
 func TestDetectorRollbackCooldown(t *testing.T) {
 	d := newDetector(detPolicy())
 	var seq int64
@@ -169,7 +187,7 @@ func TestDetectorRollbackCooldown(t *testing.T) {
 	// onRetrainFailed behaves like a rollback.
 	d.onRetrainStart()
 	d.onRetrainFailed()
-	if d.state != StateDrifting || d.cooldown != d.cooldownWindows {
+	if d.state != StateDrifting || d.cooldown != cooldownWindows {
 		t.Errorf("onRetrainFailed: state=%v cooldown=%d", d.state, d.cooldown)
 	}
 }

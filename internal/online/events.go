@@ -36,19 +36,19 @@ const (
 // Event is one adaptation timeline entry.
 type Event struct {
 	// Seq is the event's position in the timeline (0-based).
-	Seq int
+	Seq int `json:"seq"`
 	// Call is the engine's observed-call count when the event fired.
-	Call int64
+	Call int64 `json:"call"`
 	// Kind classifies the event.
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// MismatchRate / Regret carry the closing window's rates for window,
 	// drift and recovered events (0 otherwise).
-	MismatchRate float64
-	Regret       float64
+	MismatchRate float64 `json:"mismatch_rate"`
+	Regret       float64 `json:"regret"`
 	// Version is the model version a swap installed (or a rollback kept).
-	Version int
+	Version int `json:"version"`
 	// Detail is a deterministic human-readable elaboration.
-	Detail string
+	Detail string `json:"detail,omitempty"`
 }
 
 // String renders the event as one deterministic timeline line, e.g.

@@ -123,7 +123,7 @@ func TestStateStringGoldens(t *testing.T) {
 // healthy. This is the satellite's drift-state transition golden — the
 // sequence must be deterministic, not merely eventually correct.
 func TestDetectorStateTransitionGolden(t *testing.T) {
-	d := newDetector(detPolicy()) // window=4, drift=2, recovery=2, cooldown=2
+	d := newDetector(detPolicy()) // window=4; drift, recovery and cooldown are 2
 	var seq int64
 	var trail []string
 	record := func(tag string) {

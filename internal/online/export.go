@@ -1,40 +1,9 @@
-// Telemetry export for the adaptation engine: stable JSON forms for the
-// event timeline, drift gauges for the metrics endpoint, and the debug-vars
-// registration that puts the adaptation timeline tail on /vars.
+// Telemetry export for the adaptation engine: drift gauges for the metrics
+// endpoint, and the debug-vars registration that puts the adaptation
+// timeline tail on /vars.
 package online
 
-import (
-	"encoding/json"
-
-	"nitro/internal/obs"
-)
-
-// eventJSON fixes Event's wire field names, so external scrapers get a
-// stable snake_case schema (mirrors core's adaptStatsJSON pattern).
-type eventJSON struct {
-	Seq          int       `json:"seq"`
-	Call         int64     `json:"call"`
-	Kind         EventKind `json:"kind"`
-	MismatchRate float64   `json:"mismatch_rate"`
-	Regret       float64   `json:"regret"`
-	Version      int       `json:"version"`
-	Detail       string    `json:"detail,omitempty"`
-}
-
-// MarshalJSON serializes the event with stable snake_case field names.
-func (ev Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(eventJSON(ev))
-}
-
-// UnmarshalJSON accepts the MarshalJSON wire form.
-func (ev *Event) UnmarshalJSON(data []byte) error {
-	var j eventJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*ev = Event(j)
-	return nil
-}
+import "nitro/internal/obs"
 
 // Collector exports the engine's adaptation and drift gauges under the
 // nitro_adapt_* namespace, labelled with the tunable function's name.

@@ -1,4 +1,4 @@
-// Fleet-wide drift detection: the same windowed mismatch/regret state
+// Fleet-wide drift detection: the same windowed mismatch-rate state
 // machine the per-process adaptation engine runs, exported for a registry
 // daemon that pools observation samples pushed by many client processes.
 //
@@ -18,10 +18,13 @@ import (
 )
 
 // RemoteSample is one observation pushed by a remote client: the input's
-// feature vector, the per-variant timings it observed (+Inf for variants
-// that were vetoed, quarantined or failed — the same convention as
-// autotuner.Observation), and the variant index the client's installed
-// model predicted.
+// feature vector, the per-variant timings it observed, and the variant index
+// the client's installed model predicted. Every feature and time is finite:
+// neither JSON nor the binary sample frame can carry NaN or ±Inf, and the
+// registry refuses them from in-process callers too. For a variant it could
+// not time (vetoed, quarantined or failed — +Inf in autotuner.Observation) a
+// client either sends a finite stand-in, such as a cost above every variant
+// it did time, or drops the sample.
 type RemoteSample struct {
 	// Features is the unscaled feature vector.
 	Features []float64 `json:"features"`
@@ -56,8 +59,8 @@ type FleetDetector struct {
 	mismatches int64
 }
 
-// NewFleetDetector builds a detector from the policy's window/threshold/
-// hysteresis fields (the sampling and retrain fields are ignored — the
+// NewFleetDetector builds a detector from the policy's Window and
+// MismatchThreshold (the sampling and retrain fields are ignored — the
 // server owns those decisions).
 func NewFleetDetector(pol Policy) *FleetDetector {
 	pol = pol.normalized()
@@ -77,9 +80,6 @@ func (f *FleetDetector) Ingest(s RemoteSample) Verdict {
 	if s.Predicted < len(s.Times) {
 		if pv := s.Times[s.Predicted]; !math.IsInf(pv, 1) && bestV > 0 && pv > bestV {
 			regret = (pv - bestV) / bestV
-		} else if math.IsInf(pv, 1) {
-			// The model picked an infeasible variant: maximal regret signal.
-			regret = 1
 		}
 	}
 	f.mu.Lock()

@@ -9,7 +9,6 @@ import (
 func fleetPolicy() Policy {
 	p := DefaultPolicy(1)
 	p.Window = 5
-	p.DriftWindows = 2
 	return p
 }
 
@@ -79,14 +78,13 @@ func TestFleetDetectorSkipsUnevaluableSamples(t *testing.T) {
 	}
 }
 
-// TestFleetDetectorRegretOnly: correct-argmin predictions never carry
-// mismatch, but an infeasible pick is maximal regret; sustained regret alone
-// trips drift.
-func TestFleetDetectorRegretOnly(t *testing.T) {
+// TestFleetDetectorStandInPickTripsDrift: a client that could not time its
+// predicted variant pushes a finite stand-in cost for it. That pick misses
+// the observed best, and the mismatch, sustained over two windows, trips
+// drift; the stand-in's regret is reported as measured.
+func TestFleetDetectorStandInPickTripsDrift(t *testing.T) {
 	f := NewFleetDetector(fleetPolicy())
-	inf := math.Inf(1)
-	// Predicted variant is infeasible: mismatch + regret 1.
-	s := RemoteSample{Times: []float64{1, inf}, Predicted: 1}
+	s := RemoteSample{Times: []float64{1, 1e6}, Predicted: 1}
 	drifted := false
 	for i := 0; i < 10; i++ {
 		if v := f.Ingest(s); v.DriftDetected {
@@ -94,7 +92,10 @@ func TestFleetDetectorRegretOnly(t *testing.T) {
 		}
 	}
 	if !drifted {
-		t.Fatal("infeasible-pick windows did not trip drift")
+		t.Fatal("stand-in-pick windows did not trip drift")
+	}
+	if st := f.Stats(); st.LastMismatchRate != 1 || st.LastRegret != 1e6-1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

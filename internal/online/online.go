@@ -10,8 +10,8 @@
 //     non-predicted (constraint-feasible, non-quarantined) variants on
 //     sampled inputs to observe the actual best,
 //  3. feeds (featureVector, observedBest, predictedBest, timings) into a
-//     windowed drift detector (mismatch rate + estimated regret, with
-//     thresholds and hysteresis), and
+//     windowed drift detector (a window is bad when its mismatch rate
+//     reaches a threshold; two bad windows in a row are drift), and
 //  4. on sustained drift, launches a background retrainer that seeds the
 //     autotuner's pipeline (optionally the BvSB incremental loop) with the
 //     drifted samples, validates the candidate against the incumbent on a
@@ -65,20 +65,13 @@ type Policy struct {
 	// Window is the number of explored observations per drift-detector
 	// window (default 25).
 	Window int
-	// MismatchThreshold / RegretThreshold mark a window "bad" when its
-	// mismatch rate (observed best != predicted) or mean relative regret
-	// reaches them (defaults 0.35 and 0.25).
+	// MismatchThreshold marks a window "bad" when its mismatch rate
+	// (observed best != predicted) reaches it (default 0.35). Two bad
+	// windows in a row declare drift, two good windows after a swap close
+	// the episode, and a retrain is not asked for again until two windows
+	// after a swap, rollback or failed retrain. The window's mean relative
+	// regret is reported but decides nothing.
 	MismatchThreshold float64
-	RegretThreshold   float64
-	// DriftWindows is the hysteresis: consecutive bad windows required to
-	// declare sustained drift (default 2).
-	DriftWindows int
-	// RecoveryWindows is the recovery hysteresis: consecutive good windows
-	// after a swap required to declare the episode recovered (default 2).
-	RecoveryWindows int
-	// CooldownWindows suppresses retrain (re-)triggering for this many
-	// windows after a swap, rollback or failed retrain (default 2).
-	CooldownWindows int
 	// MinRetrainSamples is the minimum number of labelled observations from
 	// the drifted period required before a retrain launches (default 20).
 	MinRetrainSamples int
@@ -103,10 +96,6 @@ func DefaultPolicy(seed int64) Policy {
 		ReservoirSize:     128,
 		Window:            25,
 		MismatchThreshold: 0.35,
-		RegretThreshold:   0.25,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
 		MinRetrainSamples: 20,
 		Seed:              seed,
 	}
@@ -125,20 +114,6 @@ func (p Policy) normalized() Policy {
 	}
 	if p.MismatchThreshold <= 0 {
 		p.MismatchThreshold = 0.35
-	}
-	if p.RegretThreshold <= 0 {
-		p.RegretThreshold = 0.25
-	}
-	if p.DriftWindows <= 0 {
-		p.DriftWindows = 2
-	}
-	if p.RecoveryWindows <= 0 {
-		p.RecoveryWindows = 2
-	}
-	if p.CooldownWindows < 0 {
-		p.CooldownWindows = 0
-	} else if p.CooldownWindows == 0 {
-		p.CooldownWindows = 2
 	}
 	if p.MinRetrainSamples <= 0 {
 		p.MinRetrainSamples = 20
@@ -397,11 +372,11 @@ func (e *Engine[In]) recordExploredLocked(o core.CallObservation[In], lab labell
 			Detail: fmt.Sprintf("bad=%v streak=%d state=%s", v.Bad, e.det.badStreak, e.det.state)})
 		if v.DriftDetected {
 			e.emit(Event{Kind: EventDrift, MismatchRate: v.MismatchRate, Regret: v.Regret,
-				Detail: fmt.Sprintf("sustained over %d windows", e.pol.DriftWindows)})
+				Detail: fmt.Sprintf("sustained over %d windows", driftWindows)})
 		}
 		if v.Recovered {
 			e.emit(Event{Kind: EventRecovered, MismatchRate: v.MismatchRate, Regret: v.Regret,
-				Detail: fmt.Sprintf("%d consecutive good windows", e.pol.RecoveryWindows)})
+				Detail: fmt.Sprintf("%d consecutive good windows", recoveryWindows)})
 		}
 		if v.WantRetrain && !e.retraining {
 			job = e.startRetrainLocked(v.StreakStart)

@@ -88,10 +88,6 @@ func testPolicy(seed int64) Policy {
 		ReservoirSize:     256,
 		Window:            10,
 		MismatchThreshold: 0.5,
-		RegretThreshold:   2.0,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
 		MinRetrainSamples: 40,
 		Retrain: autotuner.RetrainOptions{
 			TrainOptions: autotuner.TrainOptions{Classifier: "svm", Seed: 1},

@@ -83,7 +83,7 @@ func TestEndToEndCanaryLifecycle(t *testing.T) {
 		Tenants:           []server.TenantConfig{{Name: "fleet", Token: "tok-fleet"}},
 		Workers:           1,
 		MinRetrainSamples: 16,
-		Drift:             online.Policy{Window: 10, DriftWindows: 2},
+		Drift:             online.Policy{Window: 10},
 		Canary:            server.CanaryPolicy{Fraction: 0.5, MinSamples: 40, MaxFailureRate: 0.2},
 	}})
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -1155,12 +1156,17 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 	if err != nil {
 		return online.FleetStats{}, err
 	}
-	// Validate shapes before charging the rate limit: a malformed batch is
-	// rejected whole and must not burn quota.
-	for _, s := range samples {
+	// Validate shapes and values before charging the rate limit: a
+	// malformed batch is rejected whole and must not burn quota. The wire
+	// decoders already refuse NaN and ±Inf; this refuses them from
+	// in-process callers too.
+	for i, s := range samples {
 		if len(s.Features) != len(fs.spec.Features) || len(s.Times) != len(fs.spec.Variants) {
 			return online.FleetStats{}, fmt.Errorf("%w: sample shape %dx%d, want %dx%d",
 				ErrInvalid, len(s.Features), len(s.Times), len(fs.spec.Features), len(fs.spec.Variants))
+		}
+		if slices.ContainsFunc(s.Features, nonFinite) || slices.ContainsFunc(s.Times, nonFinite) {
+			return online.FleetStats{}, fmt.Errorf("%w: sample %d carries NaN or ±Inf; observations carry finite values only", ErrInvalid, i)
 		}
 	}
 	if !ts.bucket.allow(r.cfg.Clock(), float64(len(samples))) {
@@ -1191,7 +1197,7 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 	if fs.detector.State() != stateBefore {
 		r.cfg.Log.Event(ctx, "server", "drift.transition",
 			trace.F("tenant", tenant), trace.F("fn", fn),
-			trace.F("from", string(stateBefore)), trace.F("to", string(fs.detector.State())))
+			trace.F("from", stateBefore.String()), trace.F("to", fs.detector.State().String()))
 		// A drift-state transition is the durable event; raw counter churn
 		// between transitions is flushed at shutdown drain instead of per
 		// push, keeping the fsync rate off the observation hot path.

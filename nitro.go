@@ -62,11 +62,12 @@
 // Deployments whose input distribution drifts away from the offline training
 // corpus can enable online adaptation: an engine samples live calls, spends a
 // small epsilon-greedy exploration budget re-timing the alternative variants
-// on sampled inputs, detects sustained drift with a windowed mismatch/regret
-// detector, retrains in the background on the drifted observations, and
-// hot-swaps the new model in (rolling back when the candidate loses its
-// holdout validation). Adaptation is inert by default and deterministic under
-// a fixed seed:
+// on sampled inputs, detects sustained drift when two windows in a row
+// mispredict the observed best at least MismatchThreshold of the time,
+// retrains in the background on the drifted observations, and hot-swaps the
+// new model in (rolling back when the candidate loses its holdout
+// validation). Adaptation is inert by default and deterministic under a
+// fixed seed:
 //
 //	eng, err := nitro.EnableAdaptation(cv, nitro.DefaultAdaptPolicy(42))
 //	defer eng.Close()
@@ -214,8 +215,8 @@ func NewAutotuner[In any](cv *CodeVariant[In], opts TrainOptions) *Autotuner[In]
 }
 
 // AdaptPolicy configures an online adaptation engine: sampling rate,
-// exploration budget, drift-detector windows/thresholds/hysteresis, and the
-// background retrainer.
+// exploration budget, the drift detector's window and mismatch threshold
+// (its hysteresis is fixed at two windows), and the background retrainer.
 type AdaptPolicy = online.Policy
 
 // DefaultAdaptPolicy returns a balanced adaptation configuration (sample
@@ -445,7 +446,7 @@ func TraceIDFrom(ctx context.Context) string { return trace.From(ctx) }
 
 // RemoteSample is one labelled observation pushed to the registry's
 // fleet-wide drift detector: a feature vector, per-variant times and the
-// variant the local model predicted.
+// variant the local model predicted. Features and times must be finite.
 type RemoteSample = online.RemoteSample
 
 // FleetStats snapshots the server-side drift detector for one function.

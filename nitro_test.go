@@ -195,10 +195,6 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 		ReservoirSize:     128,
 		Window:            10,
 		MismatchThreshold: 0.5,
-		RegretThreshold:   2.0,
-		DriftWindows:      2,
-		RecoveryWindows:   2,
-		CooldownWindows:   2,
 		MinRetrainSamples: 20,
 		Retrain:           nitro.RetrainOptions{TrainOptions: nitro.TrainOptions{Classifier: "svm", Seed: 1}},
 		Seed:              7,
