@@ -30,9 +30,10 @@ type RemoteSample struct {
 	Features []float64 `json:"features"`
 	// Times holds the observed optimization value of every variant.
 	Times []float64 `json:"times"`
-	// Predicted is the variant index the client's model chose (-1 when the
-	// client had no model installed; such samples still label the corpus but
-	// carry no mismatch signal).
+	// Predicted is the variant index the client's model chose, in
+	// [0, len(Times)), or -1 when the client had no model installed (such
+	// samples still label the corpus but carry no mismatch signal). The
+	// registry refuses a batch holding any other value.
 	Predicted int `json:"predicted"`
 }
 

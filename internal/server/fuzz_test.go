@@ -19,7 +19,10 @@ import (
 // FuzzJournal writes arbitrary bytes as journal.wal and opens it. openJournal
 // must never panic; it keeps exactly the intact prefix of frames and
 // truncates the rest, so a reopen returns the same records with no corrupt
-// tail, and a record appended after recovery reads back after them.
+// tail. On the writer side, the same bytes then stand in for what a failed
+// write left after the last good frame: a record appended after them still
+// reads back right after the intact prefix, and when they are no longer
+// than its frame, nothing else reads back.
 func FuzzJournal(f *testing.F) {
 	frame := func(rec journalRecord) []byte {
 		b, err := frameRecord(rec)
@@ -52,6 +55,7 @@ func FuzzJournal(f *testing.F) {
 		f.Add(seed)
 	}
 	appended := journalRecord{Op: opCanaryEnd, Tenant: "acme", Function: "sort", Version: 2, Decision: DecisionPromoted}
+	appendedLen := len(frame(appended))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -88,6 +92,7 @@ func FuzzJournal(f *testing.F) {
 		if !reflect.DeepEqual(again, recs) {
 			t.Fatalf("reopen read %d records, first open %d", len(again), len(recs))
 		}
+		leaveTornBytes(t, j, data)
 		if err := j.append(appended); err != nil {
 			t.Fatal(err)
 		}
@@ -95,12 +100,19 @@ func FuzzJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 		j, again, corrupt, err = openJournal(path)
-		if err != nil || corrupt != nil {
-			t.Fatalf("reopen after append: %v, corrupt tail %v", err, corrupt)
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
 		}
 		defer j.close()
-		if want := append(recs, appended); !reflect.DeepEqual(again, want) {
-			t.Fatalf("after append read %d records, want %d", len(again), len(want))
+		want := append(recs, appended)
+		if len(again) < len(want) || !reflect.DeepEqual(again[:len(want)], want) {
+			t.Fatalf("after leftover bytes and an append read %d records, want the %d kept ones and the appended one first",
+				len(again), len(recs))
+		}
+		// Leftovers no longer than the frame are overwritten whole.
+		if len(data) <= appendedLen && (len(again) != len(want) || corrupt != nil) {
+			t.Fatalf("append over %d leftover bytes read %d records (corrupt tail %v), want exactly %d",
+				len(data), len(again), corrupt, len(want))
 		}
 	})
 }

@@ -15,10 +15,18 @@ package server
 // file and reported as a typed *CorruptTailError, never a panic: every
 // intact prefix record still replays.
 //
-// The write discipline is WAL-first for decisions (the verdict is
-// journaled before deployment.json is rewritten) and artifact-first for
-// starts (the artifact hits disk before the canary_start record), so a
-// replayed record always references on-disk state that exists.
+// Every mutation is written first and applied second. A live handler
+// appends its record and only once the append returns applies it, through
+// the same apply that replay runs, so memory never holds a decision the
+// journal lacks. Artifact bytes and deployment.json sit outside the log:
+// a model file is written before the canary_start record that references
+// it, and deployment.json is rewritten after the verdict it records, so a
+// replayed record always finds the on-disk state it references.
+//
+// The journal fails closed. An append after a failed write starts at the
+// last good offset, so the failed write's bytes cannot strand the next
+// record behind them. A failed fsync, or a close, makes every later append
+// fail until a restart recovers what the file holds.
 
 import (
 	"encoding/binary"
@@ -29,7 +37,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"nitro/internal/online"
 )
@@ -118,14 +125,15 @@ func (e *CorruptTailError) Error() string {
 // corruption (a drift snapshot is < 1 KiB).
 const journalFrameLimit = 1 << 20
 
-// journal is the append-side handle. Safe for concurrent use.
+// journal is the append-side handle. Callers serialize access: the
+// registry holds its mutex around every call.
 type journal struct {
-	mu   sync.Mutex
-	f    *os.File
+	f    *os.File // nil once closed
 	path string
-	size int64
-
-	appends int64
+	size int64 // offset just past the last good frame
+	// err, once set, fails every later write: an fsync failed, so what the
+	// file holds is unknown until recovery reads it back.
+	err error
 }
 
 // openJournal reads an existing journal at path (creating an empty one if
@@ -152,10 +160,6 @@ func openJournal(path string) (*journal, []journalRecord, *CorruptTailError, err
 			f.Close()
 			return nil, nil, nil, err
 		}
-	}
-	if _, err := f.Seek(goodOff, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, nil, err
 	}
 	return &journal{f: f, path: path, size: goodOff}, records, corrupt, nil
 }
@@ -244,33 +248,40 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 }
 
 // append frames, writes and fsyncs one record. The record is durable when
-// append returns.
+// append returns nil.
 func (j *journal) append(rec journalRecord) error {
 	frame, err := frameRecord(rec)
 	if err != nil {
 		return err
 	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("server: journal closed")
+	if err := j.check(); err != nil {
+		return err
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	// Write at the last good offset, not the handle's: bytes a failed write
+	// left behind are overwritten, never stranded between two records.
+	if _, err := j.f.WriteAt(frame, j.size); err != nil {
+		j.f.Truncate(j.size) //nolint:errcheck // best effort; the next append overwrites them anyway
 		return fmt.Errorf("server: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("server: journal fsync: %w", err)
+		j.err = fmt.Errorf("server: journal fsync failed, refusing writes until restart: %w", err)
+		return j.err
 	}
 	j.size += int64(len(frame))
-	j.appends++
 	return nil
+}
+
+// check reports why the journal refuses writes — it was closed, or an
+// fsync failed — and nil while it accepts them.
+func (j *journal) check() error {
+	if j.f == nil {
+		return errors.New("server: journal closed")
+	}
+	return j.err
 }
 
 // sizeBytes reports the journal's current on-disk size.
 func (j *journal) sizeBytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.size
 }
 
@@ -278,10 +289,8 @@ func (j *journal) sizeBytes() int64 {
 // fsync'd, and atomically renamed over the old log. History is discarded —
 // recs must be the full live state (snapshot + truncate).
 func (j *journal) rewrite(recs []journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("server: journal closed")
+	if err := j.check(); err != nil {
+		return err
 	}
 	tmp := j.path + ".tmp"
 	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -321,7 +330,8 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	// discipline: without the directory fsync a power loss right after
 	// compaction can resurrect the pre-compaction journal.
 	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return fmt.Errorf("server: journal compact: %w", err)
+		j.err = fmt.Errorf("server: journal compact: %w", err)
+		return j.err
 	}
 	return nil
 }
@@ -339,10 +349,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// close closes the append handle. Records already appended stay durable.
+// close closes the append handle; every later write is refused. Records
+// already appended stay durable.
 func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}

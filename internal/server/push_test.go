@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net/http"
 	"reflect"
 	"testing"
 
@@ -103,5 +104,56 @@ func TestPushObservationsRefusesNonFinite(t *testing.T) {
 	// The two-sample burst is still whole: no refused batch was charged.
 	if _, err := r.PushObservations(ctx, "acme", "sort", []online.RemoteSample{ok, ok}); err != nil {
 		t.Fatalf("finite push after the refused ones: %v", err)
+	}
+}
+
+// TestPushObservationsRefusesOutOfRangePredicted: a sample predicting a
+// variant the function does not have, or anything below -1 (no model), is
+// refused as invalid, whole, before any quota is charged: in process, and
+// with a 400 on both the JSON and the frame route. The function's status
+// stays unchanged.
+func TestPushObservationsRefusesOutOfRangePredicted(t *testing.T) {
+	d, hs := newTestDaemon(t, func(cfg *Config) {
+		cfg.Registry.Tenants = []TenantConfig{{Name: "acme", Token: "tok-acme", Quotas: Quotas{SamplesPerSec: 1, SampleBurst: 2}}}
+	})
+	r := d.Registry()
+	ctx := context.Background()
+	if err := r.RegisterFunction(ctx, "acme", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	ok := online.RemoteSample{Features: []float64{1}, Times: []float64{1, 2}, Predicted: -1}
+	before, err := r.Status("acme", "sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, predicted := range []int{2, 7, -2} {
+		batch := []online.RemoteSample{ok, {Features: []float64{1}, Times: []float64{1, 2}, Predicted: predicted}}
+		if _, err := r.PushObservations(ctx, "acme", "sort", batch); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("in-process push predicting %d: err = %v, want ErrInvalid", predicted, err)
+		}
+		body, err := json.Marshal(observationsBody{Samples: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustStatus(t, req(t, hs, "POST", "/api/v1/functions/sort/observations", "tok-acme", body, nil), http.StatusBadRequest)
+		frame, err := AppendSampleFrame(nil, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustStatus(t, req(t, hs, "POST", "/api/v1/functions/sort/observations", "tok-acme", frame, frameHeaders), http.StatusBadRequest)
+	}
+	after, err := r.Status("acme", "sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, _ := json.Marshal(before)
+	b2, _ := json.Marshal(after)
+	if string(b1) != string(b2) {
+		t.Fatalf("refused pushes changed the status:\n%s\n%s", b1, b2)
+	}
+	// The two-sample burst is still whole: no refused batch was charged.
+	ok.Predicted = 1
+	if _, err := r.PushObservations(ctx, "acme", "sort", []online.RemoteSample{ok, ok}); err != nil {
+		t.Fatalf("in-range push after the refused ones: %v", err)
 	}
 }

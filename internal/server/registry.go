@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -185,7 +187,9 @@ type funcState struct {
 	latest    int
 	stable    int
 	canary    *CanaryState
-	lastDec   string
+	// lastDec is how the last episode settled; Deployment reports pending
+	// while a canary is live.
+	lastDec string
 	// lastDecTrace is the trace id of the request that settled the most
 	// recent episode (persisted with the deployment pointer).
 	lastDecTrace string
@@ -435,24 +439,27 @@ func (r *Registry) logRecovery() {
 			trace.F("dropped_records", strconv.Itoa(rep.DroppedRecords)),
 			trace.F("corrupt_tail", strconv.FormatBool(rep.CorruptTail != "")))
 	}
-	var tnames []string
-	for n := range r.tenants {
-		tnames = append(tnames, n)
-	}
-	sort.Strings(tnames)
-	for _, tn := range tnames {
-		ts := r.tenants[tn]
-		var fnames []string
-		for n := range ts.funcs {
-			fnames = append(fnames, n)
+	for tn, fs := range r.funcs() {
+		if c := fs.canary; c != nil {
+			r.cfg.Log.Event(trace.With(context.Background(), c.Trace),
+				"server", "canary.resume", trace.F("tenant", tn), trace.F("fn", fs.spec.Name),
+				trace.F("version", strconv.Itoa(c.Version)),
+				trace.F("calls", strconv.FormatInt(c.Calls, 10)))
 		}
-		sort.Strings(fnames)
-		for _, fn := range fnames {
-			if c := ts.funcs[fn].canary; c != nil {
-				r.cfg.Log.Event(trace.With(context.Background(), c.Trace),
-					"server", "canary.resume", trace.F("tenant", tn), trace.F("fn", fn),
-					trace.F("version", strconv.Itoa(c.Version)),
-					trace.F("calls", strconv.FormatInt(c.Calls, 10)))
+	}
+}
+
+// funcs yields every registered function with its tenant, sorted by tenant
+// and then function name, so whatever is rendered from them is
+// deterministic.
+func (r *Registry) funcs() iter.Seq2[string, *funcState] {
+	return func(yield func(string, *funcState) bool) {
+		for _, tn := range slices.Sorted(maps.Keys(r.tenants)) {
+			funcs := r.tenants[tn].funcs
+			for _, fn := range slices.Sorted(maps.Keys(funcs)) {
+				if !yield(tn, funcs[fn]) {
+					return
+				}
 			}
 		}
 	}
@@ -478,28 +485,16 @@ func (r *Registry) openAndReplayJournal() error {
 		r.recovery.QuarantinePath = corrupt.QuarantinePath
 		r.metrics.journalQuarantined.Add(1)
 	}
-	dirty := r.replayJournal(records)
-	// A replayed verdict exists only in the journal until deployment.json
-	// is rewritten; persist it before compaction drops the canary_end
-	// record, or the next restart would silently revert the acknowledged
-	// decision back to whatever deployment.json last said.
-	for fs, tenant := range dirty {
-		if err := r.persistArtifact(tenant, fs); err != nil {
-			return err
-		}
-	}
+	r.replayJournal(records)
 	return r.compactJournalLocked()
 }
 
-// replayJournal applies intact journal records to the loaded state. Every
-// record is validated against the on-disk artifact store before it takes
-// effect; records the store no longer corroborates are counted and
-// skipped, so a stale or partially compacted journal degrades to the
-// pre-journal behavior instead of resurrecting phantom state. The returned
-// map lists functions whose durable deployment pointer a replayed verdict
-// changed — the caller must persist them before compacting the journal.
-func (r *Registry) replayJournal(records []journalRecord) map[*funcState]string {
-	dirty := make(map[*funcState]string)
+// replayJournal runs every intact record through apply, the transition
+// function the live handlers use. Records the on-disk artifact store does
+// not corroborate are counted and skipped, so a stale or partially
+// compacted journal degrades to the pre-journal behavior instead of
+// resurrecting phantom state.
+func (r *Registry) replayJournal(records []journalRecord) {
 	for i, rec := range records {
 		if rec.Op == opCleanShutdown {
 			// Only a marker in tail position — with nothing corrupt after
@@ -507,90 +502,81 @@ func (r *Registry) replayJournal(records []journalRecord) map[*funcState]string 
 			r.recovery.CleanShutdown = i == len(records)-1 && r.recovery.TailError == nil
 			continue
 		}
-		fs := r.findFunc(rec.Tenant, rec.Function)
-		if fs == nil {
+		if fs := r.findFunc(rec.Tenant, rec.Function); fs != nil && apply(fs, rec) {
+			r.recovery.RecordsReplayed++
+		} else {
 			r.recovery.DroppedRecords++
-			continue
 		}
-		switch rec.Op {
-		case opCanaryStart:
-			a, ok := fs.artifacts[rec.Version]
-			if !ok || a.etag != rec.ETag || rec.Version == fs.stable {
-				// Artifact gone, bytes changed, or the episode already
-				// settled into deployment.json: nothing to resume.
-				r.recovery.DroppedRecords++
-				continue
-			}
-			fs.canary = &CanaryState{
-				Version:        rec.Version,
-				ETag:           rec.ETag,
-				Trace:          trace.Sanitize(rec.Trace),
-				Fraction:       rec.Fraction,
-				MinSamples:     rec.MinSamples,
-				MaxFailureRate: rec.MaxFailureRate,
-			}
-			fs.canaryReporters = nil
-			fs.lastDec = DecisionPending
-			fs.autoTuned = rec.Auto
-		case opCanaryProgress:
-			if fs.canary == nil || fs.canary.Version != rec.Version {
-				r.recovery.DroppedRecords++
-				continue
-			}
-			// Progress records carry cumulative fleet counters, so only the
-			// last one matters and replaying twice cannot double-count.
-			fs.canary.Calls = rec.Calls
-			fs.canary.Failures = rec.Failures
-			fs.canaryReporters = rec.Reporters
-		case opCanaryEnd:
-			// The verdict is journaled before deployment.json is rewritten;
-			// replay closes the gap if the crash landed between the two.
-			if fs.canary != nil && fs.canary.Version == rec.Version {
-				fs.canary = nil
-				fs.canaryReporters = nil
-				fs.autoTuned = false
-			}
-			prevStable, prevDec := fs.stable, fs.lastDec
-			switch rec.Decision {
-			case DecisionPromoted:
-				if _, ok := fs.artifacts[rec.Version]; ok {
-					fs.stable = rec.Version
-					fs.lastDec = DecisionPromoted
-					fs.lastDecTrace = trace.Sanitize(rec.Trace)
-				} else {
-					r.recovery.DroppedRecords++
-					continue
-				}
-			case DecisionRolledBack:
-				fs.lastDec = DecisionRolledBack
-				fs.lastDecTrace = trace.Sanitize(rec.Trace)
-			}
-			if fs.stable != prevStable || fs.lastDec != prevDec {
-				dirty[fs] = rec.Tenant
-			}
-		case opDrift:
-			if rec.Drift == nil {
-				r.recovery.DroppedRecords++
-				continue
-			}
-			fs.detector.Restore(*rec.Drift)
-		default:
-			r.recovery.DroppedRecords++
-			continue
-		}
-		r.recovery.RecordsReplayed++
 	}
-	for _, ts := range r.tenants {
-		for _, fs := range ts.funcs {
-			if fs.canary != nil {
-				r.recovery.ResumedCanaries++
-				r.metrics.canariesResumed.Add(1)
-			}
+	for _, fs := range r.funcs() {
+		if fs.canary != nil {
+			r.recovery.ResumedCanaries++
+			r.metrics.canariesResumed.Add(1)
 		}
 	}
 	r.metrics.journalReplayed.Add(int64(r.recovery.RecordsReplayed))
 	r.metrics.journalDropped.Add(int64(r.recovery.DroppedRecords))
-	return dirty
+}
+
+// apply performs one journaled transition on fs: a canary start, progress
+// or verdict (with the detector's swap or rollback), or the restore of a
+// drift snapshot. The live handlers call it once the record is durable,
+// and recovery calls it for every record it reads back, so the two cannot
+// disagree. It changes nothing and reports false when fs's artifact store
+// does not corroborate rec: a start whose artifact is gone, changed or
+// already stable, progress for an episode that is not live, a promotion to
+// a missing version, an unknown op.
+func apply(fs *funcState, rec journalRecord) bool {
+	switch rec.Op {
+	case opCanaryStart:
+		if a, ok := fs.artifacts[rec.Version]; !ok || a.etag != rec.ETag || rec.Version == fs.stable {
+			return false
+		}
+		// A start replaces any live challenger: it was never promoted.
+		fs.canary = &CanaryState{
+			Version:        rec.Version,
+			ETag:           rec.ETag,
+			Trace:          trace.Sanitize(rec.Trace),
+			Fraction:       rec.Fraction,
+			MinSamples:     rec.MinSamples,
+			MaxFailureRate: rec.MaxFailureRate,
+		}
+		fs.canaryReporters = nil
+		fs.autoTuned = rec.Auto
+	case opCanaryProgress:
+		if fs.canary == nil || fs.canary.Version != rec.Version {
+			return false
+		}
+		// Cumulative counters: only the last progress record matters, and
+		// replaying one twice cannot double-count.
+		fs.canary.Calls, fs.canary.Failures = rec.Calls, rec.Failures
+		fs.canaryReporters = rec.Reporters
+	case opCanaryEnd:
+		_, stored := fs.artifacts[rec.Version]
+		switch {
+		case rec.Decision == DecisionPromoted && stored:
+			fs.stable = rec.Version
+			fs.detector.OnSwap()
+		case rec.Decision == DecisionRolledBack:
+			fs.detector.OnRollback()
+		default:
+			return false
+		}
+		if fs.canary != nil && fs.canary.Version == rec.Version {
+			fs.canary, fs.canaryReporters = nil, nil
+			fs.autoTuned = false
+		}
+		fs.lastDec = rec.Decision
+		fs.lastDecTrace = trace.Sanitize(rec.Trace)
+	case opDrift:
+		if rec.Drift == nil {
+			return false
+		}
+		fs.detector.Restore(*rec.Drift)
+	default:
+		return false
+	}
+	return true
 }
 
 func (r *Registry) findFunc(tenant, fn string) *funcState {
@@ -620,16 +606,35 @@ func (r *Registry) journalAppend(rec journalRecord) error {
 	return nil
 }
 
-// journalDriftLocked journals fs's current drift detector snapshot; called
-// at detector state transitions so a restart restores the state machine,
-// not just the counters. ctx supplies the causing request's trace id.
-func (r *Registry) journalDriftLocked(ctx context.Context, tenant string, fs *funcState) error {
+// commit makes rec durable and only then applies it to fs: the one way a
+// live handler changes canary or drift state. A failed append changes
+// nothing.
+func (r *Registry) commit(fs *funcState, rec journalRecord) error {
+	if err := r.journalAppend(rec); err != nil {
+		return err
+	}
+	apply(fs, rec)
+	return nil
+}
+
+// commitDrift journals fs's drift detector as it stands. Drift records are
+// snapshots taken after the detector moved, so applying one live changes
+// nothing, and replaying it restores that state machine, not just the
+// counters. ctx supplies the causing request's trace id.
+func (r *Registry) commitDrift(ctx context.Context, tenant string, fs *funcState) error {
+	snap := fs.detector.Snapshot()
+	return r.commit(fs, journalRecord{Op: opDrift, Tenant: tenant, Function: fs.spec.Name,
+		Trace: trace.From(ctx), Drift: &snap})
+}
+
+// checkWritable reports why a mutation must not start — the journal was
+// closed or has failed — so a refused mutation writes nothing anywhere.
+// Always nil without a DataDir.
+func (r *Registry) checkWritable() error {
 	if r.journal == nil {
 		return nil
 	}
-	snap := fs.detector.Snapshot()
-	return r.journalAppend(journalRecord{Op: opDrift, Tenant: tenant, Function: fs.spec.Name,
-		Trace: trace.From(ctx), Drift: &snap})
+	return r.journal.check()
 }
 
 // liveRecordsLocked renders the registry's current durable state as a
@@ -637,36 +642,22 @@ func (r *Registry) journalDriftLocked(ctx context.Context, tenant string, fs *fu
 // detector, one start (+ cumulative progress) per live canary. Iteration
 // is sorted so compaction output is deterministic.
 func (r *Registry) liveRecordsLocked() []journalRecord {
-	var tnames []string
-	for n := range r.tenants {
-		tnames = append(tnames, n)
-	}
-	sort.Strings(tnames)
 	var recs []journalRecord
-	for _, tn := range tnames {
-		ts := r.tenants[tn]
-		var fnames []string
-		for n := range ts.funcs {
-			fnames = append(fnames, n)
+	for tn, fs := range r.funcs() {
+		fn := fs.spec.Name
+		if snap := fs.detector.Snapshot(); snap.Samples > 0 || snap.Windows > 0 || snap.State != online.StateHealthy {
+			recs = append(recs, journalRecord{Op: opDrift, Tenant: tn, Function: fn, Drift: &snap})
 		}
-		sort.Strings(fnames)
-		for _, fn := range fnames {
-			fs := ts.funcs[fn]
-			if snap := fs.detector.Snapshot(); snap.Samples > 0 || snap.Windows > 0 || snap.State != online.StateHealthy {
-				s := snap
-				recs = append(recs, journalRecord{Op: opDrift, Tenant: tn, Function: fn, Drift: &s})
-			}
-			if c := fs.canary; c != nil {
-				// The episode trace rides along, so compaction preserves the
-				// canary's provenance exactly as the original start record did.
-				recs = append(recs, journalRecord{Op: opCanaryStart, Tenant: tn, Function: fn,
-					Version: c.Version, ETag: c.ETag, Trace: c.Trace, Fraction: c.Fraction,
-					MinSamples: c.MinSamples, MaxFailureRate: c.MaxFailureRate, Auto: fs.autoTuned})
-				if c.Calls > 0 || len(fs.canaryReporters) > 0 {
-					recs = append(recs, journalRecord{Op: opCanaryProgress, Tenant: tn, Function: fn,
-						Version: c.Version, Calls: c.Calls, Failures: c.Failures,
-						Reporters: fs.canaryReporters})
-				}
+		if c := fs.canary; c != nil {
+			// The episode trace rides along, so compaction preserves the
+			// canary's provenance exactly as the original start record did.
+			recs = append(recs, journalRecord{Op: opCanaryStart, Tenant: tn, Function: fn,
+				Version: c.Version, ETag: c.ETag, Trace: c.Trace, Fraction: c.Fraction,
+				MinSamples: c.MinSamples, MaxFailureRate: c.MaxFailureRate, Auto: fs.autoTuned})
+			if c.Calls > 0 || len(fs.canaryReporters) > 0 {
+				recs = append(recs, journalRecord{Op: opCanaryProgress, Tenant: tn, Function: fn,
+					Version: c.Version, Calls: c.Calls, Failures: c.Failures,
+					Reporters: fs.canaryReporters})
 			}
 		}
 	}
@@ -674,10 +665,16 @@ func (r *Registry) liveRecordsLocked() []journalRecord {
 }
 
 // compactJournalLocked rewrites the journal to the live state (snapshot +
-// truncate).
+// truncate). The rewrite drops settled canary_end records, so every
+// deployment pointer they back is written first.
 func (r *Registry) compactJournalLocked() error {
 	if r.journal == nil {
 		return nil
+	}
+	for tn, fs := range r.funcs() {
+		if err := r.writeDeployment(tn, fs.spec.Name, fs.pointer()); err != nil {
+			return err
+		}
 	}
 	recs := r.liveRecordsLocked()
 	if err := r.journal.rewrite(recs); err != nil {
@@ -695,13 +692,18 @@ func (r *Registry) compactJournalLocked() error {
 // active detector, writes the clean-shutdown marker and closes the
 // journal. A restart after Close sees CleanShutdown=true and resumes any
 // canary that was live — orderly shutdown persists strictly more state
-// than a crash, never less.
+// than a crash, never less. With a DataDir, every mutation after Close
+// errors.
 func (r *Registry) Close() {
 	r.jobs.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.journal == nil {
 		return
+	}
+	defer r.journal.close()
+	if r.checkWritable() != nil {
+		return // closed or failed: nothing more reaches the file
 	}
 	for _, rec := range r.liveRecordsLocked() {
 		if rec.Op == opDrift {
@@ -711,20 +713,17 @@ func (r *Registry) Close() {
 		}
 	}
 	r.journalAppend(journalRecord{Op: opCleanShutdown}) //nolint:errcheck // best-effort marker
-	r.journal.close()
-	r.journal = nil
 	r.cfg.Log.Event(context.Background(), "server", "shutdown.clean")
 }
 
-// kill simulates a crash for tests: the journal handle drops with no
+// kill simulates a crash for tests: the journal handle closes with no
 // drain, marker or compaction — on-disk state is exactly what fsync'd
-// appends left behind — then the job workers are stopped so the process
-// can be torn down.
+// appends left behind, and every later mutation errors — then the job
+// workers are stopped so the process can be torn down.
 func (r *Registry) kill() {
 	r.mu.Lock()
 	if r.journal != nil {
 		r.journal.close()
-		r.journal = nil
 	}
 	r.mu.Unlock()
 	r.jobs.Close()
@@ -779,12 +778,24 @@ func (r *Registry) RegisterFunction(ctx context.Context, tenant string, spec Fun
 	if q := ts.cfg.Quotas.MaxFunctions; q > 0 && len(ts.funcs) >= q {
 		return fmt.Errorf("%w: tenant %q at max functions (%d)", ErrQuota, tenant, q)
 	}
+	if err := r.checkWritable(); err != nil {
+		return err
+	}
+	// spec.json first: a function the registry serves must survive a
+	// restart, so a failed write registers nothing.
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := r.writeFile(tenant, spec.Name, "spec.json", data); err != nil {
+		return err
+	}
 	ts.funcs[spec.Name] = r.newFuncState(spec)
 	r.metrics.functions.Add(1)
 	r.cfg.Log.Event(ctx, "server", "function.register",
 		trace.F("tenant", tenant), trace.F("fn", spec.Name),
 		trace.F("variants", strconv.Itoa(len(spec.Variants))))
-	return r.persistSpec(tenant, spec)
+	return nil
 }
 
 func (r *Registry) newFuncState(spec FunctionSpec) *funcState {
@@ -864,6 +875,7 @@ func (r *Registry) deploymentLocked(fs *funcState) Deployment {
 	if fs.canary != nil {
 		c := *fs.canary
 		d.Canary = &c
+		d.LastDecision = DecisionPending
 	}
 	return d
 }
@@ -941,6 +953,9 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 	if err := validateAgainstSpec(m, fs.spec); err != nil {
 		return err
 	}
+	if err := r.checkWritable(); err != nil {
+		return err
+	}
 	version := fs.latest + 1
 	meta := ml.ModelMeta{Version: version}
 	if m.Meta != nil {
@@ -951,6 +966,11 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
+	// Artifact-first: the model bytes reach disk before the registry stores
+	// them, and before any record that references them.
+	if err := r.writeFile(tenant, fs.spec.Name, fmt.Sprintf("v%06d.model", version), data); err != nil {
+		return err
+	}
 	fs.artifacts[version] = artifact{version: version, data: data, etag: etag}
 	fs.latest = version
 	r.metrics.artifactsStored.Add(1)
@@ -958,46 +978,34 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 		trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
 		trace.F("version", strconv.Itoa(version)), trace.F("auto", strconv.FormatBool(auto)))
 	if fs.stable == 0 {
-		fs.stable = version
-		fs.lastDec = DecisionPromoted
-		fs.lastDecTrace = trace.From(ctx)
-		fs.detector.OnSwap()
+		// The first version settles as promoted at once. Its durable record
+		// is the deployment pointer, written before the promotion applies;
+		// the detector snapshot after the swap follows.
+		rec := journalRecord{Op: opCanaryEnd, Tenant: tenant, Function: fs.spec.Name,
+			Version: version, Decision: DecisionPromoted, Trace: trace.From(ctx)}
+		if err := r.writeDeployment(tenant, fs.spec.Name, persistedDeployment{Stable: version,
+			Latest: version, LastDec: DecisionPromoted, LastDecTrace: rec.Trace}); err != nil {
+			return err
+		}
+		apply(fs, rec)
 		r.cfg.Log.Event(ctx, "server", "canary.promote",
 			trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
 			trace.F("version", strconv.Itoa(version)), trace.F("direct", "true"))
-	} else {
-		pol := r.cfg.Canary
-		fs.canary = &CanaryState{
-			Version:        version,
-			ETag:           etag,
-			Trace:          trace.From(ctx),
-			Fraction:       pol.Fraction,
-			MinSamples:     pol.MinSamples,
-			MaxFailureRate: pol.MaxFailureRate,
-		}
-		fs.canaryReporters = nil
-		fs.lastDec = DecisionPending
-		fs.autoTuned = auto
-		r.metrics.canariesStarted.Add(1)
-		r.cfg.Log.Event(ctx, "server", "canary.start",
-			trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
-			trace.F("version", strconv.Itoa(version)),
-			trace.F("fraction", strconv.FormatFloat(pol.Fraction, 'g', -1, 64)),
-			trace.F("auto", strconv.FormatBool(auto)))
+		return r.commitDrift(ctx, tenant, fs)
 	}
-	// Artifact-first: the model bytes and deployment pointer reach disk
-	// before the canary_start record, so a replayed start always finds the
-	// artifact it references.
-	if err := r.persistArtifact(tenant, fs); err != nil {
+	pol := r.cfg.Canary
+	if err := r.commit(fs, journalRecord{Op: opCanaryStart, Tenant: tenant, Function: fs.spec.Name,
+		Trace: trace.From(ctx), Version: version, ETag: etag, Fraction: pol.Fraction,
+		MinSamples: pol.MinSamples, MaxFailureRate: pol.MaxFailureRate, Auto: auto}); err != nil {
 		return err
 	}
-	if c := fs.canary; c != nil && c.Version == version {
-		return r.journalAppend(journalRecord{Op: opCanaryStart, Tenant: tenant, Function: fs.spec.Name,
-			Trace: c.Trace, Version: c.Version, ETag: c.ETag, Fraction: c.Fraction,
-			MinSamples: c.MinSamples, MaxFailureRate: c.MaxFailureRate, Auto: auto})
-	}
-	// First-ever version: the direct promotion flipped the detector.
-	return r.journalDriftLocked(ctx, tenant, fs)
+	r.metrics.canariesStarted.Add(1)
+	r.cfg.Log.Event(ctx, "server", "canary.start",
+		trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
+		trace.F("version", strconv.Itoa(version)),
+		trace.F("fraction", strconv.FormatFloat(pol.Fraction, 'g', -1, 64)),
+		trace.F("auto", strconv.FormatBool(auto)))
+	return nil
 }
 
 // validateAgainstSpec rejects models that do not fit spec's features and
@@ -1056,88 +1064,69 @@ func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version 
 		prev = reporterCounts{}
 	}
 	addCalls, addFails := calls-prev.Calls, failures-prev.Failures
-	if fs.canaryReporters == nil {
-		fs.canaryReporters = make(map[string]reporterCounts)
+	total, failed, episode := c.Calls+addCalls, c.Failures+addFails, c.Trace
+	logReport := func() {
+		r.cfg.Log.Event(ctx, "server", "canary.report",
+			trace.F("tenant", tenant), trace.F("fn", fn),
+			trace.F("version", strconv.Itoa(version)), trace.F("episode", episode),
+			trace.F("reporter", reporter),
+			trace.F("calls", strconv.FormatInt(total, 10)),
+			trace.F("failures", strconv.FormatInt(failed, 10)))
 	}
-	fs.canaryReporters[reporter] = reporterCounts{Calls: calls, Failures: failures}
-	c.Calls += addCalls
-	c.Failures += addFails
-	r.cfg.Log.Event(ctx, "server", "canary.report",
-		trace.F("tenant", tenant), trace.F("fn", fn),
-		trace.F("version", strconv.Itoa(version)), trace.F("episode", c.Trace),
-		trace.F("reporter", reporter),
-		trace.F("calls", strconv.FormatInt(c.Calls, 10)),
-		trace.F("failures", strconv.FormatInt(c.Failures, 10)))
-	if c.Calls < c.MinSamples {
+	if total < c.MinSamples {
 		if addCalls == 0 && addFails == 0 {
-			// Replayed duplicate: nothing moved, skip the fsync.
+			// Replayed duplicate: nothing moves, so nothing is written.
+			logReport()
 			return DecisionPending, r.deploymentLocked(fs), nil
 		}
 		// Journal the cumulative fleet counters (and reporter baselines) so
 		// a crashed daemon resumes the gate mid-count instead of restarting
 		// it from zero — and still dedupes reports retried across the crash.
-		if err := r.journalAppend(journalRecord{Op: opCanaryProgress, Tenant: tenant,
-			Function: fn, Trace: trace.From(ctx), Version: c.Version,
-			Calls: c.Calls, Failures: c.Failures,
-			Reporters: fs.canaryReporters}); err != nil {
+		reporters := make(map[string]reporterCounts, len(fs.canaryReporters)+1)
+		maps.Copy(reporters, fs.canaryReporters)
+		reporters[reporter] = reporterCounts{Calls: calls, Failures: failures}
+		if err := r.commit(fs, journalRecord{Op: opCanaryProgress, Tenant: tenant,
+			Function: fn, Trace: trace.From(ctx), Version: version,
+			Calls: total, Failures: failed, Reporters: reporters}); err != nil {
 			return "", Deployment{}, err
 		}
+		logReport()
 		return DecisionPending, r.deploymentLocked(fs), nil
 	}
-	rate := float64(c.Failures) / float64(c.Calls)
-	// WAL-first (inside endCanaryLocked): the verdict is durable before
+	// WAL-first: the verdict is durable before it applies, and before
 	// deployment.json changes; a crash between the two replays the
 	// canary_end record and converges.
-	if err := r.endCanaryLocked(ctx, tenant, fs, version, rate <= c.MaxFailureRate); err != nil {
+	decision, event := DecisionRolledBack, "canary.rollback"
+	if float64(failed)/float64(total) <= c.MaxFailureRate {
+		decision, event = DecisionPromoted, "canary.promote"
+	}
+	if err := r.commit(fs, journalRecord{Op: opCanaryEnd, Tenant: tenant, Function: fn,
+		Version: version, Decision: decision, Trace: trace.From(ctx)}); err != nil {
 		return "", Deployment{}, err
 	}
-	return fs.lastDec, r.deploymentLocked(fs), nil
-}
-
-// endCanaryLocked settles the live canary episode with a verdict. WAL-first:
-// the decision record is durable before deployment.json changes. Registry
-// mu must be held.
-func (r *Registry) endCanaryLocked(ctx context.Context, tenant string, fs *funcState, version int, promoted bool) error {
-	episode := ""
-	if fs.canary != nil {
-		episode = fs.canary.Trace
-	}
-	fs.canary = nil
-	fs.canaryReporters = nil
-	fs.autoTuned = false
-	event := "canary.rollback"
-	if promoted {
-		fs.stable = version
-		fs.lastDec = DecisionPromoted
-		fs.detector.OnSwap()
+	if decision == DecisionPromoted {
 		r.metrics.canariesPromoted.Add(1)
-		event = "canary.promote"
 	} else {
-		fs.lastDec = DecisionRolledBack
-		fs.detector.OnRollback()
 		r.metrics.canariesRolledBack.Add(1)
 	}
+	logReport()
 	// The verdict trace is the request that settled the episode; the episode
 	// field links back to the request that started it.
-	fs.lastDecTrace = trace.From(ctx)
 	r.cfg.Log.Event(ctx, "server", event,
-		trace.F("tenant", tenant), trace.F("fn", fs.spec.Name),
+		trace.F("tenant", tenant), trace.F("fn", fn),
 		trace.F("version", fmt.Sprint(version)), trace.F("episode", episode))
-	if err := r.journalAppend(journalRecord{Op: opCanaryEnd, Tenant: tenant,
-		Function: fs.spec.Name, Version: version, Decision: fs.lastDec,
-		Trace: trace.From(ctx)}); err != nil {
-		return err
+	if err := r.commitDrift(ctx, tenant, fs); err != nil {
+		return "", Deployment{}, err
 	}
-	if err := r.journalDriftLocked(ctx, tenant, fs); err != nil {
-		return err
-	}
-	if err := r.persistArtifact(tenant, fs); err != nil {
-		return err
+	if err := r.writeDeployment(tenant, fn, fs.pointer()); err != nil {
+		return "", Deployment{}, err
 	}
 	if r.journal != nil && r.journal.sizeBytes() > r.cfg.JournalCompactBytes {
-		return r.compactJournalLocked()
+		if err := r.compactJournalLocked(); err != nil {
+			return "", Deployment{}, err
+		}
 	}
-	return nil
+	return decision, r.deploymentLocked(fs), nil
 }
 
 // PushObservations ingests samples pushed by a client: rate-limited by the
@@ -1168,6 +1157,12 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 		if slices.ContainsFunc(s.Features, nonFinite) || slices.ContainsFunc(s.Times, nonFinite) {
 			return online.FleetStats{}, fmt.Errorf("%w: sample %d carries NaN or ±Inf; observations carry finite values only", ErrInvalid, i)
 		}
+		if s.Predicted < -1 || s.Predicted >= len(fs.spec.Variants) {
+			return online.FleetStats{}, fmt.Errorf("%w: sample %d predicts variant %d, outside -1..%d", ErrInvalid, i, s.Predicted, len(fs.spec.Variants)-1)
+		}
+	}
+	if err := r.checkWritable(); err != nil {
+		return online.FleetStats{}, err
 	}
 	if !ts.bucket.allow(r.cfg.Clock(), float64(len(samples))) {
 		r.metrics.samplesRejected.Add(int64(len(samples)))
@@ -1201,7 +1196,7 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 		// A drift-state transition is the durable event; raw counter churn
 		// between transitions is flushed at shutdown drain instead of per
 		// push, keeping the fsync rate off the observation hot path.
-		if err := r.journalDriftLocked(ctx, tenant, fs); err != nil {
+		if err := r.commitDrift(ctx, tenant, fs); err != nil {
 			return online.FleetStats{}, err
 		}
 	}
@@ -1221,13 +1216,16 @@ func (r *Registry) Tune(ctx context.Context, tenant, fn string) (string, error) 
 	if err != nil {
 		return "", err
 	}
+	if err := r.checkWritable(); err != nil {
+		return "", err
+	}
 	id, err := r.submitTuneLocked(ctx, ts, fs, false)
 	if err != nil {
 		return "", err
 	}
 	// The submit moved the detector to retraining; make that durable (the
 	// job itself is not journaled — a crashed retrain simply re-triggers).
-	if jerr := r.journalDriftLocked(ctx, tenant, fs); jerr != nil {
+	if jerr := r.commitDrift(ctx, tenant, fs); jerr != nil {
 		return id, jerr
 	}
 	return id, nil
@@ -1308,30 +1306,25 @@ func (r *Registry) onTuneDone(tenant, fn string, st autotuner.JobStatus) {
 		return
 	}
 	fs.pendingTunes--
-	if st.State != autotuner.JobDone {
-		fs.autoTuned = false
-		fs.detector.OnRetrainFailed()
-		r.journalDriftLocked(ctx, tenant, fs) //nolint:errcheck // best-effort; no caller to surface to
-		r.metrics.tunesFailed.Add(1)
-		r.cfg.Log.Error(ctx, "server", "tune.failed",
-			trace.F("tenant", tenant), trace.F("fn", fn), trace.F("job", st.ID),
-			trace.F("state", string(st.State)), trace.F("error", st.Error))
-		return
+	state, msg := string(st.State), st.Error
+	if st.State == autotuner.JobDone {
+		err := r.installLocked(ctx, tenant, fs, st.Model, fs.autoTuned)
+		if err == nil {
+			r.metrics.tunesDone.Add(1)
+			r.cfg.Log.Event(ctx, "server", "tune.done",
+				trace.F("tenant", tenant), trace.F("fn", fn), trace.F("job", st.ID),
+				trace.F("version", strconv.Itoa(st.Version)))
+			return
+		}
+		state, msg = "uninstallable", err.Error()
 	}
-	if err := r.installLocked(ctx, tenant, fs, st.Model, fs.autoTuned); err != nil {
-		fs.autoTuned = false
-		fs.detector.OnRetrainFailed()
-		r.journalDriftLocked(ctx, tenant, fs) //nolint:errcheck // best-effort; no caller to surface to
-		r.metrics.tunesFailed.Add(1)
-		r.cfg.Log.Error(ctx, "server", "tune.failed",
-			trace.F("tenant", tenant), trace.F("fn", fn), trace.F("job", st.ID),
-			trace.F("state", "uninstallable"), trace.F("error", err.Error()))
-		return
-	}
-	r.metrics.tunesDone.Add(1)
-	r.cfg.Log.Event(ctx, "server", "tune.done",
+	fs.autoTuned = false
+	fs.detector.OnRetrainFailed()
+	r.commitDrift(ctx, tenant, fs) //nolint:errcheck // best-effort; no caller to surface to
+	r.metrics.tunesFailed.Add(1)
+	r.cfg.Log.Error(ctx, "server", "tune.failed",
 		trace.F("tenant", tenant), trace.F("fn", fn), trace.F("job", st.ID),
-		trace.F("version", strconv.Itoa(st.Version)))
+		trace.F("state", state), trace.F("error", msg))
 }
 
 // Job reports a tune job's status; jobs are tenant-scoped.
@@ -1365,46 +1358,33 @@ func (r *Registry) funcDir(tenant, fn string) string {
 	return filepath.Join(r.cfg.DataDir, tenant, fn)
 }
 
-func (r *Registry) persistSpec(tenant string, spec FunctionSpec) error {
-	if r.cfg.DataDir == "" {
-		return nil
-	}
-	dir := r.funcDir(tenant, spec.Name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "spec.json"), data, 0o644)
+// pointer is fs's settled deployment pointer, as deployment.json holds it.
+func (fs *funcState) pointer() persistedDeployment {
+	return persistedDeployment{Stable: fs.stable, Latest: fs.latest,
+		LastDec: fs.lastDec, LastDecTrace: fs.lastDecTrace}
 }
 
-// persistArtifact writes the newest artifact and the deployment pointer.
-// The canary episode is persisted separately, through the write-ahead
-// journal.
-func (r *Registry) persistArtifact(tenant string, fs *funcState) error {
+// writeFile writes one file into fn's directory under DataDir (a no-op
+// without one).
+func (r *Registry) writeFile(tenant, fn, name string, data []byte) error {
 	if r.cfg.DataDir == "" {
 		return nil
 	}
-	dir := r.funcDir(tenant, fs.spec.Name)
+	dir := r.funcDir(tenant, fn)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if a, ok := fs.artifacts[fs.latest]; ok {
-		name := filepath.Join(dir, fmt.Sprintf("v%06d.model", a.version))
-		if _, err := os.Stat(name); errors.Is(err, os.ErrNotExist) {
-			if err := os.WriteFile(name, a.data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	dep, err := json.Marshal(persistedDeployment{Stable: fs.stable, Latest: fs.latest,
-		LastDec: fs.lastDec, LastDecTrace: fs.lastDecTrace})
+	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
+}
+
+// writeDeployment writes fn's deployment pointer. The canary episode is
+// persisted separately, through the write-ahead journal.
+func (r *Registry) writeDeployment(tenant, fn string, p persistedDeployment) error {
+	data, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "deployment.json"), dep, 0o644)
+	return r.writeFile(tenant, fn, "deployment.json", data)
 }
 
 // load restores specs, artifacts and deployment pointers from DataDir.

@@ -446,7 +446,8 @@ func TraceIDFrom(ctx context.Context) string { return trace.From(ctx) }
 
 // RemoteSample is one labelled observation pushed to the registry's
 // fleet-wide drift detector: a feature vector, per-variant times and the
-// variant the local model predicted. Features and times must be finite.
+// variant the local model predicted. Features and times must be finite,
+// and the prediction a registered variant or -1 (no model).
 type RemoteSample = online.RemoteSample
 
 // FleetStats snapshots the server-side drift detector for one function.
