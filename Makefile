@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke bench-ensemble perfbench-check lint ci clean
+.PHONY: all build vet test race stress fuzz-smoke bench bench-parallel bench-call bench-trace bench-dispatch dispatch-agreement online-replay metrics-smoke server-smoke chaos-smoke trace-smoke perfbench-check lint ci clean
 
 all: build
 
@@ -26,17 +26,19 @@ race:
 # quarantine breaker, seeded fault harness) under the race detector, with a
 # hard wall-clock bound so a hung fallback path fails fast instead of
 # wedging CI. The second run repeats the memo tests (hot-swap, and the
-# quarantine re-check on a memo hit) and the ensemble's parallel fit ten
-# times, the places where a race or a timing-dependent assertion once hid
-# behind a single passing run.
+# quarantine re-check on a memo hit) and the SVM grid search's parallel fit
+# ten times, the places where a race or a timing-dependent assertion once
+# hid behind a single passing run.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
-	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestEnsemble' ./internal/core/ ./internal/ml/
+	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestGridSearchParallelDeterministic' ./internal/core/ ./internal/ml/
 
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
-# point), the sort-variant fuzz target (every variant sorts like
-# sort.Float64s, Cost equals Run's time), the journal fuzz target
+# point), the compiled-program fuzz target (Validate never panics, and an
+# accepted program walks to a label from its classes on any input), the
+# sort-variant fuzz target (every variant sorts like sort.Float64s, Cost
+# equals Run's time), the journal fuzz target
 # (recovery from arbitrary journal.wal bytes keeps the intact prefix, and
 # reopening and appending read back what was kept) and the registry's
 # request decoders: observation frames (an accepted frame re-encodes to
@@ -47,6 +49,7 @@ stress:
 # keeps regressions reproducible.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalModel -fuzztime 10s ./internal/ml/
+	$(GO) test -run xxx -fuzz FuzzCompiledProgram -fuzztime 10s ./internal/ml/
 	$(GO) test -run xxx -fuzz FuzzSortVariants -fuzztime 10s ./internal/sortbench/
 	$(GO) test -run xxx -fuzz FuzzJournal -fuzztime 10s -fuzzminimizetime 500x ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzSampleFrame -fuzztime 10s ./internal/server/
@@ -74,28 +77,25 @@ bench-call:
 	$(GO) test -run xxx -bench 'BenchmarkCall' -cpu 1,2,4 ./internal/core/
 
 # Online-adaptation smoke: replay a seeded drifting input stream through
-# cmd/nitro-tune's adaptation engine twice per classifier (the SVM and the
-# ensemble committee) and assert the printed timeline (drift detected ->
-# retrain -> hot-swap -> recovered) is reproducible byte for byte, then
-# check the expected events actually appear. This is the closed loop end to
-# end: offline tune, synthetic mid-stream drift, online retrain, model v2
-# swap. The ensemble run also catches nondeterminism in the committee vote.
+# cmd/nitro-tune's adaptation engine twice with the SVM and assert the
+# printed timeline (drift detected -> retrain -> hot-swap -> recovered) is
+# reproducible byte for byte, then check the expected events actually
+# appear. This is the closed loop end to end: offline tune, synthetic
+# mid-stream drift, online retrain, model v2 swap.
 online-replay:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	for clf in svm ensemble; do \
-		printf '{"function":"sort","benchmark":"Sort","classifier":"%s","scale":0.1,"seed":3,"train_count":12,"test_count":12,"online_replay":600}\n' "$$clf" > "$$tmp/online.json" && \
-		$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run1.txt" && \
-		$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run2.txt" || exit 1; \
-		if ! cmp -s "$$tmp/run1.txt" "$$tmp/run2.txt"; then \
-			echo "FAIL: $$clf online replay timeline is not reproducible:"; \
-			diff "$$tmp/run1.txt" "$$tmp/run2.txt"; exit 1; \
-		fi; \
-		for ev in '] drift:' '] retrain (' '] swap (v1 -> v2' '] recovered:'; do \
-			grep -F "$$ev" "$$tmp/run1.txt" >/dev/null || { \
-				echo "FAIL: $$clf timeline missing \"$$ev\" event:"; cat "$$tmp/run1.txt"; exit 1; }; \
-		done; \
-		echo "$$clf online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"; \
-	done
+	printf '{"function":"sort","benchmark":"Sort","classifier":"svm","scale":0.1,"seed":3,"train_count":12,"test_count":12,"online_replay":600}\n' > "$$tmp/online.json" && \
+	$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run1.txt" && \
+	$(GO) run ./cmd/nitro-tune -spec "$$tmp/online.json" > "$$tmp/run2.txt" || exit 1; \
+	if ! cmp -s "$$tmp/run1.txt" "$$tmp/run2.txt"; then \
+		echo "FAIL: svm online replay timeline is not reproducible:"; \
+		diff "$$tmp/run1.txt" "$$tmp/run2.txt"; exit 1; \
+	fi; \
+	for ev in '] drift:' '] retrain (' '] swap (v1 -> v2' '] recovered:'; do \
+		grep -F "$$ev" "$$tmp/run1.txt" >/dev/null || { \
+			echo "FAIL: svm timeline missing \"$$ev\" event:"; cat "$$tmp/run1.txt"; exit 1; }; \
+	done; \
+	echo "svm online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"
 
 # Per-tier dispatch benchmarks: one Call benchmark per rung of the ladder
 # (memo hit, a miss the compiled walk decides, the exact pass, no model).
@@ -180,12 +180,6 @@ chaos-smoke:
 trace-smoke:
 	$(GO) run ./cmd/nitro-server -smoke-trace
 	$(GO) test -race -run 'TestTraceSurvivesKillRestart|TestObservabilityDoubleRunDeterminism|TestTraceHeaderEchoAndSanitize|TestFlightEndpoint|TestPullVersionHeaderOn200And304' ./internal/server/...
-
-# Ensemble study: single-SVM vs four-member-committee selection quality,
-# training cost and per-prediction overhead across the benchmark corpora,
-# into BENCH_ensemble.json. Run on a quiet machine for stable ns/op numbers.
-bench-ensemble:
-	$(GO) run ./cmd/nitro-experiments -run ensemble -scale 0.2 -train 24 -test 36 -nogrid -ensemble-json BENCH_ensemble.json
 
 # Benchmark build check: perfbench/ is its own module (replace nitro => ../),
 # so `go vet ./...` and `go test ./...` at the root never compile it. Vet and

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|classifiers|extension|noise|portability|ensemble|all]
+//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|classifiers|extension|noise|portability|all]
 //	                  [-scale 1.0] [-seed 42] [-iters 50]
-//	                  [-classifier svm|knn|tree] [-nogrid]
+//	                  [-classifier svm|knn|tree|logistic] [-nogrid]
 //
 // An unknown -run value exits with status 2 before any corpus is built.
 package main
@@ -28,11 +28,9 @@ import (
 	"nitro/internal/gpusim"
 )
 
-// runNames lists the valid -run values. "all" runs every paper experiment;
-// "ensemble" is opt-in (a wall-clock study, not a paper figure) and is not
-// part of "all".
+// runNames lists the valid -run values. "all" runs every experiment.
 var runNames = []string{"setup", "fig5", "fig6", "fig7", "fig8", "headline", "classifiers",
-	"extension", "noise", "portability", "ensemble", "all"}
+	"extension", "noise", "portability", "all"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -48,14 +46,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "instance-size scale in (0,1]")
 	seed := fs.Int64("seed", 42, "corpus generation seed")
 	iters := fs.Int("iters", 50, "incremental-tuning iteration budget (fig7)")
-	classifier := fs.String("classifier", "svm", "classifier: svm, knn or tree")
+	classifier := fs.String("classifier", "svm", "classifier: svm, knn, tree or logistic")
 	nogrid := fs.Bool("nogrid", false, "disable the cross-validated SVM grid search")
 	trainN := fs.Int("train", 0, "override training corpus size (0 = paper)")
 	testN := fs.Int("test", 0, "override test corpus size (0 = paper)")
 	csvDir := fs.String("csvdir", "", "also write per-figure CSV files into this directory")
 	parallelism := fs.Int("parallelism", 0, "worker count for corpus labelling, grid search and per-suite figures (0 = all cores, 1 = serial); results are identical at every setting")
-	ensembleCalls := fs.Int("ensemble-calls", 20000, "per-model prediction-timing iterations for -run ensemble (0 = quality only)")
-	ensembleJSON := fs.String("ensemble-json", "", "write the ensemble study as machine-readable JSON to this path (BENCH_ensemble.json)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Parallelism: *parallelism,
 		},
 	}
-	err := runExperiments(stdout, name, opts, *iters, *csvDir, *ensembleCalls, *ensembleJSON)
+	err := runExperiments(stdout, name, opts, *iters, *csvDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "nitro-experiments:", err)
 		return 1
@@ -85,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runExperiments builds the five corpora once and runs the experiment(s)
 // name selects, printing each table to out.
-func runExperiments(out io.Writer, name string, opts experiments.Options, iters int, csvDir string, ensembleCalls int, ensembleJSON string) error {
+func runExperiments(out io.Writer, name string, opts experiments.Options, iters int, csvDir string) error {
 	dev := gpusim.Fermi()
 	fmt.Fprintf(out, "device: %s\n", dev)
 
@@ -154,22 +150,6 @@ func runExperiments(out io.Writer, name string, opts experiments.Options, iters 
 		fmt.Fprintln(out, experiments.FormatFig8(rows))
 		if err := csvOut("fig8", func(w io.Writer) error { return experiments.WriteFig8CSV(w, rows) }); err != nil {
 			return err
-		}
-	}
-	// The ensemble study is opt-in (not part of "all"): its prediction
-	// timings are wall-clock micro-benchmarks, only meaningful on a quiet
-	// machine.
-	if name == "ensemble" {
-		rep, err := experiments.EnsembleStudy(suites, opts, ensembleCalls)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatEnsemble(rep))
-		if ensembleJSON != "" {
-			if err := writeFile(ensembleJSON, func(w io.Writer) error { return experiments.WriteEnsembleJSON(w, rep) }); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", ensembleJSON)
 		}
 	}
 	if want("classifiers") {

@@ -7,10 +7,10 @@ import (
 )
 
 // An unknown -run value, including the names of the retired dispatch,
-// serving and obs studies, must exit with status 2 and list the valid
-// names before any corpus is built (nothing reaches stdout).
+// serving, obs and ensemble studies, must exit with status 2 and list the
+// valid names before any corpus is built (nothing reaches stdout).
 func TestUnknownRunExitsBeforeBuilding(t *testing.T) {
-	for _, name := range []string{"bogus", "dispatch", "serving", "obs"} {
+	for _, name := range []string{"bogus", "dispatch", "serving", "obs", "ensemble"} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-run", name, "-scale", "0.05", "-train", "8", "-test", "8", "-nogrid"}, &stdout, &stderr)
 		if code != 2 {

@@ -139,19 +139,6 @@ func inspect(data []byte, predict string, out io.Writer) error {
 		fmt.Fprintf(out, "svm: C=%g kernel=%s, %d support vectors\n",
 			svm.C, describeKernel(svm.Kernel()), svm.NumSupportVectors())
 	}
-	if e, ok := model.Classifier.(*ml.Ensemble); ok {
-		members := e.Members()
-		weights := e.Weights()
-		fmt.Fprintf(out, "ensemble: %d members (agreement-weighted committee)\n", len(members))
-		for i, m := range members {
-			fmt.Fprintf(out, "  member %s weight %.3f\n", m.Name(), weights[i])
-		}
-		for _, b := range e.Calibration() {
-			if b.N > 0 {
-				fmt.Fprintf(out, "  calibration bin [%.1f, %.1f): %d/%d correct\n", b.Lo, b.Hi, b.Correct, b.N)
-			}
-		}
-	}
 	if c := model.Compiled; c != nil {
 		fmt.Fprintf(out, "compiled dispatch: %d nodes depth %d, agreement %.2f%%, exact fallback %.1f%%, margin %g (corpus %d)\n",
 			len(c.Nodes), c.Depth(), 100*c.Agreement, 100*c.FallbackRate, c.Margin, c.CorpusSize)
@@ -191,14 +178,6 @@ func inspectJSON(data []byte, out io.Writer) error {
 		Margin       float64 `json:"margin"`
 		CorpusSize   int     `json:"corpus_size"`
 	}
-	type ensembleMember struct {
-		Name   string  `json:"name"`
-		Weight float64 `json:"weight"`
-	}
-	type ensembleSummary struct {
-		Members     []ensembleMember `json:"members"`
-		Calibration []ml.CalibBin    `json:"calibration,omitempty"`
-	}
 	summary := struct {
 		Classifier     string           `json:"classifier"`
 		Classes        []int            `json:"classes"`
@@ -206,7 +185,6 @@ func inspectJSON(data []byte, out io.Writer) error {
 		SupportVectors int              `json:"support_vectors,omitempty"`
 		Version        int              `json:"version"`
 		Meta           *ml.ModelMeta    `json:"meta"`
-		Ensemble       *ensembleSummary `json:"ensemble,omitempty"`
 		Compiled       *compiledSummary `json:"compiled,omitempty"`
 	}{
 		Classifier: model.Classifier.Name(),
@@ -219,13 +197,6 @@ func inspectJSON(data []byte, out io.Writer) error {
 	}
 	if svm, ok := model.Classifier.(*ml.SVM); ok {
 		summary.SupportVectors = svm.NumSupportVectors()
-	}
-	if e, ok := model.Classifier.(*ml.Ensemble); ok {
-		es := &ensembleSummary{Calibration: e.Calibration()}
-		for i, m := range e.Members() {
-			es.Members = append(es.Members, ensembleMember{Name: m.Name(), Weight: e.Weights()[i]})
-		}
-		summary.Ensemble = es
 	}
 	if c := model.Compiled; c != nil {
 		summary.Compiled = &compiledSummary{
@@ -277,12 +248,6 @@ func explain(data []byte, vector string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  svm pair %d vs %d: decision %+.4f -> %d\n",
 			pair[0], pair[1], ex.PairDecisions[i], winner)
-	}
-	if ee := ex.Ensemble; ee != nil {
-		for _, mv := range ee.Members {
-			fmt.Fprintf(out, "  ensemble member %s (weight %.3f) voted %d\n", mv.Name, mv.Weight, mv.Predicted)
-		}
-		fmt.Fprintf(out, "  ensemble agreement: %.3f (calibrated confidence %.3f)\n", ee.Agreement, ex.Confidence)
 	}
 	fmt.Fprintf(out, "  ranked fallback order: %s\n", rankedString(ex.Ranked))
 	fmt.Fprintf(out, "  predicted: variant label %d\n", ex.Predicted)

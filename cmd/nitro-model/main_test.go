@@ -466,92 +466,3 @@ func TestInspectCompiledModel(t *testing.T) {
 		t.Errorf("plain model should explain as exact tier:\n%s", buf.String())
 	}
 }
-
-// fixtureEnsembleModel trains the four-member committee on the boundary
-// corpus and returns its serialized model.
-func fixtureEnsembleModel(t *testing.T) []byte {
-	t.Helper()
-	ds := &ml.Dataset{}
-	for x := 0.0; x < 20; x++ {
-		label := 0
-		if x > 9.5 {
-			label = 1
-		}
-		ds.Append([]float64{x, 2 * x}, label)
-	}
-	scaler := &ml.Scaler{}
-	scaled, err := scaler.FitTransform(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ens := ml.NewEnsemble()
-	ens.Seed = 7
-	if err := ens.Fit(&ml.Dataset{X: scaled, Y: ds.Y}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := ml.MarshalModel(&ml.Model{Classifier: ens, Scaler: scaler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func TestInspectEnsembleSummary(t *testing.T) {
-	var buf bytes.Buffer
-	if err := inspect(fixtureEnsembleModel(t), "", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"classifier: ensemble", "ensemble: 4 members",
-		"member svm weight", "member knn weight", "member logistic weight", "member tree weight"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ensemble summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestInspectJSONEnsemble(t *testing.T) {
-	var buf bytes.Buffer
-	if err := inspectJSON(fixtureEnsembleModel(t), &buf); err != nil {
-		t.Fatal(err)
-	}
-	var summary struct {
-		Classifier string `json:"classifier"`
-		Ensemble   *struct {
-			Members []struct {
-				Name   string  `json:"name"`
-				Weight float64 `json:"weight"`
-			} `json:"members"`
-		} `json:"ensemble"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &summary); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
-	}
-	if summary.Classifier != "ensemble" || summary.Ensemble == nil || len(summary.Ensemble.Members) != 4 {
-		t.Fatalf("ensemble JSON summary = %+v, want 4 committee members", summary)
-	}
-	total := 0.0
-	for _, m := range summary.Ensemble.Members {
-		if m.Name == "" || m.Weight <= 0 {
-			t.Errorf("member %+v has empty name or non-positive weight", m)
-		}
-		total += m.Weight
-	}
-	if total < 0.99 || total > 1.01 {
-		t.Errorf("member weights sum to %v, want ~1", total)
-	}
-}
-
-func TestExplainEnsemble(t *testing.T) {
-	var buf bytes.Buffer
-	if err := explain(fixtureEnsembleModel(t), "15,30", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"ensemble member svm", "ensemble member knn",
-		"ensemble agreement:", "calibrated confidence", "predicted: variant label 1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ensemble explanation missing %q:\n%s", want, out)
-		}
-	}
-}

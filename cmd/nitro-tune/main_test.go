@@ -74,6 +74,17 @@ func TestRunSpecUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// A spec naming the removed committee classifier fails with the
+// unknown-classifier error, which lists the valid classifiers.
+func TestRunSpecUnknownClassifier(t *testing.T) {
+	spec := smallSpec()
+	spec.Classifier = "ensemble"
+	err := runSpec(spec, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), `unknown classifier "ensemble" (want svm, knn, tree or logistic)`) {
+		t.Fatalf("classifier ensemble: err %v, want the unknown-classifier error listing the valid ones", err)
+	}
+}
+
 func TestRunSpecMatrixMarketGlob(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, m *sparse.CSR) {

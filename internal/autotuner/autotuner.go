@@ -61,8 +61,7 @@ type Suite struct {
 
 // TrainOptions selects and configures the classifier.
 type TrainOptions struct {
-	// Classifier is "svm" (default), "knn", "tree", "logistic" or
-	// "ensemble" (an agreement-weighted committee of all four).
+	// Classifier is "svm" (default), "knn", "tree" or "logistic".
 	Classifier string
 	// GridSearch enables the paper's cross-validated (C, gamma) search for
 	// the SVM; otherwise libSVM-style defaults are used.
@@ -128,15 +127,8 @@ func makeClassifier(opts TrainOptions) (func() ml.Classifier, error) {
 		return func() ml.Classifier { return ml.NewDecisionTree(8, 1) }, nil
 	case "logistic":
 		return func() ml.Classifier { return ml.NewLogistic(0, 0, 0) }, nil
-	case "ensemble":
-		return func() ml.Classifier {
-			e := ml.NewEnsemble()
-			e.Seed = opts.Seed
-			e.Parallelism = opts.Parallelism
-			return e
-		}, nil
 	default:
-		return nil, fmt.Errorf("autotuner: unknown classifier %q", opts.Classifier)
+		return nil, fmt.Errorf("autotuner: unknown classifier %q (want svm, knn, tree or logistic)", opts.Classifier)
 	}
 }
 

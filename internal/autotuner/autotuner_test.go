@@ -111,7 +111,7 @@ func TestTrainGridSearch(t *testing.T) {
 
 func TestTrainAlternateClassifiers(t *testing.T) {
 	s := syntheticSuite(80, 60, 3)
-	for _, c := range []string{"knn", "tree", "ensemble"} {
+	for _, c := range []string{"knn", "tree", "logistic"} {
 		model, _, err := Train(s.Train, TrainOptions{Classifier: c})
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
@@ -120,8 +120,12 @@ func TestTrainAlternateClassifiers(t *testing.T) {
 			t.Errorf("%s mean perf %v", c, perf)
 		}
 	}
-	if _, _, err := Train(s.Train, TrainOptions{Classifier: "nope"}); err == nil {
-		t.Error("unknown classifier accepted")
+	// The retired committee value is an unknown classifier like any other.
+	for _, c := range []string{"nope", "ensemble"} {
+		_, _, err := Train(s.Train, TrainOptions{Classifier: c})
+		if err == nil || !strings.Contains(err.Error(), "svm, knn, tree or logistic") {
+			t.Errorf("classifier %q: err %v, want the unknown-classifier error listing the valid ones", c, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -234,6 +235,71 @@ func TestSVMTableDecodeErrors(t *testing.T) {
 	} {
 		if m, err := UnmarshalModel(blob); err == nil {
 			t.Errorf("%s: decoded to %+v, want an error", name, m.Classifier)
+		}
+	}
+}
+
+// ensembleArtifact builds an artifact of the removed committee kind in the
+// form older releases wrote: an "ensemble" envelope whose members are
+// ordinary single-classifier envelopes, plus the program distilled from it.
+func ensembleArtifact(tb testing.TB) []byte {
+	tb.Helper()
+	raw, scaled, scaler := fitTinyDataset(tb)
+	var members []json.RawMessage
+	for _, clf := range parityClassifiers(tb) {
+		data, err := MarshalModel(&Model{Classifier: clf})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		members = append(members, data)
+	}
+	svm := NewSVM(RBFKernel{Gamma: 0.5}, 4)
+	if err := svm.Fit(scaled); err != nil {
+		tb.Fatal(err)
+	}
+	compiled, err := Distill(&Model{Classifier: svm, Scaler: scaler}, raw.X, DistillOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := json.Marshal(map[string]any{
+		"kind":   "ensemble",
+		"meta":   ModelMeta{Version: 1, TrainedOn: raw.Len()},
+		"scaler": scaler,
+		"ensemble": map[string]any{
+			"folds": 2, "seed": 7, "classes": []int{0, 1},
+			"weights": []float64{0.25, 0.25, 0.25, 0.25},
+			"calib":   []map[string]any{{"lo": 0.8, "hi": 1, "n": 10, "correct": 10}},
+			"members": members,
+		},
+		"compiled": compiled,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestEnsembleSerializationGuards: every artifact of the removed committee
+// kind, well formed or not, fails to decode with an error that names the
+// removal, rather than loading as some other classifier.
+func TestEnsembleSerializationGuards(t *testing.T) {
+	blobs := map[string][]byte{"well formed": ensembleArtifact(t)}
+	for name, blob := range map[string]string{
+		"missing body":    `{"kind":"ensemble"}`,
+		"no members":      `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[]}}`,
+		"corrupt member":  `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"svm"}]}}`,
+		"nested member":   `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"ensemble","ensemble":{"members":[{"kind":"knn","knn":{"k":1}}]}}]}}`,
+		"weight mismatch": `{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[0.5],"members":[{"kind":"knn","knn":{"k":1}},{"kind":"knn","knn":{"k":1}}]}}`,
+	} {
+		blobs[name] = []byte(blob)
+	}
+	for name, data := range blobs {
+		if _, err := UnmarshalModel(data); !errors.Is(err, ErrEnsembleRemoved) {
+			t.Errorf("%s: UnmarshalModel: %v, want ErrEnsembleRemoved", name, err)
+		}
+		_, err := DecodeArtifact(data, ETagOf(data))
+		if !errors.Is(err, ErrEnsembleRemoved) || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s: DecodeArtifact: %v, want an error naming the removal", name, err)
 		}
 	}
 }

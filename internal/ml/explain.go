@@ -44,31 +44,6 @@ type Explanation struct {
 	// is compared against; both zero when no artifact is installed.
 	CompiledMargin    float64 `json:"compiled_margin,omitempty"`
 	CompiledThreshold float64 `json:"compiled_threshold,omitempty"`
-	// Confidence is the model's calibrated estimate that Predicted names the
-	// truly fastest variant (see Model.Confidence).
-	Confidence float64 `json:"confidence"`
-	// Ensemble details the committee vote when the classifier is an ensemble;
-	// nil for single models.
-	Ensemble *EnsembleExplanation `json:"ensemble,omitempty"`
-}
-
-// EnsembleExplanation is the committee-level half of an ensemble decision:
-// who voted for what, with what weight, and how much weighted agreement the
-// winning class collected.
-type EnsembleExplanation struct {
-	// Members lists each committee member's name, normalized vote weight and
-	// individual prediction on this input.
-	Members []EnsembleMemberVote `json:"members"`
-	// Agreement is the weight share of members that voted with the committee
-	// (the raw signal behind the calibrated Confidence).
-	Agreement float64 `json:"agreement"`
-}
-
-// EnsembleMemberVote is one member's contribution to an ensemble decision.
-type EnsembleMemberVote struct {
-	Name      string  `json:"name"`
-	Weight    float64 `json:"weight"`
-	Predicted int     `json:"predicted"`
 }
 
 // PairClasses returns the class-label pair of every trained one-vs-one
@@ -105,18 +80,6 @@ func (m *Model) Explain(x []float64) Explanation {
 	if svm, ok := m.Classifier.(*SVM); ok {
 		ex.PairDecisions = svm.DecisionValues(scaled)
 		ex.PairClasses = svm.PairClasses()
-	}
-	ex.Confidence = m.Confidence(x)
-	if e, ok := m.Classifier.(*Ensemble); ok {
-		ee := &EnsembleExplanation{Agreement: e.Agreement(scaled)}
-		for mi, member := range e.Members() {
-			ee.Members = append(ee.Members, EnsembleMemberVote{
-				Name:      member.Name(),
-				Weight:    e.memberWeight(mi),
-				Predicted: member.Predict(scaled),
-			})
-		}
-		ex.Ensemble = ee
 	}
 	ex.Ranked = m.RankedClasses(x)
 	pred, tier := m.PredictTier(x)

@@ -30,14 +30,11 @@ func fitTinyDataset(tb testing.TB) (raw, scaled *Dataset, scaler *Scaler) {
 func parityClassifiers(tb testing.TB) []Classifier {
 	tb.Helper()
 	_, scaled, _ := fitTinyDataset(tb)
-	ens := NewEnsemble()
-	ens.Folds = 2
 	out := []Classifier{
 		NewSVM(RBFKernel{Gamma: 0.5}, 4),
 		NewKNN(3),
 		NewDecisionTree(4, 1),
 		NewLogistic(0, 0, 50),
-		ens,
 	}
 	for _, clf := range out {
 		if err := clf.Fit(scaled); err != nil {

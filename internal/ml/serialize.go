@@ -2,9 +2,16 @@ package ml
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 )
+
+// ErrEnsembleRemoved rejects artifacts of the "ensemble" kind, which older
+// releases wrote for the committee classifier. The committee is gone, so
+// such a model must be retrained with one of the remaining classifiers
+// before it can be served.
+var ErrEnsembleRemoved = errors.New(`ml: the "ensemble" model kind was removed; retrain with classifier svm, knn, tree or logistic`)
 
 // ModelMeta stamps a trained model with its provenance, so deployment logs,
 // statistics and hot-swap events can attribute which model served a call.
@@ -136,15 +143,6 @@ type logisticJSON struct {
 	Classes []int       `json:"classes"`
 }
 
-type ensembleJSON struct {
-	Folds   int         `json:"folds,omitempty"`
-	Seed    int64       `json:"seed,omitempty"`
-	Classes []int       `json:"classes"`
-	Weights []float64   `json:"weights,omitempty"`
-	Calib   []CalibBin  `json:"calib,omitempty"`
-	Members []modelJSON `json:"members"`
-}
-
 type modelJSON struct {
 	Kind     string          `json:"kind"`
 	Meta     *ModelMeta      `json:"meta,omitempty"`
@@ -153,15 +151,12 @@ type modelJSON struct {
 	KNN      *knnJSON        `json:"knn,omitempty"`
 	Tree     *treeJSON       `json:"tree,omitempty"`
 	Logistic *logisticJSON   `json:"logistic,omitempty"`
-	Ensemble *ensembleJSON   `json:"ensemble,omitempty"`
 	Compiled *Compiled       `json:"compiled,omitempty"`
 	Extra    json.RawMessage `json:"extra,omitempty"`
 }
 
-// envelopeClassifier fills env's Kind and classifier body from c. Ensemble
-// members recurse through the same envelope shape (one level only), so a
-// serialized ensemble is a list of ordinary member envelopes.
-func envelopeClassifier(c Classifier, env *modelJSON, nested bool) error {
+// envelopeClassifier fills env's Kind and classifier body from c.
+func envelopeClassifier(c Classifier, env *modelJSON) error {
 	switch c := c.(type) {
 	case *SVM:
 		env.Kind = "svm"
@@ -179,23 +174,6 @@ func envelopeClassifier(c Classifier, env *modelJSON, nested bool) error {
 	case *Logistic:
 		env.Kind = "logistic"
 		env.Logistic = &logisticJSON{LR: c.LR, L2: c.L2, Iters: c.Iters, W: c.W, Classes: c.classes}
-	case *Ensemble:
-		if nested {
-			return ErrNestedEnsemble
-		}
-		env.Kind = "ensemble"
-		ej := &ensembleJSON{
-			Folds: c.Folds, Seed: c.Seed,
-			Classes: c.classes, Weights: c.weights, Calib: c.calib,
-		}
-		for _, m := range c.members {
-			var me modelJSON
-			if err := envelopeClassifier(m, &me, true); err != nil {
-				return err
-			}
-			ej.Members = append(ej.Members, me)
-		}
-		env.Ensemble = ej
 	default:
 		return fmt.Errorf("ml: cannot serialize classifier kind %q", c.Name())
 	}
@@ -262,14 +240,14 @@ func svmFromBody(sj *svmJSON) (*SVM, error) {
 	return svm, nil
 }
 
-// MarshalModel serializes a fitted model (SVM, KNN, DecisionTree, Logistic or
-// Ensemble) with its scaler to compact JSON.
+// MarshalModel serializes a fitted model (SVM, KNN, DecisionTree or Logistic)
+// with its scaler to compact JSON.
 func MarshalModel(m *Model) ([]byte, error) {
 	if m == nil || m.Classifier == nil {
 		return nil, fmt.Errorf("ml: nil model")
 	}
 	env := modelJSON{Scaler: m.Scaler, Meta: m.Meta, Compiled: m.Compiled}
-	if err := envelopeClassifier(m.Classifier, &env, false); err != nil {
+	if err := envelopeClassifier(m.Classifier, &env); err != nil {
 		return nil, err
 	}
 	return json.Marshal(env)
@@ -291,7 +269,7 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		}
 		m.Compiled = env.Compiled
 	}
-	clf, err := classifierFromEnvelope(&env, false)
+	clf, err := classifierFromEnvelope(&env)
 	if err != nil {
 		return nil, err
 	}
@@ -300,9 +278,7 @@ func UnmarshalModel(data []byte) (*Model, error) {
 }
 
 // classifierFromEnvelope reconstructs the classifier named by env.Kind.
-// Corrupt ensemble members surface as errors, never panics — the deserializer
-// stays total even when a hostile blob nests garbage inside "members".
-func classifierFromEnvelope(env *modelJSON, nested bool) (Classifier, error) {
+func classifierFromEnvelope(env *modelJSON) (Classifier, error) {
 	switch env.Kind {
 	case "svm":
 		if env.SVM == nil {
@@ -335,28 +311,7 @@ func classifierFromEnvelope(env *modelJSON, nested bool) (Classifier, error) {
 		l.classes = env.Logistic.Classes
 		return l, nil
 	case "ensemble":
-		if nested {
-			return nil, ErrNestedEnsemble
-		}
-		ej := env.Ensemble
-		if ej == nil {
-			return nil, fmt.Errorf("ml: ensemble model missing body")
-		}
-		if len(ej.Members) == 0 {
-			return nil, fmt.Errorf("ml: ensemble has no members")
-		}
-		if len(ej.Weights) != 0 && len(ej.Weights) != len(ej.Members) {
-			return nil, fmt.Errorf("ml: ensemble has %d members but %d weights", len(ej.Members), len(ej.Weights))
-		}
-		e := &Ensemble{Folds: ej.Folds, Seed: ej.Seed, classes: ej.Classes, weights: ej.Weights, calib: ej.Calib}
-		for i := range ej.Members {
-			member, err := classifierFromEnvelope(&ej.Members[i], true)
-			if err != nil {
-				return nil, fmt.Errorf("ml: ensemble member %d: %w", i, err)
-			}
-			e.members = append(e.members, member)
-		}
-		return e, nil
+		return nil, ErrEnsembleRemoved
 	default:
 		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
 	}

@@ -121,6 +121,20 @@ func boundaryArtifact(t *testing.T, boundary float64) []byte {
 	return data
 }
 
+// ensembleArtifact wraps boundaryArtifact's SVM as the only member of an
+// "ensemble" envelope, the form older releases wrote for the removed
+// committee classifier.
+func ensembleArtifact(t *testing.T) []byte {
+	t.Helper()
+	data, err := json.Marshal(map[string]any{"kind": "ensemble", "ensemble": map[string]any{
+		"classes": []int{0, 1}, "weights": []float64{1},
+		"members": []json.RawMessage{boundaryArtifact(t, 4.5)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestAuthAndTenantIsolation(t *testing.T) {
 	_, hs := newTestDaemon(t, nil)
 
@@ -217,6 +231,12 @@ func TestModelPullPushPreconditions(t *testing.T) {
 	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5),
 		map[string]string{"If-Match": `"sha256-stale"`}), http.StatusPreconditionFailed)
 	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", []byte("not a model"), nil), http.StatusBadRequest)
+	// So is an artifact of the removed committee kind, with an error that
+	// names the removal; the canary below is still v2, so it stored nothing.
+	body := mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", ensembleArtifact(t), nil), http.StatusBadRequest)
+	if !strings.Contains(string(body), "removed") {
+		t.Errorf("ensemble artifact rejection %q does not name the removal", body)
+	}
 	data = mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5),
 		map[string]string{"If-Match": etag}), http.StatusCreated)
 	if err := json.Unmarshal(data, &dep); err != nil {

@@ -7,12 +7,14 @@ package server
 // shutdown.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nitro/internal/online"
@@ -445,5 +447,102 @@ func TestJournalDriftStateSurvivesRestart(t *testing.T) {
 	}
 	if after.Drift.Samples != before.Drift.Samples || after.Drift.State != before.Drift.State {
 		t.Fatalf("drift after restart %+v, want %+v", after.Drift, before.Drift)
+	}
+}
+
+// TestJournalFilesReplacedNotRewritten: every kind of registry file write,
+// fsynced or not, replaces the file through a rename instead of truncating
+// and rewriting it in place, so a crash mid-write cannot tear the file.
+func TestJournalFilesReplacedNotRewritten(t *testing.T) {
+	dir := t.TempDir()
+	r := newJournalRegistry(t, dir, nil)
+	defer r.Close()
+	if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 4.5), ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spec.json", "v000001.model", "deployment.json"} {
+		path := filepath.Join(dir, "acme", "sort", name)
+		for _, durable := range []bool{false, true} {
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.writeFile("acme", "sort", name, data, durable); err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if os.SameFile(before, after) {
+				t.Errorf("%s (durable %v) was rewritten in place", name, durable)
+			}
+			if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {
+				t.Errorf("%s (durable %v) reads back %q (%v), want %q", name, durable, again, err, data)
+			}
+		}
+	}
+}
+
+// TestJournalIgnoresTornTempFiles: half-written temp files a crash left
+// beside good registry files are ignored on restart, and the next write
+// replaces them.
+func TestJournalIgnoresTornTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	r := newJournalRegistry(t, dir, nil)
+	if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 4.5), ""); err != nil {
+		t.Fatal(err)
+	}
+	r.kill()
+	fnDir := filepath.Join(dir, "acme", "sort")
+	for _, name := range []string{"spec.json", "v000001.model", "deployment.json"} {
+		data, err := os.ReadFile(filepath.Join(fnDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(fnDir, "."+name+".tmp"), data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2 := newJournalRegistry(t, dir, nil)
+	defer r2.Close()
+	dep, err := r2.Deployment("acme", "sort")
+	if err != nil || dep.Stable != 1 || dep.Latest != 1 {
+		t.Fatalf("deployment after restart %+v (%v), want stable v1", dep, err)
+	}
+	if _, err := r2.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 6.5), ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalEnsembleArtifactFailsStart: a data dir holding an artifact of
+// the removed committee kind fails NewRegistry with the file's name rather
+// than starting without that version.
+func TestJournalEnsembleArtifactFailsStart(t *testing.T) {
+	dir := t.TempDir()
+	r := newJournalRegistry(t, dir, nil)
+	if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 4.5), ""); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if err := os.WriteFile(filepath.Join(dir, "acme", "sort", "v000002.model"), ensembleArtifact(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewRegistry(RegistryConfig{Tenants: testTenants(), DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "v000002.model") || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("NewRegistry over an ensemble artifact: %v, want an error naming the file and the removal", err)
 	}
 }

@@ -666,13 +666,14 @@ func (r *Registry) liveRecordsLocked() []journalRecord {
 
 // compactJournalLocked rewrites the journal to the live state (snapshot +
 // truncate). The rewrite drops settled canary_end records, so every
-// deployment pointer they back is written first.
+// deployment pointer they back is written first, and fsynced with its
+// directory: once the records are gone, the file is the only copy.
 func (r *Registry) compactJournalLocked() error {
 	if r.journal == nil {
 		return nil
 	}
 	for tn, fs := range r.funcs() {
-		if err := r.writeDeployment(tn, fs.spec.Name, fs.pointer()); err != nil {
+		if err := r.writeDeployment(tn, fs.spec.Name, fs.pointer(), true); err != nil {
 			return err
 		}
 	}
@@ -787,7 +788,7 @@ func (r *Registry) RegisterFunction(ctx context.Context, tenant string, spec Fun
 	if err != nil {
 		return err
 	}
-	if err := r.writeFile(tenant, spec.Name, "spec.json", data); err != nil {
+	if err := r.writeFile(tenant, spec.Name, "spec.json", data, false); err != nil {
 		return err
 	}
 	ts.funcs[spec.Name] = r.newFuncState(spec)
@@ -968,7 +969,7 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 	}
 	// Artifact-first: the model bytes reach disk before the registry stores
 	// them, and before any record that references them.
-	if err := r.writeFile(tenant, fs.spec.Name, fmt.Sprintf("v%06d.model", version), data); err != nil {
+	if err := r.writeFile(tenant, fs.spec.Name, fmt.Sprintf("v%06d.model", version), data, false); err != nil {
 		return err
 	}
 	fs.artifacts[version] = artifact{version: version, data: data, etag: etag}
@@ -984,7 +985,7 @@ func (r *Registry) installLocked(ctx context.Context, tenant string, fs *funcSta
 		rec := journalRecord{Op: opCanaryEnd, Tenant: tenant, Function: fs.spec.Name,
 			Version: version, Decision: DecisionPromoted, Trace: trace.From(ctx)}
 		if err := r.writeDeployment(tenant, fs.spec.Name, persistedDeployment{Stable: version,
-			Latest: version, LastDec: DecisionPromoted, LastDecTrace: rec.Trace}); err != nil {
+			Latest: version, LastDec: DecisionPromoted, LastDecTrace: rec.Trace}, false); err != nil {
 			return err
 		}
 		apply(fs, rec)
@@ -1118,7 +1119,7 @@ func (r *Registry) ReportCanary(ctx context.Context, tenant, fn string, version 
 	if err := r.commitDrift(ctx, tenant, fs); err != nil {
 		return "", Deployment{}, err
 	}
-	if err := r.writeDeployment(tenant, fn, fs.pointer()); err != nil {
+	if err := r.writeDeployment(tenant, fn, fs.pointer(), false); err != nil {
 		return "", Deployment{}, err
 	}
 	if r.journal != nil && r.journal.sizeBytes() > r.cfg.JournalCompactBytes {
@@ -1364,9 +1365,12 @@ func (fs *funcState) pointer() persistedDeployment {
 		LastDec: fs.lastDec, LastDecTrace: fs.lastDecTrace}
 }
 
-// writeFile writes one file into fn's directory under DataDir (a no-op
-// without one).
-func (r *Registry) writeFile(tenant, fn, name string, data []byte) error {
+// writeFile replaces one file in fn's directory under DataDir (a no-op
+// without one). The bytes go to a temp file beside it that is renamed over
+// the target, so a crash leaves the old file or the new one, never a torn
+// one. The temp name starts with a dot, so load never reads it. With durable
+// set, the file and the rename are fsynced before writeFile returns.
+func (r *Registry) writeFile(tenant, fn, name string, data []byte, durable bool) error {
 	if r.cfg.DataDir == "" {
 		return nil
 	}
@@ -1374,17 +1378,40 @@ func (r *Registry) writeFile(tenant, fn, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
+	tmp := filepath.Join(dir, "."+name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if durable {
+		return syncDir(dir)
+	}
+	return nil
 }
 
-// writeDeployment writes fn's deployment pointer. The canary episode is
-// persisted separately, through the write-ahead journal.
-func (r *Registry) writeDeployment(tenant, fn string, p persistedDeployment) error {
+// writeDeployment writes fn's deployment pointer (see writeFile for durable).
+// The canary episode is persisted separately, through the write-ahead
+// journal.
+func (r *Registry) writeDeployment(tenant, fn string, p persistedDeployment, durable bool) error {
 	data, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
-	return r.writeFile(tenant, fn, "deployment.json", data)
+	return r.writeFile(tenant, fn, "deployment.json", data, durable)
 }
 
 // load restores specs, artifacts and deployment pointers from DataDir.

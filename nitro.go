@@ -196,8 +196,8 @@ func WrapFault[In any](fn VariantFn[In], cfg FaultConfig) VariantFn[In] {
 	return core.WrapFault(fn, cfg)
 }
 
-// TrainOptions configures the offline tuner's classifier ("svm", "knn" or
-// "tree") and the cross-validated grid search.
+// TrainOptions configures the offline tuner's classifier ("svm", "knn",
+// "tree" or "logistic") and the cross-validated grid search.
 type TrainOptions = autotuner.TrainOptions
 
 // TuneReport summarizes a training run: label distribution, skipped inputs,
@@ -242,19 +242,6 @@ type AdaptStats = core.AdaptStats
 // RetrainOptions configures the online retrainer (classifier options,
 // optional BvSB incremental seeding, holdout fraction, acceptance margin).
 type RetrainOptions = autotuner.RetrainOptions
-
-// Classifier is the pluggable variant-selection model interface
-// (Fit/Predict/Scores/Classes/Name) every committee member implements.
-type Classifier = ml.Classifier
-
-// Ensemble is the agreement-weighted voting committee classifier (SVM, kNN,
-// logistic regression and CART) with calibrated per-prediction confidence;
-// select it in training options with Classifier: "ensemble".
-type Ensemble = ml.Ensemble
-
-// NewEnsemble constructs the default four-member committee (pass explicit
-// members to override).
-func NewEnsemble(members ...Classifier) *Ensemble { return ml.NewEnsemble(members...) }
 
 // Model is a trained variant-selection model: classifier, feature scaler and
 // metadata, hot-swappable via Context.SetModel/LoadModel.

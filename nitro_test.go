@@ -300,33 +300,3 @@ func benchFeatureMode(b *testing.B, parallel, async bool) {
 func BenchmarkAblationFeatureEvalSerial(b *testing.B)   { benchFeatureMode(b, false, false) }
 func BenchmarkAblationFeatureEvalParallel(b *testing.B) { benchFeatureMode(b, true, false) }
 func BenchmarkAblationFeatureEvalAsync(b *testing.B)    { benchFeatureMode(b, true, true) }
-
-// TestPublicAPIEnsemble exercises the committee classifier through the
-// facade re-exports.
-func TestPublicAPIEnsemble(t *testing.T) {
-	cv := buildToy(t, nitro.DefaultPolicy("toy"))
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "ensemble", Seed: 7})
-	if _, err := tuner.Tune(toyInputs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, chosen, _ := cv.Call(toy{x: 2}); chosen != "low" {
-		t.Errorf("x=2 chose %q", chosen)
-	}
-	if _, chosen, _ := cv.Call(toy{x: 18}); chosen != "high" {
-		t.Errorf("x=18 chose %q", chosen)
-	}
-	model, ok := cv.Context().Model("toy")
-	if !ok {
-		t.Fatal("no model installed")
-	}
-	ens, ok := model.Classifier.(*nitro.Ensemble)
-	if !ok {
-		t.Fatalf("classifier is %T, want *nitro.Ensemble", model.Classifier)
-	}
-	if len(ens.Members()) != 4 {
-		t.Errorf("committee has %d members, want 4", len(ens.Members()))
-	}
-	if c := model.Confidence([]float64{18}); c <= 0 || c > 1 {
-		t.Errorf("calibrated confidence %v out of (0, 1]", c)
-	}
-}
