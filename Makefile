@@ -102,7 +102,7 @@ online-replay:
 # Run on a quiet machine for stable ns/op numbers; the end-to-end and
 # per-layer dispatch numbers come from perfbench (BENCHMARK.json).
 bench-dispatch:
-	$(GO) test -run xxx -bench 'BenchmarkCallMemoHit|BenchmarkCallNovel|BenchmarkCallExact|BenchmarkCallNoModel' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkCallCompiledRepeat|BenchmarkCallNovel|BenchmarkCallExact|BenchmarkCallNoModel|BenchmarkCallManyFeatures' -benchmem ./internal/core/
 
 # CI agreement gate: every benchmark's tuned model must distill into a
 # compiled artifact that agrees with the exact classifier on >= 99% of the

@@ -165,6 +165,9 @@ func validateSpec(spec Spec) error {
 	if spec.Benchmark == "" && spec.TrainGlob == "" {
 		return bad("either benchmark or train_glob must be set")
 	}
+	if err := autotuner.CheckClassifier(spec.Classifier); err != nil {
+		return fmt.Errorf("%w: %v", errBadSpec, err)
+	}
 	if spec.Scale < 0 {
 		return bad("scale %v must be >= 0", spec.Scale)
 	}

@@ -74,14 +74,22 @@ func TestRunSpecUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// A spec naming the removed committee classifier fails with the
-// unknown-classifier error, which lists the valid classifiers.
+// A spec naming the removed committee classifier fails validation with the
+// unknown-classifier error, which lists the valid classifiers, before the
+// corpus is built: nothing is printed, not even the function line.
 func TestRunSpecUnknownClassifier(t *testing.T) {
 	spec := smallSpec()
 	spec.Classifier = "ensemble"
-	err := runSpec(spec, &bytes.Buffer{})
+	var out bytes.Buffer
+	err := runSpec(spec, &out)
 	if err == nil || !strings.Contains(err.Error(), `unknown classifier "ensemble" (want svm, knn, tree or logistic)`) {
 		t.Fatalf("classifier ensemble: err %v, want the unknown-classifier error listing the valid ones", err)
+	}
+	if !errors.Is(err, errBadSpec) {
+		t.Fatalf("classifier ensemble: err %v does not wrap errBadSpec", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("classifier ensemble: the corpus was built before the spec was rejected:\n%s", out.String())
 	}
 }
 
@@ -190,6 +198,8 @@ func TestValidateSpecTable(t *testing.T) {
 		{"valid", smallSpec(), true},
 		{"empty function", mut(func(s *Spec) { s.Function = "" }), false},
 		{"no corpus source", mut(func(s *Spec) { s.Benchmark = "" }), false},
+		{"unknown classifier", mut(func(s *Spec) { s.Classifier = "ensemble" }), false},
+		{"knn classifier", mut(func(s *Spec) { s.Classifier = "knn" }), true},
 		{"negative scale", mut(func(s *Spec) { s.Scale = -1 }), false},
 		{"negative train count", mut(func(s *Spec) { s.TrainCount = -5 }), false},
 		{"negative test count", mut(func(s *Spec) { s.TestCount = -1 }), false},

@@ -117,6 +117,16 @@ func buildDataset(instances []Instance) (*ml.Dataset, []int, int) {
 	return ds, labels, skipped
 }
 
+// CheckClassifier reports whether Train accepts name as its classifier:
+// nil for "" (the SVM) and every value makeClassifier builds, else the
+// error Train would return. Spec validators call it before doing any work.
+func CheckClassifier(name string) error {
+	_, err := makeClassifier(TrainOptions{Classifier: name})
+	return err
+}
+
+// makeClassifier maps TrainOptions.Classifier to a classifier factory; its
+// switch is the one list of accepted classifiers.
 func makeClassifier(opts TrainOptions) (func() ml.Classifier, error) {
 	switch opts.Classifier {
 	case "", "svm":

@@ -1,8 +1,9 @@
 // Adaptation hooks: the deployment-runtime half of the online adaptation
 // subsystem (internal/online). A CodeVariant can carry one CallObserver — an
-// atomic pointer consulted after every successful Call-path dispatch — plus
-// the exploration primitives (ObserveVariant, Selectable) an adaptation
-// engine needs to re-time non-predicted variants on live inputs.
+// atomic pointer consulted before every Call-path dispatch, which admits
+// the calls it wants to observe — plus the exploration primitives
+// (ObserveVariant, Selectable) an adaptation engine needs to re-time
+// non-predicted variants on live inputs.
 //
 // The hooks are inert by default: with no observer installed the Call paths
 // pay exactly one atomic load + nil check, record the same statistics, and
@@ -21,10 +22,12 @@ import (
 type CallObservation[In any] struct {
 	// Input is the call's input value.
 	Input In
-	// Features is the evaluated feature vector (not a copy — observers must
-	// not mutate it, and must not retain it past the callback: the Call fast
-	// path recycles the buffer through a pool after dispatch. Copy it if you
-	// need it later; internal/online's reservoir does).
+	// Features is the whole feature vector, evaluated before the variant
+	// ran, so it describes the input the variant received (not a copy —
+	// observers must not mutate it, and must not retain it past the
+	// callback: the Call fast path recycles the buffer through a pool after
+	// dispatch. Copy it if you need it later; internal/online's reservoir
+	// does).
 	Features []float64
 	// Predicted is the installed model's raw class prediction for Features,
 	// or -1 when no model was installed.
@@ -41,12 +44,21 @@ type CallObservation[In any] struct {
 	FellBack bool
 }
 
-// CallObserver receives one CallObservation per successful Call-path
-// dispatch (Call, CallCtx, CallFixed, CallConcurrent). ObserveCall runs on
-// the calling goroutine after statistics are recorded, so implementations
-// must be safe for concurrent invocation and should return quickly on the
-// non-sampled path.
+// CallObserver samples Call-path dispatches (Call, CallCtx, CallFixed,
+// CallConcurrent) in two steps, both on the calling goroutine, so
+// implementations must be safe for concurrent invocation:
+//
+//   - AdmitCall runs before the call selects or runs a variant, once per
+//     dispatch, and should return quickly: it is the whole cost an
+//     observer adds to a call it does not want. Returning true admits the
+//     call: the runtime then evaluates the call's whole feature vector
+//     before the variant runs, even where the decision reads only part of
+//     it.
+//   - ObserveCall receives the admitted call's CallObservation once the
+//     dispatch succeeds, after statistics are recorded. An admitted call
+//     that fails on every variant, or is cancelled, is never observed.
 type CallObserver[In any] interface {
+	AdmitCall() bool
 	ObserveCall(CallObservation[In])
 }
 
@@ -62,16 +74,15 @@ func (cv *CodeVariant[In]) SetCallObserver(o CallObserver[In]) {
 	cv.observer.Store(&o)
 }
 
-// observe forwards one successful dispatch to the installed observer, if
-// any. The unobserved fast path is a single atomic load.
-func (cv *CodeVariant[In]) observe(in In, vec []float64, pred, chosen int, value float64, fellBack bool) {
-	op := cv.observer.Load()
-	if op == nil {
+// observe forwards one successful dispatch to the observer that admitted
+// it, if any.
+func (cv *CodeVariant[In]) observe(in *In, f *callFeatures[In], pred, chosen int, value float64, fellBack bool) {
+	if f.obs == nil {
 		return
 	}
-	(*op).ObserveCall(CallObservation[In]{
-		Input:     in,
-		Features:  vec,
+	f.obs.ObserveCall(CallObservation[In]{
+		Input:     *in,
+		Features:  f.vec,
 		Predicted: pred,
 		ChosenIdx: chosen,
 		Chosen:    cv.variants[chosen].name,
@@ -96,7 +107,7 @@ func (cv *CodeVariant[In]) ObserveVariant(idx int, in In) (float64, error) {
 	if qOn {
 		acq = v.br.acquire(nowNanos())
 	}
-	value, err := cv.runVariant(nil, idx, in)
+	value, err := cv.runVariant(nil, idx, &in)
 	if err == nil {
 		if qOn && v.br.onSuccess(acq) {
 			cv.stats.recordRecovery()
@@ -121,7 +132,7 @@ func (cv *CodeVariant[In]) Selectable(idx int, in In) bool {
 	if cv.policy.Quarantine.Enabled() {
 		now = nowNanos()
 	}
-	return cv.selectable(idx, in, now)
+	return cv.selectable(idx, &in, now)
 }
 
 // DefaultIndex returns the default variant's label index (-1 before any

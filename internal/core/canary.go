@@ -3,7 +3,7 @@
 // model slot.
 //
 // A canary rides the same per-function modelSlot the hot-swap machinery
-// uses: one extra atomic pointer holds the challenger, and predictVec draws
+// uses: one extra atomic pointer holds the challenger, and predict draws
 // per call whether this call is served by the challenger or by the stable
 // tiers. The draw is a pure function of the cell's admission count, so
 // serial callers get the same split, and the same memo contents, on every

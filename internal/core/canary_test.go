@@ -7,8 +7,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
+
+	"nitro/internal/ml"
 )
 
 // TestCanaryFractionOneServesChallenger: with fraction 1 every call is
@@ -303,5 +306,70 @@ func TestCanaryAdmissionRepeats(t *testing.T) {
 	}
 	if share := float64(canary1.Calls) / calls; math.Abs(share-0.3) > 0.015 {
 		t.Fatalf("challenger served %.4f of calls, want 0.3 ± 0.015", share)
+	}
+}
+
+// rangeModel fits a one-feature 3-class model labelling x by label(x) on
+// x = 0..9, as threeCV does.
+func rangeModel(t *testing.T, label func(x float64) int) *ml.Model {
+	t.Helper()
+	ds := &ml.Dataset{}
+	for x := 0.0; x <= 9; x++ {
+		ds.Append([]float64{x}, label(x))
+	}
+	scaler := &ml.Scaler{}
+	scaled, err := scaler.FitTransform(ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svm := ml.NewSVM(ml.RBFKernel{Gamma: 1}, 10)
+	if err := svm.Fit(&ml.Dataset{X: scaled, Y: ds.Y}); err != nil {
+		t.Fatal(err)
+	}
+	return &ml.Model{Classifier: svm, Scaler: scaler}
+}
+
+// TestCanaryFallbackRanksWithChallenger: when the challenger served a call
+// and its pick panics, the failure fallback walks the challenger's ranking,
+// not the stable model's. Both models pick v2 at x=7; the stable model
+// ranks v1 next and the challenger v0, and the default is v1, so only the
+// challenger's ranking can run v0.
+func TestCanaryFallbackRanksWithChallenger(t *testing.T) {
+	cv, stable := threeCV(t, "canary-fb", map[int]VariantFn[testInput]{
+		2: func(testInput) float64 { panic("v2 down") },
+	})
+	if err := cv.SetDefault("v1"); err != nil {
+		t.Fatal(err)
+	}
+	challenger := rangeModel(t, func(x float64) int {
+		switch {
+		case x >= 6:
+			return 2
+		case x >= 3:
+			return 0
+		}
+		return 1
+	})
+	x := []float64{7}
+	if r := stable.RankedClasses(x); !slices.Equal(r, []int{2, 1, 0}) {
+		t.Fatalf("precondition: stable ranking at x=7 is %v, want [2 1 0]", r)
+	}
+	if r := challenger.RankedClasses(x); !slices.Equal(r, []int{2, 0, 1}) {
+		t.Fatalf("precondition: challenger ranking at x=7 is %v, want [2 0 1]", r)
+	}
+	cx := cv.Context()
+	if err := cx.SetCanary("canary-fb", challenger, 1); err != nil {
+		t.Fatal(err)
+	}
+	v, name, err := cv.Call(testInput{X: 7})
+	if err != nil || name != "v0" || v != 0 {
+		t.Fatalf("canary-served fallback ran (%v, %q, %v), want the challenger's next-ranked (0, v0)", v, name, err)
+	}
+	if st := cx.CanaryStats("canary-fb"); st.Calls != 1 || st.Failures != 1 {
+		t.Fatalf("canary stats = %+v, want the panicking pick counted as a failure", st)
+	}
+	cx.ClearCanary("canary-fb")
+	if _, name, err := cv.Call(testInput{X: 7}); err != nil || name != "v1" {
+		t.Fatalf("stable-served fallback ran (%q, %v), want the stable model's next-ranked v1", name, err)
 	}
 }

@@ -425,7 +425,16 @@ type CallStats struct {
 	PerVariant       map[string]int `json:"per_variant"`
 	DefaultFallbacks int            `json:"default_fallbacks"`
 	TotalValue       float64        `json:"total_value"`
-	FeatureSeconds   float64        `json:"feature_seconds"`
+	// FeatureSeconds sums the modelled cost (Feature.Cost) of the features
+	// each successful call evaluated: on the serial Call path only the
+	// features its decision read, with the compiled walk reading just those
+	// on its path, and the whole vector when the call needed it (a walk
+	// inside the margin, a model without a program, a traced or observed
+	// call, a failure fallback the model ranks). A call without a model
+	// evaluates none unless it is traced or observed.
+	// Parallel evaluation charges the costliest feature, and asynchronous
+	// FixInputs handles charge nothing.
+	FeatureSeconds float64 `json:"feature_seconds"`
 
 	// Failure accounting (fault-tolerant dispatch).
 
@@ -521,6 +530,12 @@ type ConstraintFn[In any] func(In) bool
 
 // Feature is one input-feature function with an optional evaluation-cost
 // model (simulated seconds) used for overhead accounting (Fig. 8).
+//
+// Eval and Cost must be pure functions of the input. The Call paths
+// evaluate a feature only when the decision reads it (the compiled walk
+// reads just the features on its path), at most once per call and always
+// before the selected variant runs, and FeatureSeconds charges only the
+// features a call evaluated.
 type Feature[In any] struct {
 	Name string
 	Eval func(In) float64
@@ -564,18 +579,14 @@ type CodeVariant[In any] struct {
 	model *modelSlot
 	stats *funcStats
 
-	// memo is the feature-vector → raw-prediction cache. Per CodeVariant,
-	// invalidated by epoch stamping on model hot-swap; see memoCache.
+	// memo is the feature-vector → raw-prediction cache behind the compiled
+	// tier. Per CodeVariant, invalidated by epoch stamping on model
+	// hot-swap; see memoCache.
 	memo *memoCache
 
-	// anyCost records whether any registered feature carries a Cost model;
-	// when none does, the serial feature-eval path skips cost accounting
-	// entirely (no costs slice, no per-feature nil checks).
-	anyCost bool
-
 	// observer is the optional adaptation hook (SetCallObserver): consulted
-	// with one atomic load after every successful Call-path dispatch. Nil —
-	// the default — keeps the runtime byte-identical to the pre-adaptation
+	// with one atomic load before every Call-path dispatch. Nil — the
+	// default — keeps the runtime byte-identical to the pre-adaptation
 	// behaviour.
 	observer atomic.Pointer[CallObserver[In]]
 
@@ -633,9 +644,6 @@ func (cv *CodeVariant[In]) SetDefault(name string) error {
 // AddInputFeature registers a feature function.
 func (cv *CodeVariant[In]) AddInputFeature(f Feature[In]) {
 	cv.features = append(cv.features, f)
-	if f.Cost != nil {
-		cv.anyCost = true
-	}
 	cv.cx.noteShape(cv.policy.Name, len(cv.features), len(cv.variants))
 }
 
@@ -673,74 +681,135 @@ func (cv *CodeVariant[In]) NumVariants() int { return len(cv.variants) }
 
 // Allowed reports whether variant idx passes its constraints on in (always
 // true when the policy disables constraints).
-func (cv *CodeVariant[In]) Allowed(idx int, in In) bool {
+func (cv *CodeVariant[In]) Allowed(idx int, in In) bool { return cv.allowed(idx, &in) }
+
+// allowed is Allowed on an input passed by pointer, the form the dispatch
+// layers use so a call copies its input once, not at every layer.
+func (cv *CodeVariant[In]) allowed(idx int, in *In) bool {
 	if !cv.policy.ConstraintsEnabled {
 		return true
 	}
 	for _, c := range cv.variants[idx].constraints {
-		if !c(in) {
+		if !c(*in) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalFeatures computes the feature vector, honouring the parallel policy,
-// and returns it with the modelled evaluation cost in seconds (the maximum
-// over features when parallel, the sum when serial). The returned vector is
-// freshly allocated; callers that may retain it (Fixed handles, observers)
-// use this form.
-func (cv *CodeVariant[In]) evalFeatures(in In) ([]float64, float64) {
+// evalFeatures computes the whole feature vector, honouring the parallel
+// policy, and returns it with the modelled evaluation cost in seconds (the
+// maximum over features when parallel, the sum when serial). The returned
+// vector is freshly allocated; callers that may retain it (Fixed handles,
+// FeatureVector) use this form.
+func (cv *CodeVariant[In]) evalFeatures(in *In) ([]float64, float64) {
 	vec := make([]float64, len(cv.features))
-	return vec, cv.evalFeaturesInto(in, vec)
+	if cv.policy.ParallelFeatureEval {
+		return vec, cv.evalParallel(in, vec)
+	}
+	v := *in
+	var sum float64
+	for j := range cv.features {
+		ft := &cv.features[j]
+		vec[j] = ft.Eval(v)
+		if ft.Cost != nil {
+			sum += ft.Cost(v)
+		}
+	}
+	return vec, sum
 }
 
-// evalFeaturesInto is evalFeatures writing into a caller-provided vector (len
-// == len(features)) — the allocation-free form the Call hot path uses with a
-// pooled buffer.
-func (cv *CodeVariant[In]) evalFeaturesInto(in In, vec []float64) float64 {
-	if cv.policy.ParallelFeatureEval {
-		costs := make([]float64, len(cv.features))
-		var wg sync.WaitGroup
-		for i := range cv.features {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				vec[i] = cv.features[i].Eval(in)
-				if cv.features[i].Cost != nil {
-					costs[i] = cv.features[i].Cost(in)
-				}
-			}(i)
+// evalParallel evaluates every feature concurrently into vec (len ==
+// len(features)) and returns the largest single feature cost.
+func (cv *CodeVariant[In]) evalParallel(in *In, vec []float64) float64 {
+	inv := *in // the goroutines read their own copy, so in stays on the caller's stack
+	costs := make([]float64, len(cv.features))
+	var wg sync.WaitGroup
+	for j := range cv.features {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			ft := &cv.features[j]
+			vec[j] = ft.Eval(inv)
+			if ft.Cost != nil {
+				costs[j] = ft.Cost(inv)
+			}
+		}(j)
+	}
+	wg.Wait()
+	var maxC float64
+	for _, c := range costs {
+		if c > maxC {
+			maxC = c
 		}
-		wg.Wait()
-		var maxC float64
-		for _, c := range costs {
-			if c > maxC {
-				maxC = c
+	}
+	return maxC
+}
+
+// callFeatures is one dispatch's feature vector. On the serial Call path it
+// is evaluated on demand: the compiled walk's fill callback runs a
+// feature's Eval and Cost (eval) the first time the walk reads it, and full
+// completes the rest when a later rung (memo, exact), the observer, the
+// tracer or the failure fallback needs the whole vector. Every read happens
+// before the selected variant runs, except the failure fallback's, which
+// runs after the failed variant. A vector built whole (SelectIndex, Fixed
+// handles, parallel evaluation) has seen == nil.
+//
+// The input is not a field: the dispatch layers pass it by pointer beside
+// the features, because vec and obs reach code that escape analysis cannot
+// see through, and a pointer stored with them would move every Call's
+// input to the heap.
+type callFeatures[In any] struct {
+	cv  *CodeVariant[In]
+	vec []float64
+	// seen has bit j set once vec[j] holds feature j; nil once vec is whole.
+	seen []uint64
+	// secs is the modelled cost of the features evaluated so far: what the
+	// call charges to FeatureSeconds.
+	secs float64
+	// obs is the observer that admitted this call (see CallObserver), or nil.
+	obs CallObserver[In]
+}
+
+// unread reports whether feature j still has to be evaluated.
+func (f *callFeatures[In]) unread(j int) bool {
+	return f.seen != nil && f.seen[j>>6]&(1<<(j&63)) == 0
+}
+
+// eval evaluates feature j of in into vec[j], charges its cost and marks it
+// read. The evaluation is written out here and in evalFeatures rather than
+// shared, and both copy the input into a local first: passing *in straight
+// to a call copies it twice, and a shared helper taking the input is too
+// large to inline: its extra call per feature made FeatureVector about 40%
+// slower.
+func (f *callFeatures[In]) eval(in *In, j int) {
+	ft := &f.cv.features[j]
+	v := *in
+	f.vec[j] = ft.Eval(v)
+	if ft.Cost != nil {
+		f.secs += ft.Cost(v)
+	}
+	f.seen[j>>6] |= 1 << (j & 63)
+}
+
+// full evaluates every feature of in not read yet and returns the whole
+// vector.
+func (f *callFeatures[In]) full(in *In) []float64 {
+	if f.seen != nil {
+		for j := range f.vec {
+			if f.unread(j) {
+				f.eval(in, j)
 			}
 		}
-		return maxC
+		f.seen = nil
 	}
-	if !cv.anyCost {
-		for i := range cv.features {
-			vec[i] = cv.features[i].Eval(in)
-		}
-		return 0
-	}
-	var sum float64
-	for i := range cv.features {
-		vec[i] = cv.features[i].Eval(in)
-		if cv.features[i].Cost != nil {
-			sum += cv.features[i].Cost(in)
-		}
-	}
-	return sum
+	return f.vec
 }
 
 // FeatureVector computes the feature vector synchronously and returns it
 // with its modelled evaluation cost.
 func (cv *CodeVariant[In]) FeatureVector(in In) ([]float64, float64) {
-	return cv.evalFeatures(in)
+	return cv.evalFeatures(&in)
 }
 
 // Fixed is a per-call future produced by FixInputs: the input it was created
@@ -773,12 +842,12 @@ func (cv *CodeVariant[In]) FixInputs(in In) *Fixed[In] {
 	if cv.policy.AsyncFeatureEval {
 		f.done = make(chan struct{})
 		go func() {
-			f.vec, f.seconds = cv.evalFeatures(in)
+			f.vec, f.seconds = cv.evalFeatures(&f.in)
 			close(f.done)
 		}()
 		return f
 	}
-	f.vec, f.seconds = cv.evalFeatures(in)
+	f.vec, f.seconds = cv.evalFeatures(&f.in)
 	return f
 }
 
@@ -819,11 +888,12 @@ func (cv *CodeVariant[In]) CallFixed(f *Fixed[In]) (float64, string, error) {
 	if f.consumed.Swap(true) {
 		return 0, "", errors.New("core: Fixed handle already consumed")
 	}
-	vec, featSeconds := f.Features()
+	fv := callFeatures[In]{cv: cv}
+	fv.vec, fv.secs = f.Features()
 	if cv.policy.AsyncFeatureEval {
-		featSeconds = 0 // hidden: evaluation overlapped other work
+		fv.secs = 0 // hidden: evaluation overlapped other work
 	}
-	return cv.dispatch(context.Background(), f.in, vec, featSeconds)
+	return cv.dispatch(context.Background(), &f.in, &fv)
 }
 
 // SelectIndex returns the variant label the selection engine would execute
@@ -837,16 +907,20 @@ func (cv *CodeVariant[In]) CallFixed(f *Fixed[In]) (float64, string, error) {
 // The second result reports whether a fallback happened. When constraints
 // veto every variant the index is -1 and the error is ErrAllVariantsVetoed.
 func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) {
-	idx, _, _, fellBack, _, _, err := cv.selectWithPred(in, vec)
+	f := callFeatures[In]{cv: cv, vec: vec}
+	idx, _, _, fellBack, _, _, err := cv.selectWithPred(&in, &f)
 	return idx, fellBack, err
 }
 
-// predictVec runs the model prediction ladder for one feature vector: memo
-// cache, then the model's own tiers (compiled artifact, exact classifier).
-// It returns the prediction, its tier and the model that made it: the
-// challenger, or the stable pointer it loaded; (-1, TierNone, nil) without
-// a model. The tier counter is recorded here — at prediction time — so
-// memoized, compiled and exact predictions are counted exactly once each.
+// predict runs the model prediction ladder for one call: the compiled walk
+// over on-demand features, then — only when the walk cannot decide (no
+// program, or a path inside the margin) — the memo cache keyed on the whole
+// vector, then the exact classifier. It returns the prediction, its tier
+// and the model that made it: the challenger, or the stable pointer it
+// loaded; (-1, TierNone, nil) without a model, which evaluates no feature.
+// The tier counter is recorded here — at prediction time — so memoized,
+// compiled and exact predictions are counted exactly once each. The memo
+// therefore serves only exact-tier predictions.
 //
 // Ordering invariant: the epoch is loaded BEFORE the model pointer; see
 // memoCache for why the reverse order would be unsound under hot-swap.
@@ -855,34 +929,53 @@ func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) 
 // serves it; canary-served predictions skip the memo cache in both
 // directions (no stable-entry reads, no challenger stores) and return the
 // cell so dispatch can account the outcome.
-func (cv *CodeVariant[In]) predictVec(vec []float64) (int, ml.Tier, *ml.Model, *canaryCell) {
-	if cs := cv.model.canary.Load(); cs != nil && cs.admit() {
-		pred, tier := cs.model.PredictTier(vec)
-		cv.stats.recordTier(tier)
-		return pred, tier, cs.model, cs
+func (cv *CodeVariant[In]) predict(in *In, f *callFeatures[In]) (int, ml.Tier, *ml.Model, *canaryCell) {
+	cs := cv.model.canary.Load()
+	if cs != nil && !cs.admit() {
+		cs = nil
 	}
 	epoch := cv.model.epoch.Load()
 	m := cv.model.p.Load()
+	if cs != nil {
+		m = cs.model
+	}
 	if m == nil {
 		return -1, ml.TierNone, nil, nil
+	}
+	var fill func(int) // nil for a whole vector: the walk indexes it directly
+	if f.seen != nil {
+		fill = func(j int) {
+			if f.unread(j) {
+				f.eval(in, j)
+			}
+		}
+	}
+	if pred, ok := m.PredictCompiled(f.vec, fill); ok {
+		cv.stats.recordTier(ml.TierCompiled)
+		return pred, ml.TierCompiled, m, cs
+	}
+	vec := f.full(in)
+	if cs != nil {
+		cv.stats.recordTier(ml.TierExact)
+		return m.PredictExact(vec), ml.TierExact, m, cs
 	}
 	h := memoHash(vec)
 	if pred, ok := cv.memo.lookup(h, vec, epoch); ok {
 		cv.stats.recordTier(ml.TierMemo)
 		return pred, ml.TierMemo, m, nil
 	}
-	pred, tier := m.PredictTier(vec)
+	pred := m.PredictExact(vec)
 	cv.memo.store(h, vec, pred, epoch)
-	cv.stats.recordTier(tier)
-	return pred, tier, m, nil
+	cv.stats.recordTier(ml.TierExact)
+	return pred, ml.TierExact, m, nil
 }
 
 // selectWithPred is SelectIndex plus the model's raw prediction (-1 when no
 // model is installed), the tier that produced it, the model that made it
 // and the canary cell when the challenger served the call — what the
-// adaptation observer, the canary accounting and the decision tracer need
-// beyond the index.
-func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Tier, bool, *ml.Model, *canaryCell, error) {
+// adaptation observer, the canary accounting, the failure fallback and the
+// decision tracer need beyond the index.
+func (cv *CodeVariant[In]) selectWithPred(in *In, f *callFeatures[In]) (int, int, ml.Tier, bool, *ml.Model, *canaryCell, error) {
 	if len(cv.variants) == 0 {
 		return -1, -1, ml.TierNone, false, nil, nil, errNoVariants
 	}
@@ -890,7 +983,7 @@ func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Ti
 	if cv.policy.Quarantine.Enabled() {
 		now = nowNanos()
 	}
-	pred, tier, m, cs := cv.predictVec(vec)
+	pred, tier, m, cs := cv.predict(in, f)
 	if tier != ml.TierNone {
 		if pred >= 0 && pred < len(cv.variants) && cv.selectable(pred, in, now) {
 			return pred, pred, tier, false, m, cs, nil
@@ -904,7 +997,7 @@ func (cv *CodeVariant[In]) selectWithPred(in In, vec []float64) (int, int, ml.Ti
 	}
 	if cv.policy.Quarantine.Enabled() {
 		// Everything allowed is quarantined: last resort, constraints only.
-		if idx := cv.firstFallback(func(i int) bool { return cv.Allowed(i, in) }); idx >= 0 {
+		if idx := cv.firstFallback(func(i int) bool { return cv.allowed(i, in) }); idx >= 0 {
 			return idx, pred, tier, true, m, cs, nil
 		}
 	}
@@ -930,33 +1023,40 @@ type dispatchResult struct {
 	fellBack bool
 }
 
-// dispatch runs selection + execution + statistics on an already evaluated
-// feature vector. Execution is fault-tolerant: the selected variant runs
-// with panic isolation and an optional deadline, and on failure dispatch
-// walks the fallback chain (score-ranked alternatives → default →
-// registration order) before surfacing a typed error.
+// dispatch runs selection + execution + statistics for one call on in.
+// Execution is fault-tolerant: the selected variant runs with panic
+// isolation and an optional deadline, and on failure dispatch walks the
+// fallback chain (score-ranked alternatives → default → registration order)
+// before surfacing a typed error.
 //
-// When a tracer is installed and admits this call, the dispatch is wrapped in
-// a DecisionTrace capture; the untraced path pays one atomic load.
-func (cv *CodeVariant[In]) dispatch(ctx context.Context, in In, vec []float64, featSeconds float64) (float64, string, error) {
-	if t := cv.tracer.Load(); t != nil && t.Admit() {
-		return cv.dispatchTraced(ctx, t, in, vec, featSeconds)
+// The installed observer is asked first whether it wants this call (see
+// CallObserver); an admitted call, like a traced one, evaluates its whole
+// feature vector before anything else runs. When a tracer is installed and
+// admits this call, the dispatch is wrapped in a DecisionTrace capture; the
+// untraced path pays one atomic load.
+func (cv *CodeVariant[In]) dispatch(ctx context.Context, in *In, f *callFeatures[In]) (float64, string, error) {
+	if op := cv.observer.Load(); op != nil && (*op).AdmitCall() {
+		f.obs = *op
+		f.full(in)
 	}
-	r := cv.dispatchRun(ctx, in, vec, featSeconds)
+	if t := cv.tracer.Load(); t != nil && t.Admit() {
+		return cv.dispatchTraced(ctx, t, in, f)
+	}
+	r := cv.dispatchRun(ctx, in, f)
 	return r.value, r.name, r.err
 }
 
 // dispatchRun is the single dispatch implementation behind both the traced
 // and untraced paths.
-func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64, featSeconds float64) dispatchResult {
-	idx, pred, tier, fellBack, m, cs, err := cv.selectWithPred(in, vec)
+func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in *In, f *callFeatures[In]) dispatchResult {
+	idx, pred, tier, fellBack, m, cs, err := cv.selectWithPred(in, f)
 	if err != nil {
 		if cs != nil {
 			cs.record(true)
 		}
 		return dispatchResult{idx: -1, fellBack: fellBack, tier: tier, model: m, err: err}
 	}
-	value, verr := cv.exec(ctx, idx, in, featSeconds, fellBack)
+	value, verr := cv.exec(ctx, idx, in, f.secs, fellBack)
 	if verr == nil {
 		// A canary-served call that needed a selection fallback means the
 		// challenger's pick was vetoed or quarantined: count it against the
@@ -964,7 +1064,7 @@ func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64
 		if cs != nil {
 			cs.record(fellBack)
 		}
-		cv.observe(in, vec, pred, idx, value, fellBack)
+		cv.observe(in, f, pred, idx, value, fellBack)
 		return dispatchResult{value: value, idx: idx, name: cv.variants[idx].name, fellBack: fellBack, tier: tier, model: m}
 	}
 	var ve *VariantError
@@ -976,7 +1076,7 @@ func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64
 	if cs != nil {
 		cs.record(true)
 	}
-	value, cidx, hops, ferr := cv.dispatchFallback(ctx, in, vec, featSeconds, idx, pred, verr)
+	value, cidx, hops, ferr := cv.dispatchFallback(ctx, in, f, m, idx, pred, verr)
 	r := dispatchResult{value: value, idx: cidx, fellBack: true, hops: hops, tier: tier, model: m, err: ferr}
 	if cidx >= 0 && ferr == nil {
 		r.name = cv.variants[cidx].name
@@ -984,11 +1084,11 @@ func (cv *CodeVariant[In]) dispatchRun(ctx context.Context, in In, vec []float64
 	return r
 }
 
-// Call is the paper's operator(): it evaluates the feature vector, selects a
-// variant via the model with constraint fallback, executes it, records
-// statistics, and returns the variant's value with the chosen variant name.
-// Call is safe for unlimited concurrent use on one CodeVariant. It is
-// exactly CallCtx with a background context.
+// Call is the paper's operator(): it selects a variant via the model with
+// constraint fallback, evaluating the features the decision reads, executes
+// it, records statistics, and returns the variant's value with the chosen
+// variant name. Call is safe for unlimited concurrent use on one
+// CodeVariant. It is exactly CallCtx with a background context.
 func (cv *CodeVariant[In]) Call(in In) (float64, string, error) {
 	return cv.CallCtx(context.Background(), in)
 }
@@ -999,6 +1099,9 @@ func (cv *CodeVariant[In]) Call(in In) (float64, string, error) {
 // fallback chain (cancellation is the caller's choice, not a variant
 // failure). With a background (never-cancelled) context it is byte-identical
 // to Call in both results and recorded statistics.
+//
+// Features are evaluated on demand (see callFeatures), unless the policy sets
+// ParallelFeatureEval, which evaluates the whole vector up front.
 func (cv *CodeVariant[In]) CallCtx(ctx context.Context, in In) (float64, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1009,27 +1112,36 @@ func (cv *CodeVariant[In]) CallCtx(ctx context.Context, in In) (float64, string,
 	if len(cv.variants) == 0 {
 		return 0, "", errNoVariants
 	}
-	// The feature vector comes from a pool and is recycled after dispatch:
+	// The feature buffer comes from a pool and is recycled after dispatch:
 	// nothing downstream retains it (the memo tier and the tracer copy, and
-	// the observer contract forbids retention), so the steady-state Call fast
-	// path allocates nothing for features.
-	vp := featVecPool.Get().(*[]float64)
-	vec := *vp
-	if cap(vec) < len(cv.features) {
-		vec = make([]float64, len(cv.features))
-	} else {
-		vec = vec[:len(cv.features)]
+	// the observer contract forbids retention), so the steady-state Call
+	// fast path allocates nothing for features.
+	b := featBufPool.Get().(*featBuf)
+	n, words := len(cv.features), (len(cv.features)+63)/64
+	if cap(b.vec) < n || cap(b.seen) < words {
+		b.vec, b.seen = make([]float64, n), make([]uint64, words)
 	}
-	featSeconds := cv.evalFeaturesInto(in, vec)
-	value, name, err := cv.dispatch(ctx, in, vec, featSeconds)
-	*vp = vec
-	featVecPool.Put(vp)
+	f := callFeatures[In]{cv: cv, vec: b.vec[:n]}
+	if cv.policy.ParallelFeatureEval {
+		f.secs = cv.evalParallel(&in, f.vec)
+	} else {
+		f.seen = b.seen[:words]
+		clear(f.seen)
+	}
+	value, name, err := cv.dispatch(ctx, &in, &f)
+	featBufPool.Put(b)
 	return value, name, err
 }
 
-// featVecPool recycles Call-path feature vectors. Fixed handles do NOT use
-// it: Fixed.Features hands the vector to the caller, who may retain it.
-var featVecPool = sync.Pool{New: func() any { return new([]float64) }}
+// featBuf is one pooled Call-path feature buffer: the vector and its
+// evaluated-feature bitset. Fixed handles do NOT use it: Fixed.Features
+// hands the vector to the caller, who may retain it.
+type featBuf struct {
+	vec  []float64
+	seen []uint64
+}
+
+var featBufPool = sync.Pool{New: func() any { return new(featBuf) }}
 
 // CallResult is one input's outcome of CallConcurrent.
 type CallResult struct {
@@ -1096,11 +1208,11 @@ func (cv *CodeVariant[In]) ExhaustiveSearchCtx(ctx context.Context, in In) ([]fl
 	values := make([]float64, len(cv.variants))
 	best, bestV := -1, math.Inf(1)
 	for i := range cv.variants {
-		if !cv.Allowed(i, in) || ctx.Err() != nil {
+		if !cv.allowed(i, &in) || ctx.Err() != nil {
 			values[i] = math.Inf(1)
 			continue
 		}
-		v, err := cv.runVariant(ctx, i, in)
+		v, err := cv.runVariant(ctx, i, &in)
 		if err != nil {
 			values[i] = math.Inf(1)
 			continue

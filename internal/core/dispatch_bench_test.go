@@ -1,14 +1,21 @@
 package core
 
 // Per-tier dispatch benchmarks: one bench per rung of the dispatch ladder,
-// so regressions in a single tier are attributable. BenchmarkCallMemoHit is
-// the steady-state repeat-caller fast path; BenchmarkCallNovel is its
-// opposite, a memo miss on every call;
-// BenchmarkCallExact times the full scaler+SVM pass with an undistilled
-// model on inputs the memo has never seen.
+// so regressions in a single tier are attributable.
+// BenchmarkCallCompiledRepeat is the steady-state repeat caller, which the
+// compiled walk serves ahead of the memo; BenchmarkCallNovel is a
+// never-seen input every call; BenchmarkCallExact times the full
+// scaler+SVM pass with an undistilled model on inputs the memo has never
+// seen; BenchmarkCallManyFeatures reports how many of 32 costed features a
+// one-split program evaluates per call.
 
 import (
+	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
+
+	"nitro/internal/ml"
 )
 
 func benchCalls(b *testing.B, cv *CodeVariant[testInput], distinct int) {
@@ -27,16 +34,16 @@ func benchCalls(b *testing.B, cv *CodeVariant[testInput], distinct int) {
 	}
 }
 
-// BenchmarkCallMemoHit: repeat caller, memo tier serves every call after the
-// first (distinct=1 keeps one hot entry).
-func BenchmarkCallMemoHit(b *testing.B) {
-	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-memo"))
+// BenchmarkCallCompiledRepeat: one repeated input (distinct=1) on a
+// distilled model, so the compiled walk serves every call and the memo
+// behind it is never consulted.
+func BenchmarkCallCompiledRepeat(b *testing.B) {
+	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-repeat"))
 	benchCalls(b, cv, 1)
 }
 
-// BenchmarkCallNovel: a never-seen vector every call — the miss path, where
-// the memo only records each vector's fingerprint and the compiled walk or
-// the exact pass decides.
+// BenchmarkCallNovel: a never-seen vector every call, decided by the
+// compiled walk.
 func BenchmarkCallNovel(b *testing.B) {
 	cv, _ := distilledConcurrentCV(b, DefaultPolicy("bench-novel"))
 	benchNovel(b, cv)
@@ -69,4 +76,50 @@ func BenchmarkCallNoModel(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchCalls(b, cv, 8)
+}
+
+// BenchmarkCallManyFeatures: 32 costed features and a program that splits
+// once, on feature 0, so each call evaluates one feature; the features/op
+// metric counts the Eval runs per call.
+func BenchmarkCallManyFeatures(b *testing.B) {
+	const dim = 32
+	cx := NewContext()
+	cv := New[testInput](cx, DefaultPolicy("bench-features"))
+	cv.AddVariant("small", func(in testInput) float64 { return 1 + in.X })
+	cv.AddVariant("large", func(in testInput) float64 { return 10 - in.X })
+	var evals atomic.Int64
+	for j := 0; j < dim; j++ {
+		cv.AddInputFeature(Feature[testInput]{
+			Name: fmt.Sprint("f", j),
+			Eval: func(in testInput) float64 { evals.Add(1); return in.X + float64(j) },
+			Cost: func(testInput) float64 { return 1 },
+		})
+	}
+	ds := &ml.Dataset{}
+	for x := 0.0; x <= 9; x++ {
+		row := make([]float64, dim)
+		for j := range row {
+			row[j] = x + float64(j)
+		}
+		ds.Append(row, map[bool]int{true: 0, false: 1}[x <= 4.5])
+	}
+	sc := &ml.Scaler{}
+	scaled, err := sc.FitTransform(ds.X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := ml.NewDecisionTree(2, 1)
+	if err := tree.Fit(&ml.Dataset{X: scaled, Y: ds.Y}); err != nil {
+		b.Fatal(err)
+	}
+	m := &ml.Model{Classifier: tree, Scaler: sc, Compiled: &ml.Compiled{
+		Nodes:   []ml.CompiledNode{{Feature: 0, Left: 1, Right: 2}, {Left: -1, Class: 0}, {Left: -1, Class: 1}},
+		Classes: []int{0, 1}, Dim: dim, Margin: math.SmallestNonzeroFloat64,
+	}}
+	if err := cx.SetModel("bench-features", m); err != nil {
+		b.Fatal(err)
+	}
+	evals.Store(0)
+	benchCalls(b, cv, 8)
+	b.ReportMetric(float64(evals.Load())/float64(b.N), "features/op")
 }

@@ -7,7 +7,10 @@ import (
 
 // This file is the memoization tier of the dispatch ladder: a bounded,
 // direct-mapped, lock-free cache from feature-vector fingerprint to the
-// model's raw prediction. Repeat callers — the common case the "A Few Fit
+// model's raw prediction. It sits behind the compiled tier, so it is
+// consulted only when the compiled walk cannot decide (a model without a
+// program, or a walk inside the margin) and holds only exact-tier
+// predictions. Repeat callers there — the common case the "A Few Fit
 // Most" observation predicts — skip the scaler and kernel entirely and pay
 // one hash plus one atomic pointer load.
 //

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nitro/internal/ml"
 )
 
 // ErrVariantTimeout is the cause recorded in a VariantError when a variant
@@ -76,11 +78,11 @@ func Abort(err error) {
 	panic(variantAbort{err: err})
 }
 
-// safeCall invokes fn(in) under recover, converting a panic or Abort into a
+// safeCall invokes fn(*in) under recover, converting a panic or Abort into a
 // typed *VariantError. This is the single choke point through which every
 // variant execution in the runtime (Call paths, exhaustive search, tuner
 // labelling) flows.
-func safeCall[In any](name string, fn VariantFn[In], in In) (val float64, err error) {
+func safeCall[In any](name string, fn VariantFn[In], in *In) (val float64, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -92,7 +94,7 @@ func safeCall[In any](name string, fn VariantFn[In], in In) (val float64, err er
 		}
 		err = &VariantError{Variant: name, Cause: fmt.Errorf("panic: %v", r), Panicked: true}
 	}()
-	return fn(in), nil
+	return fn(*in), nil
 }
 
 // QuarantinePolicy configures the per-variant failure circuit breaker.
@@ -251,7 +253,7 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 // A timeout yields a *VariantError wrapping ErrVariantTimeout (the variant's
 // fault); a context cancellation yields ctx.Err() unwrapped (the caller's
 // choice), which dispatch treats as "stop now", not "try the next variant".
-func (cv *CodeVariant[In]) runVariant(ctx context.Context, idx int, in In) (float64, error) {
+func (cv *CodeVariant[In]) runVariant(ctx context.Context, idx int, in *In) (float64, error) {
 	v := &cv.variants[idx]
 	timeout := cv.policy.VariantTimeout
 	if timeout <= 0 && (ctx == nil || ctx.Done() == nil) {
@@ -262,8 +264,9 @@ func (cv *CodeVariant[In]) runVariant(ctx context.Context, idx int, in In) (floa
 		err error
 	}
 	ch := make(chan outcome, 1)
+	inv := *in // an abandoned variant may outlive the caller's frame
 	go func() {
-		val, err := safeCall(v.name, v.fn, in)
+		val, err := safeCall(v.name, v.fn, &inv)
 		ch <- outcome{val, err}
 	}()
 	var timerC <-chan time.Time
@@ -290,7 +293,7 @@ func (cv *CodeVariant[In]) runVariant(ctx context.Context, idx int, in In) (floa
 // success lands in the ordinary per-call counters (with the fallback flag),
 // failure bumps the panic/timeout counters and feeds the breaker. Context
 // cancellations are returned untyped and charged to nobody.
-func (cv *CodeVariant[In]) exec(ctx context.Context, idx int, in In, featSeconds float64, fellBack bool) (float64, error) {
+func (cv *CodeVariant[In]) exec(ctx context.Context, idx int, in *In, featSeconds float64, fellBack bool) (float64, error) {
 	v := &cv.variants[idx]
 	qOn := cv.policy.Quarantine.Enabled() && v.br != nil
 	acq := brClosed
@@ -321,8 +324,8 @@ func (cv *CodeVariant[In]) exec(ctx context.Context, idx int, in In, featSeconds
 // selectable reports whether variant idx may be selected for in right now:
 // its constraints pass and it is not quarantined. A half-open breaker counts
 // as selectable — the execution path then claims the single probe.
-func (cv *CodeVariant[In]) selectable(idx int, in In, now int64) bool {
-	if !cv.Allowed(idx, in) {
+func (cv *CodeVariant[In]) selectable(idx int, in *In, now int64) bool {
+	if !cv.allowed(idx, in) {
 		return false
 	}
 	if !cv.policy.Quarantine.Enabled() {
@@ -347,16 +350,17 @@ func (cv *CodeVariant[In]) firstFallback(ok func(idx int) bool) int {
 }
 
 // fallbackOrder returns the variants to try after the primary pick failed,
-// in dispatch preference order: the model's remaining classes ranked by
-// decision score, then the default variant, then registration order — each
-// filtered by constraints and the tried set. Non-quarantined candidates come
-// first; quarantined ones are appended as a last resort (executing a
+// in dispatch preference order: the remaining classes of m — the model that
+// served the call — ranked by decision score, then the default variant,
+// then registration order — each filtered by constraints and the tried set.
+// Ranking completes the call's feature vector. Non-quarantined candidates
+// come first; quarantined ones are appended as a last resort (executing a
 // quarantined variant may still succeed, whereas skipping every candidate
 // guarantees failure).
-func (cv *CodeVariant[In]) fallbackOrder(in In, vec []float64, tried []bool, now int64) []int {
+func (cv *CodeVariant[In]) fallbackOrder(in *In, f *callFeatures[In], m *ml.Model, tried []bool, now int64) []int {
 	var ranked []int
-	if m := cv.model.p.Load(); m != nil {
-		ranked = m.RankedClasses(vec)
+	if m != nil {
+		ranked = m.RankedClasses(f.full(in))
 	}
 	var order []int
 	seen := make([]bool, len(cv.variants))
@@ -365,7 +369,7 @@ func (cv *CodeVariant[In]) fallbackOrder(in In, vec []float64, tried []bool, now
 			if idx < 0 || idx >= len(cv.variants) || seen[idx] || tried[idx] {
 				return
 			}
-			if !cv.Allowed(idx, in) {
+			if !cv.allowed(idx, in) {
 				seen[idx] = true // constraints are input-deterministic: veto once
 				return
 			}
@@ -391,26 +395,27 @@ func (cv *CodeVariant[In]) fallbackOrder(in In, vec []float64, tried []bool, now
 }
 
 // dispatchFallback walks the failure fallback chain after the primary
-// variant failed with firstErr, recording one Fallbacks hop per attempt.
-// It returns the first successful execution (value, chosen variant index and
+// variant failed with firstErr, recording one Fallbacks hop per attempt; m
+// is the model that served the call, whose ranking orders the chain. It
+// returns the first successful execution (value, chosen variant index and
 // the number of hops walked), the context error if the caller cancelled
 // mid-chain, or the last variant error when every candidate failed. The
 // chosen index is -1 on error; the hop count is meaningful either way (the
 // decision tracer records it).
-func (cv *CodeVariant[In]) dispatchFallback(ctx context.Context, in In, vec []float64, featSeconds float64, failed int, pred int, firstErr error) (float64, int, int, error) {
+func (cv *CodeVariant[In]) dispatchFallback(ctx context.Context, in *In, f *callFeatures[In], m *ml.Model, failed int, pred int, firstErr error) (float64, int, int, error) {
 	tried := make([]bool, len(cv.variants))
 	tried[failed] = true
 	lastErr := firstErr
 	hops := 0
-	for _, idx := range cv.fallbackOrder(in, vec, tried, nowNanos()) {
+	for _, idx := range cv.fallbackOrder(in, f, m, tried, nowNanos()) {
 		if ctx != nil && ctx.Err() != nil {
 			return 0, -1, hops, ctx.Err()
 		}
 		cv.stats.recordHop()
 		hops++
-		value, err := cv.exec(ctx, idx, in, featSeconds, true)
+		value, err := cv.exec(ctx, idx, in, f.secs, true)
 		if err == nil {
-			cv.observe(in, vec, pred, idx, value, true)
+			cv.observe(in, f, pred, idx, value, true)
 			return value, idx, hops, nil
 		}
 		tried[idx] = true

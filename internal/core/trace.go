@@ -48,8 +48,9 @@ func (cv *CodeVariant[In]) Tracer() *obs.Tracer { return cv.tracer.Load() }
 // per-class scores, pairwise SVM decision values, ranked preference order)
 // of the model that predicted the call — the canary's challenger when it
 // served the call, else the stable model the dispatch loaded.
-func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in In, vec []float64, featSeconds float64) (float64, string, error) {
+func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in *In, f *callFeatures[In]) (float64, string, error) {
 	start := time.Now()
+	vec := f.full(in)
 	rec := obs.DecisionTrace{
 		Function:    cv.policy.Name,
 		RawFeatures: append([]float64(nil), vec...),
@@ -62,7 +63,7 @@ func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in
 		now = nowNanos()
 	}
 	for i := range cv.variants {
-		if !cv.Allowed(i, in) {
+		if !cv.allowed(i, in) {
 			rec.Vetoed = append(rec.Vetoed, cv.variants[i].name)
 			continue
 		}
@@ -72,7 +73,7 @@ func (cv *CodeVariant[In]) dispatchTraced(ctx context.Context, t *obs.Tracer, in
 			}
 		}
 	}
-	r := cv.dispatchRun(ctx, in, vec, featSeconds)
+	r := cv.dispatchRun(ctx, in, f)
 	if r.model != nil {
 		ex := r.model.Explain(vec)
 		rec.ScaledFeatures = ex.Scaled

@@ -152,9 +152,22 @@ func (c *Compiled) Predict(x []float64) (int, bool) {
 	return class, margin >= c.Margin
 }
 
-// walk runs the decision program and returns the leaf's class label and the
-// minimum boundary distance along the path (+Inf for a single-leaf program).
+// walk runs the decision program over a scaled feature vector and returns
+// the leaf's class label and the minimum boundary distance along the path
+// (+Inf for a single-leaf program).
 func (c *Compiled) walk(x []float64) (class int, margin float64) {
+	return c.walkWith(nil, x, nil)
+}
+
+// walkWith is the one implementation of the program's walk. Each internal
+// node on the path reads x[j] for the feature j it tests — calling fill(j)
+// first when fill is non-nil, so the caller can evaluate x[j] on demand —
+// scales it with sc.scaleOne when sc is non-nil (bit-identical to
+// transforming the whole vector first) and compares it with the node's
+// threshold. Only the entries the path tests are read. It returns the
+// leaf's class label and the minimum boundary distance along the path
+// (+Inf for a single-leaf program).
+func (c *Compiled) walkWith(sc *Scaler, x []float64, fill func(int)) (class int, margin float64) {
 	margin = math.Inf(1)
 	i := 0
 	for {
@@ -162,7 +175,15 @@ func (c *Compiled) walk(x []float64) (class int, margin float64) {
 		if n.Left < 0 {
 			return c.Classes[n.Class], margin
 		}
-		d := x[n.Feature] - n.Threshold
+		j := int(n.Feature)
+		if fill != nil {
+			fill(j)
+		}
+		v := x[j]
+		if sc != nil {
+			v = sc.scaleOne(j, v)
+		}
+		d := v - n.Threshold
 		if d <= 0 {
 			if -d < margin {
 				margin = -d

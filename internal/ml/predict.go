@@ -36,14 +36,12 @@ func growFloats(buf []float64, n int) []float64 {
 // PredictTier classifies x and reports which tier decided: TierCompiled when
 // the distilled artifact answered with margin clearance, TierExact when the
 // full classifier ran (no artifact, or the walk landed within the calibrated
-// margin of a decision boundary). The compiled tier walks the raw vector
-// directly, scaling only the features the path reads — no scratch buffer, no
-// pool traffic.
+// margin of a decision boundary). The compiled tier is PredictCompiled over
+// x: it scales only the features the path reads, with no scratch buffer and
+// no pool traffic.
 func (m *Model) PredictTier(x []float64) (int, Tier) {
-	if c := m.Compiled; c != nil && len(x) == c.Dim {
-		if pred, ok := m.predictCompiledLazy(c, x); ok {
-			return pred, TierCompiled
-		}
+	if pred, ok := m.PredictCompiled(x, nil); ok {
+		return pred, TierCompiled
 	}
 	s := predictPool.Get().(*predictScratch)
 	pred := m.classifyScratch(m.scaleScratch(x, s), s)
@@ -51,39 +49,30 @@ func (m *Model) PredictTier(x []float64) (int, Tier) {
 	return pred, TierExact
 }
 
-// predictCompiledLazy runs the compiled program over the raw vector, scaling
-// each feature as the walk touches it via Scaler.scaleOne — bit-identical to
-// transforming the whole vector first, but buffer-free. ok=false routes to
-// the exact path (boundary proximity, or a scaler/program dimension skew that
-// the exact path will surface the usual way).
-func (m *Model) predictCompiledLazy(c *Compiled, x []float64) (int, bool) {
-	sc := m.Scaler
-	if sc == nil || !sc.Fitted() {
-		return c.Predict(x)
-	}
-	if len(sc.Min) != len(x) {
+// PredictCompiled is the compiled rung of the dispatch ladder over the raw
+// feature vector x: the walk reads only the entries x[j] that a node on its
+// path tests, and scales each as it is read. When fill is non-nil the walk
+// calls fill(j) before it reads x[j], so the caller can evaluate features
+// on demand; once the walk ends, every entry it read must equal what the
+// whole vector would hold for the answer to be PredictTier's. ok=false
+// means the exact classifier must decide: no program is installed, the
+// program, the scaler and x disagree on the width (the exact path surfaces
+// that the usual way), or the walk passed within Margin of a boundary.
+func (m *Model) PredictCompiled(x []float64, fill func(int)) (int, bool) {
+	c := m.Compiled
+	dim := len(x)
+	if c == nil || dim != c.Dim {
 		return 0, false
 	}
-	margin := math.Inf(1)
-	i := 0
-	for {
-		n := &c.Nodes[i]
-		if n.Left < 0 {
-			return c.Classes[n.Class], margin >= c.Margin
+	var sc *Scaler
+	if m.Scaler != nil && m.Scaler.Fitted() {
+		if len(m.Scaler.Min) != dim {
+			return 0, false
 		}
-		d := sc.scaleOne(int(n.Feature), x[n.Feature]) - n.Threshold
-		if d <= 0 {
-			if -d < margin {
-				margin = -d
-			}
-			i = int(n.Left)
-		} else {
-			if d < margin {
-				margin = d
-			}
-			i = int(n.Right)
-		}
+		sc = m.Scaler
 	}
+	class, margin := c.walkWith(sc, x, fill)
+	return class, margin >= c.Margin
 }
 
 // PredictExact classifies x through the exact classifier, bypassing any

@@ -284,39 +284,47 @@ func (e *Engine[In]) Close() {
 // drains; unlike Close it leaves the engine attached).
 func (e *Engine[In]) Wait() { e.wg.Wait() }
 
-// ObserveCall implements core.CallObserver: the sampling / exploration /
-// drift pipeline. The non-sampled path writes no shared state at all: two
-// atomic flag loads plus one admission draw on math/rand/v2's lock-free
-// per-thread generator (call counting is core's job — see the baseCalls
-// comment). A sampled-but-not-explored call adds one shard-local atomic
-// add — the engine mutex is only taken when exploration actually happens
-// (or to draw the epsilon, when ExploreRate > 0). Synchronous engines
-// rate-limit on a real counter instead, so serial replays sample exactly
-// every N-th call and stay deterministic.
-func (e *Engine[In]) ObserveCall(o core.CallObservation[In]) {
+// AdmitCall implements core.CallObserver: the rate limiter and the
+// exploration draw, made before the call's variant runs, so an explored
+// call's feature vector describes the input its variant received. It
+// admits exactly the calls the engine will explore. The non-sampled path
+// writes no shared state at all: two atomic flag loads plus one admission
+// draw on math/rand/v2's lock-free per-thread generator (call counting is
+// core's job — see the baseCalls comment). A sampled-but-not-explored call
+// adds one shard-local atomic add — the engine mutex is only taken to draw
+// the epsilon, when ExploreRate > 0. Synchronous engines rate-limit on a
+// real counter instead, so serial replays sample exactly every N-th
+// dispatch and stay deterministic. A sampled call that then fails on every
+// variant counts as sampled but records nothing.
+func (e *Engine[In]) AdmitCall() bool {
 	if e.paused.Load() || e.closed.Load() {
-		return
+		return false
 	}
 	if e.pol.Synchronous {
 		c := e.syncCalls.Add(1)
 		if (c-1)%int64(e.pol.SamplePeriod) != 0 {
-			return
+			return false
 		}
 	} else if e.pol.SamplePeriod > 1 && rand.Uint64N(uint64(e.pol.SamplePeriod)) != 0 {
-		return
+		return false
 	}
 	e.sampled[rand.Uint64N(sampledShards)].n.Add(1)
 	if e.pol.ExploreRate <= 0 {
-		return
+		return false
 	}
-
 	e.mu.Lock()
 	explore := e.rng.Float64() < e.pol.ExploreRate
 	e.mu.Unlock()
-	if !explore {
+	return explore
+}
+
+// ObserveCall implements core.CallObserver: the exploration / drift
+// pipeline for a call AdmitCall admitted. An engine paused or closed since
+// the admission records nothing.
+func (e *Engine[In]) ObserveCall(o core.CallObservation[In]) {
+	if e.paused.Load() || e.closed.Load() {
 		return
 	}
-
 	lab, best, spent, fails := e.exploreInput(o)
 
 	e.mu.Lock()

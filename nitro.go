@@ -137,7 +137,10 @@ type VariantFn[In any] = core.VariantFn[In]
 type ConstraintFn[In any] = core.ConstraintFn[In]
 
 // Feature is an input-feature function with an optional evaluation-cost
-// model used for overhead accounting.
+// model used for overhead accounting. Eval and Cost must be pure functions
+// of the input: Call evaluates a feature only when its decision reads it,
+// at most once per call and before the variant runs, and FeatureSeconds
+// charges only the features a call evaluated.
 type Feature[In any] = core.Feature[In]
 
 // CallStats aggregates deployment-time selection statistics.
