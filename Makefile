@@ -25,10 +25,11 @@ race:
 # Fault-injection stress: the robustness suites (panic isolation, deadlines,
 # quarantine breaker, seeded fault harness) under the race detector, with a
 # hard wall-clock bound so a hung fallback path fails fast instead of
-# wedging CI. The second run repeats the memo tests (hot-swap, and the
-# quarantine re-check on a memo hit) and the SVM grid search's parallel fit
-# ten times, the places where a race or a timing-dependent assertion once
-# hid behind a single passing run.
+# wedging CI. The second run repeats the memo tests (hot-swap invalidation,
+# the canary bypass, the quarantine re-check on a hit, admission; the memo
+# sits behind the compiled walk, so they install models without a program)
+# and the SVM grid search's parallel fit ten times, the places where a race
+# or a timing-dependent assertion once hid behind a single passing run.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
 	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestGridSearchParallelDeterministic' ./internal/core/ ./internal/ml/
@@ -97,8 +98,9 @@ online-replay:
 	done; \
 	echo "svm online replay reproducible: $$(grep -c '\[call ' "$$tmp/run1.txt") timeline events, drift -> retrain -> swap -> recovered"
 
-# Per-tier dispatch benchmarks: one Call benchmark per rung of the ladder
-# (memo hit, a miss the compiled walk decides, the exact pass, no model).
+# Per-tier dispatch benchmarks: a repeat caller on the compiled tier, a
+# novel input the compiled walk decides, the exact pass and no model, plus
+# the features a one-split program evaluates per call out of 32.
 # Run on a quiet machine for stable ns/op numbers; the end-to-end and
 # per-layer dispatch numbers come from perfbench (BENCHMARK.json).
 bench-dispatch:

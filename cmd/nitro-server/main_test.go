@@ -59,3 +59,25 @@ func TestSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChaosSmoke runs the -smoke-chaos self-test in-process: the seeded
+// kill-restart-resume lifecycle, twice, with the transcripts diffed.
+func TestChaosSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos smoke in -short mode")
+	}
+	if err := runChaosSmoke(42); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceSmoke runs the -smoke-trace self-test in-process: one trace id
+// recovered from every observability surface of a canary lifecycle.
+func TestTraceSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace smoke in -short mode")
+	}
+	if err := runTraceSmoke(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -318,11 +318,12 @@ func (cx *Context) noteShape(fn string, featureDim, numVariants int) {
 }
 
 // validateModel checks m against the registered shape of fn (when one is
-// known) with ml.Model.CheckShape: the scaler's feature dimension must match
-// the registered feature count, and every class label, the classifier's and
-// the compiled artifact's alike, must name a registered variant. A model
-// installed before any CodeVariant registered fn's features/variants is
-// accepted as-is (there is nothing to check it against yet).
+// known) with ml.Model.CheckShape: the scaler's and the compiled program's
+// feature widths must match the registered feature count, and every class
+// label, the classifier's and the compiled artifact's alike, must name a
+// registered variant. A model installed before any CodeVariant registered
+// fn's features/variants is accepted as-is (there is nothing to check it
+// against yet).
 func (cx *Context) validateModel(fn string, m *ml.Model) error {
 	cx.mu.Lock()
 	shape, ok := cx.shapes[fn]

@@ -609,38 +609,46 @@ func TestLoadModelRejectsMismatch(t *testing.T) {
 	}
 }
 
-// A compiled artifact whose class labels name no registered variant must be
-// rejected by every install path, like an out-of-range classifier label:
-// installed, it would answer calls with a label dispatch cannot serve and
-// route them to the default variant.
+// A compiled artifact whose class labels name no registered variant, or
+// whose program reads a different number of features than the function
+// registers, must be rejected by every install path, like an out-of-range
+// classifier label: installed, the first would answer calls with a label
+// dispatch cannot serve and route them to the default variant, and the
+// second would decline every walk and quietly send each call to the exact
+// tier.
 func TestInstallRejectsOutOfRangeCompiledClasses(t *testing.T) {
-	cv, model := buildConcurrentCV(t, DefaultPolicy("shape4")) // 2 variants: labels 0..1
+	cv, model := buildConcurrentCV(t, DefaultPolicy("shape4")) // 2 variants, 1 feature
 	cx := cv.Context()
-	bad := *model
-	bad.Compiled = &ml.Compiled{
-		Nodes:   []ml.CompiledNode{{Left: -1, Right: -1, Class: 0}},
-		Classes: []int{9},
-		Dim:     1,
-	}
-	if err := bad.Compiled.Validate(); err != nil {
-		t.Fatalf("artifact should be structurally valid: %v", err)
-	}
-	if err := cx.SetModel("shape4", &bad); !errors.Is(err, ErrModelMismatch) {
-		t.Errorf("SetModel: want ErrModelMismatch for compiled label 9 on a 2-variant function, got %v", err)
-	}
-	if err := cx.SetCanary("shape4", &bad, 1); !errors.Is(err, ErrModelMismatch) {
-		t.Errorf("SetCanary: want ErrModelMismatch for compiled label 9, got %v", err)
-	}
-	data, err := ml.MarshalModel(&bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/model.json"
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cx.LoadModel("shape4", path); !errors.Is(err, ErrModelMismatch) {
-		t.Errorf("LoadModel: want ErrModelMismatch for compiled label 9, got %v", err)
+	leaf := []ml.CompiledNode{{Left: -1, Right: -1, Class: 0}}
+	for _, tc := range []struct {
+		name     string
+		compiled *ml.Compiled
+	}{
+		{"compiled label 9", &ml.Compiled{Nodes: leaf, Classes: []int{9}, Dim: 1}},
+		{"2-feature program", &ml.Compiled{Nodes: leaf, Classes: []int{1}, Dim: 2}},
+	} {
+		bad := *model
+		bad.Compiled = tc.compiled
+		if err := bad.Compiled.Validate(); err != nil {
+			t.Fatalf("%s: artifact should be structurally valid: %v", tc.name, err)
+		}
+		if err := cx.SetModel("shape4", &bad); !errors.Is(err, ErrModelMismatch) {
+			t.Errorf("%s: SetModel: want ErrModelMismatch on a 2-variant, 1-feature function, got %v", tc.name, err)
+		}
+		if err := cx.SetCanary("shape4", &bad, 1); !errors.Is(err, ErrModelMismatch) {
+			t.Errorf("%s: SetCanary: want ErrModelMismatch, got %v", tc.name, err)
+		}
+		data, err := ml.MarshalModel(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := t.TempDir() + "/model.json"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cx.LoadModel("shape4", path); !errors.Is(err, ErrModelMismatch) {
+			t.Errorf("%s: LoadModel: want ErrModelMismatch, got %v", tc.name, err)
+		}
 	}
 	// The model installed before the rejections keeps serving its own pick.
 	if _, name, err := cv.Call(testInput{X: 7}); err != nil || name != "large" {

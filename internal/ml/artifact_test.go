@@ -337,10 +337,10 @@ func TestCompiledMarginDecodesLikeJSON(t *testing.T) {
 // another subnormal, normal values, null and a quoted string.
 var marginLiterals = []string{`5e-324`, `4.9406564584124654e-324`, `1e-320`, `0`, `0.01`, `null`, `"0.01"`}
 
-// TestCheckShape: a model fits a function when its fitted scaler expects
-// the function's feature count and every label, the classifier's and the
-// compiled program's, names one of its variants; a zero count skips its
-// check.
+// TestCheckShape: a model fits a function when its fitted scaler and its
+// compiled program expect the function's feature count, the program as many
+// as the scaler, and every label, the classifier's and the compiled
+// program's, names one of its variants; a zero count skips its check.
 func TestCheckShape(t *testing.T) {
 	ds := blobs(12, 2, 3, 0.1, 3) // labels 0 and 1, three features
 	var scaler Scaler
@@ -353,7 +353,9 @@ func TestCheckShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Model{Classifier: svm, Scaler: &scaler}
-	compiled := &Model{Classifier: svm, Scaler: &scaler, Compiled: &Compiled{Classes: []int{0, 5}}}
+	compiled := &Model{Classifier: svm, Scaler: &scaler, Compiled: &Compiled{Classes: []int{0, 5}, Dim: 3}}
+	narrow := &Model{Classifier: svm, Scaler: &scaler, Compiled: &Compiled{Classes: []int{0, 1}, Dim: 2}}
+	unscaled := &Model{Classifier: svm, Compiled: &Compiled{Classes: []int{0, 1}, Dim: 2}}
 	for _, tc := range []struct {
 		m                  *Model
 		features, variants int
@@ -367,6 +369,10 @@ func TestCheckShape(t *testing.T) {
 		{m, 0, 1, false},
 		{compiled, 3, 6, true},
 		{compiled, 3, 5, false},
+		{narrow, 3, 2, false}, // program narrower than the function and the scaler
+		{narrow, 0, 2, false}, // program narrower than the scaler
+		{unscaled, 2, 2, true},
+		{unscaled, 1, 2, false},               // a 2-feature program on a 1-feature function
 		{&Model{Classifier: svm}, 7, 2, true}, // no scaler, nothing to compare
 	} {
 		if err := tc.m.CheckShape(tc.features, tc.variants); (err == nil) != tc.ok {

@@ -59,9 +59,11 @@ type CompiledNode struct {
 // threshold-comparison program over the scaled feature space, distilled from
 // the exact model's own labels (see Distill), plus calibration metadata. A
 // walk that passes within Margin of any split boundary it evaluates reports
-// ok=false and the caller must consult the exact model — by construction the
-// calibrated Margin routes every distillation-corpus disagreement to the
-// exact path, so served agreement on that corpus is 100%.
+// ok=false and the caller must consult the exact model. The calibrated
+// Margin routes every distillation-corpus disagreement to the exact path, so
+// served agreement on that corpus is 100%. Off the corpus nothing routes a
+// disagreement: a held-out input whose walk clears the margin gets the
+// program's pick, which can differ from the exact model's.
 type Compiled struct {
 	// Nodes is the decision program; Nodes[0] is the root.
 	Nodes []CompiledNode `json:"nodes"`

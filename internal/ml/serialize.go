@@ -56,12 +56,22 @@ func (m *Model) Version() int {
 }
 
 // CheckShape reports whether m fits a function with the given feature and
-// variant counts: a fitted scaler must expect exactly features inputs, and
-// every class label, the classifier's and the compiled program's alike,
-// must name one of variants variants. A count of zero skips its check.
+// variant counts: a fitted scaler and a compiled program must each expect
+// exactly features inputs, the program as many as the scaler, and every
+// class label, the classifier's and the compiled program's alike, must name
+// one of variants variants. A count of zero skips its check.
 func (m *Model) CheckShape(features, variants int) error {
-	if features > 0 && m.Scaler != nil && m.Scaler.Fitted() && len(m.Scaler.Min) != features {
+	scaled := m.Scaler != nil && m.Scaler.Fitted()
+	if features > 0 && scaled && len(m.Scaler.Min) != features {
 		return fmt.Errorf("scaler expects %d features, function has %d", len(m.Scaler.Min), features)
+	}
+	if c := m.Compiled; c != nil {
+		if features > 0 && c.Dim != features {
+			return fmt.Errorf("compiled program expects %d features, function has %d", c.Dim, features)
+		}
+		if scaled && c.Dim != len(m.Scaler.Min) {
+			return fmt.Errorf("compiled program expects %d features, scaler %d", c.Dim, len(m.Scaler.Min))
+		}
 	}
 	if variants <= 0 {
 		return nil

@@ -20,8 +20,9 @@ import (
 
 // shapedArtifact trains a 2-class SVM on features-dimensional inputs behind
 // a fitted scaler and returns its artifact bytes. A non-nil compiledClasses
-// attaches a one-leaf compiled program over those labels.
-func shapedArtifact(t *testing.T, features int, compiledClasses []int) []byte {
+// attaches a one-leaf compiled program of width compiledDim over those
+// labels.
+func shapedArtifact(t *testing.T, features, compiledDim int, compiledClasses []int) []byte {
 	t.Helper()
 	ds := &ml.Dataset{}
 	for i := 0; i < 10; i++ {
@@ -46,7 +47,7 @@ func shapedArtifact(t *testing.T, features int, compiledClasses []int) []byte {
 	}
 	m := &ml.Model{Classifier: svm, Scaler: &scaler}
 	if compiledClasses != nil {
-		m.Compiled = &ml.Compiled{Nodes: []ml.CompiledNode{{Left: -1, Right: -1}}, Classes: compiledClasses, Dim: features}
+		m.Compiled = &ml.Compiled{Nodes: []ml.CompiledNode{{Left: -1, Right: -1}}, Classes: compiledClasses, Dim: compiledDim}
 	}
 	data, _, err := ml.EncodeArtifact(m)
 	if err != nil {
@@ -56,8 +57,9 @@ func shapedArtifact(t *testing.T, features int, compiledClasses []int) []byte {
 }
 
 // TestPushRejectsShapeMismatch: an artifact whose scaler expects the wrong
-// feature count, or whose compiled program names a variant the function
-// lacks, is refused in process and over HTTP (400). Nothing is stored and
+// feature count, whose compiled program reads a different width, or whose
+// compiled program names a variant the function lacks, is refused in
+// process and over HTTP (400). Nothing is stored and
 // the latest version stays put, before and after a first good version.
 func TestPushRejectsShapeMismatch(t *testing.T) {
 	dir := t.TempDir()
@@ -65,8 +67,9 @@ func TestPushRejectsShapeMismatch(t *testing.T) {
 	spec := FunctionSpec{Name: "pair", Features: []string{"n", "sortedness"}, Variants: []string{"small", "large"}}
 	mustStatus(t, req(t, hs, "POST", "/api/v1/functions", "tok-acme", specBody(t, spec), nil), http.StatusCreated)
 	bad := map[string][]byte{
-		"3-feature scaler": shapedArtifact(t, 3, nil),
-		"compiled class 9": shapedArtifact(t, 2, []int{9}),
+		"3-feature scaler":  shapedArtifact(t, 3, 0, nil),
+		"compiled class 9":  shapedArtifact(t, 2, 2, []int{9}),
+		"3-feature program": shapedArtifact(t, 2, 3, []int{1}),
 	}
 	stored := func() int {
 		files, err := filepath.Glob(filepath.Join(dir, "acme", spec.Name, "v*.model"))
@@ -91,7 +94,7 @@ func TestPushRejectsShapeMismatch(t *testing.T) {
 			}
 		}
 		if latest == 0 {
-			mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/pair/model", "tok-acme", shapedArtifact(t, 2, []int{1}), nil), http.StatusCreated)
+			mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/pair/model", "tok-acme", shapedArtifact(t, 2, 2, []int{1}), nil), http.StatusCreated)
 		}
 	}
 }

@@ -93,13 +93,9 @@
 package nitro
 
 import (
-	"context"
-
 	"nitro/internal/autotuner"
 	"nitro/internal/core"
-	"nitro/internal/ml"
 	"nitro/internal/obs"
-	"nitro/internal/obs/trace"
 	"nitro/internal/online"
 	"nitro/internal/server"
 	"nitro/internal/server/client"
@@ -142,18 +138,6 @@ type ConstraintFn[In any] = core.ConstraintFn[In]
 // at most once per call and before the variant runs, and FeatureSeconds
 // charges only the features a call evaluated.
 type Feature[In any] = core.Feature[In]
-
-// CallStats aggregates deployment-time selection statistics.
-type CallStats = core.CallStats
-
-// Fixed is the per-call future returned by CodeVariant.FixInputs: it binds
-// one input to its (possibly still evaluating) feature vector so that
-// selection, constraints and execution always agree on the same input.
-// Consume it exactly once with Fixed.Call or CodeVariant.CallFixed.
-type Fixed[In any] = core.Fixed[In]
-
-// CallResult is one outcome of a CodeVariant.CallConcurrent batch.
-type CallResult = core.CallResult
 
 // ErrAllVariantsVetoed is returned by Call when deployment-time constraints
 // veto every registered variant for an input.
@@ -203,10 +187,6 @@ func WrapFault[In any](fn VariantFn[In], cfg FaultConfig) VariantFn[In] {
 // "tree" or "logistic") and the cross-validated grid search.
 type TrainOptions = autotuner.TrainOptions
 
-// TuneReport summarizes a training run: label distribution, skipped inputs,
-// training accuracy and grid-search outcome.
-type TuneReport = autotuner.Report
-
 // Autotuner drives the offline pipeline for one code variant: exhaustive
 // search over training inputs, feature scaling, classifier fit, and model
 // installation; it mirrors the paper's Python nitro.autotuner.
@@ -230,53 +210,6 @@ func DefaultAdaptPolicy(seed int64) AdaptPolicy { return online.DefaultPolicy(se
 // toggle with Pause/Resume, observe with Stats/State/Events.
 type AdaptEngine[In any] = online.Engine[In]
 
-// AdaptEvent is one entry of an adaptation engine's deterministic timeline
-// (window closures, drift detections, retrains, swaps, rollbacks).
-type AdaptEvent = online.Event
-
-// AdaptState is the engine's drift state ("healthy", "drifting",
-// "retraining").
-type AdaptState = online.State
-
-// AdaptStats is a point-in-time snapshot of an adaptation engine's counters;
-// it serializes to stable snake_case JSON like CallStats.
-type AdaptStats = core.AdaptStats
-
-// RetrainOptions configures the online retrainer (classifier options,
-// optional BvSB incremental seeding, holdout fraction, acceptance margin).
-type RetrainOptions = autotuner.RetrainOptions
-
-// Model is a trained variant-selection model: classifier, feature scaler and
-// metadata, hot-swappable via Context.SetModel/LoadModel.
-type Model = ml.Model
-
-// Compiled is the distilled fast-dispatch artifact the autotuner attaches to
-// every Model it installs: a flattened threshold program over the scaled
-// feature space with a calibrated exact-model fallback margin.
-type Compiled = ml.Compiled
-
-// Tier identifies which dispatch tier served a prediction (see CallStats'
-// MemoHits/CompiledHits/ExactFallbacks and DecisionTrace.Tier).
-type Tier = ml.Tier
-
-// Dispatch tiers, from cheapest to most expensive.
-const (
-	TierNone     = ml.TierNone
-	TierExact    = ml.TierExact
-	TierCompiled = ml.TierCompiled
-	TierMemo     = ml.TierMemo
-)
-
-// Explanation is a full derivation of one model decision: raw and scaled
-// features, per-class scores, pairwise SVM decision values, and the ranked
-// class preference order dispatch walks on fallback. Produced by
-// Model.Explain, which reuses the exact scoring paths dispatch itself uses,
-// so an explanation can never disagree with the decision it explains.
-type Explanation = ml.Explanation
-
-// TraceMode selects a decision tracer's admission policy.
-type TraceMode = obs.TraceMode
-
 // Trace modes: Off mutes an installed tracer, Sampled admits one call in
 // TracePolicy.SamplePeriod (counter-exact, so serial replays are
 // deterministic), Always captures every call.
@@ -285,9 +218,6 @@ const (
 	TraceSampled = obs.TraceSampled
 	TraceAlways  = obs.TraceAlways
 )
-
-// ParseTraceMode parses "off", "sampled" or "always".
-func ParseTraceMode(s string) (TraceMode, error) { return obs.ParseTraceMode(s) }
 
 // TracePolicy configures decision tracing: mode, sampling period and ring
 // capacity. The zero value normalizes to Off with the default period (64)
@@ -300,21 +230,6 @@ type TracePolicy = obs.TracePolicy
 // deterministic under serial replay (wall-clock fields are excluded).
 type DecisionTrace = obs.DecisionTrace
 
-// Tracer is a lock-free sampled decision-trace ring buffer; install one with
-// CodeVariant.EnableTracing and read it with Recent, or stream every
-// admitted trace through SetSink.
-type Tracer = obs.Tracer
-
-// TraceSink receives every admitted DecisionTrace synchronously on the
-// dispatching goroutine; keep it fast.
-type TraceSink = obs.TraceSink
-
-// LatencySummary digests one variant's latency histogram: count, mean,
-// min/max, p50/p95/p99 and the relative regret against the best variant.
-// Context.Stats fills CallStats.Latency with these once
-// Context.EnableLatencyHistograms is on.
-type LatencySummary = obs.LatencySummary
-
 // MetricsRegistry aggregates metric collectors and debug variables and
 // serves them as a Prometheus text exposition (/metrics), a JSON debug view
 // (/vars), and the process-wide "nitro" expvar.
@@ -324,19 +239,6 @@ type MetricsRegistry = obs.Registry
 // Context.Collector, Tracer.Collector and AdaptEngine.Collector on it, then
 // call Serve (or mount Handler yourself).
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// MetricsServer is a live telemetry endpoint started by
-// MetricsRegistry.Serve; Addr reports the bound address, Close shuts it
-// down.
-type MetricsServer = obs.Server
-
-// PhaseTracker accumulates named phase durations (the offline tuner reports
-// search/fit/install timings through one); nil-safe, so it can be threaded
-// through options unconditionally.
-type PhaseTracker = obs.PhaseTracker
-
-// NewPhaseTracker returns an empty phase tracker.
-func NewPhaseTracker() *PhaseTracker { return obs.NewPhaseTracker() }
 
 // EnableAdaptation attaches an online adaptation engine to cv: live calls
 // are sampled and explored per pol, sustained drift triggers a background
@@ -350,51 +252,14 @@ func EnableAdaptation[In any](cv *CodeVariant[In], pol AdaptPolicy) (*AdaptEngin
 }
 
 // ---------------------------------------------------------------------------
-// Nitro-as-a-service: the model registry daemon and its client.
-
-// TuningServer is a multi-tenant model registry daemon: it owns tuned models
-// for many functions, queues tuning jobs over pushed observation corpora,
-// versions and persists model artifacts, detects fleet-wide drift, and gates
-// new versions behind a fraction-limited canary before promotion. Start one
-// with NewTuningServer, stop it with Shutdown.
-type TuningServer = server.Daemon
-
-// TuningServerConfig configures a TuningServer: listen address, tenants with
-// quotas, persistence directory, tuning workers and canary policy.
-type TuningServerConfig = server.Config
-
-// NewTuningServer builds and starts a registry daemon.
-func NewTuningServer(cfg TuningServerConfig) (*TuningServer, error) {
-	d, err := server.NewDaemon(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Start(cfg); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// TenantConfig declares one registry tenant: name, bearer token and quotas.
-type TenantConfig = server.TenantConfig
-
-// TenantQuotas caps a tenant's registered functions, pending tune jobs and
-// observation-push rate; zero fields are unlimited.
-type TenantQuotas = server.Quotas
+// Nitro-as-a-service: the client of the model registry daemon
+// (cmd/nitro-server).
 
 // FunctionSpec describes a tunable function to the registry: feature and
 // variant names plus the fallback default variant.
 type FunctionSpec = server.FunctionSpec
 
-// ServerCanaryPolicy is the server-side canary gate: traffic fraction,
-// fleet-wide sample floor and the failure rate that triggers rollback.
-type ServerCanaryPolicy = server.CanaryPolicy
-
-// Deployment is a function's registry deployment state: stable and latest
-// versions, the in-flight canary (if any) and the last canary decision.
-type Deployment = server.Deployment
-
-// RegistryClient talks to a TuningServer: registering specs, pulling
+// RegistryClient talks to a registry daemon: registering specs, pulling
 // ETag-cached model artifacts, pushing observations and reporting canary
 // outcomes, with retry/backoff on transient failures.
 type RegistryClient = client.Client
@@ -419,26 +284,8 @@ func NewModelPoller(c *RegistryClient, cx *Context, fn string) *ModelPoller {
 	return client.NewPoller(c, cx, fn)
 }
 
-// TraceIDHeader is the HTTP header that correlates a request with the
-// registry's structured logs, journal records and flight recorder.
-const TraceIDHeader = trace.Header
-
-// WithTraceID attaches a fleet trace id to ctx: every registry request
-// issued under the returned context (and any canary episode or verdict it
-// produces server-side) is correlated under that id. Ids are confined to
-// [A-Za-z0-9._-] and 64 bytes; anything else is replaced server-side.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return trace.With(ctx, id)
-}
-
-// TraceIDFrom returns the fleet trace id carried by ctx, or "".
-func TraceIDFrom(ctx context.Context) string { return trace.From(ctx) }
-
 // RemoteSample is one labelled observation pushed to the registry's
 // fleet-wide drift detector: a feature vector, per-variant times and the
 // variant the local model predicted. Features and times must be finite,
 // and the prediction a registered variant or -1 (no model).
 type RemoteSample = online.RemoteSample
-
-// FleetStats snapshots the server-side drift detector for one function.
-type FleetStats = online.FleetStats

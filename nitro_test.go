@@ -2,12 +2,18 @@ package nitro_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"nitro"
+	"nitro/internal/autotuner"
+	"nitro/internal/core"
 )
 
 // toy is a minimal tunable-function input for exercising the public facade.
@@ -196,7 +202,7 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 		Window:            10,
 		MismatchThreshold: 0.5,
 		MinRetrainSamples: 20,
-		Retrain:           nitro.RetrainOptions{TrainOptions: nitro.TrainOptions{Classifier: "svm", Seed: 1}},
+		Retrain:           autotuner.RetrainOptions{TrainOptions: nitro.TrainOptions{Classifier: "svm", Seed: 1}},
 		Seed:              7,
 		Synchronous:       true,
 	}
@@ -246,7 +252,7 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 			t.Errorf("AdaptStats JSON missing %s: %s", key, raw)
 		}
 	}
-	var back nitro.AdaptStats
+	var back core.AdaptStats
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -300,3 +306,86 @@ func benchFeatureMode(b *testing.B, parallel, async bool) {
 func BenchmarkAblationFeatureEvalSerial(b *testing.B)   { benchFeatureMode(b, false, false) }
 func BenchmarkAblationFeatureEvalParallel(b *testing.B) { benchFeatureMode(b, true, false) }
 func BenchmarkAblationFeatureEvalAsync(b *testing.B)    { benchFeatureMode(b, true, true) }
+
+// TestFacadeNames pins the facade: the exported top-level names nitro.go
+// declares. A name stays only if the examples, a README code block,
+// example_test.go or the package doc's usage text uses it, a kept
+// function's signature names it, it is Abort or a sentinel error a kept call
+// returns, or it shares a const group with a kept constant. A change that
+// adds or removes a name updates this list and says why in CHANGES.md.
+func TestFacadeNames(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "nitro.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						got = append(got, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							got = append(got, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"Abort",
+		"AdaptEngine",
+		"AdaptPolicy",
+		"Autotuner",
+		"CodeVariant",
+		"ConstraintFn",
+		"Context",
+		"DecisionTrace",
+		"DefaultAdaptPolicy",
+		"DefaultPolicy",
+		"DefaultQuarantine",
+		"EnableAdaptation",
+		"ErrAllVariantsVetoed",
+		"ErrInjectedFault",
+		"ErrModelMismatch",
+		"ErrVariantTimeout",
+		"FaultConfig",
+		"Feature",
+		"FunctionSpec",
+		"MetricsRegistry",
+		"ModelPoller",
+		"NewAutotuner",
+		"NewCodeVariant",
+		"NewContext",
+		"NewMetricsRegistry",
+		"NewModelPoller",
+		"NewRegistryClient",
+		"QuarantinePolicy",
+		"RegistryClient",
+		"RegistryClientConfig",
+		"RemoteSample",
+		"TraceAlways",
+		"TraceOff",
+		"TracePolicy",
+		"TraceSampled",
+		"TrainOptions",
+		"TuningPolicy",
+		"VariantError",
+		"VariantFn",
+		"WrapFault",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("nitro.go declares %d exported names, want %d:\n got  %v\n want %v", len(got), len(want), got, want)
+	}
+}

@@ -71,7 +71,7 @@ func TestPublicAPIExplain(t *testing.T) {
 	if !ok {
 		t.Fatal("no model installed")
 	}
-	var ex nitro.Explanation = m.Explain([]float64{18})
+	ex := m.Explain([]float64{18})
 	_, chosen, err := cv.Call(toy{x: 18})
 	if err != nil {
 		t.Fatal(err)
