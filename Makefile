@@ -36,7 +36,9 @@ stress:
 
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
-# point), the compiled-program fuzz target (Validate never panics, and an
+# point, an accepted binary artifact re-encodes to its own bytes, and a
+# model CheckShape accepts predicts at that width without a panic), the
+# compiled-program fuzz target (Validate never panics, and an
 # accepted program walks to a label from its classes on any input), the
 # sort-variant fuzz target (every variant sorts like sort.Float64s, Cost
 # equals Run's time), the journal fuzz target
@@ -100,11 +102,14 @@ online-replay:
 
 # Per-tier dispatch benchmarks: a repeat caller on the compiled tier, a
 # novel input the compiled walk decides, the exact pass and no model, plus
-# the features a one-split program evaluates per call out of 32.
+# the features a one-split program evaluates per call out of 32. Beside
+# them, the install path's decode: one SVM's encode plus decode as JSON and
+# as the binary artifact the registry serves.
 # Run on a quiet machine for stable ns/op numbers; the end-to-end and
 # per-layer dispatch numbers come from perfbench (BENCHMARK.json).
 bench-dispatch:
 	$(GO) test -run xxx -bench 'BenchmarkCallCompiledRepeat|BenchmarkCallNovel|BenchmarkCallExact|BenchmarkCallNoModel|BenchmarkCallManyFeatures' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkModelSerialize' -benchmem ./internal/ml/
 
 # CI agreement gate: every benchmark's tuned model must distill into a
 # compiled artifact that agrees with the exact classifier on >= 99% of the

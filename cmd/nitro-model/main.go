@@ -1,6 +1,7 @@
-// Command nitro-model inspects a model file written by the tuner (the
-// deployable artifact of cmd/nitro-tune or Context.SaveModel): it prints the
-// classifier kind, label set, scaler ranges and — for SVMs — the kernel
+// Command nitro-model inspects a model file: the JSON written by
+// cmd/nitro-tune or Context.SaveModel, or a binary artifact from a registry
+// data dir (<tenant>/<fn>/v000001.model), told apart by its magic. It prints
+// the classifier kind, label set, scaler ranges and — for SVMs — the kernel
 // parameters and support-vector count, and can classify a feature vector
 // from the command line.
 //
@@ -69,7 +70,7 @@ func (o options) validate() error {
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.Model, "model", "", "path to a model JSON file (required)")
+	flag.StringVar(&opts.Model, "model", "", "path to a model file, JSON or a binary registry artifact (required)")
 	flag.StringVar(&opts.Predict, "predict", "", "comma-separated feature vector to classify")
 	flag.StringVar(&opts.PredictFile, "predict-file", "", "file with one comma-separated feature vector per line to classify as a batch")
 	flag.StringVar(&opts.Explain, "explain", "", "comma-separated feature vector to explain: scaled features, class scores, pairwise SVM decisions and the ranked fallback order")
@@ -77,7 +78,7 @@ func main() {
 	flag.BoolVar(&opts.JSON, "json", false, "print a machine-readable model summary (classifier, classes, feature count, provenance metadata) instead of the textual inspection")
 	flag.Parse()
 	if opts.Model == "" {
-		fmt.Fprintln(os.Stderr, "usage: nitro-model -model file.json [-predict \"1,2,3\"] [-predict-file vectors.txt]")
+		fmt.Fprintln(os.Stderr, "usage: nitro-model -model file [-predict \"1,2,3\"] [-predict-file vectors.txt]")
 		os.Exit(2)
 	}
 	if err := run(opts, os.Stdout); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"nitro/internal/core"
 	"nitro/internal/ml"
 	"nitro/internal/obs"
+	"nitro/internal/server"
 )
 
 func fixtureModel(t *testing.T) []byte {
@@ -464,5 +466,64 @@ func TestInspectCompiledModel(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "dispatch tier: exact") {
 		t.Errorf("plain model should explain as exact tier:\n%s", buf.String())
+	}
+}
+
+// TestInspectRegistryArtifact: the binary artifact a registry stores in its
+// data dir, read with -model, prints the same summary, -json and -explain
+// output as its JSON form.
+func TestInspectRegistryArtifact(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := server.NewRegistry(server.RegistryConfig{
+		Tenants: []server.TenantConfig{{Name: "acme", Token: "tok"}}, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ctx := context.Background()
+	if err := reg.RegisterFunction(ctx, "acme", server.FunctionSpec{Name: "fn",
+		Features: []string{"a", "b"}, Variants: []string{"left", "right"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.PushModel(ctx, "acme", "fn", compiledFixtureModel(t), ""); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(filepath.Join(dir, "acme", "fn", "v000001.model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(stored, []byte("NMA1")) {
+		t.Fatalf("registry stored %q, not a binary artifact", stored[:min(len(stored), 16)])
+	}
+	model, err := ml.UnmarshalModel(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asJSON, err := ml.MarshalModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binPath, jsonPath := filepath.Join(dir, "v1.model"), filepath.Join(dir, "v1.model.json")
+	for path, data := range map[string][]byte{binPath: stored, jsonPath: asJSON} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []options{{Predict: "8,16"}, {JSON: true}, {Explain: "8,16"}} {
+		var fromBin, fromJSON bytes.Buffer
+		opts.Model = binPath
+		if err := run(opts, &fromBin); err != nil {
+			t.Fatal(err)
+		}
+		opts.Model = jsonPath
+		if err := run(opts, &fromJSON); err != nil {
+			t.Fatal(err)
+		}
+		if fromBin.String() != fromJSON.String() {
+			t.Errorf("%+v: binary artifact prints\n%s\nits JSON form prints\n%s", opts, fromBin.String(), fromJSON.String())
+		}
+		if !strings.Contains(fromBin.String(), "compiled") {
+			t.Errorf("%+v: output does not show the compiled program:\n%s", opts, fromBin.String())
+		}
 	}
 }

@@ -402,7 +402,8 @@ func (cx *Context) SaveModel(fn, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadModel reads a model from a JSON file and installs it for fn. Like
+// LoadModel reads a model from a file in either artifact form, SaveModel's
+// JSON or a registry's binary artifact, and installs it for fn. Like
 // SetModel it is safe to call while fn is serving traffic.
 func (cx *Context) LoadModel(fn, path string) error {
 	data, err := os.ReadFile(path)

@@ -148,8 +148,10 @@ func BenchmarkBvSBPoolQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkModelSerialize times one marshal plus unmarshal of a 5-class SVM
-// and reports the artifact's size beside the time.
+// BenchmarkModelSerialize times one encode plus decode of a 5-class SVM in
+// each artifact form and reports the artifact's size beside the time: json
+// is MarshalModel and UnmarshalModel, artifact is EncodeArtifact and the
+// install path's DecodeArtifact, ETag check included.
 func BenchmarkModelSerialize(b *testing.B) {
 	ds := blobs(150, 4, 5, 0.8, 7)
 	m := NewSVM(RBFKernel{Gamma: 0.2}, 4)
@@ -161,20 +163,33 @@ func BenchmarkModelSerialize(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := &Model{Classifier: m, Scaler: &s}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var size int
-	for i := 0; i < b.N; i++ {
-		data, err := MarshalModel(model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := UnmarshalModel(data); err != nil {
-			b.Fatal(err)
-		}
-		size = len(data)
+	for _, form := range []struct {
+		name   string
+		encode func() ([]byte, string, error)
+		decode func(data []byte, etag string) (*Model, error)
+	}{
+		{"json", func() ([]byte, string, error) {
+			data, err := MarshalModel(model)
+			return data, "", err
+		}, func(data []byte, _ string) (*Model, error) { return UnmarshalModel(data) }},
+		{"artifact", func() ([]byte, string, error) { return EncodeArtifact(model) }, DecodeArtifact},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				data, etag, err := form.encode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := form.decode(data, etag); err != nil {
+					b.Fatal(err)
+				}
+				size = len(data)
+			}
+			b.ReportMetric(float64(size), "artifact-B")
+		})
 	}
-	b.ReportMetric(float64(size), "artifact-B")
 }
 
 func BenchmarkKNNPredict(b *testing.B) {

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -82,29 +81,6 @@ type Compiled struct {
 	// CorpusSize is the number of corpus vectors the artifact was distilled
 	// and calibrated on.
 	CorpusSize int `json:"corpus_size"`
-}
-
-// UnmarshalJSON decodes c as encoding/json would, except that the margin
-// literal 5e-324 — what Distill writes when no corpus point disagrees —
-// decodes straight to math.SmallestNonzeroFloat64, the value
-// strconv.ParseFloat gives it on its slow subnormal path.
-func (c *Compiled) UnmarshalJSON(data []byte) error {
-	type plain Compiled
-	return json.Unmarshal(data, &struct {
-		*plain
-		Margin *compiledMargin `json:"margin"`
-	}{(*plain)(c), (*compiledMargin)(&c.Margin)})
-}
-
-// compiledMargin is Compiled.Margin's decoder (see Compiled.UnmarshalJSON).
-type compiledMargin float64
-
-func (m *compiledMargin) UnmarshalJSON(data []byte) error {
-	if string(data) == "5e-324" {
-		*m = math.SmallestNonzeroFloat64
-		return nil
-	}
-	return json.Unmarshal(data, (*float64)(m))
 }
 
 // DistillOptions configures Distill. The zero value is usable: depth-8 CART,

@@ -1,7 +1,10 @@
 package ml
 
-// Test-only exports for the external legacy-artifact tests.
+// Test-only exports for the external artifact tests and fuzz target.
 var (
 	LegacyArtifact        = legacyArtifact
 	AssertSamePredictions = assertSamePredictions
+	FuzzSeedModels        = fuzzSeedModels
+	EnsembleArtifact      = ensembleArtifact
+	MarginLiterals        = marginLiterals
 )

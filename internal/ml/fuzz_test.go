@@ -60,78 +60,6 @@ func fuzzSeedModels(tb testing.TB) [][]byte {
 	return append(out, data)
 }
 
-// FuzzUnmarshalModel asserts the model deserializer is total: arbitrary bytes
-// must produce either a model or an error — never a panic — and any blob that
-// deserializes must round-trip to a fixed point (marshal ∘ unmarshal is
-// idempotent, so nothing is silently lost or mutated).
-func FuzzUnmarshalModel(f *testing.F) {
-	seeds := fuzzSeedModels(f)
-	for _, seed := range seeds {
-		f.Add(seed)
-	}
-	// The distilled SVM seed again, in the per-pair form artifacts had
-	// before the shared support-vector table.
-	withCompiled, err := UnmarshalModel(seeds[len(seeds)-1])
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacyArtifact(f, withCompiled))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"kind":"svm"}`))
-	f.Add([]byte(`{"kind":"knn","meta":{"version":2,"created_at":"2026-08-06T00:00:00Z","trained_on":7},"knn":{"k":1}}`))
-	f.Add([]byte(`{"kind":"knn","meta":{},"knn":{"k":1}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":-1}}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"kind":"tree","tree":{"root":{"leaf":true}}}`))
-	// Artifacts of the removed ensemble kind, well formed and not, which
-	// the decoder rejects whatever their members hold.
-	f.Add(ensembleArtifact(f))
-	f.Add([]byte(`{"kind":"ensemble"}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"svm"}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"wat"}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0],"members":[{"kind":"ensemble","ensemble":{"members":[{"kind":"knn","knn":{"k":1}}]}}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[1],"members":[{"kind":"knn","knn":{"k":1}},{"kind":"tree","tree":{"root":null}}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[0.5,0.5],"calib":[{"lo":0,"hi":0.5,"n":3,"correct":1}],"members":[{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]}},{"kind":"logistic","logistic":{"lr":0.5,"l2":0.001,"iters":10,"w":[[0,0],[0,0]],"classes":[0,1]}}]}}`))
-	// Compiled-artifact seeds: a minimal valid program, a looping program
-	// (must be rejected), and a grid with a bad cell table.
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":1,"r":2,"c":-1,"t":0.5},{"f":0,"l":-1,"r":-1,"c":0,"t":0},{"f":0,"l":-1,"r":-1,"c":1,"t":0}],"classes":[0,1],"dim":1,"margin":0.01,"agreement":1,"fallback_rate":0,"corpus_size":2}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":0,"r":0,"c":-1,"t":0.5}],"classes":[0],"dim":1,"margin":0.01}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":0,"grid":{"res":2,"lo":[0],"hi":[1],"cells":[0,0,0]}}}`))
-	// Margin seeds: the 5e-324 fast path and the literals it must not
-	// change the meaning of.
-	for _, lit := range marginLiterals {
-		f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":` + lit + `}}`))
-	}
-	// SVM table seeds: a valid table, then an out-of-range and a negative
-	// index, a length mismatch and a pair carrying both forms.
-	for _, pair := range []string{`"sv":[1,0]`, `"sv":[0,2]`, `"sv":[-1,0]`, `"sv":[0]`, `"sv":[0,1],"svs":[[0],[1]]`} {
-		f.Add([]byte(`{"kind":"svm","svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":[[0],[1]],"pairs":[{"a":0,"b":1,` + pair + `,"coefs":[1,-1],"rho":0,"iters":1}]}}`))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalModel(data) // must never panic
-		if err != nil {
-			return
-		}
-		out1, err := MarshalModel(m)
-		if err != nil {
-			// A deserialized model that cannot re-serialize would lose the
-			// artifact on the next save.
-			t.Fatalf("deserialized model failed to marshal: %v", err)
-		}
-		m2, err := UnmarshalModel(out1)
-		if err != nil {
-			t.Fatalf("re-serialized model failed to parse: %v", err)
-		}
-		out2, err := MarshalModel(m2)
-		if err != nil {
-			t.Fatalf("second marshal failed: %v", err)
-		}
-		if !bytes.Equal(out1, out2) {
-			t.Fatalf("round trip is not a fixed point:\nfirst:  %s\nsecond: %s", out1, out2)
-		}
-	})
-}
-
 // TestModelRoundTripLossless asserts valid models survive a serialize /
 // deserialize cycle exactly: identical serialized form and identical
 // predictions.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -56,11 +57,21 @@ func (m *Model) Version() int {
 }
 
 // CheckShape reports whether m fits a function with the given feature and
-// variant counts: a fitted scaler and a compiled program must each expect
-// exactly features inputs, the program as many as the scaler, and every
-// class label, the classifier's and the compiled program's alike, must name
-// one of variants variants. A count of zero skips its check.
+// variant counts, so that no prediction on a vector of that width can index
+// past a slice. A fitted scaler, a compiled program, every SVM support
+// vector and every kNN training row must each be exactly features wide, a
+// logistic weight row features + 1 (the bias last), and a tree may test
+// only features below features. Every class label, the classifier's and
+// the compiled program's alike, must name one of variants variants. A count
+// of zero skips its checks. The rest hold at any count: a scaler has as
+// many minima as maxima, every SVM pair and kNN row carries one of the
+// classifier's classes, a logistic body has one weight row per class, and
+// every tree node that splits has both children and every leaf one count
+// per class.
 func (m *Model) CheckShape(features, variants int) error {
+	if s := m.Scaler; s != nil && len(s.Min) != len(s.Max) {
+		return fmt.Errorf("scaler has %d minima but %d maxima", len(s.Min), len(s.Max))
+	}
 	scaled := m.Scaler != nil && m.Scaler.Fitted()
 	if features > 0 && scaled && len(m.Scaler.Min) != features {
 		return fmt.Errorf("scaler expects %d features, function has %d", len(m.Scaler.Min), features)
@@ -72,6 +83,9 @@ func (m *Model) CheckShape(features, variants int) error {
 		if scaled && c.Dim != len(m.Scaler.Min) {
 			return fmt.Errorf("compiled program expects %d features, scaler %d", c.Dim, len(m.Scaler.Min))
 		}
+	}
+	if err := checkClassifierShape(m.Classifier, features); err != nil {
+		return err
 	}
 	if variants <= 0 {
 		return nil
@@ -89,6 +103,83 @@ func (m *Model) CheckShape(features, variants int) error {
 		}
 	}
 	return nil
+}
+
+// checkClassifierShape makes CheckShape's checks of the classifier's body:
+// the widths and labels its prediction indexes by.
+func checkClassifierShape(clf Classifier, features int) error {
+	wide := func(what string, i, n int) error {
+		if features > 0 && n != features {
+			return fmt.Errorf("%s %d has %d features, function has %d", what, i, n, features)
+		}
+		return nil
+	}
+	switch c := clf.(type) {
+	case *SVM:
+		// Every pair's support vectors are rows of the shared table, which
+		// fit and both artifact decoders build.
+		for i, sv := range c.svRows {
+			if err := wide("support vector", i, len(sv)); err != nil {
+				return err
+			}
+		}
+		for i := range c.pairs {
+			p := &c.pairs[i]
+			if !slices.Contains(c.classes, p.a) || !slices.Contains(c.classes, p.b) {
+				return fmt.Errorf("svm pair %d votes between %d and %d, classes are %v", i, p.a, p.b, c.classes)
+			}
+		}
+	case *KNN:
+		if t := c.train; t != nil {
+			if len(t.X) != len(t.Y) {
+				return fmt.Errorf("knn has %d training rows but %d labels", len(t.X), len(t.Y))
+			}
+			for i, row := range t.X {
+				if err := wide("knn training row", i, len(row)); err != nil {
+					return err
+				}
+				if !slices.Contains(c.classes, t.Y[i]) {
+					return fmt.Errorf("knn training row %d has label %d, classes are %v", i, t.Y[i], c.classes)
+				}
+			}
+		}
+	case *Logistic:
+		if len(c.W) != len(c.classes) {
+			return fmt.Errorf("logistic has %d weight rows for %d classes", len(c.W), len(c.classes))
+		}
+		for i, w := range c.W {
+			if len(w) == 0 {
+				return fmt.Errorf("logistic weight row %d is empty", i)
+			}
+			if err := wide("logistic weight row", i, len(w)-1); err != nil {
+				return err
+			}
+		}
+	case *DecisionTree:
+		return checkTreeShape(c.root, len(c.classes), features)
+	}
+	return nil
+}
+
+// checkTreeShape checks the tree under n (see CheckShape).
+func checkTreeShape(n *treeNode, classes, features int) error {
+	switch {
+	case n == nil:
+		return nil
+	case n.Left == nil:
+		if len(n.Counts) != classes {
+			return fmt.Errorf("tree leaf has %d counts for %d classes", len(n.Counts), classes)
+		}
+		return nil
+	case n.Right == nil:
+		return errors.New("tree node has a left child but no right one")
+	case n.Feature < 0 || features > 0 && n.Feature >= features:
+		return fmt.Errorf("tree node tests feature %d, function has %d", n.Feature, features)
+	}
+	if err := checkTreeShape(n.Left, classes, features); err != nil {
+		return err
+	}
+	return checkTreeShape(n.Right, classes, features)
 }
 
 // Predict scales x (if a scaler is present) and classifies it, routing
@@ -263,8 +354,13 @@ func MarshalModel(m *Model) ([]byte, error) {
 	return json.Marshal(env)
 }
 
-// UnmarshalModel reconstructs a model serialized by MarshalModel.
+// UnmarshalModel reconstructs a model from either artifact form: the JSON
+// that MarshalModel writes, or the binary form that EncodeArtifact writes
+// for an SVM, which it recognises by its magic.
 func UnmarshalModel(data []byte) (*Model, error) {
+	if len(data) >= 3 && string(data[:3]) == binaryMagic[:3] {
+		return decodeBinary(data)
+	}
 	var env modelJSON
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("ml: bad model JSON: %w", err)

@@ -59,17 +59,33 @@ func shapedArtifact(t *testing.T, features, compiledDim int, compiledClasses []i
 // TestPushRejectsShapeMismatch: an artifact whose scaler expects the wrong
 // feature count, whose compiled program reads a different width, or whose
 // compiled program names a variant the function lacks, is refused in
-// process and over HTTP (400). Nothing is stored and
-// the latest version stays put, before and after a first good version.
+// process and over HTTP (400). So is a JSON artifact whose classifier body
+// would make a call on the function's 2-feature vectors index past a
+// slice. Nothing is stored and the latest version stays put, before and
+// after a first good version.
 func TestPushRejectsShapeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	d, hs := newTestDaemon(t, func(cfg *Config) { cfg.Registry.DataDir = dir })
 	spec := FunctionSpec{Name: "pair", Features: []string{"n", "sortedness"}, Variants: []string{"small", "large"}}
 	mustStatus(t, req(t, hs, "POST", "/api/v1/functions", "tok-acme", specBody(t, spec), nil), http.StatusCreated)
+	svm := func(scaler, svs string) []byte {
+		return []byte(`{"kind":"svm",` + scaler + `"svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":` + svs +
+			`,"pairs":[{"a":0,"b":1,"sv":[0,1],"coefs":[1,-1],"rho":0,"iters":1}]}}`)
+	}
+	logistic := func(w string) []byte {
+		return []byte(`{"kind":"logistic","logistic":{"lr":0.5,"l2":0,"iters":1,"w":` + w + `,"classes":[0,1]}}`)
+	}
 	bad := map[string][]byte{
-		"3-feature scaler":  shapedArtifact(t, 3, 0, nil),
-		"compiled class 9":  shapedArtifact(t, 2, 2, []int{9}),
-		"3-feature program": shapedArtifact(t, 2, 3, []int{1}),
+		"3-feature scaler":           shapedArtifact(t, 3, 0, nil),
+		"compiled class 9":           shapedArtifact(t, 2, 2, []int{9}),
+		"3-feature program":          shapedArtifact(t, 2, 3, []int{1}),
+		"scaler max narrower":        svm(`"scaler":{"min":[0,0],"max":[3]},`, `[[0,0],[1,1]]`),
+		"3-wide support vector":      svm(``, `[[0,0,0],[1,1]]`),
+		"3-wide knn row":             []byte(`{"kind":"knn","knn":{"k":1,"train":{"X":[[0,0,0],[1,1]],"Y":[0,1]},"classes":[0,1]}}`),
+		"empty logistic weight row":  logistic(`[[],[0,0,0]]`),
+		"3 logistic rows, 2 classes": logistic(`[[0,0,0],[0,0,0],[0,0,0]]`),
+		"tree testing feature 2": []byte(`{"kind":"tree","tree":{"max_depth":1,"min_leaf":1,"root":{"feature":2,"threshold":0,` +
+			`"left":{"counts":[1,0]},"right":{"counts":[0,1]}},"classes":[0,1]}}`),
 	}
 	stored := func() int {
 		files, err := filepath.Glob(filepath.Join(dir, "acme", spec.Name, "v*.model"))
@@ -99,7 +115,7 @@ func TestPushRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
-// legacyForm rewrites an artifact into the form written before SVM bodies
+// legacyForm rewrites a JSON artifact into the form written before SVM bodies
 // carried a shared support-vector table: every pair holds its support
 // vectors in full, and the JSON is indented. Numbers keep their literals.
 func legacyForm(t *testing.T, data []byte) []byte {
@@ -134,9 +150,10 @@ func legacyForm(t *testing.T, data []byte) []byte {
 }
 
 // TestReloadServesLegacyArtifact: a data directory holding a pre-table
-// artifact (a 3-class SVM with a compiled margin of 5e-324) as
-// v000001.model reloads; the registry serves the stored bytes under their
-// original ETag, and a client holding that ETag gets a 304.
+// JSON artifact (a 3-class SVM with a compiled margin of 5e-324) as
+// v000001.model beside a binary v000002.model reloads; the registry serves
+// each version's stored bytes under its original ETag, a client holding
+// that ETag gets a 304, and both decode to the trained model.
 func TestReloadServesLegacyArtifact(t *testing.T) {
 	ds := &ml.Dataset{}
 	for x := 0.0; x < 30; x++ {
@@ -158,13 +175,21 @@ func TestReloadServesLegacyArtifact(t *testing.T) {
 	if m.Compiled.Margin != math.SmallestNonzeroFloat64 {
 		t.Fatalf("compiled margin %g, want 5e-324", m.Compiled.Margin)
 	}
-	compact, _, err := ml.EncodeArtifact(m)
+	compact, err := ml.MarshalModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := legacyForm(t, compact)
 	if !bytes.Contains(legacy, []byte(`"margin": 5e-324`)) || bytes.Contains(legacy, []byte(`"sv":`)) {
 		t.Fatalf("not a legacy artifact:\n%s", legacy)
+	}
+	m.Meta = &ml.ModelMeta{Version: 2}
+	binary, _, err := ml.EncodeArtifact(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(binary, []byte("NMA1")) {
+		t.Fatalf("EncodeArtifact wrote %q, not the binary form", binary[:8])
 	}
 
 	dir := t.TempDir()
@@ -173,36 +198,42 @@ func TestReloadServesLegacyArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := json.Marshal(persistedDeployment{Stable: 1, Latest: 1, LastDec: DecisionPromoted})
+	dep, err := json.Marshal(persistedDeployment{Stable: 2, Latest: 2, LastDec: DecisionPromoted})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(fnDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"spec.json": spec, "v000001.model": legacy, "deployment.json": dep} {
+	for name, data := range map[string][]byte{"spec.json": spec, "v000001.model": legacy, "v000002.model": binary, "deployment.json": dep} {
 		if err := os.WriteFile(filepath.Join(fnDir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	_, hs := newTestDaemon(t, func(cfg *Config) { cfg.Registry.DataDir = dir })
-	resp := req(t, hs, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil)
-	pulled := mustStatus(t, resp, http.StatusOK)
-	etag := resp.Header.Get("ETag")
-	if !bytes.Equal(pulled, legacy) || etag != ml.ETagOf(legacy) {
-		t.Fatalf("reloaded registry serves %d bytes under %s, want the stored %d bytes under %s",
-			len(pulled), etag, len(legacy), ml.ETagOf(legacy))
-	}
-	mustStatus(t, req(t, hs, "GET", "/api/v1/functions/sort/model", "tok-acme", nil,
-		map[string]string{"If-None-Match": etag}), http.StatusNotModified)
-	back, err := ml.DecodeArtifact(pulled, etag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range ds.X {
-		if got, want := back.Predict(x), m.Predict(x); got != want {
-			t.Fatalf("pulled legacy model predicts %d at %v, trained model %d", got, x, want)
+	for _, v := range []struct {
+		query  string
+		stored []byte
+	}{{"?version=1", legacy}, {"", binary}} {
+		path := "/api/v1/functions/sort/model" + v.query
+		resp := req(t, hs, "GET", path, "tok-acme", nil, nil)
+		pulled := mustStatus(t, resp, http.StatusOK)
+		etag := resp.Header.Get("ETag")
+		if !bytes.Equal(pulled, v.stored) || etag != ml.ETagOf(v.stored) {
+			t.Fatalf("GET %s serves %d bytes under %s, want the stored %d bytes under %s",
+				path, len(pulled), etag, len(v.stored), ml.ETagOf(v.stored))
+		}
+		mustStatus(t, req(t, hs, "GET", path, "tok-acme", nil,
+			map[string]string{"If-None-Match": etag}), http.StatusNotModified)
+		back, err := ml.DecodeArtifact(pulled, etag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range ds.X {
+			if got, want := back.Predict(x), m.Predict(x); got != want {
+				t.Fatalf("GET %s: pulled model predicts %d at %v, trained model %d", path, got, x, want)
+			}
 		}
 	}
 }

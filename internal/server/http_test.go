@@ -121,14 +121,22 @@ func boundaryArtifact(t *testing.T, boundary float64) []byte {
 	return data
 }
 
-// ensembleArtifact wraps boundaryArtifact's SVM as the only member of an
-// "ensemble" envelope, the form older releases wrote for the removed
-// committee classifier.
+// ensembleArtifact wraps boundaryArtifact's SVM, in its JSON form, as the
+// only member of an "ensemble" envelope, the form older releases wrote for
+// the removed committee classifier.
 func ensembleArtifact(t *testing.T) []byte {
 	t.Helper()
+	svm, err := ml.UnmarshalModel(boundaryArtifact(t, 4.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := ml.MarshalModel(svm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := json.Marshal(map[string]any{"kind": "ensemble", "ensemble": map[string]any{
 		"classes": []int{0, 1}, "weights": []float64{1},
-		"members": []json.RawMessage{boundaryArtifact(t, 4.5)}}})
+		"members": []json.RawMessage{member}}})
 	if err != nil {
 		t.Fatal(err)
 	}
