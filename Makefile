@@ -25,14 +25,17 @@ race:
 # Fault-injection stress: the robustness suites (panic isolation, deadlines,
 # quarantine breaker, seeded fault harness) under the race detector, with a
 # hard wall-clock bound so a hung fallback path fails fast instead of
-# wedging CI. The second run repeats the memo tests (hot-swap invalidation,
-# the canary bypass, the quarantine re-check on a hit, admission; the memo
-# sits behind the compiled walk, so they install models without a program)
-# and the SVM grid search's parallel fit ten times, the places where a race
-# or a timing-dependent assertion once hid behind a single passing run.
+# wedging CI. The second run repeats the memo tests (entries keyed by the
+# model that computed them across hot-swaps, the canary bypass, the
+# quarantine re-check on a hit, admission; the memo sits behind the
+# compiled walk, so they install models without a program), the
+# FixInputs-matches-Call property (each handle's background prefetch races
+# the SetModel and SetCanary calls it straddles) and the SVM grid search's
+# parallel fit ten times, the places where a race or a timing-dependent
+# assertion once hid behind a single passing run.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
-	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestGridSearchParallelDeterministic' ./internal/core/ ./internal/ml/
+	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestFixInputsMatchesCall|TestGridSearchParallelDeterministic' ./internal/core/ ./internal/ml/
 
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed
@@ -70,7 +73,8 @@ bench-parallel:
 	$(GO) test -run xxx -bench 'GridSearch|Fig4Setup' ./internal/ml/ .
 
 # Deployment-runtime benchmarks: the lock-free selection hot path under
-# b.RunParallel (Call / CallFixed futures / CallConcurrent), at one
+# b.RunParallel (Call / FixInputs handles, whose features a goroutine
+# prefetches, consumed by CallFixed / CallConcurrent), at one
 # and several scheduler threads, plus the adaptation-overhead benches
 # (BenchmarkCallAdaptive{Off,On,OnExploring}) that bound what an attached
 # online engine costs per call. Run on a multi-core host for scaling

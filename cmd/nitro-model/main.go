@@ -280,8 +280,9 @@ func rankedString(ranked []int) string {
 	return strings.Join(parts, " -> ")
 }
 
-// parseVector parses a comma-separated feature vector and validates its
-// dimension against the model's scaler.
+// parseVector parses a comma-separated feature vector and checks that the
+// model can predict at its width (ml.Model.CheckShape): the scaler, the
+// compiled program and the classifier body must all be that wide.
 func parseVector(model *ml.Model, s string) ([]float64, error) {
 	var vec []float64
 	for _, tok := range strings.Split(s, ",") {
@@ -291,8 +292,8 @@ func parseVector(model *ml.Model, s string) ([]float64, error) {
 		}
 		vec = append(vec, v)
 	}
-	if model.Scaler != nil && model.Scaler.Fitted() && len(vec) != len(model.Scaler.Min) {
-		return nil, fmt.Errorf("feature vector has %d values, model expects %d", len(vec), len(model.Scaler.Min))
+	if err := model.CheckShape(len(vec), 0); err != nil {
+		return nil, fmt.Errorf("feature vector has %d values: %w", len(vec), err)
 	}
 	return vec, nil
 }

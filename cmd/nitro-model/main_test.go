@@ -200,6 +200,34 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// A vector of the wrong width for a model without a scaler is refused with
+// an error by -predict, -explain and batch prediction, where the support
+// vectors used to index past it and panic.
+func TestWrongWidthOnUnscaledModel(t *testing.T) {
+	raw := `{"kind":"svm","svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":[[0,0],[1,1]],` +
+		`"pairs":[{"a":0,"b":1,"sv":[0,1],"coefs":[1,-1],"rho":0,"iters":1}]}}`
+	path := filepath.Join(t.TempDir(), "raw.json")
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []options{{Model: path, Predict: "1"}, {Model: path, Explain: "1"}, {Model: path, Predict: "1,2,3"}} {
+		err := run(opts, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "support vector 0 has 2 features") {
+			t.Errorf("%+v: err = %v, want a width error", opts, err)
+		}
+	}
+	if err := predictBatch([]byte(raw), "1,2\n1\n", 1, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("batch with a 1-wide line: err = %v, want a width error on line 2", err)
+	}
+	var buf bytes.Buffer
+	if err := run(options{Model: path, Predict: "1,2", Explain: "1,2"}, &buf); err != nil {
+		t.Fatalf("2-wide vector: %v", err)
+	}
+	if !strings.Contains(buf.String(), "prediction: variant label 1") {
+		t.Errorf("2-wide prediction missing:\n%s", buf.String())
+	}
+}
+
 // stampedModel returns the fixture model with provenance metadata, as the
 // tuner and the online retrainer write it.
 func stampedModel(t *testing.T) []byte {

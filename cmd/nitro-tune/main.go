@@ -77,13 +77,14 @@ type Spec struct {
 		TargetAccuracy float64 `json:"target_accuracy"`
 	} `json:"incremental"`
 
-	// The remaining Table II options of the paper's tuning interface. They
-	// configure the deployment-time tuning policy which, like the paper's
+	// The remaining Table II option of the paper's tuning interface. It
+	// configures the deployment-time tuning policy which, like the paper's
 	// generated header, is written to PolicyOut for the application to load.
-	Constraints         *bool  `json:"constraints"`
-	ParallelFeatureEval bool   `json:"parallel_feature_evaluation"`
-	AsyncFeatureEval    bool   `json:"async_feature_eval"`
-	PolicyOut           string `json:"policy_out"`
+	// The paper's parallel_feature_evaluation and async_feature_eval keys
+	// are ignored like any unknown key: features are evaluated on demand,
+	// and FixInputs always prefetches in the background.
+	Constraints *bool  `json:"constraints"`
+	PolicyOut   string `json:"policy_out"`
 
 	// CrossValidate, when >= 2, additionally reports k-fold cross-validated
 	// selection performance on the training corpus.
@@ -477,10 +478,8 @@ func runSpec(spec Spec, out io.Writer) error {
 	}
 	if spec.PolicyOut != "" {
 		policy := core.TuningPolicy{
-			Name:                spec.Function,
-			ParallelFeatureEval: spec.ParallelFeatureEval,
-			AsyncFeatureEval:    spec.AsyncFeatureEval,
-			ConstraintsEnabled:  spec.Constraints == nil || *spec.Constraints,
+			Name:               spec.Function,
+			ConstraintsEnabled: spec.Constraints == nil || *spec.Constraints,
 		}
 		data, err := json.MarshalIndent(policy, "", "  ")
 		if err != nil {
@@ -555,10 +554,8 @@ func replayThroughput(spec Spec, tel *telemetry, suite *autotuner.Suite, model *
 	}
 	cx := core.NewContext()
 	policy := core.TuningPolicy{
-		Name:                spec.Function,
-		ParallelFeatureEval: spec.ParallelFeatureEval,
-		AsyncFeatureEval:    spec.AsyncFeatureEval,
-		ConstraintsEnabled:  spec.Constraints == nil || *spec.Constraints,
+		Name:               spec.Function,
+		ConstraintsEnabled: spec.Constraints == nil || *spec.Constraints,
 	}
 	if inject != nil {
 		// Fault injection exercises the degradation machinery: quarantine the

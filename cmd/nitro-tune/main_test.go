@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,13 +160,16 @@ func TestRunSpecThroughputReplay(t *testing.T) {
 }
 
 func TestRunSpecPolicyAndCrossValidate(t *testing.T) {
-	spec := smallSpec()
-	off := false
-	spec.Constraints = &off
-	spec.ParallelFeatureEval = true
-	spec.AsyncFeatureEval = true
+	// A spec that still carries the removed parallel_feature_evaluation and
+	// async_feature_eval keys loads; the keys are ignored.
+	legacy := `{"function":"sort","benchmark":"Sort","classifier":"svm","scale":0.1,"seed":3,
+		"train_count":12,"test_count":12,"evaluate":true,"constraints":false,"cross_validate":3,
+		"parallel_feature_evaluation":true,"async_feature_eval":true}`
+	var spec Spec
+	if err := json.Unmarshal([]byte(legacy), &spec); err != nil {
+		t.Fatalf("spec with the removed keys no longer loads: %v", err)
+	}
 	spec.PolicyOut = filepath.Join(t.TempDir(), "policy.json")
-	spec.CrossValidate = 3
 	var buf bytes.Buffer
 	if err := runSpec(spec, &buf); err != nil {
 		t.Fatal(err)
@@ -177,10 +182,29 @@ func TestRunSpecPolicyAndCrossValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"\"ParallelFeatureEval\": true", "\"AsyncFeatureEval\": true", "\"ConstraintsEnabled\": false"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("policy file missing %q:\n%s", want, data)
-		}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(fields))
+	if want := []string{"ConstraintsEnabled", "Name", "Quarantine", "VariantTimeout"}; !slices.Equal(keys, want) {
+		t.Errorf("policy file keys %v, want %v:\n%s", keys, want, data)
+	}
+	// A policy file written before the feature-evaluation fields were
+	// removed (testdata, from the same spec) loads as the same policy.
+	legacyPolicy, err := os.ReadFile(filepath.Join("testdata", "legacy_policy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got core.TuningPolicy
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(legacyPolicy, &got); err != nil {
+		t.Fatalf("policy file with the removed fields no longer loads: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || got.ConstraintsEnabled || got.Name != "sort" {
+		t.Errorf("legacy policy file loaded as %+v, want %+v", got, want)
 	}
 }
 

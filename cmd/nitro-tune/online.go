@@ -76,10 +76,8 @@ func runOnlineReplay(spec Spec, tel *telemetry, suite *autotuner.Suite, model *m
 	}
 	cx := core.NewContext()
 	policy := core.TuningPolicy{
-		Name:                spec.Function,
-		ParallelFeatureEval: spec.ParallelFeatureEval,
-		AsyncFeatureEval:    spec.AsyncFeatureEval,
-		ConstraintsEnabled:  spec.Constraints == nil || *spec.Constraints,
+		Name:               spec.Function,
+		ConstraintsEnabled: spec.Constraints == nil || *spec.Constraints,
 	}
 	cv, err := autotuner.ReplayVariant(cx, suite, policy)
 	if err != nil {

@@ -150,8 +150,9 @@ func main() {
 	}
 	fmt.Printf("concurrent batch of %d: %v\n", len(batch), counts)
 
-	// ... and feature evaluation can overlap other work: FixInputs starts
-	// evaluating features for one input and returns a single-shot future.
+	// ... and feature evaluation can overlap other work: FixInputs returns a
+	// single-shot future at once and evaluates the features the tuned model
+	// reads for that input on a goroutine.
 	f := cv.FixInputs(gen(rng, 16384, 0.001))
 	// (other work would happen here while features evaluate)
 	if _, chosen, err := f.Call(); err != nil {

@@ -9,8 +9,8 @@
 // serial callers get the same split, and the same memo contents, on every
 // run. Canary-served predictions bypass the memo cache in both directions —
 // they never read a stable-model entry and never poison the cache with
-// challenger predictions — so clearing or promoting a canary needs no epoch
-// bump and invalidates nothing.
+// challenger predictions — so clearing or promoting a canary invalidates
+// nothing.
 //
 // The cell keeps its own atomic calls/failures counters: a canary-served
 // call counts as failed when its pick was vetoed or quarantined at selection

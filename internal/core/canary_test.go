@@ -118,7 +118,7 @@ func TestCanaryVetoCountsAsFailure(t *testing.T) {
 
 // TestCanaryDoesNotPoisonMemo: challenger predictions must never enter the
 // memo cache, and stable entries must survive a canary install/clear cycle
-// (no epoch bump).
+// (the stable model never changed).
 func TestCanaryDoesNotPoisonMemo(t *testing.T) {
 	cv, _ := buildConcurrentCV(t, DefaultPolicy("memo"))
 	cx := cv.Context()
@@ -149,7 +149,7 @@ func TestCanaryDoesNotPoisonMemo(t *testing.T) {
 		t.Fatalf("canary-served calls hit the memo (%d -> %d)", base.MemoHits, mid.MemoHits)
 	}
 	// Clearing the canary must bring back the stable pick *from the memo*:
-	// the cached entry survived because no epoch moved.
+	// the cached entry survived because the stable model never changed.
 	cx.ClearCanary("memo")
 	if _, name, _ := cv.Call(in); name != "small" {
 		t.Fatalf("post-clear call chose %q, want stable memoized small", name)

@@ -59,9 +59,7 @@ func buildConcurrentCV(tb testing.TB, policy TuningPolicy) (*CodeVariant[testInp
 // safety; the final assertions police accounting: every successful call is
 // counted exactly once, no matter how the operations interleaved.
 func TestConcurrentRuntimeStress(t *testing.T) {
-	p := DefaultPolicy("stress")
-	p.AsyncFeatureEval = true
-	cv, model := buildConcurrentCV(t, p)
+	cv, model := buildConcurrentCV(t, DefaultPolicy("stress"))
 	cx := cv.Context()
 
 	const goroutines = 12
@@ -79,7 +77,7 @@ func TestConcurrentRuntimeStress(t *testing.T) {
 						t.Errorf("Call: %v", err)
 						return
 					}
-				case 1: // per-call async future
+				case 1: // per-call future, prefetched in the background
 					f := cv.FixInputs(in)
 					if _, _, err := cv.CallFixed(f); err != nil {
 						t.Errorf("CallFixed: %v", err)
@@ -173,10 +171,7 @@ func TestConcurrentStatsMatchSerial(t *testing.T) {
 // CodeVariant stay independent: each goroutine's CallFixed must execute on
 // its own fixed input even while other futures resolve around it.
 func TestConcurrentFixedHandles(t *testing.T) {
-	p := DefaultPolicy("handles")
-	p.AsyncFeatureEval = true
-	p.ParallelFeatureEval = true
-	cv, _ := buildConcurrentCV(t, p)
+	cv, _ := buildConcurrentCV(t, DefaultPolicy("handles"))
 
 	const goroutines = 10
 	var wg sync.WaitGroup
@@ -240,11 +235,10 @@ func BenchmarkCallParallel(b *testing.B) {
 }
 
 // BenchmarkCallFixedParallel measures the per-call future path under the
-// same parallel load (allocate handle, background eval, barrier, dispatch).
+// same parallel load (allocate handle, background prefetch, barrier,
+// dispatch).
 func BenchmarkCallFixedParallel(b *testing.B) {
-	p := DefaultPolicy("bench")
-	p.AsyncFeatureEval = true
-	cv, _ := buildConcurrentCV(b, p)
+	cv, _ := buildConcurrentCV(b, DefaultPolicy("bench"))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		in := testInput{X: 7}

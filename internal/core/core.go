@@ -3,8 +3,9 @@
 // with registered variants, input-feature functions and per-variant
 // constraints, plus the deployment-time selection engine that consults a
 // trained model, enforces constraints (falling back to an allowed variant),
-// and evaluates features in parallel or asynchronously (the paper's TBB
-// optimizations, realized with goroutines).
+// and evaluates features on demand: a call evaluates only the features its
+// decision reads. FixInputs starts that evaluation on a goroutine (the
+// paper's asynchronous fix_inputs), so it overlaps the caller's other work.
 //
 // The generic parameter In is the tunable function's input type, mirroring
 // the C++ template argument tuple of the original library.
@@ -19,8 +20,8 @@
 //     per the usual Go convention that configuration happens-before use.
 //   - Call, FixInputs, CallFixed, CallConcurrent, FeatureVector, SelectIndex
 //     and Allowed are safe for unlimited concurrent use. They carry no shared
-//     mutable state: asynchronous feature evaluation lives in a per-call
-//     Fixed handle, never in the CodeVariant.
+//     mutable state: a call's features live in its own callFeatures, and a
+//     FixInputs prefetch in its own Fixed handle, never in the CodeVariant.
 //   - The installed model is held in an atomic pointer, so Context.SetModel
 //     hot-swaps a retuned model mid-traffic without ever blocking the
 //     predict path.
@@ -69,25 +70,11 @@ var ErrModelMismatch = errors.New("core: model incompatible with registered func
 // the predict path: readers Load, writers Store, nobody locks.
 type modelSlot struct {
 	p atomic.Pointer[ml.Model]
-	// epoch counts installs. The memo tier stamps every cached prediction
-	// with the epoch observed BEFORE loading the model, so bumping it here
-	// atomically invalidates all memoized predictions from older models (see
-	// memoCache for the ordering argument).
-	epoch atomic.Uint64
 	// canary optionally holds a challenger model served to a fraction of
-	// calls (see canary.go). Installing or clearing it does not bump the
-	// epoch: canary-served predictions bypass the memo cache entirely, so
-	// stable-model entries stay valid across the whole rollout.
+	// calls (see canary.go). Canary-served predictions bypass the memo
+	// cache entirely, so stable-model entries stay valid across the whole
+	// rollout.
 	canary atomic.Pointer[canaryCell]
-}
-
-// install publishes a model and bumps the epoch. The order matters: the new
-// model is visible before the epoch moves, so a predict that reads the old
-// epoch and then loads the new model merely under-stamps its memo entry
-// (conservatively stale) — it can never stamp an old-model prediction fresh.
-func (s *modelSlot) install(m *ml.Model) {
-	s.p.Store(m)
-	s.epoch.Add(1)
 }
 
 // statsShards is the number of counter shards per tunable function. Calls
@@ -366,6 +353,11 @@ func (cx *Context) statsFor(fn string) *funcStats {
 // subsequent calls see m — tuned models can be reloaded mid-traffic without
 // pausing the predict path. Installing nil uninstalls the model.
 //
+// An installed model must not be mutated afterwards: the memo keys its
+// entries by the model that computed them, so reinstalling the same pointer
+// keeps its entries, and a mutated model would keep serving predictions of
+// its old self. Install a new *ml.Model instead.
+//
 // When fn's shape is known (a CodeVariant has registered features/variants
 // for it), the model is validated first: a scaler whose feature dimension
 // disagrees with the registered features, or a class label naming no
@@ -377,7 +369,7 @@ func (cx *Context) SetModel(fn string, m *ml.Model) error {
 			return fmt.Errorf("core: install model for %q: %w", fn, err)
 		}
 	}
-	cx.slotFor(fn).install(m)
+	cx.slotFor(fn).p.Store(m)
 	return nil
 }
 
@@ -428,14 +420,14 @@ type CallStats struct {
 	DefaultFallbacks int            `json:"default_fallbacks"`
 	TotalValue       float64        `json:"total_value"`
 	// FeatureSeconds sums the modelled cost (Feature.Cost) of the features
-	// each successful call evaluated: on the serial Call path only the
-	// features its decision read, with the compiled walk reading just those
-	// on its path, and the whole vector when the call needed it (a walk
-	// inside the margin, a model without a program, a traced or observed
-	// call, a failure fallback the model ranks). A call without a model
-	// evaluates none unless it is traced or observed.
-	// Parallel evaluation charges the costliest feature, and asynchronous
-	// FixInputs handles charge nothing.
+	// each successful call evaluated on the caller: only the features its
+	// decision read, with the compiled walk reading just those on its path,
+	// and the whole vector when the call needed it (a walk inside the
+	// margin, a model without a program, a traced or observed call, a
+	// failure fallback the model ranks). A call without a model evaluates
+	// none unless it is traced or observed. A Fixed handle charges nothing
+	// for the features its FixInputs prefetch evaluated in the background,
+	// and the full cost of any feature its CallFixed still had to evaluate.
 	FeatureSeconds float64 `json:"feature_seconds"`
 
 	// Failure accounting (fault-tolerant dispatch).
@@ -496,12 +488,6 @@ func (cx *Context) Stats(fn string) CallStats {
 type TuningPolicy struct {
 	// Name identifies the tunable function; models are keyed by it.
 	Name string
-	// ParallelFeatureEval evaluates feature functions concurrently.
-	ParallelFeatureEval bool
-	// AsyncFeatureEval makes FixInputs start feature evaluation in the
-	// background; CallFixed then blocks on the result (the implicit
-	// barrier). Without it FixInputs evaluates eagerly on the caller.
-	AsyncFeatureEval bool
 	// ConstraintsEnabled toggles deployment-time constraint checking.
 	ConstraintsEnabled bool
 	// VariantTimeout, when positive, bounds every variant invocation: a
@@ -516,8 +502,8 @@ type TuningPolicy struct {
 	Quarantine QuarantinePolicy
 }
 
-// DefaultPolicy returns the paper's defaults: constraints on, serial
-// synchronous feature evaluation.
+// DefaultPolicy returns the paper's defaults: constraints on, no variant
+// deadline, no quarantine.
 func DefaultPolicy(name string) TuningPolicy {
 	return TuningPolicy{Name: name, ConstraintsEnabled: true}
 }
@@ -533,11 +519,12 @@ type ConstraintFn[In any] func(In) bool
 // Feature is one input-feature function with an optional evaluation-cost
 // model (simulated seconds) used for overhead accounting (Fig. 8).
 //
-// Eval and Cost must be pure functions of the input. The Call paths
-// evaluate a feature only when the decision reads it (the compiled walk
-// reads just the features on its path), at most once per call and always
+// Eval and Cost must be pure functions of the input. Every path evaluates a
+// feature only when the decision reads it (the compiled walk reads just the
+// features on its path), at most once per call or Fixed handle and always
 // before the selected variant runs, and FeatureSeconds charges only the
-// features a call evaluated.
+// features a call evaluated on the caller. A FixInputs prefetch runs them
+// on its own goroutine.
 type Feature[In any] struct {
 	Name string
 	Eval func(In) float64
@@ -582,8 +569,8 @@ type CodeVariant[In any] struct {
 	stats *funcStats
 
 	// memo is the feature-vector → raw-prediction cache behind the compiled
-	// tier. Per CodeVariant, invalidated by epoch stamping on model
-	// hot-swap; see memoCache.
+	// tier. Per CodeVariant, keyed by the model that computed each entry, so
+	// a hot-swap needs no invalidation; see memoCache.
 	memo *memoCache
 
 	// observer is the optional adaptation hook (SetCallObserver): consulted
@@ -699,63 +686,17 @@ func (cv *CodeVariant[In]) allowed(idx int, in *In) bool {
 	return true
 }
 
-// evalFeatures computes the whole feature vector, honouring the parallel
-// policy, and returns it with the modelled evaluation cost in seconds (the
-// maximum over features when parallel, the sum when serial). The returned
-// vector is freshly allocated; callers that may retain it (Fixed handles,
-// FeatureVector) use this form.
-func (cv *CodeVariant[In]) evalFeatures(in *In) ([]float64, float64) {
-	vec := make([]float64, len(cv.features))
-	if cv.policy.ParallelFeatureEval {
-		return vec, cv.evalParallel(in, vec)
-	}
-	v := *in
-	var sum float64
-	for j := range cv.features {
-		ft := &cv.features[j]
-		vec[j] = ft.Eval(v)
-		if ft.Cost != nil {
-			sum += ft.Cost(v)
-		}
-	}
-	return vec, sum
-}
-
-// evalParallel evaluates every feature concurrently into vec (len ==
-// len(features)) and returns the largest single feature cost.
-func (cv *CodeVariant[In]) evalParallel(in *In, vec []float64) float64 {
-	inv := *in // the goroutines read their own copy, so in stays on the caller's stack
-	costs := make([]float64, len(cv.features))
-	var wg sync.WaitGroup
-	for j := range cv.features {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			ft := &cv.features[j]
-			vec[j] = ft.Eval(inv)
-			if ft.Cost != nil {
-				costs[j] = ft.Cost(inv)
-			}
-		}(j)
-	}
-	wg.Wait()
-	var maxC float64
-	for _, c := range costs {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	return maxC
-}
-
-// callFeatures is one dispatch's feature vector. On the serial Call path it
-// is evaluated on demand: the compiled walk's fill callback runs a
-// feature's Eval and Cost (eval) the first time the walk reads it, and full
-// completes the rest when a later rung (memo, exact), the observer, the
-// tracer or the failure fallback needs the whole vector. Every read happens
-// before the selected variant runs, except the failure fallback's, which
-// runs after the failed variant. A vector built whole (SelectIndex, Fixed
-// handles, parallel evaluation) has seen == nil.
+// callFeatures is one dispatch's feature vector, evaluated on demand: the
+// compiled walk's fill callback runs a feature's Eval and Cost (eval) the
+// first time the walk reads it, and full completes the rest when a later
+// rung (memo, exact), the observer, the tracer or the failure fallback
+// needs the whole vector. Every read happens before the selected variant
+// runs, except the failure fallback's, which runs after the failed
+// variant. It is the only feature state in the runtime: Call keeps it in
+// a pooled buffer, a Fixed handle owns one that its FixInputs prefetch
+// fills in the background, and FeatureVector evaluates one whole through
+// the same eval. A whole vector (SelectIndex's, FeatureVector's) has
+// seen == nil.
 //
 // The input is not a field: the dispatch layers pass it by pointer beside
 // the features, because vec and obs reach code that escape analysis cannot
@@ -778,12 +719,9 @@ func (f *callFeatures[In]) unread(j int) bool {
 	return f.seen != nil && f.seen[j>>6]&(1<<(j&63)) == 0
 }
 
-// eval evaluates feature j of in into vec[j], charges its cost and marks it
-// read. The evaluation is written out here and in evalFeatures rather than
-// shared, and both copy the input into a local first: passing *in straight
-// to a call copies it twice, and a shared helper taking the input is too
-// large to inline: its extra call per feature made FeatureVector about 40%
-// slower.
+// eval evaluates feature j of in into vec[j], charges its cost and, on an
+// on-demand vector, marks it read. It copies the input into a local first:
+// passing *in straight to each callback copies it twice.
 func (f *callFeatures[In]) eval(in *In, j int) {
 	ft := &f.cv.features[j]
 	v := *in
@@ -791,7 +729,9 @@ func (f *callFeatures[In]) eval(in *In, j int) {
 	if ft.Cost != nil {
 		f.secs += ft.Cost(v)
 	}
-	f.seen[j>>6] |= 1 << (j & 63)
+	if f.seen != nil {
+		f.seen[j>>6] |= 1 << (j & 63)
+	}
 }
 
 // full evaluates every feature of in not read yet and returns the whole
@@ -808,64 +748,79 @@ func (f *callFeatures[In]) full(in *In) []float64 {
 	return f.vec
 }
 
-// FeatureVector computes the feature vector synchronously and returns it
-// with its modelled evaluation cost.
+// FeatureVector evaluates the whole feature vector synchronously, through
+// the same per-feature code as Call, and returns it with its summed
+// modelled evaluation cost.
 func (cv *CodeVariant[In]) FeatureVector(in In) ([]float64, float64) {
-	return cv.evalFeatures(&in)
+	f := callFeatures[In]{cv: cv, vec: make([]float64, len(cv.features))}
+	for j := range f.vec {
+		f.eval(&in, j)
+	}
+	return f.vec, f.secs
 }
 
 // Fixed is a per-call future produced by FixInputs: the input it was created
-// for plus the (possibly still evaluating) feature vector. Binding the input
-// into the handle guarantees that feature evaluation, constraint checking
-// and variant execution always agree on one input — the handle, not the
-// CodeVariant, carries the async state, so any number of goroutines can hold
-// independent Fixed handles on one shared CodeVariant.
+// for plus the feature state its background prefetch fills. Binding the
+// input into the handle guarantees that feature evaluation, constraint
+// checking and variant execution always agree on one input — the handle,
+// not the CodeVariant, carries the prefetch, so any number of goroutines
+// can hold independent Fixed handles on one shared CodeVariant.
 //
 // A Fixed handle is single-shot: consume it with CallFixed (or Fixed.Call)
 // exactly once. The handle itself must not be shared between goroutines.
 type Fixed[In any] struct {
 	cv       *CodeVariant[In]
 	in       In
-	done     chan struct{} // non-nil iff evaluation runs in the background
-	vec      []float64
-	seconds  float64
+	f        callFeatures[In] // written by the prefetch until done closes
+	panicked any              // what a feature panicked with in the prefetch
+	done     chan struct{}
 	consumed atomic.Bool
 }
 
 // FixInputs mirrors the paper's fix_inputs, upgraded from implicit shared
-// state to an explicit per-call future. With AsyncFeatureEval enabled it
-// starts feature evaluation in the background so the caller can overlap
-// other work before CallFixed; otherwise it evaluates eagerly on the calling
-// goroutine. Either way the returned handle remembers in, so the subsequent
-// CallFixed executes the selection on exactly the input the features were
-// computed from.
+// state to an explicit per-call future. It returns at once and prefetches
+// on a goroutine, so feature evaluation overlaps whatever the caller does
+// before CallFixed: the prefetch walks the stable model's compiled program
+// over the handle's own features, evaluating the ones the walk reads, and
+// completes the whole vector only when the walk cannot decide (a path
+// inside the margin, or a model without a program). Without a model it
+// evaluates nothing. It counts no dispatch tier, draws no canary admission
+// and leaves the memo alone, so the dispatch CallFixed runs decides exactly
+// as Call would, on exactly the input the handle was fixed on.
+//
+// The prefetch ends on its own, whether or not the handle is consumed. A
+// feature that panics in it panics CallFixed's caller with the same value,
+// as it would have panicked Call's, instead of the whole process from a
+// goroutine no caller can recover.
 func (cv *CodeVariant[In]) FixInputs(in In) *Fixed[In] {
-	f := &Fixed[In]{cv: cv, in: in}
-	if cv.policy.AsyncFeatureEval {
-		f.done = make(chan struct{})
-		go func() {
-			f.vec, f.seconds = cv.evalFeatures(&f.in)
-			close(f.done)
+	n := len(cv.features)
+	h := &Fixed[In]{cv: cv, in: in, done: make(chan struct{})}
+	h.f = callFeatures[In]{cv: cv, vec: make([]float64, n), seen: make([]uint64, (n+63)/64)}
+	go func() {
+		defer func() {
+			h.panicked = recover()
+			close(h.done)
 		}()
-		return f
-	}
-	f.vec, f.seconds = cv.evalFeatures(&f.in)
-	return f
+		m := cv.model.p.Load()
+		if m == nil {
+			return
+		}
+		fill := func(j int) {
+			if h.f.unread(j) {
+				h.f.eval(&h.in, j)
+			}
+		}
+		if _, ok := m.PredictCompiled(h.f.vec, fill); !ok {
+			h.f.full(&h.in)
+		}
+	}()
+	return h
 }
 
 // Input returns the input the handle was fixed on.
 func (f *Fixed[In]) Input() In { return f.in }
 
-// Features blocks until feature evaluation completes (the paper's implicit
-// barrier) and returns the feature vector with its modelled evaluation cost.
-func (f *Fixed[In]) Features() ([]float64, float64) {
-	if f.done != nil {
-		<-f.done
-	}
-	return f.vec, f.seconds
-}
-
-// Call consumes the handle: it waits for the features, selects and executes
+// Call consumes the handle: it waits for the prefetch, selects and executes
 // a variant on the fixed input, and records statistics. Equivalent to
 // cv.CallFixed(f).
 func (f *Fixed[In]) Call() (float64, string, error) {
@@ -873,10 +828,14 @@ func (f *Fixed[In]) Call() (float64, string, error) {
 }
 
 // CallFixed consumes a handle produced by this CodeVariant's FixInputs: it
-// waits for the feature vector (the implicit barrier), then selects,
-// constraint-checks and executes a variant on the input bound into the
-// handle. Under AsyncFeatureEval the feature cost is recorded as hidden
-// (zero), because evaluation overlapped the caller's other work.
+// waits for the prefetch (the paper's implicit barrier), then runs the
+// ordinary dispatch — selection, constraint checks, execution — on the
+// input bound into the handle, over the features the prefetch evaluated.
+// Those are charged nothing, because their evaluation overlapped the
+// caller's other work. Whatever the call still needs (a model swapped in
+// since FixInputs, a canary-served call, an admitting observer, a tracer,
+// the failure fallback) is evaluated on the caller and charged as Call
+// charges it.
 //
 // Consuming a handle twice, or a handle from a different CodeVariant, is an
 // error.
@@ -890,12 +849,12 @@ func (cv *CodeVariant[In]) CallFixed(f *Fixed[In]) (float64, string, error) {
 	if f.consumed.Swap(true) {
 		return 0, "", errors.New("core: Fixed handle already consumed")
 	}
-	fv := callFeatures[In]{cv: cv}
-	fv.vec, fv.secs = f.Features()
-	if cv.policy.AsyncFeatureEval {
-		fv.secs = 0 // hidden: evaluation overlapped other work
+	<-f.done
+	if f.panicked != nil {
+		panic(f.panicked)
 	}
-	return cv.dispatch(context.Background(), &f.in, &fv)
+	f.f.secs = 0 // hidden: the prefetch overlapped other work
+	return cv.dispatch(context.Background(), &f.in, &f.f)
 }
 
 // SelectIndex returns the variant label the selection engine would execute
@@ -922,10 +881,8 @@ func (cv *CodeVariant[In]) SelectIndex(in In, vec []float64) (int, bool, error) 
 // loaded; (-1, TierNone, nil) without a model, which evaluates no feature.
 // The tier counter is recorded here — at prediction time — so memoized,
 // compiled and exact predictions are counted exactly once each. The memo
-// therefore serves only exact-tier predictions.
-//
-// Ordering invariant: the epoch is loaded BEFORE the model pointer; see
-// memoCache for why the reverse order would be unsound under hot-swap.
+// therefore serves only exact-tier predictions, each looked up and stored
+// under the model that makes the call's prediction.
 //
 // When a canary is installed, each call first draws whether the challenger
 // serves it; canary-served predictions skip the memo cache in both
@@ -936,7 +893,6 @@ func (cv *CodeVariant[In]) predict(in *In, f *callFeatures[In]) (int, ml.Tier, *
 	if cs != nil && !cs.admit() {
 		cs = nil
 	}
-	epoch := cv.model.epoch.Load()
 	m := cv.model.p.Load()
 	if cs != nil {
 		m = cs.model
@@ -962,12 +918,12 @@ func (cv *CodeVariant[In]) predict(in *In, f *callFeatures[In]) (int, ml.Tier, *
 		return m.PredictExact(vec), ml.TierExact, m, cs
 	}
 	h := memoHash(vec)
-	if pred, ok := cv.memo.lookup(h, vec, epoch); ok {
+	if pred, ok := cv.memo.lookup(h, vec, m); ok {
 		cv.stats.recordTier(ml.TierMemo)
 		return pred, ml.TierMemo, m, nil
 	}
 	pred := m.PredictExact(vec)
-	cv.memo.store(h, vec, pred, epoch)
+	cv.memo.store(h, vec, pred, m)
 	cv.stats.recordTier(ml.TierExact)
 	return pred, ml.TierExact, m, nil
 }
@@ -1102,8 +1058,7 @@ func (cv *CodeVariant[In]) Call(in In) (float64, string, error) {
 // failure). With a background (never-cancelled) context it is byte-identical
 // to Call in both results and recorded statistics.
 //
-// Features are evaluated on demand (see callFeatures), unless the policy sets
-// ParallelFeatureEval, which evaluates the whole vector up front.
+// Features are evaluated on demand (see callFeatures).
 func (cv *CodeVariant[In]) CallCtx(ctx context.Context, in In) (float64, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1124,20 +1079,20 @@ func (cv *CodeVariant[In]) CallCtx(ctx context.Context, in In) (float64, string,
 		b.vec, b.seen = make([]float64, n), make([]uint64, words)
 	}
 	f := callFeatures[In]{cv: cv, vec: b.vec[:n]}
-	if cv.policy.ParallelFeatureEval {
-		f.secs = cv.evalParallel(&in, f.vec)
-	} else {
-		f.seen = b.seen[:words]
-		clear(f.seen)
-	}
+	// seen is set apart from the literal: with it inside, the compiler built
+	// the struct in a temporary and copied it over (runtime.duffcopy, 7% of
+	// a Call's CPU).
+	f.seen = b.seen[:words]
+	clear(f.seen)
 	value, name, err := cv.dispatch(ctx, &in, &f)
 	featBufPool.Put(b)
 	return value, name, err
 }
 
 // featBuf is one pooled Call-path feature buffer: the vector and its
-// evaluated-feature bitset. Fixed handles do NOT use it: Fixed.Features
-// hands the vector to the caller, who may retain it.
+// evaluated-feature bitset. Fixed handles and FeatureVector allocate their
+// own (newFeatures): a handle's vector lives until it is consumed, and
+// FeatureVector hands its vector to the caller.
 type featBuf struct {
 	vec  []float64
 	seen []uint64

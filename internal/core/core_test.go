@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nitro/internal/ml"
 )
@@ -138,39 +139,26 @@ func TestExhaustiveSearch(t *testing.T) {
 	}
 }
 
-func TestParallelFeatureEval(t *testing.T) {
-	p := DefaultPolicy("toy")
-	p.ParallelFeatureEval = true
-	cv := newCV(t, p)
+// FeatureVector evaluates every feature through the per-feature code Call
+// uses and returns the summed modelled cost.
+func TestFeatureVector(t *testing.T) {
+	cv := newCV(t, DefaultPolicy("toy"))
 	cv.AddInputFeature(Feature[testInput]{
 		Name: "x2",
 		Eval: func(in testInput) float64 { return in.X * in.X },
 		Cost: func(testInput) float64 { return 3e-6 },
 	})
 	vec, cost := cv.FeatureVector(testInput{X: 3})
-	if vec[0] != 3 || vec[1] != 9 {
-		t.Errorf("parallel features wrong: %v", vec)
+	if len(vec) != 2 || vec[0] != 3 || vec[1] != 9 {
+		t.Errorf("features wrong: %v", vec)
 	}
-	// Parallel cost is the max, not the sum.
-	if math.Abs(cost-3e-6) > 1e-12 {
-		t.Errorf("parallel cost = %v, want 3e-6", cost)
-	}
-	serial := newCV(t, DefaultPolicy("toy"))
-	serial.AddInputFeature(Feature[testInput]{
-		Name: "x2",
-		Eval: func(in testInput) float64 { return in.X * in.X },
-		Cost: func(testInput) float64 { return 3e-6 },
-	})
-	_, sCost := serial.FeatureVector(testInput{X: 3})
-	if math.Abs(sCost-4e-6) > 1e-12 {
-		t.Errorf("serial cost = %v, want 4e-6", sCost)
+	if math.Abs(cost-4e-6) > 1e-12 {
+		t.Errorf("cost = %v, want the sum 4e-6", cost)
 	}
 }
 
 func TestAsyncFeatureEval(t *testing.T) {
-	p := DefaultPolicy("toy")
-	p.AsyncFeatureEval = true
-	cv := newCV(t, p)
+	cv := newCV(t, DefaultPolicy("toy"))
 	trainToy(t, cv)
 	f := cv.FixInputs(testInput{X: 8})
 	_, name, err := cv.CallFixed(f)
@@ -180,7 +168,7 @@ func TestAsyncFeatureEval(t *testing.T) {
 	if name != "large" {
 		t.Errorf("async call selected %q", name)
 	}
-	// Async feature cost is hidden (recorded as 0).
+	// Prefetched feature cost is hidden (recorded as 0).
 	if st := cv.Context().Stats("toy"); st.FeatureSeconds != 0 {
 		t.Errorf("async feature cost should be hidden: %+v", st)
 	}
@@ -191,27 +179,76 @@ func TestAsyncFeatureEval(t *testing.T) {
 	}
 }
 
-func TestFixInputsEagerWhenSyncPolicy(t *testing.T) {
+// FixInputs returns while its prefetch is still evaluating, the prefetch
+// evaluates only the feature the stable program reads, CallFixed charges
+// nothing for it, and a feature a model swapped in since FixInputs reads is
+// evaluated on the caller and charged its Cost.
+func TestFixInputsPrefetchesInBackground(t *testing.T) {
+	cv, evals, costs := countingCV(t, "prefetch")
+	if err := cv.Context().SetModel("prefetch", depthOneModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	eval3 := cv.features[3].Eval
+	cv.features[3].Eval = func(in testInput) float64 { <-gate; return eval3(in) }
+	fixed := make(chan *Fixed[testInput], 1)
+	go func() { fixed <- cv.FixInputs(testInput{X: 2}) }()
+	var h *Fixed[testInput]
+	select {
+	case h = <-fixed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("FixInputs waited for a feature evaluation")
+	}
+	select {
+	case <-h.done:
+		t.Fatal("the prefetch finished while its feature was still blocked")
+	default:
+	}
+	close(gate)
+	if _, name, err := h.Call(); err != nil || name != "small" {
+		t.Fatalf("CallFixed: (%q, %v), want small", name, err)
+	}
+	if want := [5]int{3: 1}; *evals != want || *costs != want {
+		t.Fatalf("Eval runs %v, Cost runs %v; want only the program's feature 3, once: %v", *evals, *costs, want)
+	}
+	if st := cv.Context().Stats("prefetch"); st.FeatureSeconds != 0 || st.CompiledHits != 1 {
+		t.Fatalf("%+v: want one compiled hit charging nothing", st)
+	}
+
+	// A program on feature 1 (raw X+1, the same boundary) installed after
+	// the prefetch: CallFixed evaluates feature 1 and charges its cost 2.
+	h = cv.FixInputs(testInput{X: 7})
+	<-h.done
+	swapped := depthOneModel(t)
+	swapped.Compiled.Nodes[0].Feature = 1
+	if err := cv.Context().SetModel("prefetch", swapped); err != nil {
+		t.Fatal(err)
+	}
+	if _, name, err := h.Call(); err != nil || name != "large" {
+		t.Fatalf("CallFixed after SetModel: (%q, %v), want large", name, err)
+	}
+	if want := [5]int{1: 1, 3: 2}; *evals != want || *costs != want {
+		t.Fatalf("Eval runs %v, Cost runs %v; want %v", *evals, *costs, want)
+	}
+	if st := cv.Context().Stats("prefetch"); st.FeatureSeconds != 2 || st.CompiledHits != 2 {
+		t.Fatalf("%+v: want feature 1's cost 2 charged once", st)
+	}
+}
+
+// A feature that panics in the prefetch panics CallFixed's caller with its
+// value instead of the process.
+func TestFixInputsFeaturePanicReachesCaller(t *testing.T) {
 	cv := newCV(t, DefaultPolicy("toy"))
-	evals := 0
-	cv.AddInputFeature(Feature[testInput]{
-		Name: "probe",
-		Eval: func(in testInput) float64 { evals++; return in.X },
-	})
-	f := cv.FixInputs(testInput{X: 1})
-	if evals != 1 {
-		t.Fatalf("sync-policy FixInputs should evaluate eagerly, evals = %d", evals)
-	}
-	if f.done != nil {
-		t.Error("sync-policy FixInputs armed a background evaluation")
-	}
-	if _, name, err := f.Call(); err != nil || name != "small" {
-		t.Errorf("CallFixed under sync policy: %q %v", name, err)
-	}
-	// Eager (non-overlapped) evaluation charges the feature cost.
-	if st := cv.Context().Stats("toy"); st.FeatureSeconds <= 0 {
-		t.Errorf("sync FixInputs cost should be recorded: %+v", st)
-	}
+	trainToy(t, cv)
+	cv.features[0].Eval = func(testInput) float64 { panic("feature down") }
+	h := cv.FixInputs(testInput{X: 1})
+	defer func() {
+		if r := recover(); r != "feature down" {
+			t.Fatalf("CallFixed recovered %v, want the feature's panic", r)
+		}
+	}()
+	h.Call()
+	t.Fatal("CallFixed returned after its prefetch panicked")
 }
 
 // TestCallFixedBindsFixedInput is the regression test for the async
@@ -222,7 +259,6 @@ func TestFixInputsEagerWhenSyncPolicy(t *testing.T) {
 // must all see the fixed input.
 func TestCallFixedBindsFixedInput(t *testing.T) {
 	p := DefaultPolicy("toy")
-	p.AsyncFeatureEval = true
 
 	// "large" is allowed on the fixed input (X=8) but vetoed on small X.
 	// With the shared-state bug, FixInputs(8) + Call(2) selected from X=8's
@@ -259,9 +295,7 @@ func TestCallFixedBindsFixedInput(t *testing.T) {
 }
 
 func TestFixedHandleSingleShot(t *testing.T) {
-	p := DefaultPolicy("toy")
-	p.AsyncFeatureEval = true
-	cv := newCV(t, p)
+	cv := newCV(t, DefaultPolicy("toy"))
 	f := cv.FixInputs(testInput{X: 1})
 	if _, _, err := f.Call(); err != nil {
 		t.Fatal(err)

@@ -78,16 +78,17 @@ func BenchmarkCallNoModel(b *testing.B) {
 	benchCalls(b, cv, 8)
 }
 
-// BenchmarkCallManyFeatures: 32 costed features and a program that splits
-// once, on feature 0, so each call evaluates one feature; the features/op
-// metric counts the Eval runs per call.
-func BenchmarkCallManyFeatures(b *testing.B) {
+// manyFeaturesCV registers 32 costed features (feature j reads X+j, costs
+// 1 and counts its Eval runs) and installs a model whose program splits
+// once, on feature 0: X <= 4.5 serves "small", above it "large".
+func manyFeaturesCV(tb testing.TB, name string) (*CodeVariant[testInput], *atomic.Int64) {
+	tb.Helper()
 	const dim = 32
 	cx := NewContext()
-	cv := New[testInput](cx, DefaultPolicy("bench-features"))
+	cv := New[testInput](cx, DefaultPolicy(name))
 	cv.AddVariant("small", func(in testInput) float64 { return 1 + in.X })
 	cv.AddVariant("large", func(in testInput) float64 { return 10 - in.X })
-	var evals atomic.Int64
+	evals := new(atomic.Int64)
 	for j := 0; j < dim; j++ {
 		cv.AddInputFeature(Feature[testInput]{
 			Name: fmt.Sprint("f", j),
@@ -106,20 +107,27 @@ func BenchmarkCallManyFeatures(b *testing.B) {
 	sc := &ml.Scaler{}
 	scaled, err := sc.FitTransform(ds.X)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tree := ml.NewDecisionTree(2, 1)
 	if err := tree.Fit(&ml.Dataset{X: scaled, Y: ds.Y}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := &ml.Model{Classifier: tree, Scaler: sc, Compiled: &ml.Compiled{
 		Nodes:   []ml.CompiledNode{{Feature: 0, Left: 1, Right: 2}, {Left: -1, Class: 0}, {Left: -1, Class: 1}},
 		Classes: []int{0, 1}, Dim: dim, Margin: math.SmallestNonzeroFloat64,
 	}}
-	if err := cx.SetModel("bench-features", m); err != nil {
-		b.Fatal(err)
+	if err := cx.SetModel(name, m); err != nil {
+		tb.Fatal(err)
 	}
-	evals.Store(0)
+	return cv, evals
+}
+
+// BenchmarkCallManyFeatures: manyFeaturesCV's one-split program over 32
+// costed features, so each call evaluates one feature; the features/op
+// metric counts the Eval runs per call.
+func BenchmarkCallManyFeatures(b *testing.B) {
+	cv, evals := manyFeaturesCV(b, "bench-features")
 	benchCalls(b, cv, 8)
 	b.ReportMetric(float64(evals.Load())/float64(b.N), "features/op")
 }

@@ -1,10 +1,11 @@
 package core
 
 // Tests for the tiered dispatch ladder (compiled artifact -> memo cache ->
-// exact classifier): counter accounting, epoch invalidation on model
-// hot-swap, quarantine re-checks on memo hits, CallConcurrent-vs-serial
-// identity, and the zero-allocation fast path. The swap stress test is the
-// -race gatekeeper for the memo cache's lock-free publication protocol.
+// exact classifier): counter accounting, memo entries keyed by the model
+// that computed them across hot-swaps, quarantine re-checks on memo hits,
+// CallConcurrent-vs-serial identity, and the zero-allocation fast path. The
+// swap stress test is the -race gatekeeper for the memo cache's lock-free
+// publication protocol.
 
 import (
 	"runtime"
@@ -32,8 +33,8 @@ func singleClassModel(tb testing.TB, label int) *ml.Model {
 	return &ml.Model{Classifier: svm}
 }
 
-// distilledConcurrentCV is buildConcurrentCV plus a distilled compiled
-// artifact installed on the model before it is published.
+// distilledConcurrentCV is buildConcurrentCV with a copy of its model that
+// carries a distilled compiled artifact installed in its place.
 func distilledConcurrentCV(tb testing.TB, policy TuningPolicy) (*CodeVariant[testInput], *ml.Model) {
 	tb.Helper()
 	cv, model := buildConcurrentCV(tb, policy)
@@ -45,13 +46,12 @@ func distilledConcurrentCV(tb testing.TB, policy TuningPolicy) (*CodeVariant[tes
 	if err != nil {
 		tb.Fatal(err)
 	}
-	model.Compiled = c
-	// Re-install so the published model carries the artifact (and the memo
-	// epoch moves past anything cached against the bare model).
-	if err := cv.Context().SetModel(policy.Name, model); err != nil {
+	distilled := *model
+	distilled.Compiled = c
+	if err := cv.Context().SetModel(policy.Name, &distilled); err != nil {
 		tb.Fatal(err)
 	}
-	return cv, model
+	return cv, &distilled
 }
 
 func TestDispatchTierCounters(t *testing.T) {
@@ -78,15 +78,23 @@ func TestDispatchTierCounters(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		call("repeat", 7, "large", 2, i)
 	}
-	// SetModel bumps the epoch: a vector admitted before the swap refills
-	// its entry on its first miss after it.
-	if err := cx.SetModel("tiers", model); err != nil {
+	// Entries are keyed by the model that computed them: after SetModel to
+	// a distinct model, a vector admitted before the swap refills its entry
+	// on its first miss after it.
+	swapped := *model
+	if err := cx.SetModel("tiers", &swapped); err != nil {
 		t.Fatal(err)
 	}
 	call("refill after SetModel", 7, "large", 3, 4)
 	call("hit after refill", 7, "large", 3, 5)
+	// Reinstalling the same pointer keeps its entries: an installed model
+	// is never mutated, so its predictions stay valid.
+	if err := cx.SetModel("tiers", &swapped); err != nil {
+		t.Fatal(err)
+	}
+	call("hit after reinstalling the same model", 7, "large", 3, 6)
 	// A different input misses the memo and pays the exact path once more.
-	call("distinct input", 1, "small", 4, 5)
+	call("distinct input", 1, "small", 4, 6)
 }
 
 // With a compiled artifact installed, the served variant choice must be

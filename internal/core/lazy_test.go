@@ -1,15 +1,17 @@
 package core
 
-// Tests for on-demand feature evaluation on the serial Call path: the
-// compiled walk reads only the features on its path, the whole vector is
-// completed only when a later rung, an admitting observer or the tracer
-// needs it, and a lazily walked call decides exactly as PredictTier does on
-// the eagerly evaluated vector.
+// Tests for on-demand feature evaluation: the compiled walk reads only the
+// features on its path, the whole vector is completed only when a later
+// rung, an admitting observer or the tracer needs it, a lazily walked call
+// decides exactly as PredictTier does on the eagerly evaluated vector, and
+// a FixInputs handle, whose prefetch evaluates features in the background,
+// serves exactly what Call serves.
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -364,5 +366,174 @@ func TestSelectIndexZeroAlloc(t *testing.T) {
 	}
 	if st := exact.Context().Stats("select-memo"); st.MemoHits == 0 {
 		t.Fatalf("undistilled SelectIndex never hit the memo: %+v", st)
+	}
+}
+
+// probeInput is a raw feature vector that counts the Eval runs of each of
+// its features.
+type probeInput struct {
+	x     []float64
+	evals []int
+}
+
+// probeCV is vectorCV over probeInput: feature j reads x[j], counts its run
+// and costs j+1; variant i returns i.
+func probeCV(cx *Context, name string, dim, nv int) *CodeVariant[probeInput] {
+	cv := New[probeInput](cx, DefaultPolicy(name))
+	for i := 0; i < nv; i++ {
+		v := float64(i)
+		cv.AddVariant(fmt.Sprint("v", i), func(probeInput) float64 { return v })
+	}
+	for j := 0; j < dim; j++ {
+		cost := float64(j + 1)
+		cv.AddInputFeature(Feature[probeInput]{
+			Name: fmt.Sprint("f", j),
+			Eval: func(in probeInput) float64 { in.evals[j]++; return in.x[j] },
+			Cost: func(probeInput) float64 { return cost },
+		})
+	}
+	return cv
+}
+
+// everyThird admits every third call it is asked about and counts what it
+// observes.
+type everyThird struct{ asked, observed int }
+
+func (o *everyThird) AdmitCall() bool {
+	o.asked++
+	return o.asked%3 == 0
+}
+
+func (o *everyThird) ObserveCall(CallObservation[probeInput]) { o.observed++ }
+
+// FixInputs(in).Call() serves what Call(in) serves on a twin CodeVariant —
+// the variant, the value, every dispatch counter and the canary's — over
+// the generated programs, scalers and inputs of
+// TestLazyCallMatchesPredictTier, while SetModel to another model, SetCanary
+// at 0, 0.5 or 1, or ClearCanary lands between FixInputs and CallFixed,
+// with and without an observer that admits every third call. Each feature's
+// Eval runs at most once per handle. The prefetch races the installs it
+// straddles, so this is also a -race test of the handle's hand-off.
+func TestFixInputsMatchesCall(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 1))
+	seen := map[ml.Tier]int{}
+	var canaryServed, observed int
+	for trial := 0; trial < 24; trial++ {
+		dim := 1 + rng.IntN(8)
+		if trial%4 == 3 {
+			dim = 65 + rng.IntN(70)
+		}
+		nv := 2 + rng.IntN(4)
+		name := fmt.Sprint("fixed", trial)
+		cxFix, cxCall := NewContext(), NewContext()
+		cvFix, cvCall := probeCV(cxFix, name, dim, nv), probeCV(cxCall, name, dim, nv)
+		models := []*ml.Model{randomModel(t, rng, dim, nv), randomModel(t, rng, dim, nv), randomModel(t, rng, dim, nv)}
+		obsFix := &everyThird{}
+		if trial%2 == 1 {
+			cvFix.SetCallObserver(obsFix)
+			cvCall.SetCallObserver(&everyThird{})
+		}
+		// between applies one change, the same to both contexts, to a
+		// quarter of the calls after the first ten, which run without a
+		// model.
+		between := func(step int) {
+			if step < 10 || rng.IntN(4) != 0 {
+				return
+			}
+			event, m, fraction := rng.IntN(3), models[rng.IntN(len(models))], []float64{0, 0.5, 1}[rng.IntN(3)]
+			if step == 10 {
+				event = 0
+			}
+			for _, cx := range []*Context{cxFix, cxCall} {
+				var err error
+				switch event {
+				case 0:
+					err = cx.SetModel(name, m)
+				case 1:
+					err = cx.SetCanary(name, m, fraction)
+				case 2:
+					cx.ClearCanary(name)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var inputs [][]float64
+		for step := 0; step < 120; step++ {
+			var x []float64
+			if len(inputs) > 0 && rng.IntN(2) == 0 {
+				x = inputs[rng.IntN(len(inputs))]
+			} else {
+				x = make([]float64, dim)
+				sc := models[0].Scaler
+				for j := range x {
+					x[j] = sc.Min[j] - 2 + rng.Float64()*(sc.Max[j]-sc.Min[j]+4)
+				}
+				inputs = append(inputs, x)
+			}
+			fixEvals := make([]int, dim)
+			h := cvFix.FixInputs(probeInput{x: x, evals: fixEvals})
+			between(step)
+			before, canaryBefore := cxFix.Stats(name), cxFix.CanaryStats(name).Calls
+			vFix, nFix, errFix := h.Call()
+			vCall, nCall, errCall := cvCall.Call(probeInput{x: x, evals: make([]int, dim)})
+			if vFix != vCall || nFix != nCall || (errFix == nil) != (errCall == nil) {
+				t.Fatalf("trial %d step %d: FixInputs served (%v, %q, %v), Call (%v, %q, %v)", trial, step, vFix, nFix, errFix, vCall, nCall, errCall)
+			}
+			for j, n := range fixEvals {
+				if n > 1 {
+					t.Fatalf("trial %d step %d: feature %d evaluated %d times on one handle", trial, step, j, n)
+				}
+			}
+			sf, sc := cxFix.Stats(name), cxCall.Stats(name)
+			if sf.Calls != before.Calls+1 {
+				t.Fatalf("trial %d step %d: %d calls recorded, want 1", trial, step, sf.Calls-before.Calls)
+			}
+			if before.MemoHits+before.CompiledHits+before.ExactFallbacks != sf.MemoHits+sf.CompiledHits+sf.ExactFallbacks {
+				seen[tierDelta(t, before, sf)]++
+			}
+			sf.FeatureSeconds, sc.FeatureSeconds = 0, 0
+			if !reflect.DeepEqual(sf, sc) {
+				t.Fatalf("trial %d step %d: FixInputs stats %+v, Call stats %+v", trial, step, sf, sc)
+			}
+			cf, cc := cxFix.CanaryStats(name), cxCall.CanaryStats(name)
+			if cf != cc {
+				t.Fatalf("trial %d step %d: FixInputs canary %+v, Call canary %+v", trial, step, cf, cc)
+			}
+			canaryServed += int(cf.Calls - canaryBefore)
+		}
+		observed += obsFix.observed
+	}
+	for _, tier := range []ml.Tier{ml.TierCompiled, ml.TierExact, ml.TierMemo} {
+		if seen[tier] == 0 {
+			t.Fatalf("no handle was served by the %v tier: %v", tier, seen)
+		}
+	}
+	if canaryServed == 0 || observed == 0 {
+		t.Fatalf("%d canary-served and %d observed handles, want some of each", canaryServed, observed)
+	}
+}
+
+// On a one-split program over 32 features, a FixInputs handle evaluates
+// exactly the feature the program reads, in the prefetch, and CallFixed
+// evaluates none.
+func TestFixInputsDepthOneEvaluatesOneFeature(t *testing.T) {
+	cv, evals := manyFeaturesCV(t, "fixed-features")
+	for i, x := range []float64{1, 8} {
+		h := cv.FixInputs(testInput{X: x})
+		<-h.done
+		if n := evals.Load(); n != int64(i+1) {
+			t.Fatalf("x=%v: the prefetch ran %d Evals in all, want one per handle", x, n)
+		}
+		if _, name, err := h.Call(); err != nil || name != []string{"small", "large"}[i] {
+			t.Fatalf("x=%v: (%q, %v)", x, name, err)
+		}
+		if n := evals.Load(); n != int64(i+1) {
+			t.Fatalf("x=%v: CallFixed ran %d more Evals, want none", x, n-int64(i+1))
+		}
+	}
+	if st := cv.Context().Stats("fixed-features"); st.CompiledHits != 2 || st.FeatureSeconds != 0 {
+		t.Fatalf("%+v: want 2 compiled hits and nothing charged", st)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"sync/atomic"
+
+	"nitro/internal/ml"
 )
 
 // This file is the memoization tier of the dispatch ladder: a bounded,
@@ -24,17 +26,16 @@ import (
 //     falls back exactly like a fresh prediction would.
 //   - Entries are keyed by the exact feature vector (fingerprint plus full
 //     equality check, so hash collisions can never alias two inputs) AND by
-//     the model slot's install epoch. SetModel bumps the epoch, which
-//     instantly invalidates every cached entry without touching the cache
-//     itself.
-//   - The epoch is read BEFORE the model pointer on the predict path. A store
-//     racing a hot-swap can therefore only under-stamp its entry (epoch read
-//     before the swap, prediction computed from the new model) — such an
-//     entry is conservatively treated as stale and recomputed. Reading the
-//     epoch after the model load could over-stamp a stale prediction as
-//     fresh, which would serve old-model picks after a swap; the ordering
-//     makes that impossible. Go's atomics are sequentially consistent, so a
-//     call that starts after SetModel returns must observe the bumped epoch.
+//     the model that computed the prediction. A call looks up entries under
+//     the model it loaded, so an entry of any other model never matches: a
+//     hot-swap needs no invalidation and no ordering between loads, and a
+//     store racing one files its entry under the model that computed it.
+//     Reinstalling the same pointer keeps its entries, which is sound
+//     because an installed model is never mutated (see Context.SetModel).
+//   - An entry holds its model, so no later model can be allocated at the
+//     same address while the entry exists. The price: a stale entry keeps
+//     its model reachable until its slot is overwritten, at most memoSlots
+//     retired models per CodeVariant.
 //
 // Admission: a slot's entry is replaced only by a vector whose miss follows
 // its own previous miss there. seen holds, per slot, the fingerprint of the
@@ -42,9 +43,9 @@ import (
 // per direct-mapped slot. A stream of never-repeated vectors then costs one
 // atomic store per miss instead of two allocations and a pointer publish,
 // and a one-off miss cannot evict a resident entry. seen is advisory: it
-// never keys a hit (lookup still checks hash, vector and epoch), and it is
-// not reset on hot-swap, so a vector admitted before an epoch bump refills
-// on its first miss after it.
+// never keys a hit (lookup still checks hash, vector and model), and it is
+// not reset on hot-swap, so a vector admitted under an earlier model
+// refills on its first miss under the new one.
 type memoCache struct {
 	mask  uint64
 	slots []atomic.Pointer[memoEntry]
@@ -55,7 +56,7 @@ type memoCache struct {
 // store, never mutated afterwards, so readers need no locks.
 type memoEntry struct {
 	hash  uint64
-	epoch uint64 // model-install epoch the prediction was computed under
+	model *ml.Model // the model that computed pred
 	vec   []float64
 	pred  int32
 }
@@ -97,12 +98,11 @@ func memoHash(vec []float64) uint64 {
 	return h
 }
 
-// lookup returns the memoized prediction for vec computed under exactly the
-// given epoch, when present. NaN features never match themselves, so such
-// vectors simply always miss.
-func (c *memoCache) lookup(h uint64, vec []float64, epoch uint64) (int, bool) {
+// lookup returns the prediction model m memoized for vec, when present. NaN
+// features never match themselves, so such vectors simply always miss.
+func (c *memoCache) lookup(h uint64, vec []float64, m *ml.Model) (int, bool) {
 	e := c.slots[h&c.mask].Load()
-	if e == nil || e.hash != h || e.epoch != epoch || len(e.vec) != len(vec) {
+	if e == nil || e.hash != h || e.model != m || len(e.vec) != len(vec) {
 		return 0, false
 	}
 	for i, v := range vec {
@@ -113,11 +113,10 @@ func (c *memoCache) lookup(h uint64, vec []float64, epoch uint64) (int, bool) {
 	return int(e.pred), true
 }
 
-// store publishes a prediction computed under the given epoch, or, when the
-// slot's previous miss was another vector, only records this one's
-// fingerprint (see memoCache). The vector is copied: callers recycle their
-// feature buffers.
-func (c *memoCache) store(h uint64, vec []float64, pred int, epoch uint64) {
+// store publishes model m's prediction for vec, or, when the slot's previous
+// miss was another vector, only records this one's fingerprint (see
+// memoCache). The vector is copied: callers recycle their feature buffers.
+func (c *memoCache) store(h uint64, vec []float64, pred int, m *ml.Model) {
 	i := h & c.mask
 	if c.seen[i].Load() != h {
 		c.seen[i].Store(h)
@@ -125,7 +124,7 @@ func (c *memoCache) store(h uint64, vec []float64, pred int, epoch uint64) {
 	}
 	c.slots[i].Store(&memoEntry{
 		hash:  h,
-		epoch: epoch,
+		model: m,
 		vec:   append([]float64(nil), vec...),
 		pred:  int32(pred),
 	})

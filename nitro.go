@@ -11,8 +11,10 @@
 // scaled to [-1, 1], cross-validated parameter search), and installs the
 // model so that deployment-time calls select the best variant for each new
 // input from its features alone. Incremental tuning (Best-vs-Second-Best
-// active learning) cuts the number of exhaustively searched training inputs,
-// and feature evaluation can run in parallel or asynchronously.
+// active learning) cuts the number of exhaustively searched training inputs.
+// Features are evaluated on demand, so a call pays only for the features its
+// decision reads, and FixInputs evaluates them in the background while the
+// caller does other work.
 //
 // The package is a thin facade over internal/core (the library runtime) and
 // internal/autotuner (the offline tuner). The five benchmark substrates the
@@ -42,7 +44,7 @@
 //
 //	results := cv.CallConcurrent(batch, 0) // fan a batch over all cores
 //
-//	f := cv.FixInputs(input) // async: overlap feature evaluation ...
+//	f := cv.FixInputs(input) // prefetch features in the background ...
 //	doOtherWork()
 //	value, chosen, err = f.Call() // ... then select on the fixed input
 //
@@ -113,7 +115,7 @@ func NewContext() *Context { return core.NewContext() }
 type TuningPolicy = core.TuningPolicy
 
 // DefaultPolicy returns the paper's defaults for a named tunable function:
-// constraints enabled, serial synchronous feature evaluation.
+// constraints enabled, no variant deadline, no quarantine.
 func DefaultPolicy(name string) TuningPolicy { return core.DefaultPolicy(name) }
 
 // CodeVariant is a tunable function with registered variants, features and

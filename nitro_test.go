@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -103,10 +104,7 @@ func TestPublicAPIConstraints(t *testing.T) {
 
 // TestPublicAPIAsyncFeatureEval exercises the FixInputs path.
 func TestPublicAPIAsyncFeatureEval(t *testing.T) {
-	p := nitro.DefaultPolicy("toy")
-	p.AsyncFeatureEval = true
-	p.ParallelFeatureEval = true
-	cv := buildToy(t, p)
+	cv := buildToy(t, nitro.DefaultPolicy("toy"))
 	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{})
 	if _, err := tuner.Tune(toyInputs()); err != nil {
 		t.Fatal(err)
@@ -264,13 +262,11 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 	}
 }
 
-// Ablation benches: feature-evaluation modes (serial, parallel, async) on a
-// live code variant with several features.
-func benchFeatureMode(b *testing.B, parallel, async bool) {
-	p := nitro.DefaultPolicy("toy")
-	p.ParallelFeatureEval = parallel
-	p.AsyncFeatureEval = async
-	cv := buildToy(b, p)
+// Ablation benches: Call against a FixInputs handle consumed at once, on a
+// live code variant with one cheap feature the tuned program reads and four
+// 1000-iteration features. fixed selects the FixInputs -> Call path.
+func benchFeatureMode(b *testing.B, fixed bool) {
+	cv := buildToy(b, nitro.DefaultPolicy("toy"))
 	for i := 0; i < 4; i++ {
 		cv.AddInputFeature(nitro.Feature[toy]{
 			Name: "extra",
@@ -290,7 +286,7 @@ func benchFeatureMode(b *testing.B, parallel, async bool) {
 	in := toy{x: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if async {
+		if fixed {
 			f := cv.FixInputs(in)
 			if _, _, err := f.Call(); err != nil {
 				b.Fatal(err)
@@ -303,9 +299,8 @@ func benchFeatureMode(b *testing.B, parallel, async bool) {
 	}
 }
 
-func BenchmarkAblationFeatureEvalSerial(b *testing.B)   { benchFeatureMode(b, false, false) }
-func BenchmarkAblationFeatureEvalParallel(b *testing.B) { benchFeatureMode(b, true, false) }
-func BenchmarkAblationFeatureEvalAsync(b *testing.B)    { benchFeatureMode(b, true, true) }
+func BenchmarkAblationFeatureEvalCall(b *testing.B)      { benchFeatureMode(b, false) }
+func BenchmarkAblationFeatureEvalFixInputs(b *testing.B) { benchFeatureMode(b, true) }
 
 // TestFacadeNames pins the facade: the exported top-level names nitro.go
 // declares. A name stays only if the examples, a README code block,
@@ -387,5 +382,23 @@ func TestFacadeNames(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("nitro.go declares %d exported names, want %d:\n got  %v\n want %v", len(got), len(want), got, want)
+	}
+}
+
+// TestPolicyFields pins the tuning policy's surface, as TestFacadeNames pins
+// the facade: the exported fields of TuningPolicy. A change that adds a
+// policy knob updates this list and justifies the knob in CHANGES.md.
+func TestPolicyFields(t *testing.T) {
+	typ := reflect.TypeOf(core.TuningPolicy{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	slices.Sort(got)
+	want := []string{"ConstraintsEnabled", "Name", "Quarantine", "VariantTimeout"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("TuningPolicy fields = %v, want %v", got, want)
 	}
 }
