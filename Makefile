@@ -32,10 +32,14 @@ race:
 # FixInputs-matches-Call property (each handle's background prefetch races
 # the SetModel and SetCanary calls it straddles) and the SVM grid search's
 # parallel fit ten times, the places where a race or a timing-dependent
-# assertion once hid behind a single passing run.
+# assertion once hid behind a single passing run. The third run repeats the
+# online engine's concurrent stress (callers, background retrains and a
+# reader that pauses and resumes the engine) twenty times: it once failed
+# when the reader was descheduled while paused.
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
 	$(GO) test -race -timeout 120s -count=10 -run 'Memo|TestFixInputsMatchesCall|TestGridSearchParallelDeterministic' ./internal/core/ ./internal/ml/
+	$(GO) test -race -timeout 120s -count=20 -run TestConcurrentAdaptationStress ./internal/online/
 
 # Native-fuzzer smoke: short bounded runs of the model-deserializer fuzz
 # target (arbitrary bytes must never panic and must round-trip to a fixed

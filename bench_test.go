@@ -27,10 +27,7 @@ func benchCfg() datasets.Config {
 }
 
 func benchOpts() experiments.Options {
-	return experiments.Options{
-		Cfg:   benchCfg(),
-		Train: autotuner.TrainOptions{Classifier: "svm"},
-	}
+	return experiments.Options{Cfg: benchCfg()}
 }
 
 var (
@@ -177,29 +174,16 @@ func benchTrainEval(b *testing.B, opts autotuner.TrainOptions) {
 	b.ReportMetric(100*perf, "%ofBest")
 }
 
-// Ablation: classifier kind (the paper's pluggable-classifier option).
-func BenchmarkAblationClassifierSVM(b *testing.B) {
-	benchTrainEval(b, autotuner.TrainOptions{Classifier: "svm"})
-}
-
-func BenchmarkAblationClassifierKNN(b *testing.B) {
-	benchTrainEval(b, autotuner.TrainOptions{Classifier: "knn"})
-}
-
-func BenchmarkAblationClassifierTree(b *testing.B) {
-	benchTrainEval(b, autotuner.TrainOptions{Classifier: "tree"})
-}
-
 // Ablation: cross-validated grid search vs libSVM-style defaults.
 func BenchmarkAblationGridSearchOn(b *testing.B) {
 	benchTrainEval(b, autotuner.TrainOptions{
-		Classifier: "svm", GridSearch: true,
-		Grid: ml.GridConfig{CValues: []float64{1, 32}, GammaValues: []float64{0.1, 1}, Folds: 3},
+		GridSearch: true,
+		Grid:       ml.GridConfig{CValues: []float64{1, 32}, GammaValues: []float64{0.1, 1}, Folds: 3},
 	})
 }
 
 func BenchmarkAblationGridSearchOff(b *testing.B) {
-	benchTrainEval(b, autotuner.TrainOptions{Classifier: "svm"})
+	benchTrainEval(b, autotuner.TrainOptions{})
 }
 
 // benchIncremental runs incremental tuning with the given strategy on every
@@ -213,7 +197,6 @@ func benchIncremental(b *testing.B, strat ml.QueryStrategy) {
 		perf = 0
 		for _, s := range ss {
 			res, err := autotuner.IncrementalTune(s, autotuner.IncrementalOptions{
-				TrainOptions:  autotuner.TrainOptions{Classifier: "svm"},
 				MaxIterations: 10,
 				Strategy:      strat,
 			}, s)
@@ -264,10 +247,11 @@ func benchConstraints(b *testing.B, enabled bool) {
 	// A degenerate model that always predicts DIA exercises the mechanism
 	// directly: every DIA-infeasible matrix is a misprediction that only the
 	// constraint fallback can save. The gap between the two benches is the
-	// paper's misprediction penalty.
+	// paper's misprediction penalty. An SVM fitted on one class always
+	// predicts it.
 	ds := &ml.Dataset{}
 	ds.Append(s.Train[0].Features, 1) // label 1 = DIA
-	alwaysDIA := ml.NewKNN(1)
+	alwaysDIA := ml.DefaultSVM()
 	if err := alwaysDIA.Fit(ds); err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +266,3 @@ func benchConstraints(b *testing.B, enabled bool) {
 
 func BenchmarkAblationConstraintsOn(b *testing.B)  { benchConstraints(b, true) }
 func BenchmarkAblationConstraintsOff(b *testing.B) { benchConstraints(b, false) }
-
-func BenchmarkAblationClassifierLogistic(b *testing.B) {
-	benchTrainEval(b, autotuner.TrainOptions{Classifier: "logistic"})
-}

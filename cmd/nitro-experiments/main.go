@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|classifiers|extension|noise|portability|all]
-//	                  [-scale 1.0] [-seed 42] [-iters 50]
-//	                  [-classifier svm|knn|tree|logistic] [-nogrid]
+//	nitro-experiments [-run setup|fig5|fig6|fig7|fig8|headline|extension|noise|portability|all]
+//	                  [-scale 1.0] [-seed 42] [-iters 50] [-nogrid]
 //
 // An unknown -run value exits with status 2 before any corpus is built.
 package main
@@ -29,7 +28,7 @@ import (
 )
 
 // runNames lists the valid -run values. "all" runs every experiment.
-var runNames = []string{"setup", "fig5", "fig6", "fig7", "fig8", "headline", "classifiers",
+var runNames = []string{"setup", "fig5", "fig6", "fig7", "fig8", "headline",
 	"extension", "noise", "portability", "all"}
 
 func main() {
@@ -46,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "instance-size scale in (0,1]")
 	seed := fs.Int64("seed", 42, "corpus generation seed")
 	iters := fs.Int("iters", 50, "incremental-tuning iteration budget (fig7)")
-	classifier := fs.String("classifier", "svm", "classifier: svm, knn, tree or logistic")
 	nogrid := fs.Bool("nogrid", false, "disable the cross-validated SVM grid search")
 	trainN := fs.Int("train", 0, "override training corpus size (0 = paper)")
 	testN := fs.Int("test", 0, "override test corpus size (0 = paper)")
@@ -65,8 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Cfg: datasets.Config{Seed: *seed, Scale: *scale, TrainCount: *trainN, TestCount: *testN,
 			Parallelism: *parallelism},
 		Train: autotuner.TrainOptions{
-			Classifier:  *classifier,
-			GridSearch:  *classifier == "svm" && !*nogrid,
+			GridSearch:  !*nogrid,
 			Seed:        *seed,
 			Parallelism: *parallelism,
 		},
@@ -149,16 +146,6 @@ func runExperiments(out io.Writer, name string, opts experiments.Options, iters 
 		}
 		fmt.Fprintln(out, experiments.FormatFig8(rows))
 		if err := csvOut("fig8", func(w io.Writer) error { return experiments.WriteFig8CSV(w, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("classifiers") {
-		rows, err := experiments.ClassifierComparison(suites, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, experiments.FormatClassifierComparison(rows))
-		if err := csvOut("classifiers", func(w io.Writer) error { return experiments.WriteClassifierCSV(w, rows) }); err != nil {
 			return err
 		}
 	}

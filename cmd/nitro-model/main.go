@@ -337,14 +337,10 @@ func predictBatch(data []byte, content string, parallelism int, out io.Writer) e
 }
 
 func describeKernel(k ml.Kernel) string {
-	switch kk := k.(type) {
-	case ml.RBFKernel:
-		return fmt.Sprintf("rbf(gamma=%g)", kk.Gamma)
-	case ml.PolyKernel:
-		return fmt.Sprintf("poly(gamma=%g, coef0=%g, degree=%d)", kk.Gamma, kk.Coef0, kk.Degree)
-	default:
-		return k.Name()
+	if rbf, ok := k.(ml.RBFKernel); ok {
+		return fmt.Sprintf("rbf(gamma=%g)", rbf.Gamma)
 	}
+	return k.Name()
 }
 
 func fatal(err error) {

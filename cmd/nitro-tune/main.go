@@ -53,8 +53,10 @@ import (
 
 // Spec is the JSON tuning specification.
 type Spec struct {
-	Function   string  `json:"function"`
-	Benchmark  string  `json:"benchmark"`
+	Function  string `json:"function"`
+	Benchmark string `json:"benchmark"`
+	// Classifier may be "" or "svm", the only classifier; validateSpec
+	// refuses any other value, the removed kinds among them.
 	Classifier string  `json:"classifier"`
 	GridSearch bool    `json:"grid_search"`
 	Scale      float64 `json:"scale"`
@@ -166,8 +168,8 @@ func validateSpec(spec Spec) error {
 	if spec.Benchmark == "" && spec.TrainGlob == "" {
 		return bad("either benchmark or train_glob must be set")
 	}
-	if err := autotuner.CheckClassifier(spec.Classifier); err != nil {
-		return fmt.Errorf("%w: %v", errBadSpec, err)
+	if spec.Classifier != "" && spec.Classifier != "svm" {
+		return bad("classifier %q is not available: svm is the only classifier (knn, tree, logistic and ensemble were removed)", spec.Classifier)
 	}
 	if spec.Scale < 0 {
 		return bad("scale %v must be >= 0", spec.Scale)
@@ -415,7 +417,6 @@ func runSpec(spec Spec, out io.Writer) error {
 		spec.Function, len(suite.VariantNames), len(suite.FeatureNames), len(suite.Train), len(suite.Test))
 
 	opts := autotuner.TrainOptions{
-		Classifier:  spec.Classifier,
 		GridSearch:  spec.GridSearch,
 		Seed:        spec.Seed,
 		Parallelism: spec.Parallelism,
@@ -424,7 +425,6 @@ func runSpec(spec Spec, out io.Writer) error {
 	var model *ml.Model
 	if spec.Incremental != nil {
 		res, err := autotuner.IncrementalTune(suite, autotuner.IncrementalOptions{
-			TrainOptions:   opts,
 			MaxIterations:  spec.Incremental.Iterations,
 			TargetAccuracy: spec.Incremental.TargetAccuracy,
 		}, suite)

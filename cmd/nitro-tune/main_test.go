@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -76,22 +77,33 @@ func TestRunSpecUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// A spec naming the removed committee classifier fails validation with the
-// unknown-classifier error, which lists the valid classifiers, before the
-// corpus is built: nothing is printed, not even the function line.
+// A spec naming any classifier but the SVM, the removed kinds among them,
+// fails validation with an error that names the removal, before the corpus
+// is built: nothing is printed, not even the function line. "" and "svm"
+// select the SVM.
 func TestRunSpecUnknownClassifier(t *testing.T) {
-	spec := smallSpec()
-	spec.Classifier = "ensemble"
-	var out bytes.Buffer
-	err := runSpec(spec, &out)
-	if err == nil || !strings.Contains(err.Error(), `unknown classifier "ensemble" (want svm, knn, tree or logistic)`) {
-		t.Fatalf("classifier ensemble: err %v, want the unknown-classifier error listing the valid ones", err)
+	for _, c := range []string{"knn", "tree", "logistic", "ensemble", "nope"} {
+		spec := smallSpec()
+		spec.Classifier = c
+		var out bytes.Buffer
+		err := runSpec(spec, &out)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("classifier %q is not available", c)) ||
+			!strings.Contains(err.Error(), "removed") {
+			t.Fatalf("classifier %s: err %v, want the error naming the removal", c, err)
+		}
+		if !errors.Is(err, errBadSpec) {
+			t.Fatalf("classifier %s: err %v does not wrap errBadSpec", c, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("classifier %s: the corpus was built before the spec was rejected:\n%s", c, out.String())
+		}
 	}
-	if !errors.Is(err, errBadSpec) {
-		t.Fatalf("classifier ensemble: err %v does not wrap errBadSpec", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("classifier ensemble: the corpus was built before the spec was rejected:\n%s", out.String())
+	for _, c := range []string{"", "svm"} {
+		spec := smallSpec()
+		spec.Classifier = c
+		if err := validateSpec(spec); err != nil {
+			t.Errorf("classifier %q: %v", c, err)
+		}
 	}
 }
 
@@ -223,7 +235,7 @@ func TestValidateSpecTable(t *testing.T) {
 		{"empty function", mut(func(s *Spec) { s.Function = "" }), false},
 		{"no corpus source", mut(func(s *Spec) { s.Benchmark = "" }), false},
 		{"unknown classifier", mut(func(s *Spec) { s.Classifier = "ensemble" }), false},
-		{"knn classifier", mut(func(s *Spec) { s.Classifier = "knn" }), true},
+		{"knn classifier", mut(func(s *Spec) { s.Classifier = "knn" }), false},
 		{"negative scale", mut(func(s *Spec) { s.Scale = -1 }), false},
 		{"negative train count", mut(func(s *Spec) { s.TrainCount = -5 }), false},
 		{"negative test count", mut(func(s *Spec) { s.TestCount = -1 }), false},

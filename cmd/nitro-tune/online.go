@@ -24,9 +24,8 @@ import (
 // every 2nd call is a sampling candidate and half the samples are explored,
 // so roughly a quarter of the stream is re-timed; 20-observation windows
 // (two bad ones in a row are drift) keep the timeline short enough to read.
-// Only the stream length, drift point, classifier and seed come from the
-// spec — everything else is pinned so transcripts are comparable across
-// specs.
+// Only the stream length, drift point and seed come from the spec —
+// everything else is pinned so transcripts are comparable across specs.
 func onlineReplayPolicy(spec Spec) online.Policy {
 	pol := online.Policy{
 		SamplePeriod:      2,
@@ -37,7 +36,6 @@ func onlineReplayPolicy(spec Spec) online.Policy {
 		MinRetrainSamples: 24,
 		Retrain: autotuner.RetrainOptions{
 			TrainOptions: autotuner.TrainOptions{
-				Classifier:  spec.Classifier,
 				Seed:        spec.Seed,
 				Parallelism: spec.Parallelism,
 			},

@@ -31,7 +31,7 @@ func Example() {
 	for s := 0.0; s <= 30; s++ {
 		train = append(train, workload{Size: s})
 	}
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm"})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{})
 	if _, err := tuner.Tune(train); err != nil {
 		panic(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(problems(rng, 20))
 	if err != nil {
 		panic(err)

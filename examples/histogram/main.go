@@ -70,7 +70,7 @@ func main() {
 			train = append(train, workload(kind, 16384*(1+i%4), rng))
 		}
 	}
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(train)
 	if err != nil {
 		panic(err)

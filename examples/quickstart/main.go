@@ -105,7 +105,7 @@ func main() {
 			train = append(train, gen(rng, n, frac))
 		}
 	}
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(train)
 	if err != nil {
 		panic(err)

@@ -71,7 +71,7 @@ func main() {
 			system("spd-tight", 150+20*i, rng),
 			system("nonsym", 150+20*i, rng))
 	}
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(train)
 	if err != nil {
 		panic(err)

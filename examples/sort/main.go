@@ -69,7 +69,7 @@ func main() {
 			}
 		}
 	}
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(train)
 	if err != nil {
 		panic(err)

@@ -101,7 +101,7 @@ func main() {
 	lib := newMySparse(dev)
 	rng := rand.New(rand.NewSource(7))
 
-	tuner := nitro.NewAutotuner(lib.cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(lib.cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(trainingMatrices(rng))
 	if err != nil {
 		panic(err)

@@ -59,12 +59,11 @@ type Suite struct {
 	Test           []Instance
 }
 
-// TrainOptions selects and configures the classifier.
+// TrainOptions configures the paper's classifier, an RBF C-SVC, and how it
+// is fitted.
 type TrainOptions struct {
-	// Classifier is "svm" (default), "knn", "tree" or "logistic".
-	Classifier string
 	// GridSearch enables the paper's cross-validated (C, gamma) search for
-	// the SVM; otherwise libSVM-style defaults are used.
+	// the SVM; otherwise libSVM-style defaults are used (ml.DefaultSVM).
 	GridSearch bool
 	// Grid overrides the default search grid.
 	Grid ml.GridConfig
@@ -117,36 +116,11 @@ func buildDataset(instances []Instance) (*ml.Dataset, []int, int) {
 	return ds, labels, skipped
 }
 
-// CheckClassifier reports whether Train accepts name as its classifier:
-// nil for "" (the SVM) and every value makeClassifier builds, else the
-// error Train would return. Spec validators call it before doing any work.
-func CheckClassifier(name string) error {
-	_, err := makeClassifier(TrainOptions{Classifier: name})
-	return err
-}
-
-// makeClassifier maps TrainOptions.Classifier to a classifier factory; its
-// switch is the one list of accepted classifiers.
-func makeClassifier(opts TrainOptions) (func() ml.Classifier, error) {
-	switch opts.Classifier {
-	case "", "svm":
-		return func() ml.Classifier { return ml.DefaultSVM() }, nil
-	case "knn":
-		return func() ml.Classifier { return ml.NewKNN(5) }, nil
-	case "tree":
-		return func() ml.Classifier { return ml.NewDecisionTree(8, 1) }, nil
-	case "logistic":
-		return func() ml.Classifier { return ml.NewLogistic(0, 0, 0) }, nil
-	default:
-		return nil, fmt.Errorf("autotuner: unknown classifier %q (want svm, knn, tree or logistic)", opts.Classifier)
-	}
-}
-
 // Train labels the instances by exhaustive search (already embodied in their
-// Times), scales features to [-1, 1], fits the configured classifier and
-// returns the paper's exact model. Code that serves the model distills it
-// first (DistillModel); Train itself never does, so every evaluation of its
-// result judges the exact classifier.
+// Times), scales features to [-1, 1], fits the SVM (grid-searched when
+// opts.GridSearch is set) and returns the paper's exact model. Code that
+// serves the model distills it first (DistillModel); Train itself never
+// does, so every evaluation of its result judges the exact classifier.
 func Train(instances []Instance, opts TrainOptions) (*ml.Model, Report, error) {
 	rep := Report{LabelCounts: map[int]int{}}
 	ds, labels, skipped := buildDataset(instances)
@@ -168,7 +142,7 @@ func Train(instances []Instance, opts TrainOptions) (*ml.Model, Report, error) {
 	scaled := &ml.Dataset{X: scaledX, Y: ds.Y}
 
 	var clf ml.Classifier
-	if (opts.Classifier == "" || opts.Classifier == "svm") && opts.GridSearch {
+	if opts.GridSearch {
 		grid := opts.Grid
 		if grid.Seed == 0 {
 			grid.Seed = opts.Seed + 1
@@ -185,11 +159,7 @@ func Train(instances []Instance, opts TrainOptions) (*ml.Model, Report, error) {
 		rep.Grid = res
 		clf = svm
 	} else {
-		factory, err := makeClassifier(opts)
-		if err != nil {
-			return nil, rep, err
-		}
-		clf = factory()
+		clf = ml.DefaultSVM()
 		stopFit := opts.Phases.Start("fit")
 		err = clf.Fit(scaled)
 		stopFit()

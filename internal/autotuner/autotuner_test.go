@@ -60,7 +60,7 @@ func TestInstanceBest(t *testing.T) {
 
 func TestTrainAndEvaluate(t *testing.T) {
 	s := syntheticSuite(80, 120, 1)
-	model, rep, err := Train(s.Train, TrainOptions{Classifier: "svm", Seed: 1})
+	model, rep, err := Train(s.Train, TrainOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,8 @@ func TestTrainAndEvaluate(t *testing.T) {
 func TestTrainGridSearch(t *testing.T) {
 	s := syntheticSuite(60, 40, 2)
 	model, rep, err := Train(s.Train, TrainOptions{
-		Classifier: "svm", GridSearch: true,
-		Grid: ml.GridConfig{CValues: []float64{1, 16}, GammaValues: []float64{0.5, 2}, Folds: 3},
+		GridSearch: true,
+		Grid:       ml.GridConfig{CValues: []float64{1, 16}, GammaValues: []float64{0.5, 2}, Folds: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,26 +106,6 @@ func TestTrainGridSearch(t *testing.T) {
 	}
 	if Evaluate(model, s, s.Test).MeanPerf < 0.85 {
 		t.Error("grid-searched model underperforms")
-	}
-}
-
-func TestTrainAlternateClassifiers(t *testing.T) {
-	s := syntheticSuite(80, 60, 3)
-	for _, c := range []string{"knn", "tree", "logistic"} {
-		model, _, err := Train(s.Train, TrainOptions{Classifier: c})
-		if err != nil {
-			t.Fatalf("%s: %v", c, err)
-		}
-		if perf := Evaluate(model, s, s.Test).MeanPerf; perf < 0.8 {
-			t.Errorf("%s mean perf %v", c, perf)
-		}
-	}
-	// The retired committee value is an unknown classifier like any other.
-	for _, c := range []string{"nope", "ensemble"} {
-		_, _, err := Train(s.Train, TrainOptions{Classifier: c})
-		if err == nil || !strings.Contains(err.Error(), "svm, knn, tree or logistic") {
-			t.Errorf("classifier %q: err %v, want the unknown-classifier error listing the valid ones", c, err)
-		}
 	}
 }
 
@@ -145,11 +125,11 @@ func TestEvaluateConstraintFallback(t *testing.T) {
 	for _, in := range s.Train {
 		ds.Append(in.Features, 2)
 	}
-	knn := ml.NewKNN(1)
-	if err := knn.Fit(ds); err != nil {
+	always2 := ml.DefaultSVM() // fitted on one class, it always predicts it
+	if err := always2.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	model := &ml.Model{Classifier: knn}
+	model := &ml.Model{Classifier: always2}
 	eval := Evaluate(model, s, s.Test)
 	if eval.FeasibleChosen != eval.Evaluated {
 		t.Errorf("fallback failed: %d of %d feasible", eval.FeasibleChosen, eval.Evaluated)
@@ -180,12 +160,11 @@ func TestVariantPerf(t *testing.T) {
 
 func TestIncrementalTuneApproachesFullTraining(t *testing.T) {
 	s := syntheticSuite(150, 150, 6)
-	fullPerf, _, err := FullTrainPerf(s, TrainOptions{Classifier: "svm"})
+	fullPerf, _, err := FullTrainPerf(s, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := IncrementalTune(s, IncrementalOptions{
-		TrainOptions:  TrainOptions{Classifier: "svm"},
 		MaxIterations: 30,
 	}, s)
 	if err != nil {
@@ -210,7 +189,6 @@ func TestIncrementalTuneApproachesFullTraining(t *testing.T) {
 func TestIncrementalTuneAccuracyTarget(t *testing.T) {
 	s := syntheticSuite(150, 100, 7)
 	res, err := IncrementalTune(s, IncrementalOptions{
-		TrainOptions:   TrainOptions{Classifier: "svm"},
 		MaxIterations:  100,
 		TargetAccuracy: 0.85,
 	}, s)
@@ -228,7 +206,6 @@ func TestIncrementalTuneAccuracyTarget(t *testing.T) {
 func TestIncrementalRandomStrategy(t *testing.T) {
 	s := syntheticSuite(120, 80, 8)
 	res, err := IncrementalTune(s, IncrementalOptions{
-		TrainOptions:  TrainOptions{Classifier: "svm"},
 		MaxIterations: 15,
 		Strategy:      ml.RandomStrategy{Rng: rand.New(rand.NewSource(1))},
 	}, s)
@@ -266,7 +243,7 @@ func TestLiveTunerEndToEnd(t *testing.T) {
 	for x := 0.0; x <= 10; x += 0.5 {
 		inputs = append(inputs, x)
 	}
-	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm"}}
+	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{}}
 	rep, err := tuner.Tune(inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +280,7 @@ func TestTrainParallelismInvariant(t *testing.T) {
 	s := syntheticSuite(60, 40, 6)
 	run := func(parallelism int) (*ml.Model, Report) {
 		model, rep, err := Train(s.Train, TrainOptions{
-			Classifier: "svm", GridSearch: true, Parallelism: parallelism,
+			GridSearch: true, Parallelism: parallelism,
 			Grid: ml.GridConfig{CValues: []float64{1, 16}, GammaValues: []float64{0.5, 2}, Folds: 3},
 		})
 		if err != nil {
@@ -340,7 +317,7 @@ func TestTunerParallelLabelling(t *testing.T) {
 		cv.AddVariant("high", func(x float64) float64 { return 11 - x })
 		cv.AddInputFeature(core.Feature[float64]{Name: "x", Eval: func(x float64) float64 { return x }})
 		_ = cv.SetDefault("low")
-		tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm", Parallelism: parallelism}}
+		tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Parallelism: parallelism}}
 		rep, err := tuner.Tune(inputs)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
@@ -364,21 +341,10 @@ func TestTunerParallelLabelling(t *testing.T) {
 	}
 }
 
-func TestTrainLogisticClassifier(t *testing.T) {
-	s := syntheticSuite(80, 60, 9)
-	model, _, err := Train(s.Train, TrainOptions{Classifier: "logistic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf := Evaluate(model, s, s.Test).MeanPerf; perf < 0.8 {
-		t.Errorf("logistic mean perf %v", perf)
-	}
-}
-
 // Property-style invariants of Evaluate.
 func TestEvaluateInvariants(t *testing.T) {
 	s := syntheticSuite(60, 120, 10)
-	model, _, err := Train(s.Train, TrainOptions{Classifier: "knn"})
+	model, _, err := Train(s.Train, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +370,7 @@ func TestEvaluateInvariants(t *testing.T) {
 
 func TestCrossValidateSuite(t *testing.T) {
 	s := syntheticSuite(100, 10, 11)
-	perf, err := CrossValidateSuite(s, TrainOptions{Classifier: "svm"}, 5)
+	perf, err := CrossValidateSuite(s, TrainOptions{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,10 @@ import (
 )
 
 // IncrementalOptions configures incremental tuning (the paper's itune mode).
+// Every refit fits the active learner's default classifier, ml.DefaultSVM:
+// a grid search per refit is prohibitive, and the paper tunes the kernel
+// parameters once.
 type IncrementalOptions struct {
-	TrainOptions
 	// Strategy selects pool points; defaults to Best-vs-Second-Best.
 	Strategy ml.QueryStrategy
 	// MaxIterations caps oracle labellings (itune(iter=N)).
@@ -115,11 +117,6 @@ func IncrementalTune(s *Suite, opts IncrementalOptions, suiteForCurve *Suite) (I
 	if opts.Strategy != nil {
 		al.Strategy = opts.Strategy
 	}
-	factory, err := makeClassifier(opts.TrainOptions)
-	if err != nil {
-		return res, err
-	}
-	al.Factory = factory
 	if err := al.Refit(); err != nil {
 		return res, err
 	}

@@ -71,11 +71,9 @@ func TestIncrementalTuneLabelsInfeasibleAsDefault(t *testing.T) {
 		})
 	}
 
-	res, err := IncrementalTune(s, IncrementalOptions{
-		TrainOptions: TrainOptions{Classifier: "knn"},
-		// No iteration cap: drain the pool, forcing oracle queries on the
-		// infeasible points.
-	}, nil)
+	// No iteration cap: drain the pool, forcing oracle queries on the
+	// infeasible points.
+	res, err := IncrementalTune(s, IncrementalOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

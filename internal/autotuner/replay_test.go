@@ -13,7 +13,7 @@ import (
 // only feasible variants and recording every call.
 func TestReplayVariantServesSuite(t *testing.T) {
 	s := syntheticSuite(80, 40, 5)
-	model, _, err := Train(s.Train, TrainOptions{Classifier: "svm"})
+	model, _, err := Train(s.Train, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,10 +141,7 @@ func (t *Tuner[In]) RetrainFromObservations(ctx context.Context, obs []Observati
 
 	var candidate *ml.Model
 	if opts.Incremental {
-		inc, err := IncrementalTune(suite, IncrementalOptions{
-			TrainOptions:  opts.TrainOptions,
-			MaxIterations: opts.MaxIterations,
-		}, nil)
+		inc, err := IncrementalTune(suite, IncrementalOptions{MaxIterations: opts.MaxIterations}, nil)
 		if err != nil {
 			return res, fmt.Errorf("autotuner: retrain (incremental): %w", err)
 		}

@@ -40,7 +40,7 @@ func swapTimes(instances []Instance) []Instance {
 func retrainFixture(t *testing.T) (*Tuner[Instance], *Suite, *core.Context) {
 	t.Helper()
 	s := syntheticSuite(120, 60, 7)
-	model, _, err := Train(s.Train, TrainOptions{Classifier: "svm", Seed: 1})
+	model, _, err := Train(s.Train, TrainOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func retrainFixture(t *testing.T) (*Tuner[Instance], *Suite, *core.Context) {
 	if err := cx.SetModel(s.Name, model); err != nil {
 		t.Fatal(err)
 	}
-	return &Tuner[Instance]{CV: cv, Opts: TrainOptions{Classifier: "svm", Seed: 1}}, s, cx
+	return &Tuner[Instance]{CV: cv, Opts: TrainOptions{Seed: 1}}, s, cx
 }
 
 // TestRetrainFromObservationsAcceptsOnDrift: observations from a drifted

@@ -45,7 +45,7 @@ func TestTuneCtxMatchesTune(t *testing.T) {
 	inputs := tuneInputs()
 	run := func(useCtx bool) (Report, []string) {
 		cv := liveCV(nil)
-		tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm"}}
+		tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{}}
 		var rep Report
 		var err error
 		if useCtx {
@@ -85,7 +85,7 @@ func TestTuneToleratesPanickingVariant(t *testing.T) {
 			return 11 - x
 		},
 	})
-	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm"}}
+	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{}}
 	rep, err := tuner.Tune(tuneInputs())
 	if err != nil {
 		t.Fatalf("Tune with a panicking variant: %v", err)
@@ -117,7 +117,7 @@ func TestTuneToleratesPanickingFeature(t *testing.T) {
 		return x
 	}})
 	_ = cv.SetDefault("low")
-	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm"}}
+	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{}}
 	rep, err := tuner.Tune(tuneInputs())
 	if err != nil {
 		t.Fatalf("Tune with a panicking feature: %v", err)
@@ -129,7 +129,7 @@ func TestTuneToleratesPanickingFeature(t *testing.T) {
 
 func TestTuneCtxCancelled(t *testing.T) {
 	cv := liveCV(nil)
-	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{Classifier: "svm"}}
+	tuner := &Tuner[float64]{CV: cv, Opts: TrainOptions{}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := tuner.TuneCtx(ctx, tuneInputs()); !errors.Is(err, context.Canceled) {
@@ -146,7 +146,7 @@ func TestTuneCtxCancelled(t *testing.T) {
 // through CallConcurrent result slots, not execute a vetoed variant.
 func TestReplayVetoedPropagation(t *testing.T) {
 	s := syntheticSuite(80, 40, 5)
-	model, _, err := Train(s.Train, TrainOptions{Classifier: "svm"})
+	model, _, err := Train(s.Train, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func TestTrainOnEachSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range suites {
-		model, rep, err := autotuner.Train(s.Train, autotuner.TrainOptions{Classifier: "svm"})
+		model, rep, err := autotuner.Train(s.Train, autotuner.TrainOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"nitro/internal/autotuner"
 	"nitro/internal/datasets"
 	"nitro/internal/gpusim"
 )
@@ -12,11 +13,12 @@ import (
 // agree with the exact classifier on >= 99% of the training corpus. Distill
 // itself enforces the gate (rejection is an error), so a single failing
 // benchmark fails this test with the distiller's reason. The corpora have
-// the paper's training sizes at reduced scale and train through Norm's
-// grid-searched SVM, the pipeline that serves. The gate reads only the
+// the paper's training sizes at reduced scale and train a grid-searched SVM
+// on Norm's grid, the pipeline that serves. The gate reads only the
 // training rows, so one test input per suite is enough.
 func TestCompiledAgreementCorpora(t *testing.T) {
-	opts := Options{Cfg: datasets.Config{Seed: 42, Scale: 0.2, TestCount: 1}}
+	opts := Options{Cfg: datasets.Config{Seed: 42, Scale: 0.2, TestCount: 1},
+		Train: autotuner.TrainOptions{GridSearch: true}}
 	suites, err := BuildSuites(opts, gpusim.Fermi())
 	if err != nil {
 		t.Fatal(err)

@@ -24,18 +24,14 @@ import (
 type Options struct {
 	// Cfg controls corpus generation (paper sizes at Scale 1).
 	Cfg datasets.Config
-	// Train configures the classifier; the zero value selects the paper's
-	// default (SVM + cross-validated grid search on a coarse grid).
+	// Train configures the SVM fit. With GridSearch set and no grid given,
+	// Norm installs the experiments' coarse cross-validation grid.
 	Train autotuner.TrainOptions
 }
 
 // Norm fills the defaults.
 func (o Options) Norm() Options {
 	o.Cfg = o.Cfg.Norm()
-	if o.Train.Classifier == "" {
-		o.Train.Classifier = "svm"
-		o.Train.GridSearch = true
-	}
 	if o.Train.GridSearch && len(o.Train.Grid.CValues) == 0 {
 		o.Train.Grid = ml.GridConfig{
 			CValues:     []float64{0.5, 4, 32, 256},

@@ -7,14 +7,12 @@ import (
 	"nitro/internal/autotuner"
 	"nitro/internal/datasets"
 	"nitro/internal/gpusim"
+	"nitro/internal/ml"
 )
 
 // smallOpts keeps experiment tests fast: tiny corpora, no grid search.
 func smallOpts() Options {
-	return Options{
-		Cfg:   datasets.Config{Seed: 5, Scale: 0.12, TrainCount: 18, TestCount: 24},
-		Train: autotuner.TrainOptions{Classifier: "svm"},
-	}
+	return Options{Cfg: datasets.Config{Seed: 5, Scale: 0.12, TrainCount: 18, TestCount: 24}}
 }
 
 func buildSmall(t *testing.T) ([]*autotuner.Suite, Options, *gpusim.Device) {
@@ -156,16 +154,18 @@ func TestFig8(t *testing.T) {
 	}
 }
 
+// Norm installs the coarse grid only where grid search is on, and leaves a
+// caller's own grid alone.
 func TestOptionsNorm(t *testing.T) {
-	o := Options{}.Norm()
-	if o.Train.Classifier != "svm" || !o.Train.GridSearch {
-		t.Errorf("defaults wrong: %+v", o.Train)
+	o := Options{Train: autotuner.TrainOptions{GridSearch: true}}.Norm()
+	if !o.Train.GridSearch || len(o.Train.Grid.CValues) == 0 {
+		t.Errorf("grid search on: %+v, want the default grid", o.Train)
 	}
-	if len(o.Train.Grid.CValues) == 0 {
-		t.Error("default grid empty")
+	if off := (Options{}).Norm(); off.Train.GridSearch || len(off.Train.Grid.CValues) != 0 {
+		t.Errorf("grid search off: %+v, want no grid", off.Train)
 	}
-	custom := Options{Train: autotuner.TrainOptions{Classifier: "knn"}}.Norm()
-	if custom.Train.Classifier != "knn" || custom.Train.GridSearch {
-		t.Error("custom classifier overridden")
+	own := Options{Train: autotuner.TrainOptions{GridSearch: true, Grid: ml.GridConfig{CValues: []float64{3}}}}.Norm()
+	if len(own.Train.Grid.CValues) != 1 || own.Train.Grid.CValues[0] != 3 {
+		t.Errorf("caller's grid replaced: %+v", own.Train.Grid)
 	}
 }

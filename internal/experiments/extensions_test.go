@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"nitro/internal/autotuner"
 	"nitro/internal/datasets"
 	"nitro/internal/gpusim"
 )
@@ -139,37 +138,6 @@ func TestCSVExports(t *testing.T) {
 	}
 }
 
-func TestClassifierComparison(t *testing.T) {
-	suites, opts, _ := buildSmall(t)
-	rows, err := ClassifierComparison(suites[:2], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if len(r.Classifiers) != 4 || len(r.MeanPerf) != 4 || len(r.ExactRate) != 4 {
-			t.Fatalf("%s: incomplete row %+v", r.Benchmark, r)
-		}
-		for i, p := range r.MeanPerf {
-			if p < 0.3 || p > 1.0001 {
-				t.Errorf("%s/%s: implausible perf %v", r.Benchmark, r.Classifiers[i], p)
-			}
-		}
-	}
-	if s := FormatClassifierComparison(rows); !strings.Contains(s, "logistic") {
-		t.Error("format missing classifier column")
-	}
-	var buf strings.Builder
-	if err := WriteClassifierCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "exact_rate") {
-		t.Error("CSV header missing")
-	}
-}
-
 func TestNoiseRobustness(t *testing.T) {
 	suites, opts, _ := buildSmall(t)
 	rows, err := NoiseRobustness(suites[:2], opts, []float64{0, 0.3})
@@ -203,10 +171,7 @@ func TestHeadlineModerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moderate-scale headline check skipped in -short mode")
 	}
-	opts := Options{
-		Cfg:   datasets.Config{Seed: 42, Scale: 0.3},
-		Train: autotuner.TrainOptions{Classifier: "svm"},
-	}
+	opts := Options{Cfg: datasets.Config{Seed: 42, Scale: 0.3}}
 	dev := gpusim.Fermi()
 	suites, err := BuildSuites(opts, dev)
 	if err != nil {

@@ -38,26 +38,17 @@ func (c Fig7Curve) IterationsToReach(frac float64) int {
 // every suite.
 func Fig7(suites []*autotuner.Suite, opts Options, maxIters int) ([]Fig7Curve, error) {
 	opts = opts.Norm()
-	// Incremental tuning refits every iteration; grid search per refit is
-	// prohibitive and the paper tunes kernel parameters once — use plain
-	// SVM defaults inside the loop.
-	inner := opts.Train
-	inner.GridSearch = false
 	out := make([]Fig7Curve, 0, len(suites))
 	for _, s := range suites {
 		full, _, err := autotuner.FullTrainPerf(s, opts.Train)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
-		res, err := autotuner.IncrementalTune(s, autotuner.IncrementalOptions{
-			TrainOptions:  inner,
-			MaxIterations: maxIters,
-		}, s)
+		res, err := autotuner.IncrementalTune(s, autotuner.IncrementalOptions{MaxIterations: maxIters}, s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
 		rnd, err := autotuner.IncrementalTune(s, autotuner.IncrementalOptions{
-			TrainOptions:  inner,
 			MaxIterations: maxIters,
 			Strategy:      ml.RandomStrategy{Rng: rand.New(rand.NewSource(opts.Cfg.Seed + 99))},
 		}, s)

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -23,23 +22,18 @@ func ETagOf(data []byte) string {
 	return `"sha256-` + hex.EncodeToString(sum[:]) + `"`
 }
 
-// EncodeArtifact serializes m and returns the bytes with their ETag. An SVM
-// model, the kind every tuned and distilled model carries, is written in the
-// binary form below; any other classifier is written as MarshalModel's JSON.
-// Both encodings are deterministic, and the binary one is canonical: a model
-// has exactly one, so re-encoding a decoded artifact reproduces its bytes
-// and its ETag.
+// EncodeArtifact serializes m in the binary form below and returns the
+// bytes with their ETag. Only an SVM model, the kind every tuned and
+// distilled model carries, can be encoded; any other classifier is an
+// error. The form is deterministic and canonical: a model has exactly one
+// encoding, so re-encoding a decoded artifact reproduces its bytes and its
+// ETag.
 func EncodeArtifact(m *Model) ([]byte, string, error) {
-	if m == nil {
-		return nil, "", errors.New("ml: nil model")
+	svm, err := svmOf(m)
+	if err != nil {
+		return nil, "", err
 	}
-	var data []byte
-	var err error
-	if svm, ok := m.Classifier.(*SVM); ok {
-		data, err = encodeBinary(m, svm)
-	} else {
-		data, err = MarshalModel(m)
-	}
+	data, err := encodeBinary(m, svm)
 	if err != nil {
 		return nil, "", err
 	}
@@ -66,8 +60,7 @@ func DecodeArtifact(data []byte, wantETag string) (*Model, error) {
 //	meta flag; if 1: version (int64), created_at as Unix    1 B [+ 28 B]
 //	  seconds (int64) and nanoseconds (uint32), trained_on (int64)
 //	scaler flag; if 1: width n (uint32), n minima, n maxima 1 B [+ 4 + 16n B]
-//	kernel: kind (0 rbf, 1 linear, 2 poly), then gamma for  1 B + 0, 8 or 24 B
-//	  rbf; gamma, coef0 and degree (int64) for poly
+//	kernel: kind (0 rbf, 1 linear), then gamma for rbf      1 B [+ 8 B]
 //	C                                                       8 B
 //	classes: count k (uint32), k labels (int64)             4 + 8k B
 //	support-vector table: rows r, width d (uint32 each),    8 + 8rd B
@@ -95,7 +88,6 @@ const binaryMagic = "NMA1"
 const (
 	kernelRBF byte = iota
 	kernelLinear
-	kernelPoly
 )
 
 // Bytes a record takes at least: a pair (a, b, rho, iters and two counts)
@@ -191,11 +183,6 @@ func encodeBinary(m *Model, svm *SVM) ([]byte, error) {
 		w.float(k.Gamma, "the kernel gamma")
 	case LinearKernel:
 		w.b = append(w.b, kernelLinear)
-	case PolyKernel:
-		w.b = append(w.b, kernelPoly)
-		w.float(k.Gamma, "the kernel gamma")
-		w.float(k.Coef0, "the kernel coef0")
-		w.int(k.Degree)
 	default:
 		w.fail("unknown kernel %T", svm.kernel)
 	}
@@ -417,8 +404,6 @@ func decodeBinary(data []byte) (*Model, error) {
 		k = RBFKernel{Gamma: r.float("the kernel gamma")}
 	case kernelLinear:
 		k = LinearKernel{}
-	case kernelPoly:
-		k = PolyKernel{Gamma: r.float("the kernel gamma"), Coef0: r.float("the kernel coef0"), Degree: r.int("the kernel degree")}
 	default:
 		r.fail("unknown kernel kind %d", kind)
 	}

@@ -3,6 +3,8 @@ package ml_test
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nitro/internal/ml"
@@ -29,6 +31,19 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add(ml.LegacyArtifact(f, withCompiled))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kind":"svm"}`))
+	// Artifacts of the removed kinds, as the last release to serve them
+	// wrote them and hand-made, which the decoder refuses; and an SVM with
+	// the removed polynomial kernel in both forms.
+	for _, kind := range []string{"knn", "tree", "logistic"} {
+		f.Add(ml.RemovedKindArtifact(f, kind))
+	}
+	for _, file := range []string{"poly.json", "poly.nma"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "removed", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add([]byte(`{"kind":"knn","meta":{"version":2,"created_at":"2026-08-06T00:00:00Z","trained_on":7},"knn":{"k":1}}`))
 	f.Add([]byte(`{"kind":"knn","meta":{},"knn":{"k":1}}`))
 	f.Add([]byte(`{"kind":"knn","knn":{"k":-1}}`))
@@ -43,14 +58,16 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0],"members":[{"kind":"ensemble","ensemble":{"members":[{"kind":"knn","knn":{"k":1}}]}}]}}`))
 	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[1],"members":[{"kind":"knn","knn":{"k":1}},{"kind":"tree","tree":{"root":null}}]}}`))
 	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[0.5,0.5],"calib":[{"lo":0,"hi":0.5,"n":3,"correct":1}],"members":[{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]}},{"kind":"logistic","logistic":{"lr":0.5,"l2":0.001,"iters":10,"w":[[0,0],[0,0]],"classes":[0,1]}}]}}`))
-	// Compiled-artifact seeds: a minimal valid program, a looping program
-	// (must be rejected), and a grid with a bad cell table.
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":1,"r":2,"c":-1,"t":0.5},{"f":0,"l":-1,"r":-1,"c":0,"t":0},{"f":0,"l":-1,"r":-1,"c":1,"t":0}],"classes":[0,1],"dim":1,"margin":0.01,"agreement":1,"fallback_rate":0,"corpus_size":2}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":0,"r":0,"c":-1,"t":0.5}],"classes":[0],"dim":1,"margin":0.01}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":0,"grid":{"res":2,"lo":[0],"hi":[1],"cells":[0,0,0]}}}`))
+	// Compiled-artifact seeds over a one-feature SVM: a minimal valid
+	// program, a looping program (must be rejected), and a grid with a bad
+	// cell table.
+	const svm1 = `"svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":[[0],[1]],"pairs":[{"a":0,"b":1,"sv":[1,0],"coefs":[1,-1],"rho":0,"iters":1}]}`
+	f.Add([]byte(`{"kind":"svm",` + svm1 + `,"compiled":{"nodes":[{"f":0,"l":1,"r":2,"c":-1,"t":0.5},{"f":0,"l":-1,"r":-1,"c":0,"t":0},{"f":0,"l":-1,"r":-1,"c":1,"t":0}],"classes":[0,1],"dim":1,"margin":0.01,"agreement":1,"fallback_rate":0,"corpus_size":2}}`))
+	f.Add([]byte(`{"kind":"svm",` + svm1 + `,"compiled":{"nodes":[{"f":0,"l":0,"r":0,"c":-1,"t":0.5}],"classes":[0],"dim":1,"margin":0.01}}`))
+	f.Add([]byte(`{"kind":"svm",` + svm1 + `,"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":0,"grid":{"res":2,"lo":[0],"hi":[1],"cells":[0,0,0]}}}`))
 	// Margin seeds: the 5e-324 margin Distill writes and other literals.
 	for _, lit := range ml.MarginLiterals {
-		f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":` + lit + `}}`))
+		f.Add([]byte(`{"kind":"svm",` + svm1 + `,"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":` + lit + `}}`))
 	}
 	// SVM table seeds: a valid table, then an out-of-range and a negative
 	// index, a length mismatch and a pair carrying both forms.
@@ -102,8 +119,11 @@ func FuzzUnmarshalModel(f *testing.F) {
 		if !bytes.Equal(out1, out2) {
 			t.Fatalf("round trip is not a fixed point:\nfirst:  %s\nsecond: %s", out1, out2)
 		}
-		// Whatever EncodeArtifact writes decodes and is canonical.
+		// Whatever EncodeArtifact writes is binary, decodes and is canonical.
 		if enc, _, err := ml.EncodeArtifact(m); err == nil {
+			if !bytes.HasPrefix(enc, []byte("NMA1")) {
+				t.Fatalf("encoded artifact is not binary: %q", enc)
+			}
 			back, err := ml.UnmarshalModel(enc)
 			if err != nil {
 				t.Fatalf("encoded artifact failed to decode: %v\n%x", err, enc)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -245,23 +247,35 @@ func TestSVMTableDecodeErrors(t *testing.T) {
 	}
 }
 
+// removedKindArtifact reads the artifact of a removed kind ("knn", "tree" or
+// "logistic") that the last release to serve it wrote: that classifier fitted
+// on fitTinyDataset, behind its scaler, stamped version 7.
+func removedKindArtifact(tb testing.TB, kind string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "removed", kind+".json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.TrimSpace(data)
+}
+
 // ensembleArtifact builds an artifact of the removed committee kind in the
 // form older releases wrote: an "ensemble" envelope whose members are
 // ordinary single-classifier envelopes, plus the program distilled from it.
 func ensembleArtifact(tb testing.TB) []byte {
 	tb.Helper()
 	raw, scaled, scaler := fitTinyDataset(tb)
-	var members []json.RawMessage
-	for _, clf := range parityClassifiers(tb) {
-		data, err := MarshalModel(&Model{Classifier: clf})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		members = append(members, data)
-	}
 	svm := NewSVM(RBFKernel{Gamma: 0.5}, 4)
 	if err := svm.Fit(scaled); err != nil {
 		tb.Fatal(err)
+	}
+	member, err := MarshalModel(&Model{Classifier: svm})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	members := []json.RawMessage{member}
+	for _, kind := range []string{"knn", "tree", "logistic"} {
+		members = append(members, removedKindArtifact(tb, kind))
 	}
 	compiled, err := Distill(&Model{Classifier: svm, Scaler: scaler}, raw.X, DistillOptions{})
 	if err != nil {
@@ -286,8 +300,8 @@ func ensembleArtifact(tb testing.TB) []byte {
 }
 
 // TestEnsembleSerializationGuards: every artifact of the removed committee
-// kind, well formed or not, fails to decode with an error that names the
-// removal, rather than loading as some other classifier.
+// kind, well formed or not, fails to decode with the removed-kind error
+// naming "ensemble", rather than loading as some other classifier.
 func TestEnsembleSerializationGuards(t *testing.T) {
 	blobs := map[string][]byte{"well formed": ensembleArtifact(t)}
 	for name, blob := range map[string]string{
@@ -300,12 +314,40 @@ func TestEnsembleSerializationGuards(t *testing.T) {
 		blobs[name] = []byte(blob)
 	}
 	for name, data := range blobs {
-		if _, err := UnmarshalModel(data); !errors.Is(err, ErrEnsembleRemoved) {
-			t.Errorf("%s: UnmarshalModel: %v, want ErrEnsembleRemoved", name, err)
+		if _, err := UnmarshalModel(data); !errors.Is(err, ErrKindRemoved) {
+			t.Errorf("%s: UnmarshalModel: %v, want ErrKindRemoved", name, err)
 		}
 		_, err := DecodeArtifact(data, ETagOf(data))
-		if !errors.Is(err, ErrEnsembleRemoved) || !strings.Contains(err.Error(), "removed") {
-			t.Errorf("%s: DecodeArtifact: %v, want an error naming the removal", name, err)
+		if !errors.Is(err, ErrKindRemoved) || !strings.Contains(err.Error(), `"ensemble"`) {
+			t.Errorf("%s: DecodeArtifact: %v, want the removed-kind error naming the kind", name, err)
+		}
+	}
+}
+
+// TestRemovedKindsRefused: bare or malformed envelopes of the knn, tree and
+// logistic kinds fail to decode with the removed-kind error naming the kind
+// (TestMetaStampingParity checks the artifacts the last release to serve
+// those classifiers wrote). An SVM with the removed polynomial kernel, in
+// either form, fails as an unknown kernel.
+func TestRemovedKindsRefused(t *testing.T) {
+	for _, kind := range []string{"knn", "tree", "logistic"} {
+		for name, data := range map[string][]byte{
+			"bare":      []byte(`{"kind":"` + kind + `"}`),
+			"malformed": []byte(`{"kind":"` + kind + `","` + kind + `":{"classes":"x"},"compiled":{"nodes":[]}}`),
+		} {
+			_, err := DecodeArtifact(data, ETagOf(data))
+			if !errors.Is(err, ErrKindRemoved) || !strings.Contains(err.Error(), `"`+kind+`"`) {
+				t.Errorf("%s %s: %v, want the removed-kind error naming the kind", name, kind, err)
+			}
+		}
+	}
+	for _, file := range []string{"poly.json", "poly.nma"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "removed", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalModel(data); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+			t.Errorf("%s: %v, want an unknown-kernel error", file, err)
 		}
 	}
 }
@@ -376,17 +418,6 @@ func TestCheckShape(t *testing.T) {
 		return decode(`{"kind":"svm",` + scaler + `"svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":` + svs +
 			`,"pairs":[{"a":0,"b":1,"sv":[0,1],"coefs":[1,-1],"rho":0,"iters":1}]}}`)
 	}
-	knnBody := func(x string) *Model {
-		return decode(`{"kind":"knn","knn":{"k":1,"train":{"X":` + x + `,"Y":[0,1]},"classes":[0,1]}}`)
-	}
-	logisticBody := func(w string) *Model {
-		return decode(`{"kind":"logistic","logistic":{"lr":0.5,"l2":0,"iters":1,"w":` + w + `,"classes":[0,1]}}`)
-	}
-	treeBody := func(feature, right string) *Model {
-		return decode(`{"kind":"tree","tree":{"max_depth":1,"min_leaf":1,"root":{"feature":` + feature +
-			`,"threshold":0,"left":{"counts":[1,0]}` + right + `},"classes":[0,1]}}`)
-	}
-	const right = `,"right":{"counts":[0,1]}`
 	for _, tc := range []struct {
 		m                  *Model
 		features, variants int
@@ -409,15 +440,6 @@ func TestCheckShape(t *testing.T) {
 		{svmBody(`"scaler":{"min":[0,0],"max":[3,3]},`, `[[0,0],[1,1]]`), 2, 2, true},
 		{svmBody(`"scaler":{"min":[0,0],"max":[3]},`, `[[0,0],[1,1]]`), 2, 2, false}, // max narrower than min
 		{svmBody(``, `[[0,0,0],[1,1]]`), 2, 2, false},                                // a 3-wide support vector
-		{knnBody(`[[0,0],[1,1]]`), 2, 2, true},
-		{knnBody(`[[0,0,0],[1,1]]`), 2, 2, false}, // a 3-wide training row
-		{logisticBody(`[[0,0,0],[0,0,0]]`), 2, 2, true},
-		{logisticBody(`[[],[0,0,0]]`), 2, 2, false},              // an empty weight row
-		{logisticBody(`[[0,0,0],[0,0,0],[0,0,0]]`), 2, 2, false}, // 3 weight rows for 2 classes
-		{logisticBody(`[[0,0,0,0],[0,0,0,0]]`), 2, 2, false},     // rows for 3 features
-		{treeBody(`1`, right), 2, 2, true},
-		{treeBody(`2`, right), 2, 2, false}, // tests a third feature
-		{treeBody(`0`, ``), 2, 2, false},    // a split without a right child
 	} {
 		if err := tc.m.CheckShape(tc.features, tc.variants); (err == nil) != tc.ok {
 			t.Errorf("CheckShape(%d, %d) = %v, want ok=%v", tc.features, tc.variants, err, tc.ok)
@@ -622,7 +644,8 @@ func TestBinaryArtifactDecodeAllocationBound(t *testing.T) {
 
 // TestEncodeArtifactRefusesWhatJSONCannotCarry: a model the binary form
 // cannot carry, like one JSON cannot, fails to encode instead of writing an
-// artifact that does not decode; non-SVM models stay JSON.
+// artifact that does not decode. So does a model whose classifier is not an
+// SVM, in both forms.
 func TestEncodeArtifactRefusesWhatJSONCannotCarry(t *testing.T) {
 	decode := func(body string) *Model {
 		t.Helper()
@@ -647,14 +670,14 @@ func TestEncodeArtifactRefusesWhatJSONCannotCarry(t *testing.T) {
 		"nil model":        nil,
 		"nil classifier":   {},
 		"invalid compiled": {Classifier: svm.Classifier, Compiled: &Compiled{Dim: 1}},
+		"non-SVM":          {Classifier: &tiedClassifier{classes: []int{0, 1}}},
 	} {
 		if data, _, err := EncodeArtifact(m); err == nil {
 			t.Errorf("%s: encoded to %x", name, data)
 		}
 	}
-	knn := decode(`{"kind":"knn","knn":{"k":1,"train":{"X":[[0],[1]],"Y":[0,1]},"classes":[0,1]}}`)
-	data, _, err := EncodeArtifact(knn)
-	if err != nil || !json.Valid(data) {
-		t.Fatalf("knn artifact %q (err %v) is not JSON", data, err)
+	notSVM := &Model{Classifier: &tiedClassifier{classes: []int{0, 1}}}
+	if data, err := MarshalModel(notSVM); err == nil || !strings.Contains(err.Error(), `"tied"`) {
+		t.Errorf("non-SVM model marshalled to %s (err %v), want an error naming its kind", data, err)
 	}
 }

@@ -192,19 +192,6 @@ func BenchmarkModelSerialize(b *testing.B) {
 	}
 }
 
-func BenchmarkKNNPredict(b *testing.B) {
-	train := blobs(500, 4, 5, 0.8, 8)
-	m := NewKNN(5)
-	if err := m.Fit(train); err != nil {
-		b.Fatal(err)
-	}
-	x := train.X[3]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Predict(x)
-	}
-}
-
 func BenchmarkDecisionTreeFit(b *testing.B) {
 	ds := blobs(300, 4, 5, 0.8, 9)
 	b.ReportAllocs()

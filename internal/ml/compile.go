@@ -15,8 +15,7 @@ type Tier int32
 const (
 	// TierNone means no prediction was made (no model installed).
 	TierNone Tier = iota
-	// TierExact means the full classifier (scaler + SVM/kNN/tree/logistic)
-	// was evaluated.
+	// TierExact means the full classifier (scaler + SVM) was evaluated.
 	TierExact
 	// TierCompiled means the distilled compiled artifact decided, with margin
 	// clearance from every decision boundary it crossed.

@@ -120,11 +120,16 @@ func TestDistillRejectedLowAgreement(t *testing.T) {
 		label := int(a) ^ int(b)
 		ds.Append([]float64{a, b}, label)
 	}
-	knn := NewKNN(1)
-	if err := knn.Fit(ds); err != nil {
+	xor := NewSVM(RBFKernel{Gamma: 2}, 100)
+	if err := xor.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	model := &Model{Classifier: knn}
+	model := &Model{Classifier: xor}
+	for i, x := range ds.X {
+		if got := model.PredictExact(x); got != ds.Y[i] {
+			t.Fatalf("the teacher labels %v as %d, not XOR's %d", x, got, ds.Y[i])
+		}
+	}
 	_, err := Distill(model, ds.X, DistillOptions{MaxDepth: 1})
 	if !errors.Is(err, ErrDistillRejected) {
 		t.Fatalf("want ErrDistillRejected, got %v", err)

@@ -2,7 +2,7 @@
 // reproduction: a from-scratch C-SVC support vector machine with an SMO
 // solver and RBF kernel (standing in for libSVM), min-max feature scaling to
 // [-1, 1], k-fold cross-validated grid search over the kernel parameters,
-// alternate classifiers (k-nearest-neighbours, CART decision tree), and the
+// the CART decision tree the distiller fits on the SVM's labels, and the
 // Best-vs-Second-Best active-learning loop used by Nitro's incremental
 // tuning mode. Only the standard library is used.
 package ml

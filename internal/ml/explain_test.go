@@ -104,19 +104,7 @@ func TestExplainSVMInternals(t *testing.T) {
 }
 
 func TestExplainNonSVMLeavesPairFieldsNil(t *testing.T) {
-	ds := &Dataset{}
-	for x := 0.0; x < 8; x++ {
-		label := 0
-		if x >= 4 {
-			label = 1
-		}
-		ds.Append([]float64{x}, label)
-	}
-	knn := NewKNN(3)
-	if err := knn.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	m := &Model{Classifier: knn}
+	m := &Model{Classifier: &tiedClassifier{classes: []int{0, 1}}}
 	ex := m.Explain([]float64{5})
 	if ex.PairDecisions != nil || ex.PairClasses != nil {
 		t.Fatalf("non-SVM explanation has pair fields: %+v", ex)

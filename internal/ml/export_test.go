@@ -6,5 +6,6 @@ var (
 	AssertSamePredictions = assertSamePredictions
 	FuzzSeedModels        = fuzzSeedModels
 	EnsembleArtifact      = ensembleArtifact
+	RemovedKindArtifact   = removedKindArtifact
 	MarginLiterals        = marginLiterals
 )

@@ -48,31 +48,10 @@ func (LinearKernel) Eval(a, b []float64) float64 {
 // Name implements Kernel.
 func (LinearKernel) Name() string { return "linear" }
 
-// PolyKernel is K(a,b) = (gamma * a.b + coef0)^degree.
-type PolyKernel struct {
-	Gamma  float64 `json:"gamma"`
-	Coef0  float64 `json:"coef0"`
-	Degree int     `json:"degree"`
-}
-
-// Eval implements Kernel.
-func (k PolyKernel) Eval(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return math.Pow(k.Gamma*s+k.Coef0, float64(k.Degree))
-}
-
-// Name implements Kernel.
-func (k PolyKernel) Name() string { return "poly" }
-
 // kernelSpec is the serializable description of a kernel.
 type kernelSpec struct {
-	Kind   string  `json:"kind"`
-	Gamma  float64 `json:"gamma,omitempty"`
-	Coef0  float64 `json:"coef0,omitempty"`
-	Degree int     `json:"degree,omitempty"`
+	Kind  string  `json:"kind"`
+	Gamma float64 `json:"gamma,omitempty"`
 }
 
 func specOf(k Kernel) kernelSpec {
@@ -81,8 +60,6 @@ func specOf(k Kernel) kernelSpec {
 		return kernelSpec{Kind: "rbf", Gamma: kk.Gamma}
 	case LinearKernel:
 		return kernelSpec{Kind: "linear"}
-	case PolyKernel:
-		return kernelSpec{Kind: "poly", Gamma: kk.Gamma, Coef0: kk.Coef0, Degree: kk.Degree}
 	default:
 		return kernelSpec{Kind: k.Name()}
 	}
@@ -94,8 +71,6 @@ func (s kernelSpec) kernel() (Kernel, error) {
 		return RBFKernel{Gamma: s.Gamma}, nil
 	case "linear":
 		return LinearKernel{}, nil
-	case "poly":
-		return PolyKernel{Gamma: s.Gamma, Coef0: s.Coef0, Degree: s.Degree}, nil
 	default:
 		return nil, fmt.Errorf("ml: unknown kernel %q", s.Kind)
 	}

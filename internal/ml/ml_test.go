@@ -179,9 +179,6 @@ func TestKernels(t *testing.T) {
 	if got := (LinearKernel{}).Eval(a, b); got != 0 {
 		t.Errorf("linear = %v", got)
 	}
-	if got := (PolyKernel{Gamma: 1, Coef0: 1, Degree: 2}).Eval(a, a); got != 4 {
-		t.Errorf("poly = %v", got)
-	}
 }
 
 func TestKernelSymmetryQuick(t *testing.T) {
@@ -336,32 +333,6 @@ func TestBvSBMargin(t *testing.T) {
 	if BvSBMargin(m, center) <= BvSBMargin(m, mid) {
 		t.Errorf("margin at centre (%v) should exceed margin at boundary (%v)",
 			BvSBMargin(m, center), BvSBMargin(m, mid))
-	}
-}
-
-func TestKNN(t *testing.T) {
-	train := blobs(90, 3, 2, 0.4, 5)
-	test := blobs(30, 3, 2, 0.4, 6)
-	m := NewKNN(5)
-	if err := m.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(m, test); acc < 0.9 {
-		t.Errorf("kNN accuracy %v", acc)
-	}
-	scores := m.Scores(test.X[0])
-	var sum float64
-	for _, s := range scores {
-		sum += s
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("kNN scores sum to %v, want 1", sum)
-	}
-	if NewKNN(0).K != 3 {
-		t.Error("k<1 should default to 3")
-	}
-	if err := NewKNN(3).Fit(&Dataset{}); err == nil {
-		t.Error("empty fit should error")
 	}
 }
 
@@ -550,8 +521,7 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 
 	for _, mk := range []func() Classifier{
 		func() Classifier { return NewSVM(RBFKernel{Gamma: 0.7}, 4) },
-		func() Classifier { return NewKNN(3) },
-		func() Classifier { return NewDecisionTree(6, 1) },
+		func() Classifier { return NewSVM(LinearKernel{}, 4) },
 	} {
 		clf := mk()
 		if err := clf.Fit(scaledDS); err != nil {
@@ -611,7 +581,7 @@ func TestQuickSVMDeterministic(t *testing.T) {
 }
 
 func TestAccuracyEmpty(t *testing.T) {
-	m := NewKNN(1)
+	m := DefaultSVM()
 	if got := Accuracy(m, &Dataset{}); got != 0 {
 		t.Errorf("accuracy on empty set = %v", got)
 	}

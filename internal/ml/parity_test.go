@@ -2,6 +2,8 @@ package ml
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,15 +28,15 @@ func fitTinyDataset(tb testing.TB) (raw, scaled *Dataset, scaler *Scaler) {
 	return raw, &Dataset{X: scaledX, Y: raw.Y}, scaler
 }
 
-// parityClassifiers returns one fitted classifier of every serializable kind.
+// parityClassifiers returns the SVM every artifact carries and the
+// distiller's DecisionTree, which tests install as a model's classifier in
+// process, each fitted on the tiny dataset.
 func parityClassifiers(tb testing.TB) []Classifier {
 	tb.Helper()
 	_, scaled, _ := fitTinyDataset(tb)
 	out := []Classifier{
 		NewSVM(RBFKernel{Gamma: 0.5}, 4),
-		NewKNN(3),
 		NewDecisionTree(4, 1),
-		NewLogistic(0, 0, 50),
 	}
 	for _, clf := range out {
 		if err := clf.Fit(scaled); err != nil {
@@ -44,9 +46,11 @@ func parityClassifiers(tb testing.TB) []Classifier {
 	return out
 }
 
-// TestMetaStampingParity asserts every classifier kind — not just the SVM —
-// carries a ModelMeta stamp losslessly through serialize/deserialize, as a
-// byte-identical fixed point.
+// TestMetaStampingParity: an SVM model carries its ModelMeta stamp
+// losslessly through serialize/deserialize, as a byte-identical fixed point.
+// The stamped artifacts of the removed kinds, as the last release to serve
+// them wrote them, are refused with the removed-kind error: the stamp does
+// not make them loadable.
 func TestMetaStampingParity(t *testing.T) {
 	_, _, scaler := fitTinyDataset(t)
 	meta := &ModelMeta{
@@ -54,36 +58,46 @@ func TestMetaStampingParity(t *testing.T) {
 		CreatedAt: time.Date(2026, 8, 8, 9, 30, 0, 0, time.UTC),
 		TrainedOn: 10,
 	}
-	for _, clf := range parityClassifiers(t) {
-		t.Run(clf.Name(), func(t *testing.T) {
-			m := &Model{Classifier: clf, Scaler: scaler, Meta: meta}
-			data, err := MarshalModel(m)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("svm", func(t *testing.T) {
+		m := &Model{Classifier: parityClassifiers(t)[0], Scaler: scaler, Meta: meta}
+		data, err := MarshalModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalModel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Meta == nil || got.Meta.Version != 7 || got.Meta.TrainedOn != 10 || !got.Meta.CreatedAt.Equal(meta.CreatedAt) {
+			t.Fatalf("meta round trip = %+v, want %+v", got.Meta, meta)
+		}
+		if got.Version() != 7 {
+			t.Fatalf("Version() = %d, want 7", got.Version())
+		}
+		again, err := MarshalModel(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatal("stamped svm round trip is not a fixed point")
+		}
+	})
+	for _, kind := range []string{"knn", "tree", "logistic"} {
+		t.Run(kind, func(t *testing.T) {
+			data := removedKindArtifact(t, kind)
+			if !bytes.Contains(data, []byte(`"meta":{"version":7,"created_at":"2026-08-08T09:30:00Z","trained_on":10}`)) {
+				t.Fatalf("the %s artifact carries no version-7 stamp: %s", kind, data)
 			}
-			got, err := UnmarshalModel(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Meta == nil || got.Meta.Version != 7 || got.Meta.TrainedOn != 10 || !got.Meta.CreatedAt.Equal(meta.CreatedAt) {
-				t.Fatalf("meta round trip = %+v, want %+v", got.Meta, meta)
-			}
-			if got.Version() != 7 {
-				t.Fatalf("Version() = %d, want 7", got.Version())
-			}
-			again, err := MarshalModel(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, again) {
-				t.Fatalf("stamped %s round trip is not a fixed point", clf.Name())
+			m, err := DecodeArtifact(data, ETagOf(data))
+			if !errors.Is(err, ErrKindRemoved) || !strings.Contains(err.Error(), `"`+kind+`"`) {
+				t.Fatalf("stamped %s artifact: model %+v, err %v, want the removed-kind error naming the kind", kind, m, err)
 			}
 		})
 	}
 }
 
-// TestRankedClassesParity asserts the RankedClasses contract holds for every
-// classifier kind: Ranked[0] == Predict(x), the full class set appears
+// TestRankedClassesParity asserts the RankedClasses contract holds for the
+// SVM and the distiller's tree: Ranked[0] == Predict(x), the full class set appears
 // exactly once, and repeated calls are identical (no hidden nondeterminism).
 func TestRankedClassesParity(t *testing.T) {
 	_, _, scaler := fitTinyDataset(t)
@@ -120,15 +134,15 @@ func TestRankedClassesParity(t *testing.T) {
 }
 
 // TestRankedClassesTieBreakDeterminism constructs genuine score ties (every
-// training point identical, balanced labels → uniform leaf counts / votes)
-// and asserts ties break toward Classes() order with Ranked[0] == Predict —
-// for the kinds where ties are reachable.
+// training point identical, balanced labels → uniform leaf counts) and
+// asserts ties break toward Classes() order with Ranked[0] == Predict, on
+// the distiller's tree.
 func TestRankedClassesTieBreakDeterminism(t *testing.T) {
 	tied := &Dataset{}
 	for i := 0; i < 4; i++ {
 		tied.Append([]float64{1, 1}, i%2)
 	}
-	for _, clf := range []Classifier{NewDecisionTree(4, 1), NewKNN(4), NewLogistic(0, 0, 10)} {
+	for _, clf := range []Classifier{NewDecisionTree(4, 1)} {
 		t.Run(clf.Name(), func(t *testing.T) {
 			if err := clf.Fit(tied); err != nil {
 				t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// ErrEnsembleRemoved rejects artifacts of the "ensemble" kind, which older
-// releases wrote for the committee classifier. The committee is gone, so
-// such a model must be retrained with one of the remaining classifiers
-// before it can be served.
-var ErrEnsembleRemoved = errors.New(`ml: the "ensemble" model kind was removed; retrain with classifier svm, knn, tree or logistic`)
+// ErrKindRemoved rejects artifacts of the model kinds older releases wrote
+// for classifiers that are gone: "knn", "tree", "logistic" and the
+// "ensemble" committee. The SVM is the only classifier a model carries, so
+// such a model must be retrained as an SVM before it can be served.
+var ErrKindRemoved = errors.New("model kind removed; retrain it with classifier svm")
 
 // ModelMeta stamps a trained model with its provenance, so deployment logs,
 // statistics and hot-swap events can attribute which model served a call.
@@ -58,16 +58,12 @@ func (m *Model) Version() int {
 
 // CheckShape reports whether m fits a function with the given feature and
 // variant counts, so that no prediction on a vector of that width can index
-// past a slice. A fitted scaler, a compiled program, every SVM support
-// vector and every kNN training row must each be exactly features wide, a
-// logistic weight row features + 1 (the bias last), and a tree may test
-// only features below features. Every class label, the classifier's and
-// the compiled program's alike, must name one of variants variants. A count
-// of zero skips its checks. The rest hold at any count: a scaler has as
-// many minima as maxima, every SVM pair and kNN row carries one of the
-// classifier's classes, a logistic body has one weight row per class, and
-// every tree node that splits has both children and every leaf one count
-// per class.
+// past a slice. A fitted scaler, a compiled program and every SVM support
+// vector must each be exactly features wide. Every class label, the
+// classifier's and the compiled program's alike, must name one of variants
+// variants. A count of zero skips its checks. The rest hold at any count: a
+// scaler has as many minima as maxima, and every SVM pair votes between two
+// of the classifier's classes.
 func (m *Model) CheckShape(features, variants int) error {
 	if s := m.Scaler; s != nil && len(s.Min) != len(s.Max) {
 		return fmt.Errorf("scaler has %d minima but %d maxima", len(s.Min), len(s.Max))
@@ -105,81 +101,27 @@ func (m *Model) CheckShape(features, variants int) error {
 	return nil
 }
 
-// checkClassifierShape makes CheckShape's checks of the classifier's body:
-// the widths and labels its prediction indexes by.
+// checkClassifierShape makes CheckShape's checks of an SVM classifier's
+// body: the widths and labels its prediction indexes by.
 func checkClassifierShape(clf Classifier, features int) error {
-	wide := func(what string, i, n int) error {
-		if features > 0 && n != features {
-			return fmt.Errorf("%s %d has %d features, function has %d", what, i, n, features)
-		}
+	c, ok := clf.(*SVM)
+	if !ok {
 		return nil
 	}
-	switch c := clf.(type) {
-	case *SVM:
-		// Every pair's support vectors are rows of the shared table, which
-		// fit and both artifact decoders build.
-		for i, sv := range c.svRows {
-			if err := wide("support vector", i, len(sv)); err != nil {
-				return err
-			}
+	// Every pair's support vectors are rows of the shared table, which fit
+	// and both artifact decoders build.
+	for i, sv := range c.svRows {
+		if features > 0 && len(sv) != features {
+			return fmt.Errorf("support vector %d has %d features, function has %d", i, len(sv), features)
 		}
-		for i := range c.pairs {
-			p := &c.pairs[i]
-			if !slices.Contains(c.classes, p.a) || !slices.Contains(c.classes, p.b) {
-				return fmt.Errorf("svm pair %d votes between %d and %d, classes are %v", i, p.a, p.b, c.classes)
-			}
+	}
+	for i := range c.pairs {
+		p := &c.pairs[i]
+		if !slices.Contains(c.classes, p.a) || !slices.Contains(c.classes, p.b) {
+			return fmt.Errorf("svm pair %d votes between %d and %d, classes are %v", i, p.a, p.b, c.classes)
 		}
-	case *KNN:
-		if t := c.train; t != nil {
-			if len(t.X) != len(t.Y) {
-				return fmt.Errorf("knn has %d training rows but %d labels", len(t.X), len(t.Y))
-			}
-			for i, row := range t.X {
-				if err := wide("knn training row", i, len(row)); err != nil {
-					return err
-				}
-				if !slices.Contains(c.classes, t.Y[i]) {
-					return fmt.Errorf("knn training row %d has label %d, classes are %v", i, t.Y[i], c.classes)
-				}
-			}
-		}
-	case *Logistic:
-		if len(c.W) != len(c.classes) {
-			return fmt.Errorf("logistic has %d weight rows for %d classes", len(c.W), len(c.classes))
-		}
-		for i, w := range c.W {
-			if len(w) == 0 {
-				return fmt.Errorf("logistic weight row %d is empty", i)
-			}
-			if err := wide("logistic weight row", i, len(w)-1); err != nil {
-				return err
-			}
-		}
-	case *DecisionTree:
-		return checkTreeShape(c.root, len(c.classes), features)
 	}
 	return nil
-}
-
-// checkTreeShape checks the tree under n (see CheckShape).
-func checkTreeShape(n *treeNode, classes, features int) error {
-	switch {
-	case n == nil:
-		return nil
-	case n.Left == nil:
-		if len(n.Counts) != classes {
-			return fmt.Errorf("tree leaf has %d counts for %d classes", len(n.Counts), classes)
-		}
-		return nil
-	case n.Right == nil:
-		return errors.New("tree node has a left child but no right one")
-	case n.Feature < 0 || features > 0 && n.Feature >= features:
-		return fmt.Errorf("tree node tests feature %d, function has %d", n.Feature, features)
-	}
-	if err := checkTreeShape(n.Left, classes, features); err != nil {
-		return err
-	}
-	return checkTreeShape(n.Right, classes, features)
 }
 
 // Predict scales x (if a scaler is present) and classifies it, routing
@@ -223,62 +165,12 @@ type svmJSON struct {
 	Pairs   []svmPairJSON `json:"pairs"`
 }
 
-type knnJSON struct {
-	K       int     `json:"k"`
-	Train   Dataset `json:"train"`
-	Classes []int   `json:"classes"`
-}
-
-type treeJSON struct {
-	MaxDepth int       `json:"max_depth"`
-	MinLeaf  int       `json:"min_leaf"`
-	Root     *treeNode `json:"root"`
-	Classes  []int     `json:"classes"`
-}
-
-type logisticJSON struct {
-	LR      float64     `json:"lr"`
-	L2      float64     `json:"l2"`
-	Iters   int         `json:"iters"`
-	W       [][]float64 `json:"w"`
-	Classes []int       `json:"classes"`
-}
-
 type modelJSON struct {
-	Kind     string          `json:"kind"`
-	Meta     *ModelMeta      `json:"meta,omitempty"`
-	Scaler   *Scaler         `json:"scaler,omitempty"`
-	SVM      *svmJSON        `json:"svm,omitempty"`
-	KNN      *knnJSON        `json:"knn,omitempty"`
-	Tree     *treeJSON       `json:"tree,omitempty"`
-	Logistic *logisticJSON   `json:"logistic,omitempty"`
-	Compiled *Compiled       `json:"compiled,omitempty"`
-	Extra    json.RawMessage `json:"extra,omitempty"`
-}
-
-// envelopeClassifier fills env's Kind and classifier body from c.
-func envelopeClassifier(c Classifier, env *modelJSON) error {
-	switch c := c.(type) {
-	case *SVM:
-		env.Kind = "svm"
-		env.SVM = svmBody(c)
-	case *KNN:
-		env.Kind = "knn"
-		kj := &knnJSON{K: c.K, Classes: c.classes}
-		if c.train != nil {
-			kj.Train = *c.train
-		}
-		env.KNN = kj
-	case *DecisionTree:
-		env.Kind = "tree"
-		env.Tree = &treeJSON{MaxDepth: c.MaxDepth, MinLeaf: c.MinLeafSamples, Root: c.root, Classes: c.classes}
-	case *Logistic:
-		env.Kind = "logistic"
-		env.Logistic = &logisticJSON{LR: c.LR, L2: c.L2, Iters: c.Iters, W: c.W, Classes: c.classes}
-	default:
-		return fmt.Errorf("ml: cannot serialize classifier kind %q", c.Name())
-	}
-	return nil
+	Kind     string     `json:"kind"`
+	Meta     *ModelMeta `json:"meta,omitempty"`
+	Scaler   *Scaler    `json:"scaler,omitempty"`
+	SVM      *svmJSON   `json:"svm,omitempty"`
+	Compiled *Compiled  `json:"compiled,omitempty"`
 }
 
 // svmBody builds c's JSON body: the shared support-vector table with per-pair
@@ -341,22 +233,33 @@ func svmFromBody(sj *svmJSON) (*SVM, error) {
 	return svm, nil
 }
 
-// MarshalModel serializes a fitted model (SVM, KNN, DecisionTree or Logistic)
-// with its scaler to compact JSON.
+// MarshalModel serializes a fitted SVM model with its scaler to compact
+// JSON; any other classifier is an error.
 func MarshalModel(m *Model) ([]byte, error) {
-	if m == nil || m.Classifier == nil {
-		return nil, fmt.Errorf("ml: nil model")
-	}
-	env := modelJSON{Scaler: m.Scaler, Meta: m.Meta, Compiled: m.Compiled}
-	if err := envelopeClassifier(m.Classifier, &env); err != nil {
+	svm, err := svmOf(m)
+	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(env)
+	return json.Marshal(modelJSON{Kind: "svm", Scaler: m.Scaler, Meta: m.Meta, SVM: svmBody(svm), Compiled: m.Compiled})
+}
+
+// svmOf returns m's classifier as the SVM both artifact forms carry, or an
+// error naming what m carries instead.
+func svmOf(m *Model) (*SVM, error) {
+	if m == nil || m.Classifier == nil {
+		return nil, errors.New("ml: nil model")
+	}
+	svm, ok := m.Classifier.(*SVM)
+	if !ok {
+		return nil, fmt.Errorf("ml: cannot serialize classifier kind %q: only svm models are serialized", m.Classifier.Name())
+	}
+	return svm, nil
 }
 
 // UnmarshalModel reconstructs a model from either artifact form: the JSON
-// that MarshalModel writes, or the binary form that EncodeArtifact writes
-// for an SVM, which it recognises by its magic.
+// that MarshalModel writes, or the binary form that EncodeArtifact writes,
+// which it recognises by its magic. A JSON envelope of a removed kind fails
+// with ErrKindRemoved.
 func UnmarshalModel(data []byte) (*Model, error) {
 	if len(data) >= 3 && string(data[:3]) == binaryMagic[:3] {
 		return decodeBinary(data)
@@ -364,6 +267,13 @@ func UnmarshalModel(data []byte) (*Model, error) {
 	var env modelJSON
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("ml: bad model JSON: %w", err)
+	}
+	switch env.Kind {
+	case "svm":
+	case "knn", "tree", "logistic", "ensemble":
+		return nil, fmt.Errorf("ml: %q %w", env.Kind, ErrKindRemoved)
+	default:
+		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
 	}
 	m := &Model{Scaler: env.Scaler, Meta: env.Meta}
 	if env.Compiled != nil {
@@ -375,50 +285,13 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		}
 		m.Compiled = env.Compiled
 	}
-	clf, err := classifierFromEnvelope(&env)
+	if env.SVM == nil {
+		return nil, fmt.Errorf("ml: svm model missing body")
+	}
+	svm, err := svmFromBody(env.SVM)
 	if err != nil {
 		return nil, err
 	}
-	m.Classifier = clf
+	m.Classifier = svm
 	return m, nil
-}
-
-// classifierFromEnvelope reconstructs the classifier named by env.Kind.
-func classifierFromEnvelope(env *modelJSON) (Classifier, error) {
-	switch env.Kind {
-	case "svm":
-		if env.SVM == nil {
-			return nil, fmt.Errorf("ml: svm model missing body")
-		}
-		return svmFromBody(env.SVM)
-	case "knn":
-		if env.KNN == nil {
-			return nil, fmt.Errorf("ml: knn model missing body")
-		}
-		knn := NewKNN(env.KNN.K)
-		knn.classes = env.KNN.Classes
-		train := env.KNN.Train
-		knn.train = &train
-		return knn, nil
-	case "tree":
-		if env.Tree == nil {
-			return nil, fmt.Errorf("ml: tree model missing body")
-		}
-		t := NewDecisionTree(env.Tree.MaxDepth, env.Tree.MinLeaf)
-		t.root = env.Tree.Root
-		t.classes = env.Tree.Classes
-		return t, nil
-	case "logistic":
-		if env.Logistic == nil {
-			return nil, fmt.Errorf("ml: logistic model missing body")
-		}
-		l := NewLogistic(env.Logistic.LR, env.Logistic.L2, env.Logistic.Iters)
-		l.W = env.Logistic.W
-		l.classes = env.Logistic.Classes
-		return l, nil
-	case "ensemble":
-		return nil, ErrEnsembleRemoved
-	default:
-		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
-	}
 }

@@ -7,9 +7,10 @@ import (
 	"math"
 )
 
-// Classifier is the interface Nitro's tuner programs against; the paper's
-// tuning script exposes the classifier as a pluggable option
-// (svm_classifier() by default).
+// Classifier is the interface the active learner, CrossValidate and the
+// distiller program against. The SVM is the only classifier a model
+// artifact carries (the paper's svm_classifier()); the distiller's
+// DecisionTree implements it too.
 type Classifier interface {
 	// Fit trains on the dataset. Feature scaling is the caller's concern.
 	Fit(ds *Dataset) error

@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// DecisionTree is a CART-style classification tree (Gini impurity, binary
-// axis-aligned splits), provided as an alternate classifier. It is the kind
-// of model an expert would hand-roll as "cutoff values for variant
-// selection", so it doubles as the manual-heuristic baseline in ablations.
+// DecisionTree is the distiller's CART: a classification tree (Gini
+// impurity, binary axis-aligned splits) that Distill fits on the SVM's own
+// labels and flattens into a Compiled program. It is not a model kind: no
+// artifact carries a tree.
 type DecisionTree struct {
 	MaxDepth       int
 	MinLeafSamples int
@@ -19,12 +19,11 @@ type DecisionTree struct {
 }
 
 type treeNode struct {
-	Feature   int       `json:"feature"`
-	Threshold float64   `json:"threshold"`
-	Left      *treeNode `json:"left,omitempty"`
-	Right     *treeNode `json:"right,omitempty"`
+	Feature     int
+	Threshold   float64
+	Left, Right *treeNode
 	// Counts holds per-class sample counts at leaves (aligned to classes).
-	Counts []float64 `json:"counts,omitempty"`
+	Counts []float64
 }
 
 // NewDecisionTree returns an untrained tree. Non-positive arguments select

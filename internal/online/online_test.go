@@ -61,7 +61,7 @@ func fixture(t *testing.T) (*core.Context, *core.CodeVariant[autotuner.Instance]
 		DefaultVariant: 0,
 		Train:          train,
 	}
-	model, _, err := autotuner.Train(train, autotuner.TrainOptions{Classifier: "svm", Seed: 1})
+	model, _, err := autotuner.Train(train, autotuner.TrainOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func testPolicy(seed int64) Policy {
 		MismatchThreshold: 0.5,
 		MinRetrainSamples: 40,
 		Retrain: autotuner.RetrainOptions{
-			TrainOptions: autotuner.TrainOptions{Classifier: "svm", Seed: 1},
+			TrainOptions: autotuner.TrainOptions{Seed: 1},
 		},
 		Seed:        seed,
 		Synchronous: true,
@@ -363,7 +363,10 @@ func TestCloseDetaches(t *testing.T) {
 
 // TestConcurrentAdaptationStress exercises the full loop under -race:
 // concurrent Call traffic (healthy then drifted), background (asynchronous)
-// retrains, and concurrent Stats/State/Events/Pause/Resume readers.
+// retrains, and concurrent Stats/State/Events/Pause/Resume readers. The
+// callers make their drifted calls only once the reader has resumed the
+// engine, so however the scheduler interleaves the goroutines, 400 calls
+// run while the engine admits.
 func TestConcurrentAdaptationStress(t *testing.T) {
 	_, cv, _ := fixture(t)
 	pol := testPolicy(42)
@@ -376,6 +379,7 @@ func TestConcurrentAdaptationStress(t *testing.T) {
 
 	healthy := genInstances(200, 31)
 	drifted := rotated(genInstances(400, 33))
+	resumed := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -385,6 +389,7 @@ func TestConcurrentAdaptationStress(t *testing.T) {
 			for _, in := range healthy[w*50 : (w+1)*50] {
 				cv.Call(in)
 			}
+			<-resumed
 			for _, in := range drifted[w*100 : (w+1)*100] {
 				cv.Call(in)
 			}
@@ -402,6 +407,7 @@ func TestConcurrentAdaptationStress(t *testing.T) {
 			}
 			if i == 60 {
 				eng.Resume()
+				close(resumed)
 			}
 		}
 	}()

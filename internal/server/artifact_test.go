@@ -59,9 +59,8 @@ func shapedArtifact(t *testing.T, features, compiledDim int, compiledClasses []i
 // TestPushRejectsShapeMismatch: an artifact whose scaler expects the wrong
 // feature count, whose compiled program reads a different width, or whose
 // compiled program names a variant the function lacks, is refused in
-// process and over HTTP (400). So is a JSON artifact whose classifier body
-// would make a call on the function's 2-feature vectors index past a
-// slice. Nothing is stored and the latest version stays put, before and
+// process and over HTTP (400). So is a JSON artifact whose SVM body would
+// make a call on the function's 2-feature vectors index past a slice. Nothing is stored and the latest version stays put, before and
 // after a first good version.
 func TestPushRejectsShapeMismatch(t *testing.T) {
 	dir := t.TempDir()
@@ -72,20 +71,12 @@ func TestPushRejectsShapeMismatch(t *testing.T) {
 		return []byte(`{"kind":"svm",` + scaler + `"svm":{"c":1,"kernel":{"kind":"linear"},"classes":[0,1],"svs":` + svs +
 			`,"pairs":[{"a":0,"b":1,"sv":[0,1],"coefs":[1,-1],"rho":0,"iters":1}]}}`)
 	}
-	logistic := func(w string) []byte {
-		return []byte(`{"kind":"logistic","logistic":{"lr":0.5,"l2":0,"iters":1,"w":` + w + `,"classes":[0,1]}}`)
-	}
 	bad := map[string][]byte{
-		"3-feature scaler":           shapedArtifact(t, 3, 0, nil),
-		"compiled class 9":           shapedArtifact(t, 2, 2, []int{9}),
-		"3-feature program":          shapedArtifact(t, 2, 3, []int{1}),
-		"scaler max narrower":        svm(`"scaler":{"min":[0,0],"max":[3]},`, `[[0,0],[1,1]]`),
-		"3-wide support vector":      svm(``, `[[0,0,0],[1,1]]`),
-		"3-wide knn row":             []byte(`{"kind":"knn","knn":{"k":1,"train":{"X":[[0,0,0],[1,1]],"Y":[0,1]},"classes":[0,1]}}`),
-		"empty logistic weight row":  logistic(`[[],[0,0,0]]`),
-		"3 logistic rows, 2 classes": logistic(`[[0,0,0],[0,0,0],[0,0,0]]`),
-		"tree testing feature 2": []byte(`{"kind":"tree","tree":{"max_depth":1,"min_leaf":1,"root":{"feature":2,"threshold":0,` +
-			`"left":{"counts":[1,0]},"right":{"counts":[0,1]}},"classes":[0,1]}}`),
+		"3-feature scaler":      shapedArtifact(t, 3, 0, nil),
+		"compiled class 9":      shapedArtifact(t, 2, 2, []int{9}),
+		"3-feature program":     shapedArtifact(t, 2, 3, []int{1}),
+		"scaler max narrower":   svm(`"scaler":{"min":[0,0],"max":[3]},`, `[[0,0],[1,1]]`),
+		"3-wide support vector": svm(``, `[[0,0,0],[1,1]]`),
 	}
 	stored := func() int {
 		files, err := filepath.Glob(filepath.Join(dir, "acme", spec.Name, "v*.model"))

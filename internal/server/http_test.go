@@ -121,10 +121,11 @@ func boundaryArtifact(t *testing.T, boundary float64) []byte {
 	return data
 }
 
-// ensembleArtifact wraps boundaryArtifact's SVM, in its JSON form, as the
-// only member of an "ensemble" envelope, the form older releases wrote for
-// the removed committee classifier.
-func ensembleArtifact(t *testing.T) []byte {
+// removedKindArtifacts returns, by kind, a 1-feature 2-class artifact of
+// each removed model kind in the JSON form older releases wrote: a kNN, a
+// tree and a logistic model splitting at 4.5, and an "ensemble" envelope
+// whose only member is boundaryArtifact's SVM in its JSON form.
+func removedKindArtifacts(t *testing.T) map[string][]byte {
 	t.Helper()
 	svm, err := ml.UnmarshalModel(boundaryArtifact(t, 4.5))
 	if err != nil {
@@ -134,13 +135,19 @@ func ensembleArtifact(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(map[string]any{"kind": "ensemble", "ensemble": map[string]any{
+	ensemble, err := json.Marshal(map[string]any{"kind": "ensemble", "ensemble": map[string]any{
 		"classes": []int{0, 1}, "weights": []float64{1},
 		"members": []json.RawMessage{member}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return map[string][]byte{
+		"ensemble": ensemble,
+		"knn":      []byte(`{"kind":"knn","knn":{"k":1,"train":{"X":[[0],[9]],"Y":[0,1]},"classes":[0,1]}}`),
+		"tree": []byte(`{"kind":"tree","tree":{"max_depth":1,"min_leaf":1,"root":{"feature":0,"threshold":4.5,` +
+			`"left":{"counts":[1,0]},"right":{"counts":[0,1]}},"classes":[0,1]}}`),
+		"logistic": []byte(`{"kind":"logistic","logistic":{"lr":0.5,"l2":0,"iters":1,"w":[[-1,4.5],[1,-4.5]],"classes":[0,1]}}`),
+	}
 }
 
 func TestAuthAndTenantIsolation(t *testing.T) {
@@ -239,11 +246,13 @@ func TestModelPullPushPreconditions(t *testing.T) {
 	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5),
 		map[string]string{"If-Match": `"sha256-stale"`}), http.StatusPreconditionFailed)
 	mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", []byte("not a model"), nil), http.StatusBadRequest)
-	// So is an artifact of the removed committee kind, with an error that
-	// names the removal; the canary below is still v2, so it stored nothing.
-	body := mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", ensembleArtifact(t), nil), http.StatusBadRequest)
-	if !strings.Contains(string(body), "removed") {
-		t.Errorf("ensemble artifact rejection %q does not name the removal", body)
+	// So is an artifact of a removed kind, with an error that names the kind
+	// and the removal; the canary below is still v2, so none stored anything.
+	for kind, data := range removedKindArtifacts(t) {
+		body := mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", data, nil), http.StatusBadRequest)
+		if !strings.Contains(string(body), "removed") || !strings.Contains(string(body), kind) {
+			t.Errorf("%s artifact rejection %q does not name the kind and the removal", kind, body)
+		}
 	}
 	data = mustStatus(t, req(t, hs, "PUT", "/api/v1/functions/sort/model", "tok-acme", boundaryArtifact(t, 6.5),
 		map[string]string{"If-Match": etag}), http.StatusCreated)

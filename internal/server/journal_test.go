@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"nitro/internal/ml"
 	"nitro/internal/online"
 )
 
@@ -526,23 +527,27 @@ func TestJournalIgnoresTornTempFiles(t *testing.T) {
 }
 
 // TestJournalEnsembleArtifactFailsStart: a data dir holding an artifact of
-// the removed committee kind fails NewRegistry with the file's name rather
-// than starting without that version.
+// a removed kind (the committee's "ensemble", "knn", "tree" or "logistic")
+// fails NewRegistry with the file's name rather than starting without that
+// version.
 func TestJournalEnsembleArtifactFailsStart(t *testing.T) {
-	dir := t.TempDir()
-	r := newJournalRegistry(t, dir, nil)
-	if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 4.5), ""); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if err := os.WriteFile(filepath.Join(dir, "acme", "sort", "v000002.model"), ensembleArtifact(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := NewRegistry(RegistryConfig{Tenants: testTenants(), DataDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "v000002.model") || !strings.Contains(err.Error(), "removed") {
-		t.Fatalf("NewRegistry over an ensemble artifact: %v, want an error naming the file and the removal", err)
+	for kind, data := range removedKindArtifacts(t) {
+		dir := t.TempDir()
+		r := newJournalRegistry(t, dir, nil)
+		if err := r.RegisterFunction(context.Background(), "acme", testSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.PushModel(context.Background(), "acme", "sort", boundaryArtifact(t, 4.5), ""); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if err := os.WriteFile(filepath.Join(dir, "acme", "sort", "v000002.model"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewRegistry(RegistryConfig{Tenants: testTenants(), DataDir: dir})
+		if err == nil || !strings.Contains(err.Error(), "v000002.model") || !strings.Contains(err.Error(), "removed") ||
+			!errors.Is(err, ml.ErrKindRemoved) {
+			t.Fatalf("NewRegistry over a %s artifact: %v, want the removed-kind error naming the file", kind, err)
+		}
 	}
 }

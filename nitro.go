@@ -185,8 +185,8 @@ func WrapFault[In any](fn VariantFn[In], cfg FaultConfig) VariantFn[In] {
 	return core.WrapFault(fn, cfg)
 }
 
-// TrainOptions configures the offline tuner's classifier ("svm", "knn",
-// "tree" or "logistic") and the cross-validated grid search.
+// TrainOptions configures the offline tuner's classifier, the paper's RBF
+// C-SVC, and its cross-validated grid search.
 type TrainOptions = autotuner.TrainOptions
 
 // Autotuner drives the offline pipeline for one code variant: exhaustive

@@ -49,7 +49,7 @@ func toyInputs() []toy {
 // reload, adaptively dispatch.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	cv := buildToy(t, nitro.DefaultPolicy("toy"))
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true})
 	rep, err := tuner.Tune(toyInputs())
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cv.AddInputFeature(nitro.Feature[toy]{Name: "x", Eval: func(in toy) float64 { return in.x }})
-	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", Seed: 1})
+	tuner := nitro.NewAutotuner(cv, nitro.TrainOptions{Seed: 1})
 	if _, err := tuner.Tune(toyInputs()); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPublicAPIOnlineAdaptation(t *testing.T) {
 		Window:            10,
 		MismatchThreshold: 0.5,
 		MinRetrainSamples: 20,
-		Retrain:           autotuner.RetrainOptions{TrainOptions: nitro.TrainOptions{Classifier: "svm", Seed: 1}},
+		Retrain:           autotuner.RetrainOptions{TrainOptions: nitro.TrainOptions{Seed: 1}},
 		Seed:              7,
 		Synchronous:       true,
 	}

@@ -18,7 +18,7 @@ import (
 func tunedToy(t testing.TB) *nitro.CodeVariant[toy] {
 	t.Helper()
 	cv := buildToy(t, nitro.DefaultPolicy("toy"))
-	if _, err := nitro.NewAutotuner(cv, nitro.TrainOptions{Classifier: "svm", GridSearch: true}).Tune(toyInputs()); err != nil {
+	if _, err := nitro.NewAutotuner(cv, nitro.TrainOptions{GridSearch: true}).Tune(toyInputs()); err != nil {
 		t.Fatal(err)
 	}
 	return cv
