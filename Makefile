@@ -154,46 +154,36 @@ metrics-smoke:
 	echo "metrics smoke ok: $$(grep -F 'metrics exposition valid: ' "$$tmp/run.txt")" && \
 	$(GO) test -run 'TestServeScrape|TestPublicAPIMetricsEndpoint|TestRunSpecMetricsEndpointLiveScrape' ./internal/obs/ ./cmd/nitro-tune/ .
 
-# Registry-daemon smoke: nitro-server's built-in self-test drives an
-# ephemeral daemon end to end over real HTTP — register a function, push
-# an observation corpus (a binary frame from the client and a plain JSON
-# batch, both of which the registry must count), queue a tuning job,
-# pull the versioned artifact
-# (verifying the content-addressed ETag and the 304 revalidation path),
-# validate the /metrics exposition, and shut down gracefully; the binary
-# exits non-zero on any failure. The Go tests then cover the full API
-# surface (auth/tenant isolation, preconditions, quotas, -race publish
-# stress) and the two-client canary-rollout e2e.
+# Registry-daemon smoke: the internal/server and internal/server/client
+# suites under the race detector. They drive a daemon over real HTTP:
+# auth and tenant isolation, pull preconditions (the content-addressed
+# ETag and the 304 revalidation path), quotas, a -race publish stress, the
+# tune job flow with a linted /metrics scrape counting its traffic, and the
+# two-client canary-rollout e2e, whose tuned artifact must carry a compiled
+# program.
 server-smoke:
-	$(GO) run ./cmd/nitro-server -smoke
 	$(GO) test -race ./internal/server/...
 
-# Crash-and-chaos smoke: nitro-server's seeded kill-restart-resume
-# lifecycle — stage a canary, crash with no drain, restart over the same
-# data dir, assert the journal resumed the canary at its recorded counts,
-# then promote it through a fault-injecting transport (drops, 5xx bursts,
-# mid-body resets) with zero dropped client calls. The binary runs the
-# whole lifecycle TWICE and diffs the transcripts byte for byte, so any
-# nondeterminism in the recovery path fails the target. The Go test then
-# re-runs the richer kill-restart e2e (partition/heal, breaker reopen)
-# under -race.
+# Crash-and-chaos smoke: the seeded kill-restart-resume lifecycle — stage
+# a canary, crash with no drain, restart over the same data dir, assert the
+# journal resumed the canary at its recorded counts, promote it through a
+# fault-injecting transport (drops, 5xx bursts, mid-body resets) with zero
+# dropped client calls, then ride out a partition. The test runs the whole
+# lifecycle TWICE and diffs the transcripts byte for byte, so any
+# nondeterminism in the recovery path fails the target. The journal tests
+# run beside it.
 chaos-smoke:
-	$(GO) run ./cmd/nitro-server -smoke-chaos
 	$(GO) test -race -run 'TestChaosKillRestartResumePromote|TestJournal' ./internal/server/...
 
-# Correlated-tracing smoke: nitro-server's trace self-test drives an
-# ephemeral daemon through a full canary lifecycle under ONE injected
-# X-Nitro-Trace-Id and asserts the id is recoverable from every
-# observability surface — the structured slog stream (register -> push ->
-# canary start -> report -> promote, each stamped with the id), the
-# journal WAL bytes on disk, the /debug/flight ring (scraped twice and
-# byte-compared: wall-clock-free and side-effect-free), and the settled
-# deployment's last_decision_trace. The Go tests then re-run the richer
-# crash-correlation e2e (kill mid-canary, restart, the resumed episode and
-# its verdict still carry the id) and the double-run determinism suite
-# under -race.
+# Correlated-tracing smoke: one injected X-Nitro-Trace-Id must be
+# recoverable from every observability surface of a canary lifecycle that
+# crashes and restarts mid-canary — the structured slog stream (register ->
+# push -> canary start -> report -> promote, each stamped with the id), the
+# journal WAL bytes on disk, the resumed episode, the settled deployment's
+# last_decision_trace and the /debug/flight ring (scraped twice and
+# byte-compared: wall-clock-free and side-effect-free) — plus the
+# double-run determinism suite.
 trace-smoke:
-	$(GO) run ./cmd/nitro-server -smoke-trace
 	$(GO) test -race -run 'TestTraceSurvivesKillRestart|TestObservabilityDoubleRunDeterminism|TestTraceHeaderEchoAndSanitize|TestFlightEndpoint|TestPullVersionHeaderOn200And304' ./internal/server/...
 
 # Benchmark build check: perfbench/ is its own module (replace nitro => ../),

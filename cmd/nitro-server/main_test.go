@@ -49,35 +49,3 @@ func TestLoadTenants(t *testing.T) {
 		}
 	}
 }
-
-// TestSmoke runs the binary's built-in end-to-end self-test in-process.
-func TestSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end smoke in -short mode")
-	}
-	if err := runSmoke(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestChaosSmoke runs the -smoke-chaos self-test in-process: the seeded
-// kill-restart-resume lifecycle, twice, with the transcripts diffed.
-func TestChaosSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos smoke in -short mode")
-	}
-	if err := runChaosSmoke(42); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTraceSmoke runs the -smoke-trace self-test in-process: one trace id
-// recovered from every observability surface of a canary lifecycle.
-func TestTraceSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace smoke in -short mode")
-	}
-	if err := runTraceSmoke(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -18,7 +18,6 @@
 //	  "benchmark":  "SpMV",
 //	  "classifier": "svm",
 //	  "grid_search": true,
-//	  "incremental": {"iterations": 25},
 //	  "scale": 0.5,
 //	  "seed": 42,
 //	  "model_out": "spmv.model.json",
@@ -187,6 +186,9 @@ func validateSpec(spec Spec) error {
 		return bad("cross_validate %d must be 0 (off) or >= 2 folds", spec.CrossValidate)
 	}
 	if inc := spec.Incremental; inc != nil {
+		if spec.GridSearch {
+			return bad("grid_search and incremental cannot be combined: incremental tuning refits the default SVM and runs no grid search")
+		}
 		if inc.Iterations < 0 {
 			return bad("incremental.iterations %d must be >= 0", inc.Iterations)
 		}

@@ -268,6 +268,13 @@ func TestValidateSpecTable(t *testing.T) {
 				TargetAccuracy float64 `json:"target_accuracy"`
 			}{Iterations: 5, TargetAccuracy: 2}
 		}), false},
+		{"incremental with grid search", mut(func(s *Spec) {
+			s.GridSearch = true
+			s.Incremental = &struct {
+				Iterations     int     `json:"iterations"`
+				TargetAccuracy float64 `json:"target_accuracy"`
+			}{Iterations: 5}
+		}), false},
 		{"inject faults without throughput", mut(func(s *Spec) { s.InjectFaults = "variant=Merge,panic=0.1" }), false},
 		{"inject faults with throughput", mut(func(s *Spec) {
 			s.Throughput = 10

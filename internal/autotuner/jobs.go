@@ -27,15 +27,14 @@ import (
 type JobState string
 
 const (
-	JobQueued   JobState = "queued"
-	JobRunning  JobState = "running"
-	JobDone     JobState = "done"
-	JobFailed   JobState = "failed"
-	JobCanceled JobState = "canceled"
+	JobQueued  JobState = "queued"
+	JobRunning JobState = "running"
+	JobDone    JobState = "done"
+	JobFailed  JobState = "failed"
 )
 
 // Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed || s == JobCanceled }
+func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 
 // TuneJob describes one training request.
 type TuneJob struct {
@@ -93,36 +92,31 @@ var (
 	// ErrOwnerThrottled is returned by Submit when the owner already holds
 	// its fair share of the queue.
 	ErrOwnerThrottled = errors.New("autotuner: owner at fair-share job limit")
-	// ErrNotCancelable is returned by Cancel for a job that already started
-	// running (or finished) — only queued jobs can be withdrawn.
-	ErrNotCancelable = errors.New("autotuner: job is not cancelable")
 )
 
 // JobQueue runs tuning jobs on a fixed worker pool with a bounded backlog.
 type JobQueue struct {
 	mu       sync.Mutex
 	jobs     map[string]*JobStatus
-	order    []string
-	ch       chan string
+	ch       chan queuedJob
 	closed   bool
 	next     int64
 	capacity int
 	wg       sync.WaitGroup
 	log      *trace.Log // nil-safe; lifecycle events only
+}
 
-	pending map[string]TuneJob
+// queuedJob is one backlog entry: the job and the id Submit gave it.
+type queuedJob struct {
+	id  string
+	job TuneJob
 }
 
 // NewJobQueue starts a queue with the given worker count (min 1) and
-// backlog capacity (min 1).
-func NewJobQueue(workers, capacity int) *JobQueue {
-	return NewJobQueueObs(workers, capacity, nil)
-}
-
-// NewJobQueueObs is NewJobQueue with a structured event log: job
-// start/done/failed/canceled transitions are emitted with the submitting
-// request's trace id. A nil log disables the events.
-func NewJobQueueObs(workers, capacity int, log *trace.Log) *JobQueue {
+// backlog capacity (min 1). Job queued/start/done/failed transitions are
+// emitted on log with the submitting request's trace id; a nil log
+// disables the events.
+func NewJobQueue(workers, capacity int, log *trace.Log) *JobQueue {
 	if workers < 1 {
 		workers = 1
 	}
@@ -131,8 +125,7 @@ func NewJobQueueObs(workers, capacity int, log *trace.Log) *JobQueue {
 	}
 	q := &JobQueue{
 		jobs:     make(map[string]*JobStatus),
-		pending:  make(map[string]TuneJob),
-		ch:       make(chan string, capacity),
+		ch:       make(chan queuedJob, capacity),
 		capacity: capacity,
 		log:      log,
 	}
@@ -188,7 +181,7 @@ func (q *JobQueue) Submit(job TuneJob) (string, error) {
 	q.next++
 	id := fmt.Sprintf("job-%d", q.next)
 	select {
-	case q.ch <- id:
+	case q.ch <- queuedJob{id: id, job: job}:
 	default:
 		q.next--
 		q.mu.Unlock()
@@ -196,43 +189,10 @@ func (q *JobQueue) Submit(job TuneJob) (string, error) {
 	}
 	q.jobs[id] = &JobStatus{ID: id, Function: job.Function, Owner: job.Owner,
 		State: JobQueued, Trace: trace.From(job.Ctx)}
-	q.order = append(q.order, id)
-	q.pending[id] = job
 	q.mu.Unlock()
 	q.log.Event(job.Ctx, "autotuner", "job.queued",
 		trace.F("job", id), trace.F("fn", job.Function), trace.F("owner", job.Owner))
 	return id, nil
-}
-
-// Cancel withdraws a queued job: its state becomes JobCanceled and its
-// Done callback (when set) fires with the terminal status, exactly as a
-// worker would have. A job that a worker already picked up (or that
-// finished) returns ErrNotCancelable; an unknown id returns an error.
-func (q *JobQueue) Cancel(id string) error {
-	q.mu.Lock()
-	st, ok := q.jobs[id]
-	if !ok {
-		q.mu.Unlock()
-		return fmt.Errorf("autotuner: unknown job %q", id)
-	}
-	job, queued := q.pending[id]
-	if !queued {
-		state := st.State // a worker rewrites *st under q.mu
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %q is %s", ErrNotCancelable, id, state)
-	}
-	delete(q.pending, id)
-	st.State = JobCanceled
-	final := *st
-	q.mu.Unlock()
-	// Same ordering contract as the worker: the terminal state is visible
-	// through Status before Done observes it.
-	q.log.Event(job.Ctx, "autotuner", "job.canceled",
-		trace.F("job", id), trace.F("fn", job.Function))
-	if job.Done != nil {
-		job.Done(final)
-	}
-	return nil
 }
 
 // Status returns a snapshot of the job, or false for an unknown id.
@@ -244,30 +204,6 @@ func (q *JobQueue) Status(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return *st, true
-}
-
-// Pending counts jobs that have not reached a terminal state.
-func (q *JobQueue) Pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, st := range q.jobs {
-		if !st.State.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// Statuses snapshots every job in submission order.
-func (q *JobQueue) Statuses() []JobStatus {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]JobStatus, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, *q.jobs[id])
-	}
-	return out
 }
 
 // Close stops accepting submissions, drains queued jobs, and waits for the
@@ -286,14 +222,9 @@ func (q *JobQueue) Close() {
 
 func (q *JobQueue) worker() {
 	defer q.wg.Done()
-	for id := range q.ch {
+	for item := range q.ch {
+		id, job := item.id, item.job
 		q.mu.Lock()
-		job, ok := q.pending[id]
-		if !ok {
-			q.mu.Unlock()
-			continue
-		}
-		delete(q.pending, id)
 		q.jobs[id].State = JobRunning
 		q.mu.Unlock()
 

@@ -3,7 +3,6 @@ package autotuner
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,17 +23,23 @@ func jobInstances(n int) []Instance {
 }
 
 // TestJobQueueRunsJob: a submitted job trains a model stamped BaseVersion+1
-// with zero CreatedAt, distills it, and reports done.
+// with zero CreatedAt, distills it, and reports done; Done runs only once
+// Status shows the terminal state.
 func TestJobQueueRunsJob(t *testing.T) {
-	q := NewJobQueue(2, 4)
+	q := NewJobQueue(2, 4, nil)
 	defer q.Close()
 
 	done := make(chan JobStatus, 1)
+	seen := make(chan JobStatus, 1)
 	id, err := q.Submit(TuneJob{
 		Function:    "f",
 		Instances:   jobInstances(12),
 		BaseVersion: 4,
-		Done:        func(st JobStatus) { done <- st },
+		Done: func(st JobStatus) {
+			got, _ := q.Status(st.ID)
+			seen <- got
+			done <- st
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +52,9 @@ func TestJobQueueRunsJob(t *testing.T) {
 	}
 	if st.State != JobDone || st.Model == nil || st.Version != 5 {
 		t.Fatalf("status = %+v, want done at version 5", st)
+	}
+	if got := <-seen; got.State != JobDone {
+		t.Fatalf("Status inside Done = %+v, want the terminal state", got)
 	}
 	if !st.Model.Meta.CreatedAt.IsZero() {
 		t.Fatal("server-trained model has a wall-clock timestamp; artifacts must stay deterministic")
@@ -65,7 +73,7 @@ func TestJobQueueRunsJob(t *testing.T) {
 // TestJobQueueFailure: an untrainable corpus yields JobFailed with an error
 // message, not a panic or a silent success.
 func TestJobQueueFailure(t *testing.T) {
-	q := NewJobQueue(1, 1)
+	q := NewJobQueue(1, 1, nil)
 	defer q.Close()
 	done := make(chan JobStatus, 1)
 	if _, err := q.Submit(TuneJob{Function: "f", Done: func(st JobStatus) { done <- st }}); err != nil {
@@ -80,7 +88,7 @@ func TestJobQueueFailure(t *testing.T) {
 // TestJobQueueBacklogBound: submissions beyond capacity fail fast with
 // ErrQueueFull while a worker is wedged.
 func TestJobQueueBacklogBound(t *testing.T) {
-	q := NewJobQueue(1, 1)
+	q := NewJobQueue(1, 1, nil)
 	defer q.Close()
 
 	gate := make(chan struct{})
@@ -92,21 +100,26 @@ func TestJobQueueBacklogBound(t *testing.T) {
 		blocked <- struct{}{}
 		<-gate
 	}}
-	if _, err := q.Submit(first); err != nil {
+	wedged, err := q.Submit(first)
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-blocked
 	// One more fits the backlog; the next must be rejected.
-	if _, err := q.Submit(TuneJob{Function: "q1", Instances: jobInstances(8)}); err != nil {
+	backlogged, err := q.Submit(TuneJob{Function: "q1", Instances: jobInstances(8)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Submit(TuneJob{Function: "q2", Instances: jobInstances(8)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: %v, want ErrQueueFull", err)
 	}
 	// The wedged job already reached a terminal state; the backlogged one is
-	// still pending.
-	if p := q.Pending(); p != 1 {
-		t.Fatalf("pending = %d, want 1", p)
+	// still queued.
+	if st, _ := q.Status(wedged); st.State != JobDone {
+		t.Fatalf("wedged job state = %s, want done", st.State)
+	}
+	if st, _ := q.Status(backlogged); st.State != JobQueued {
+		t.Fatalf("backlogged job state = %s, want queued", st.State)
 	}
 	once.Do(func() { close(gate) })
 }
@@ -114,11 +127,12 @@ func TestJobQueueBacklogBound(t *testing.T) {
 // TestJobQueueCloseDrains: Close waits for queued work and rejects later
 // submissions.
 func TestJobQueueCloseDrains(t *testing.T) {
-	q := NewJobQueue(2, 8)
+	q := NewJobQueue(2, 8, nil)
 	var mu sync.Mutex
 	finished := 0
+	var ids []string
 	for i := 0; i < 5; i++ {
-		_, err := q.Submit(TuneJob{Function: "f", Instances: jobInstances(10), Done: func(JobStatus) {
+		id, err := q.Submit(TuneJob{Function: "f", Instances: jobInstances(10), Done: func(JobStatus) {
 			mu.Lock()
 			finished++
 			mu.Unlock()
@@ -126,6 +140,7 @@ func TestJobQueueCloseDrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 	q.Close()
 	mu.Lock()
@@ -136,15 +151,18 @@ func TestJobQueueCloseDrains(t *testing.T) {
 	if _, err := q.Submit(TuneJob{}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("submit after close: %v, want ErrQueueClosed", err)
 	}
-	if got := q.Statuses(); len(got) != 5 {
-		t.Fatalf("statuses = %d entries, want 5", len(got))
+	for _, id := range ids {
+		if st, ok := q.Status(id); !ok || st.State != JobDone {
+			t.Fatalf("Status(%s) after Close = %+v, %v, want done", id, st, ok)
+		}
 	}
 }
 
 // TestJobQueueFairShare: with two owners competing, each may hold only its
-// capacity/owners share of non-terminal jobs; cancellation frees share.
+// capacity/owners share of non-terminal jobs; a job that finishes frees
+// share.
 func TestJobQueueFairShare(t *testing.T) {
-	q := NewJobQueue(1, 8)
+	q := NewJobQueue(1, 8, nil)
 	defer q.Close()
 
 	// Wedge the single worker on an ownerless job so submissions stay queued
@@ -162,13 +180,15 @@ func TestJobQueueFairShare(t *testing.T) {
 	<-blocked
 
 	// Sole owner: acme may fill up to the whole capacity.
-	var acmeIDs []string
+	firstDone := make(chan struct{})
 	for i := 0; i < 4; i++ {
-		id, err := q.Submit(TuneJob{Function: "f", Owner: "acme", Instances: jobInstances(8)})
-		if err != nil {
+		job := TuneJob{Function: "f", Owner: "acme", Instances: jobInstances(8)}
+		if i == 0 {
+			job.Done = func(JobStatus) { close(firstDone) }
+		}
+		if _, err := q.Submit(job); err != nil {
 			t.Fatalf("acme submit %d: %v", i, err)
 		}
-		acmeIDs = append(acmeIDs, id)
 	}
 
 	// A second owner halves the share: globex (holding 0) is admitted, but
@@ -180,125 +200,10 @@ func TestJobQueueFairShare(t *testing.T) {
 		t.Fatalf("over-share submit: %v, want ErrOwnerThrottled", err)
 	}
 
-	// Withdrawing one queued job releases share immediately.
-	if err := q.Cancel(acmeIDs[0]); err != nil {
-		t.Fatal(err)
-	}
+	// Once one of acme's jobs finishes, acme is back under its share.
+	once.Do(func() { close(gate) })
+	<-firstDone
 	if _, err := q.Submit(TuneJob{Function: "f", Owner: "acme", Instances: jobInstances(8)}); err != nil {
-		t.Fatalf("post-cancel submit: %v", err)
-	}
-	once.Do(func() { close(gate) })
-}
-
-// TestJobQueueCancel: only queued jobs can be withdrawn; the canceled
-// terminal state fires Done exactly as a worker would, and the worker later
-// skips the tombstone when it drains the channel.
-func TestJobQueueCancel(t *testing.T) {
-	q := NewJobQueue(1, 8)
-
-	gate := make(chan struct{})
-	var once sync.Once
-	defer once.Do(func() { close(gate) })
-	blocked := make(chan struct{}, 1)
-	wedgeID, err := q.Submit(TuneJob{Function: "wedge", Instances: jobInstances(8), Done: func(JobStatus) {
-		blocked <- struct{}{}
-		<-gate
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-blocked
-
-	done := make(chan JobStatus, 1)
-	id, err := q.Submit(TuneJob{Function: "victim", Owner: "acme", Instances: jobInstances(8), Done: func(st JobStatus) {
-		done <- st
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-	st := <-done
-	if st.State != JobCanceled || st.ID != id || st.Owner != "acme" {
-		t.Fatalf("canceled status = %+v", st)
-	}
-	if got, ok := q.Status(id); !ok || got.State != JobCanceled {
-		t.Fatalf("Status(%s) = %+v, %v, want canceled", id, got, ok)
-	}
-
-	// Already-terminal and unknown ids are rejected.
-	if err := q.Cancel(id); !errors.Is(err, ErrNotCancelable) {
-		t.Fatalf("double cancel: %v, want ErrNotCancelable", err)
-	}
-	if err := q.Cancel(wedgeID); !errors.Is(err, ErrNotCancelable) {
-		t.Fatalf("cancel of started job: %v, want ErrNotCancelable", err)
-	}
-	if err := q.Cancel("job-999"); err == nil || errors.Is(err, ErrNotCancelable) {
-		t.Fatalf("cancel of unknown job: %v, want a distinct error", err)
-	}
-
-	// The worker drains the tombstone without resurrecting it.
-	once.Do(func() { close(gate) })
-	q.Close()
-	if got, _ := q.Status(id); got.State != JobCanceled {
-		t.Fatalf("state after drain = %s, want canceled", got.State)
-	}
-}
-
-// TestJobQueueCancelRace: under concurrent cancellation, every job fires
-// Done exactly once, and the terminal state is visible through Status
-// before the callback runs — whether a worker or Cancel got there first.
-func TestJobQueueCancelRace(t *testing.T) {
-	q := NewJobQueue(2, 32)
-
-	const jobs = 16
-	var fired atomic.Int64
-	var violations atomic.Int64
-	ids := make(chan string, jobs)
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for i := 0; i < jobs; i++ {
-		id, err := q.Submit(TuneJob{Function: "f", Owner: "", Instances: jobInstances(8), Done: func(st JobStatus) {
-			defer wg.Done()
-			fired.Add(1)
-			if got, ok := q.Status(st.ID); !ok || !got.State.Terminal() {
-				violations.Add(1)
-			}
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids <- id
-	}
-	close(ids)
-
-	// Race the workers for every pending entry; losers get ErrNotCancelable.
-	var cancelWG sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		cancelWG.Add(1)
-		go func() {
-			defer cancelWG.Done()
-			for id := range ids {
-				if err := q.Cancel(id); err != nil && !errors.Is(err, ErrNotCancelable) {
-					t.Errorf("cancel %s: %v", id, err)
-				}
-			}
-		}()
-	}
-	cancelWG.Wait()
-	wg.Wait()
-	q.Close()
-
-	if got := fired.Load(); got != jobs {
-		t.Fatalf("Done fired %d times, want exactly %d", got, jobs)
-	}
-	if got := violations.Load(); got != 0 {
-		t.Fatalf("%d callbacks observed a non-terminal Status", got)
-	}
-	for _, st := range q.Statuses() {
-		if !st.State.Terminal() {
-			t.Fatalf("job %s left in state %s", st.ID, st.State)
-		}
+		t.Fatalf("submit after a job finished: %v", err)
 	}
 }

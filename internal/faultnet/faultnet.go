@@ -3,18 +3,16 @@
 // variant harness proves the dispatch runtime degrades gracefully when
 // *code* misbehaves, faultnet proves the registry protocol degrades
 // gracefully when the *network* misbehaves — dropped requests, injected
-// latency, connections reset mid-body, 5xx bursts (with or without a
-// Retry-After hint), full partitions, and corrupted response bytes.
+// latency, connections reset mid-body, 5xx bursts and full partitions.
 //
 // All randomness comes from one mutex-guarded seeded PCG stream, so a
 // serial driver with a fixed seed replays the exact same fault sequence on
-// every run. The chaos smoke (`nitro-server -smoke-chaos`) depends on this:
-// it runs the whole kill-restart-resume lifecycle twice and diffs the
-// transcripts byte for byte.
+// every run. The registry client's chaos e2e
+// (TestChaosKillRestartResumePromote) depends on this: it runs the whole
+// kill-restart-resume lifecycle twice and diffs the transcripts byte for
+// byte.
 //
-// Transport wraps an http.RoundTripper (the client side of the wire);
-// WrapListener wraps a net.Listener (the server side), aborting a seeded
-// fraction of accepted connections before a single byte is served.
+// Transport wraps an http.RoundTripper, the client side of the wire.
 package faultnet
 
 import (
@@ -22,11 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +53,6 @@ type Policy struct {
 	Rate5xx float64
 	// BurstLen is the length of a 503 burst (default 1: isolated errors).
 	BurstLen int
-	// RetryAfter, when > 0, is advertised (rounded up to whole seconds) in
-	// a Retry-After header on every synthetic 503.
-	RetryAfter time.Duration
-	// CorruptRate is the probability a successful response body has one
-	// byte flipped in flight (exercises ETag verification on pulls).
-	CorruptRate float64
 	// ResetRate is the probability the response body is severed partway
 	// through the read (connection reset mid-transfer).
 	ResetRate float64
@@ -77,7 +67,6 @@ type Stats struct {
 	Requests    int64
 	Drops       int64
 	Faults5xx   int64
-	Corruptions int64
 	Resets      int64
 	Delays      int64
 	Partitioned int64
@@ -85,8 +74,8 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("requests=%d drops=%d 5xx=%d corrupt=%d resets=%d delays=%d partitioned=%d passed=%d",
-		s.Requests, s.Drops, s.Faults5xx, s.Corruptions, s.Resets, s.Delays, s.Partitioned, s.Passed)
+	return fmt.Sprintf("requests=%d drops=%d 5xx=%d resets=%d delays=%d partitioned=%d passed=%d",
+		s.Requests, s.Drops, s.Faults5xx, s.Resets, s.Delays, s.Partitioned, s.Passed)
 }
 
 // Transport is a chaos-injecting http.RoundTripper. Safe for concurrent
@@ -102,14 +91,13 @@ type Transport struct {
 
 	partitioned atomic.Bool
 
-	requests    atomic.Int64
-	drops       atomic.Int64
-	faults5xx   atomic.Int64
-	corruptions atomic.Int64
-	resets      atomic.Int64
-	delays      atomic.Int64
-	partDrops   atomic.Int64
-	passed      atomic.Int64
+	requests  atomic.Int64
+	drops     atomic.Int64
+	faults5xx atomic.Int64
+	resets    atomic.Int64
+	delays    atomic.Int64
+	partDrops atomic.Int64
+	passed    atomic.Int64
 }
 
 // New wraps inner (nil: http.DefaultTransport) with fault injection.
@@ -144,7 +132,6 @@ func (t *Transport) Stats() Stats {
 		Requests:    t.requests.Load(),
 		Drops:       t.drops.Load(),
 		Faults5xx:   t.faults5xx.Load(),
-		Corruptions: t.corruptions.Load(),
 		Resets:      t.resets.Load(),
 		Delays:      t.delays.Load(),
 		Partitioned: t.partDrops.Load(),
@@ -159,7 +146,6 @@ const (
 	faultNone faultKind = iota
 	faultDrop
 	fault5xx
-	faultCorrupt
 	faultReset
 	faultDelay
 )
@@ -175,7 +161,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	t.mu.Lock()
 	kind := faultNone
-	corruptDraw := 0.0
 	if t.burstLeft > 0 {
 		t.burstLeft--
 		kind = fault5xx
@@ -188,12 +173,9 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		case p < pol.DropRate+pol.Rate5xx:
 			kind = fault5xx
 			t.burstLeft = pol.BurstLen - 1
-		case p < pol.DropRate+pol.Rate5xx+pol.CorruptRate:
-			kind = faultCorrupt
-			corruptDraw = t.rng.Float64()
-		case p < pol.DropRate+pol.Rate5xx+pol.CorruptRate+pol.ResetRate:
+		case p < pol.DropRate+pol.Rate5xx+pol.ResetRate:
 			kind = faultReset
-		case p < pol.DropRate+pol.Rate5xx+pol.CorruptRate+pol.ResetRate+pol.DelayRate:
+		case p < pol.DropRate+pol.Rate5xx+pol.ResetRate+pol.DelayRate:
 			kind = faultDelay
 		}
 	}
@@ -205,7 +187,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &net.OpError{Op: "write", Net: "tcp", Err: fmt.Errorf("%w: dropped request", ErrInjected)}
 	case fault5xx:
 		t.faults5xx.Add(1)
-		return t.synth503(req), nil
+		return synth503(req), nil
 	case faultDelay:
 		t.delays.Add(1)
 		time.Sleep(t.pol.Delay)
@@ -215,11 +197,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return resp, err
 	}
-	switch kind {
-	case faultCorrupt:
-		t.corruptions.Add(1)
-		return corruptResponse(resp, corruptDraw)
-	case faultReset:
+	if kind == faultReset {
 		t.resets.Add(1)
 		resp.Body = &resettingBody{inner: resp.Body, remaining: resetAfterBytes(resp.ContentLength)}
 		return resp, nil
@@ -229,14 +207,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // synth503 fabricates a Service Unavailable response without contacting
-// the server, carrying the policy's Retry-After hint.
-func (t *Transport) synth503(req *http.Request) *http.Response {
+// the server.
+func synth503(req *http.Request) *http.Response {
 	h := http.Header{}
 	h.Set("Content-Type", "application/json; charset=utf-8")
-	if t.pol.RetryAfter > 0 {
-		secs := int64(math.Ceil(t.pol.RetryAfter.Seconds()))
-		h.Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
 	body := `{"error":"faultnet: injected 503 burst"}`
 	return &http.Response{
 		Status:        "503 Service Unavailable",
@@ -249,22 +223,6 @@ func (t *Transport) synth503(req *http.Request) *http.Response {
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
-}
-
-// corruptResponse reads the full body and flips one byte at a
-// draw-determined offset. An empty body passes through unchanged.
-func corruptResponse(resp *http.Response, draw float64) (*http.Response, error) {
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > 0 {
-		data[int(draw*float64(len(data)))%len(data)] ^= 0xFF
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(data))
-	resp.ContentLength = int64(len(data))
-	return resp, nil
 }
 
 // resetAfterBytes picks how much of a body survives before the injected
@@ -300,60 +258,3 @@ func (b *resettingBody) Read(p []byte) (int, error) {
 }
 
 func (b *resettingBody) Close() error { return b.inner.Close() }
-
-// ListenerPolicy configures server-side connection chaos.
-type ListenerPolicy struct {
-	// Seed seeds the abort RNG.
-	Seed int64
-	// AbortRate is the probability an accepted connection is closed
-	// immediately, before any bytes are served (the client observes a
-	// reset / EOF on an established connection).
-	AbortRate float64
-}
-
-// WrapListener wraps ln so a seeded fraction of accepted connections are
-// aborted at the wire. Pass the result to any HTTP server; aborted
-// connections never reach a handler.
-func WrapListener(ln net.Listener, pol ListenerPolicy) net.Listener {
-	return &chaosListener{
-		Listener: ln,
-		pol:      pol,
-		rng:      rand.New(rand.NewPCG(uint64(pol.Seed), 0x6c697374)), // "list"
-	}
-}
-
-type chaosListener struct {
-	net.Listener
-	pol ListenerPolicy
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	// Aborted counts connections killed at accept.
-	aborted atomic.Int64
-}
-
-func (l *chaosListener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		abort := l.rng.Float64() < l.pol.AbortRate
-		l.mu.Unlock()
-		if !abort {
-			return conn, nil
-		}
-		l.aborted.Add(1)
-		conn.Close()
-	}
-}
-
-// Aborted reports how many accepted connections the listener killed.
-func Aborted(ln net.Listener) int64 {
-	if cl, ok := ln.(*chaosListener); ok {
-		return cl.aborted.Load()
-	}
-	return 0
-}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -47,15 +45,13 @@ func outcome(t *testing.T, tr *Transport) string {
 		}
 		return "drop"
 	}
-	data, rerr := io.ReadAll(resp.Body)
+	_, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		return "503"
 	case rerr != nil:
 		return "reset"
-	case string(data) != "hello, fleet":
-		return "corrupt"
 	default:
 		return "pass"
 	}
@@ -64,12 +60,12 @@ func outcome(t *testing.T, tr *Transport) string {
 // TestSeededDeterminism: equal seeds replay the exact same fault sequence;
 // a different seed diverges.
 func TestSeededDeterminism(t *testing.T) {
-	pol := Policy{Seed: 7, DropRate: 0.2, Rate5xx: 0.2, CorruptRate: 0.15, ResetRate: 0.15, DelayRate: 0.1,
+	pol := Policy{Seed: 7, DropRate: 0.2, Rate5xx: 0.2, ResetRate: 0.15, DelayRate: 0.1,
 		Delay: time.Microsecond}
 	run := func(seed int64) []string {
-		tr := New(okTransport{body: "hello, fleet"}, Policy{Seed: seed, DropRate: pol.DropRate,
-			Rate5xx: pol.Rate5xx, CorruptRate: pol.CorruptRate, ResetRate: pol.ResetRate,
-			DelayRate: pol.DelayRate, Delay: pol.Delay})
+		p := pol
+		p.Seed = seed
+		tr := New(okTransport{body: "hello, fleet"}, p)
 		var out []string
 		for i := 0; i < 60; i++ {
 			out = append(out, outcome(t, tr))
@@ -88,17 +84,17 @@ func TestSeededDeterminism(t *testing.T) {
 	for _, k := range a {
 		kinds[k] = true
 	}
-	for _, want := range []string{"drop", "503", "corrupt", "reset", "pass"} {
+	for _, want := range []string{"drop", "503", "reset", "pass"} {
 		if !kinds[want] {
 			t.Fatalf("60-request run at these rates never produced %q: %v", want, a)
 		}
 	}
 }
 
-// Test503BurstAndRetryAfter: a 5xx draw yields BurstLen consecutive 503s,
-// each carrying the policy's Retry-After hint.
-func Test503BurstAndRetryAfter(t *testing.T) {
-	tr := New(okTransport{body: "x"}, Policy{Seed: 1, Rate5xx: 1, BurstLen: 3, RetryAfter: 1500 * time.Millisecond})
+// Test503Burst: a 5xx draw yields BurstLen consecutive 503s, none of which
+// reaches the server.
+func Test503Burst(t *testing.T) {
+	tr := New(okTransport{body: "x"}, Policy{Seed: 1, Rate5xx: 1, BurstLen: 3})
 	for i := 0; i < 6; i++ {
 		resp, err := tr.RoundTrip(mustReq(t))
 		if err != nil {
@@ -107,38 +103,10 @@ func Test503BurstAndRetryAfter(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status %d, want 503", i, resp.StatusCode)
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != "2" {
-			t.Fatalf("request %d: Retry-After %q, want \"2\" (1.5s rounded up)", i, ra)
-		}
 		resp.Body.Close()
 	}
 	if st := tr.Stats(); st.Faults5xx != 6 || st.Passed != 0 {
 		t.Fatalf("stats %v, want six 503s and no pass-throughs", st)
-	}
-}
-
-// TestCorruptionFlipsExactlyOneByte: corrupted bodies differ from the
-// original in exactly one position (so ETag checks must catch them).
-func TestCorruptionFlipsExactlyOneByte(t *testing.T) {
-	const body = "content-addressed artifact bytes"
-	tr := New(okTransport{body: body}, Policy{Seed: 3, CorruptRate: 1})
-	resp, err := tr.RoundTrip(mustReq(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs := 0
-	for i := range body {
-		if got[i] != body[i] {
-			diffs++
-		}
-	}
-	if len(got) != len(body) || diffs != 1 {
-		t.Fatalf("corruption changed %d bytes (len %d vs %d), want exactly 1", diffs, len(got), len(body))
 	}
 }
 
@@ -193,42 +161,4 @@ func TestPartition(t *testing.T) {
 	if st := chaotic.Stats(); st.Partitioned != 17 {
 		t.Fatalf("stats %v, want 17 partition drops", st)
 	}
-}
-
-// TestWrapListenerAbortsConnections: an abort-everything listener yields
-// client-visible connection failures; a zero-rate listener passes through.
-func TestWrapListenerAbortsConnections(t *testing.T) {
-	newServer := func(rate float64) (*httptest.Server, net.Listener) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped := WrapListener(ln, ListenerPolicy{Seed: 1, AbortRate: rate})
-		hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "served")
-		}))
-		hs.Listener.Close()
-		hs.Listener = wrapped
-		hs.Start()
-		return hs, wrapped
-	}
-
-	hs, ln := newServer(1)
-	defer hs.Close()
-	// Fresh connection per request so every attempt hits Accept.
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 2 * time.Second}
-	if _, err := client.Get(hs.URL); err == nil {
-		t.Fatal("request through an abort-everything listener succeeded")
-	}
-	if Aborted(ln) == 0 {
-		t.Fatal("listener reported no aborted connections")
-	}
-
-	ok, _ := newServer(0)
-	defer ok.Close()
-	resp, err := client.Get(ok.URL)
-	if err != nil {
-		t.Fatalf("zero-rate listener: %v", err)
-	}
-	resp.Body.Close()
 }

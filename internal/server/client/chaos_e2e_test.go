@@ -4,13 +4,17 @@ package client
 // clean-shutdown marker), restarted over the same data directory, and then
 // driven to promotion through a fault-injecting transport. The acceptance
 // bar is exact: the canary resumes at its recorded sample counts instead
-// of aborting, promotes through injected drops / 5xx bursts / resets /
-// partitions, and not one client call is dropped — every API call either
-// succeeds through retries or the test fails.
+// of aborting, promotes through injected drops / 5xx bursts / resets, and
+// not one client call is dropped — every API call either succeeds through
+// retries or the test fails. A poller then rides out a full partition. The
+// whole lifecycle runs twice with one seed and the two transcripts must
+// match byte for byte.
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,12 +63,33 @@ func chaosMember(t *testing.T, c *Client) (*core.CodeVariant[e2eInput], *Poller)
 	return cv, NewPoller(c, cx, chaosFn)
 }
 
+// TestChaosKillRestartResumePromote runs chaosLifecycle twice with one
+// seed. Every fault decision comes from one serial, seeded driver, so any
+// divergence between the transcripts means nondeterminism crept into the
+// crash-recovery path.
 func TestChaosKillRestartResumePromote(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e")
 	}
+	first := chaosLifecycle(t, 42)
+	if second := chaosLifecycle(t, 42); first != second {
+		t.Fatalf("transcripts diverge between identically seeded runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", first, second)
+	}
+	t.Logf("transcript, identical across 2 runs:\n%s", first)
+}
+
+// chaosLifecycle drives one seeded kill-restart-resume-promote pass and
+// returns its transcript. The transcript carries only deterministic facts
+// (versions, counters, decisions, the fault tally of the promotion) — no
+// addresses and no wall-clock. The partition phase runs after the tally is
+// taken: how often a poller retries through an open circuit breaker
+// depends on wall-clock time.
+func chaosLifecycle(t *testing.T, seed int64) string {
+	t.Helper()
 	ctx := context.Background()
 	dataDir := t.TempDir()
+	var b strings.Builder
+	logf := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 
 	startDaemon := func() *server.Daemon {
 		t.Helper()
@@ -103,9 +128,11 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Half the gate's samples are in when the daemon dies.
-	if dec, _, err := c1.ReportCanary(ctx, chaosFn, 2, "e2e", 20, 1); err != nil || dec != server.DecisionPending {
+	dec, dep, err := c1.ReportCanary(ctx, chaosFn, 2, "e2e", 20, 1)
+	if err != nil || dec != server.DecisionPending {
 		t.Fatalf("mid-canary report: (%q, %v), want pending", dec, err)
 	}
+	logf("staged: stable=v%d canary=v%d decision=%s", dep.Stable, dep.Canary.Version, dec)
 	d1.Kill()
 
 	// --- Phase 2: restart resumes the canary from the journal ------------
@@ -123,12 +150,13 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 	if !rec.Journal || rec.CleanShutdown || rec.ResumedCanaries != 1 || rec.CorruptTail != "" {
 		t.Fatalf("recovery after kill = %+v, want 1 resumed canary from an unclean journal", rec)
 	}
+	logf("recovery: replayed=%d resumed=%d dropped=%d", rec.RecordsReplayed, rec.ResumedCanaries, rec.DroppedRecords)
 
 	// Everything from here on flows through the chaos transport: drops,
 	// 5xx bursts, mid-body resets and injected latency — all seeded, all
 	// absorbed by the client's retry/backoff layer.
 	ft := faultnet.New(nil, faultnet.Policy{
-		Seed:      42,
+		Seed:      seed,
 		DropRate:  0.10,
 		Rate5xx:   0.10,
 		BurstLen:  2,
@@ -150,7 +178,7 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dep, err := c2.Deployment(ctx, chaosFn)
+	dep, err = c2.Deployment(ctx, chaosFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +188,48 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 	if dep.Canary.Calls != 20 || dep.Canary.Failures != 1 {
 		t.Fatalf("resumed canary counters %d/%d, want 20/1 from the journal", dep.Canary.Calls, dep.Canary.Failures)
 	}
+	logf("resumed: canary=v%d calls=%d failures=%d", dep.Canary.Version, dep.Canary.Calls, dep.Canary.Failures)
 
-	// --- Phase 3: a partitioned poller degrades, then reconciles ---------
+	// --- Phase 3: promote through chaos with zero dropped calls ----------
+
+	calls := 0
+	decision := server.DecisionPending
+	for decision == server.DecisionPending {
+		// Cumulative totals: 10 more clean calls per report past the 20
+		// reported before the crash.
+		calls++
+		dec, _, err := c2.ReportCanary(ctx, chaosFn, 2, "e2e", 20+10*int64(calls), 1)
+		if err != nil {
+			t.Fatalf("canary report %d dropped under chaos: %v", calls, err)
+		}
+		decision = dec
+		logf("report %d: decision=%s", calls, decision)
+		if calls > 20 {
+			t.Fatalf("canary did not settle after %d clean reports", calls)
+		}
+	}
+	if decision != server.DecisionPromoted {
+		t.Fatalf("canary decision %q, want promoted (resumed 20/1 + clean reports stay under the failure gate)", decision)
+	}
+	dep, err = c2.Deployment(ctx, chaosFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.Stable != 2 || dep.Canary != nil {
+		t.Fatalf("post-promotion deployment %+v, want stable v2, no canary", dep)
+	}
+	logf("promoted: stable=v%d canary=%v", dep.Stable, dep.Canary != nil)
+	st := ft.Stats()
+	if st.Drops+st.Faults5xx+st.Resets == 0 {
+		t.Fatalf("chaos run injected no faults (%v) — the test proved nothing", st)
+	}
+	logf("faultnet: %v", st)
+
+	// --- Phase 4: a partitioned poller degrades, then reconciles ---------
 
 	cv, p := chaosMember(t, c2)
-	if res, err := p.PollOnce(ctx); err != nil || !res.InstalledStable {
-		t.Fatalf("first poll: (%+v, %v), want stable installed", res, err)
+	if res, err := p.PollOnce(ctx); err != nil || !res.InstalledStable || res.StableVersion != 2 {
+		t.Fatalf("first poll: (%+v, %v), want stable v2 installed", res, err)
 	}
 	ft.Partition(true)
 	if _, err := p.PollOnce(ctx); err == nil {
@@ -196,39 +260,7 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 	if !res.Healed || p.Degraded() {
 		t.Fatalf("post-heal poll %+v (degraded=%v), want a recorded heal", res, p.Degraded())
 	}
-
-	// --- Phase 4: promote through chaos with zero dropped calls ----------
-
-	calls := 0
-	decision := server.DecisionPending
-	for decision == server.DecisionPending {
-		// Cumulative totals: 10 more clean calls per report past the 20
-		// reported before the crash.
-		calls++
-		dec, _, err := c2.ReportCanary(ctx, chaosFn, 2, "e2e", 20+10*int64(calls), 1)
-		if err != nil {
-			t.Fatalf("canary report %d dropped under chaos: %v", calls, err)
-		}
-		decision = dec
-		if calls > 20 {
-			t.Fatalf("canary did not settle after %d clean reports", calls)
-		}
-	}
-	if decision != server.DecisionPromoted {
-		t.Fatalf("canary decision %q, want promoted (resumed 20/1 + clean reports stay under the failure gate)", decision)
-	}
-	dep, err = c2.Deployment(ctx, chaosFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Stable != 2 || dep.Canary != nil {
-		t.Fatalf("post-promotion deployment %+v, want stable v2, no canary", dep)
-	}
-	st := ft.Stats()
-	if st.Drops+st.Faults5xx+st.Resets == 0 {
-		t.Fatalf("chaos run injected no faults (%v) — the test proved nothing", st)
-	}
-	if st.Partitioned == 0 {
+	if st := ft.Stats(); st.Partitioned == 0 {
 		t.Fatalf("partition phase injected nothing: %v", st)
 	}
 
@@ -250,9 +282,11 @@ func TestChaosKillRestartResumePromote(t *testing.T) {
 	if !rec.CleanShutdown || rec.ResumedCanaries != 0 {
 		t.Fatalf("recovery after graceful shutdown = %+v, want a clean marker and nothing to resume", rec)
 	}
+	logf("clean restart: clean_shutdown=%v resumed=%d", rec.CleanShutdown, rec.ResumedCanaries)
 	if dep, err := freshDeployment(ctx, t, d3); err != nil || dep.Stable != 2 {
 		t.Fatalf("post-restart deployment (%+v, %v), want stable v2", dep, err)
 	}
+	return b.String()
 }
 
 // freshDeployment reads the deployment through a plain client against d.

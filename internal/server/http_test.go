@@ -365,6 +365,24 @@ func TestTuneJobFlow(t *testing.T) {
 	if dep.Stable != 1 || dep.Canary != nil {
 		t.Fatalf("deployment = %+v, want stable v1, no canary", dep)
 	}
+
+	// A scrape after this traffic passes the lint and counts it. The
+	// deployment read above saw the install, which counts the finished tune
+	// under the same lock.
+	bodyOf(t, req(t, hs, "GET", "/api/v1/functions/sort/model", "tok-acme", nil, nil))
+	text := string(mustStatus(t, req(t, hs, "GET", "/metrics", "", nil, nil), http.StatusOK))
+	if err := obs.ValidatePrometheusText(text); err != nil {
+		t.Fatalf("metrics lint: %v\n%s", err, text)
+	}
+	for _, want := range []string{
+		"nitro_server_observations_total 40\n",
+		"nitro_server_tune_jobs_done_total 1\n",
+		"nitro_server_artifact_pulls_total 1\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
 }
 
 // TestPendingJobQuota wedges the single tune worker, fills the backlog with

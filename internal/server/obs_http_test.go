@@ -151,6 +151,9 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	found := false
 	for _, e := range dump.Events {
+		if e.Seq == 0 {
+			t.Fatalf("flight event without a seq: %s", first)
+		}
 		if e.Name == "function.register" {
 			found = true
 		}

@@ -201,8 +201,9 @@ type funcState struct {
 
 	detector  *online.FleetDetector
 	reservoir []autotuner.Observation
-	obsCount  int64
-	obsSeq    int64
+	// obsCount counts the samples this process ingested for the function;
+	// it also numbers them, as each reservoir entry's Seq.
+	obsCount int64
 
 	pendingTunes int
 	autoTuned    bool // an auto-triggered retrain is pending or canarying
@@ -418,7 +419,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 			return nil, err
 		}
 	}
-	r.jobs = autotuner.NewJobQueueObs(cfg.Workers, cfg.QueueCapacity, cfg.Log)
+	r.jobs = autotuner.NewJobQueue(cfg.Workers, cfg.QueueCapacity, cfg.Log)
 	r.logRecovery()
 	return r, nil
 }
@@ -1173,8 +1174,7 @@ func (r *Registry) PushObservations(ctx context.Context, tenant, fn string, samp
 	stateBefore := fs.detector.State()
 	for _, s := range samples {
 		fs.obsCount++
-		fs.obsSeq++
-		fs.reservoir = append(fs.reservoir, autotuner.Observation{Seq: fs.obsSeq, Features: s.Features, Times: s.Times})
+		fs.reservoir = append(fs.reservoir, autotuner.Observation{Seq: fs.obsCount, Features: s.Features, Times: s.Times})
 		if over := len(fs.reservoir) - r.cfg.ReservoirSize; over > 0 {
 			fs.reservoir = fs.reservoir[over:]
 		}

@@ -312,8 +312,3 @@ func (d *Daemon) Kill() {
 	}
 	d.reg.kill()
 }
-
-// ShedRecoveries reports how many times the admission controller
-// transitioned from shedding back to full admission (benchmarks and the
-// serving study read this without scraping /metrics).
-func (d *Daemon) ShedRecoveries() int64 { return d.reg.metrics.shedRecoveries.Load() }
