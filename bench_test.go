@@ -49,8 +49,8 @@ func suites(b *testing.B) []*autotuner.Suite {
 
 // BenchmarkFig4Setup measures corpus construction: generating every input
 // and labelling it by exhaustive search over every code variant (the paper's
-// training data collection cost; Sort prices its variants from their cost
-// models). Variant labelling fans out over all cores; the
+// training data collection cost; SpMV and Sort price their variants from
+// their cost models). Variant labelling fans out over all cores; the
 // reported "speedup" metric compares against a serial (Parallelism=1) run in
 // the same process. Corpora are bit-identical at every worker count.
 func BenchmarkFig4Setup(b *testing.B) {

@@ -43,9 +43,9 @@ type TuneJob struct {
 	Function string
 	// Owner names the submitting principal (a tenant, for the registry) for
 	// fair-share admission: an owner may hold at most
-	// max(1, capacity/activeOwners) non-terminal jobs, so one noisy tenant
-	// cannot monopolize the backlog even when the queue has room. Empty
-	// opts out of fair-share accounting.
+	// max(1, capacity/activeOwners) jobs that are queued or training, so one
+	// noisy tenant cannot monopolize the backlog even when the queue has
+	// room. Empty opts out of fair-share accounting.
 	Owner string
 	// Instances is the labelled corpus (features + per-variant times).
 	Instances []Instance
@@ -59,8 +59,10 @@ type TuneJob struct {
 	// span tree connects the tune request to the canary it stages. A nil
 	// Ctx means "no trace".
 	Ctx context.Context
-	// Done, when non-nil, is invoked from the worker goroutine after the
-	// job reaches a terminal state (with the final status).
+	// Done, when non-nil, is invoked from the worker goroutine once training
+	// ends, with the final status and its model. Status keeps reporting the
+	// job running until Done returns, so a caller that installs the model in
+	// Done is never seen done before the install.
 	Done func(JobStatus)
 }
 
@@ -79,8 +81,9 @@ type JobStatus struct {
 	Version int `json:"version,omitempty"`
 	// TrainAccuracy is the training-set accuracy of the finished candidate.
 	TrainAccuracy float64 `json:"train_accuracy,omitempty"`
-	// Model is the trained candidate (nil until JobDone). Not serialized;
-	// the server distributes it as a versioned artifact instead.
+	// Model is the trained candidate, handed to TuneJob.Done; the status
+	// the queue retains never holds it. Not serialized; the server
+	// distributes it as a versioned artifact instead.
 	Model *ml.Model `json:"-"`
 }
 
@@ -98,6 +101,7 @@ var (
 type JobQueue struct {
 	mu       sync.Mutex
 	jobs     map[string]*JobStatus
+	held     map[string]int // owner -> its jobs queued or training
 	ch       chan queuedJob
 	closed   bool
 	next     int64
@@ -125,6 +129,7 @@ func NewJobQueue(workers, capacity int, log *trace.Log) *JobQueue {
 	}
 	q := &JobQueue{
 		jobs:     make(map[string]*JobStatus),
+		held:     make(map[string]int),
 		ch:       make(chan queuedJob, capacity),
 		capacity: capacity,
 		log:      log,
@@ -137,29 +142,20 @@ func NewJobQueue(workers, capacity int, log *trace.Log) *JobQueue {
 }
 
 // fairShareLocked computes the submitting owner's admission verdict: with
-// k owners currently holding non-terminal jobs (the submitter included),
-// each may hold max(1, capacity/k). The share shrinks as contention grows,
-// so a tenant that filled an idle queue gets throttled as soon as a second
-// tenant shows up and the first's backlog drains.
+// k owners currently holding jobs that are queued or training (the
+// submitter included), each may hold max(1, capacity/k). The share shrinks
+// as contention grows, so a tenant that filled an idle queue gets throttled
+// as soon as a second tenant shows up and the first's backlog drains.
 func (q *JobQueue) fairShareLocked(owner string) error {
 	if owner == "" {
 		return nil
 	}
-	owners := map[string]bool{owner: true}
-	held := 0
-	for _, st := range q.jobs {
-		if st.State.Terminal() || st.Owner == "" {
-			continue
-		}
-		owners[st.Owner] = true
-		if st.Owner == owner {
-			held++
-		}
+	held := q.held[owner]
+	owners := len(q.held)
+	if held == 0 {
+		owners++
 	}
-	share := q.capacity / len(owners)
-	if share < 1 {
-		share = 1
-	}
+	share := max(1, q.capacity/owners)
 	if held >= share {
 		return fmt.Errorf("%w: %q holds %d of %d", ErrOwnerThrottled, owner, held, share)
 	}
@@ -189,6 +185,9 @@ func (q *JobQueue) Submit(job TuneJob) (string, error) {
 	}
 	q.jobs[id] = &JobStatus{ID: id, Function: job.Function, Owner: job.Owner,
 		State: JobQueued, Trace: trace.From(job.Ctx)}
+	if job.Owner != "" {
+		q.held[job.Owner]++
+	}
 	q.mu.Unlock()
 	q.log.Event(job.Ctx, "autotuner", "job.queued",
 		trace.F("job", id), trace.F("fn", job.Function), trace.F("owner", job.Owner))
@@ -240,12 +239,26 @@ func (q *JobQueue) worker() {
 				trace.F("fn", job.Function), trace.F("error", st.Error))
 		}
 
+		// Training is over, so the job stops counting against its owner's
+		// share before Done runs: an owner never waits on its own install.
 		q.mu.Lock()
-		*q.jobs[id] = st
+		if job.Owner != "" {
+			q.held[job.Owner]--
+			if q.held[job.Owner] == 0 {
+				delete(q.held, job.Owner)
+			}
+		}
 		q.mu.Unlock()
 		if job.Done != nil {
 			job.Done(st)
 		}
+		// Publish the terminal state only now that Done has acted on it,
+		// and without the model: Done had it, and a retained model would
+		// live as long as the queue.
+		st.Model = nil
+		q.mu.Lock()
+		*q.jobs[id] = st
+		q.mu.Unlock()
 	}
 }
 

@@ -23,22 +23,25 @@ func jobInstances(n int) []Instance {
 }
 
 // TestJobQueueRunsJob: a submitted job trains a model stamped BaseVersion+1
-// with zero CreatedAt, distills it, and reports done; Done runs only once
-// Status shows the terminal state.
+// with zero CreatedAt, distills it, and hands it to Done; Status reads
+// running for as long as Done blocks and done only once it returns, so a
+// caller that installs the model in Done is never seen done before the
+// install.
 func TestJobQueueRunsJob(t *testing.T) {
 	q := NewJobQueue(2, 4, nil)
 	defer q.Close()
 
 	done := make(chan JobStatus, 1)
-	seen := make(chan JobStatus, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
 	id, err := q.Submit(TuneJob{
 		Function:    "f",
 		Instances:   jobInstances(12),
 		BaseVersion: 4,
 		Done: func(st JobStatus) {
-			got, _ := q.Status(st.ID)
-			seen <- got
 			done <- st
+			<-release
 		},
 	})
 	if err != nil {
@@ -53,8 +56,8 @@ func TestJobQueueRunsJob(t *testing.T) {
 	if st.State != JobDone || st.Model == nil || st.Version != 5 {
 		t.Fatalf("status = %+v, want done at version 5", st)
 	}
-	if got := <-seen; got.State != JobDone {
-		t.Fatalf("Status inside Done = %+v, want the terminal state", got)
+	if got, _ := q.Status(id); got.State != JobRunning {
+		t.Fatalf("Status while Done blocks = %+v, want running", got)
 	}
 	if !st.Model.Meta.CreatedAt.IsZero() {
 		t.Fatal("server-trained model has a wall-clock timestamp; artifacts must stay deterministic")
@@ -62,11 +65,33 @@ func TestJobQueueRunsJob(t *testing.T) {
 	if st.Model.Compiled == nil {
 		t.Fatal("job model carries no compiled program")
 	}
-	if got, ok := q.Status(id); !ok || got.State != JobDone {
-		t.Fatalf("Status(%s) = %+v, %v", id, got, ok)
+	once.Do(func() { close(release) })
+	q.Close()
+	if got, ok := q.Status(id); !ok || got.State != JobDone || got.Version != 5 {
+		t.Fatalf("Status(%s) after Done returned = %+v, %v", id, got, ok)
 	}
 	if _, ok := q.Status("job-999"); ok {
 		t.Fatal("unknown job id resolved")
+	}
+}
+
+// TestJobQueueStatusKeepsNoModel: once Done has a finished job's model,
+// the status the queue retains drops it, so finished jobs do not keep
+// their models alive for the life of the queue.
+func TestJobQueueStatusKeepsNoModel(t *testing.T) {
+	q := NewJobQueue(1, 4, nil)
+	var got *JobStatus
+	id, err := q.Submit(TuneJob{Function: "f", Instances: jobInstances(12),
+		Done: func(st JobStatus) { got = &st }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	if got == nil || got.Model == nil {
+		t.Fatalf("Done got %+v, want the trained model", got)
+	}
+	if st, _ := q.Status(id); st.State != JobDone || st.Model != nil {
+		t.Fatalf("retained status = %+v, want done without a model", st)
 	}
 }
 
@@ -113,10 +138,10 @@ func TestJobQueueBacklogBound(t *testing.T) {
 	if _, err := q.Submit(TuneJob{Function: "q2", Instances: jobInstances(8)}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: %v, want ErrQueueFull", err)
 	}
-	// The wedged job already reached a terminal state; the backlogged one is
-	// still queued.
-	if st, _ := q.Status(wedged); st.State != JobDone {
-		t.Fatalf("wedged job state = %s, want done", st.State)
+	// The wedged job stays running until its Done returns; the backlogged
+	// one is still queued.
+	if st, _ := q.Status(wedged); st.State != JobRunning {
+		t.Fatalf("wedged job state = %s, want running", st.State)
 	}
 	if st, _ := q.Status(backlogged); st.State != JobQueued {
 		t.Fatalf("backlogged job state = %s, want queued", st.State)

@@ -7,10 +7,11 @@
 // code variant on it once (constraint-vetoed or failing variants score +Inf)
 // and packages the results as autotuner.Suite instances, including
 // per-feature evaluation-cost estimates for the Fig. 8 overhead analysis.
-// SpMV, Solvers and Histogram run each variant; BFS prices every variant
-// from one cached traversal per source; Sort prices each variant with its
-// cost model alone, because a sort's simulated time does not depend on the
-// sorted keys.
+// Solvers and Histogram run each variant; BFS prices every variant from one
+// cached traversal per source; SpMV and Sort price each variant with its
+// cost model alone, because the simulated time depends only on the matrix
+// structure or on the key count, width and displacement, never on the
+// product or the sorted keys.
 package datasets
 
 import (

@@ -312,15 +312,15 @@ func TestKeplerSuiteDiffers(t *testing.T) {
 	}
 }
 
-// sortLabelsDigest hashes a Sort suite's instance IDs and the bits of every
-// feature and label time, train set first.
-func sortLabelsDigest(s *autotuner.Suite) string {
+// labelsDigest hashes a suite's instance IDs and the bits of the float
+// slices fields picks from each instance, train set first.
+func labelsDigest(s *autotuner.Suite, fields func(autotuner.Instance) [][]float64) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, set := range [][]autotuner.Instance{s.Train, s.Test} {
 		for _, in := range set {
 			h.Write([]byte(in.ID))
-			for _, vs := range [][]float64{in.Features, in.Times} {
+			for _, vs := range fields(in) {
 				for _, v := range vs {
 					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 					h.Write(buf[:])
@@ -329,6 +329,12 @@ func sortLabelsDigest(s *autotuner.Suite) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sortLabelsDigest hashes a Sort suite's instance IDs and the bits of every
+// feature and label time, train set first.
+func sortLabelsDigest(s *autotuner.Suite) string {
+	return labelsDigest(s, func(in autotuner.Instance) [][]float64 { return [][]float64{in.Features, in.Times} })
 }
 
 // TestSortLabelsGolden pins every Sort label bit for bit: pricing variants
@@ -343,6 +349,41 @@ func TestSortLabelsGolden(t *testing.T) {
 		}
 		if got := sortLabelsDigest(s); got != want {
 			t.Errorf("Parallelism %d: Sort label digest = %s, want %s", par, got, want)
+		}
+	}
+}
+
+// TestSuiteLabelsGolden pins every label of the other builders bit for bit:
+// IDs, features, feature costs and times, serially and across workers. The
+// labelling path prices variants from cost models and counts structure
+// instead of building it; none of that may move a label.
+func TestSuiteLabelsGolden(t *testing.T) {
+	want := map[string]string{
+		"SpMV":      "6ab8b74fed8646dce0f0a0c6cc40be99540c116d0872f13e6545ee773357eb42",
+		"SpMV+ext":  "c10133cc1885e5c032fc571fef79b5f91713e69bc5c44bc1f53ac0bc31e7e4cb",
+		"Solvers":   "476702c2117a4a68d1c96f06f83392508f71f7e7bb78a0400a5438f307c403f1",
+		"BFS":       "5ea8379f960fe0b95819e56383e4ffc6d59d32d0fc8600d486b89ab334e624a9",
+		"Histogram": "5865d837700dca13f6365e88f317cfb34fb7a601c9d48e1be8dbdea6db3c6833",
+	}
+	builders := []SuiteBuilder{
+		{Name: "SpMV", Build: SpMV},
+		{Name: "SpMV+ext", Build: SpMVExtended},
+		{Name: "Solvers", Build: Solver},
+		{Name: "BFS", Build: BFS},
+		{Name: "Histogram", Build: Histogram},
+	}
+	all := func(in autotuner.Instance) [][]float64 {
+		return [][]float64{in.Features, in.FeatureCosts, in.Times}
+	}
+	for _, b := range builders {
+		for _, par := range []int{1, 0} {
+			s, err := b.Build(Config{Seed: 9, Scale: 0.05, Parallelism: par}, gpusim.Fermi())
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
+			}
+			if got := labelsDigest(s, all); got != want[b.Name] {
+				t.Errorf("Parallelism %d: %s label digest = %s, want %s", par, b.Name, got, want[b.Name])
+			}
 		}
 	}
 }

@@ -74,8 +74,11 @@ func spmvProblem(id string, m *sparse.CSR, rng *rand.Rand) (*sparse.Problem, aut
 	}
 }
 
-// spmvTimes exhaustively runs the given variants on one problem (the
-// labelling stage). It is pure in p and dev, so instances label in parallel.
+// spmvTimes exhaustively prices the given variants on one problem (the
+// labelling stage). Each variant's cost model makes the charges its Run
+// makes from the matrix structure alone, so no padded format is built and
+// no product computed; the times are bit-identical to Run's. It is pure in
+// p and dev, so instances label in parallel.
 func spmvTimes(p *sparse.Problem, dev *gpusim.Device, variants []sparse.Variant) []float64 {
 	times := make([]float64, 0, len(variants))
 	for _, v := range variants {
@@ -83,12 +86,12 @@ func spmvTimes(p *sparse.Problem, dev *gpusim.Device, variants []sparse.Variant)
 			times = append(times, math.Inf(1))
 			continue
 		}
-		res, err := v.Run(p, dev)
+		secs, err := v.Cost(p, dev)
 		if err != nil {
 			times = append(times, math.Inf(1))
 			continue
 		}
-		times = append(times, res.Seconds)
+		times = append(times, secs)
 	}
 	return times
 }

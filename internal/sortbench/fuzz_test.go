@@ -17,17 +17,33 @@ func fuzzKeyBytes(keys []float64) []byte {
 	return out
 }
 
+// tiedKeys returns n keys drawn from a handful of values, -0 and +0 among
+// them, so stable ranks hinge on ties and on -0 sorting below +0.
+func tiedKeys(n int) []float64 {
+	vals := []float64{2, math.Copysign(0, -1), 1, 0, 2, -1}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = vals[(i*7919)%len(vals)]
+	}
+	return out
+}
+
 // FuzzSortVariants decodes the fuzz bytes as float64 keys (a trailing partial
 // key is dropped) and a width flag. NewProblem must accept exactly the
 // non-empty NaN-free inputs, and on each one every variant must sort like
-// sort.Float64s, Cost must equal Run's Seconds bit for bit, and the maximum
-// displacement must lie in [0, n).
+// sort.Float64s, Cost must equal Run's Seconds bit for bit, the maximum
+// displacement must lie in [0, n), and the locality pass count, which a
+// one-pass displacement bound may settle without ranking, must equal the
+// count from MaxDisplacement.
 func FuzzSortVariants(f *testing.F) {
 	f.Add(fuzzKeyBytes([]float64{3, math.NaN(), 1, 2, math.NaN(), 0}), true)
 	f.Add(fuzzKeyBytes([]float64{math.Inf(1), -1, math.Copysign(0, -1), 0, math.Inf(-1), -1}), false)
 	f.Add(fuzzKeyBytes(ReverseSortedKeys(Tile+1, 1)), true)
 	f.Add(fuzzKeyBytes(AlmostSortedKeys(2*Tile+5, 0.22, 64, 2)), false)
 	f.Add([]byte{}, true)
+	f.Add(fuzzKeyBytes(UniformKeys(3*Tile, 3)), true)
+	f.Add(fuzzKeyBytes(AlmostSortedKeys(4*Tile+1, 0.2, 512, 4)), false)
+	f.Add(fuzzKeyBytes(tiedKeys(2*Tile+1)), true)
 	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
 		keys := make([]float64, len(data)/8)
 		hasNaN := false
@@ -67,6 +83,9 @@ func FuzzSortVariants(f *testing.F) {
 		}
 		if d := p.MaxDisplacement(); d < 0 || d >= len(keys) {
 			t.Fatalf("MaxDisplacement = %d for %d keys", d, len(keys))
+		}
+		if got, want := localityPasses(p), passesForDisplacement(p.MaxDisplacement(), len(keys)); got != want {
+			t.Fatalf("locality passes = %d, MaxDisplacement %d gives %d", got, p.MaxDisplacement(), want)
 		}
 	})
 }

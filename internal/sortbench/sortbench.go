@@ -277,17 +277,69 @@ func LocalitySort(p *Problem, dev *gpusim.Device) (Result, error) {
 	return Result{Sorted: mergeRuns(tileRuns(p.Keys)), Seconds: localityCost(p, dev)}, nil
 }
 
-// localityCost prices LocalitySort's pass structure.
-func localityCost(p *Problem, dev *gpusim.Device) float64 {
-	n, kb := len(p.Keys), p.KeyBytes()
-	disp := p.MaxDisplacement()
+// localityPasses returns LocalitySort's merge-pass count: one pass, plus
+// one for every merge width from Tile up that is below both twice the
+// maximum key displacement and n. The count saturates at
+// 1+mergePassCount(n) once some key moves more than half the widest merge
+// below n, so a one-pass lower bound on the displacement often settles it
+// without ranking the keys.
+func localityPasses(p *Problem) int {
+	n := len(p.Keys)
+	widest := 0
+	for width := Tile; width < n; width *= 2 {
+		widest = width
+	}
+	if widest == 0 {
+		return 1
+	}
+	if 2*displacementLowerBound(p.Keys) > widest {
+		return 1 + mergePassCount(n)
+	}
+	return passesForDisplacement(p.MaxDisplacement(), n)
+}
+
+// passesForDisplacement returns LocalitySort's merge-pass count over n keys
+// whose maximum displacement is disp.
+func passesForDisplacement(disp, n int) int {
 	passes := 1
 	for width := Tile; width < 2*disp && width < n; width *= 2 {
 		passes++
 	}
-	if disp == 0 {
-		passes = 1
+	return passes
+}
+
+// displacementLowerBound returns, in one pass, the largest displacement
+// among four keys whose stable sorted ranks need no sort: the first minimum
+// (rank 0), the last maximum (rank n-1), the first key (ranked after every
+// smaller key) and the last key (ranked before every larger key). Keys
+// compare in MaxDisplacement's order, so -0 sorts below +0.
+func displacementLowerBound(keys []float64) int {
+	n := len(keys)
+	first, last := floatToSortable(keys[0]), floatToSortable(keys[n-1])
+	lo, hi := first, first
+	loAt, hiAt, below, above := 0, 0, 0, 0
+	for i, k := range keys {
+		u := floatToSortable(k)
+		if u < lo {
+			lo, loAt = u, i
+		}
+		if u >= hi {
+			hi, hiAt = u, i
+		}
+		if u < first {
+			below++
+		}
+		if u > last {
+			above++
+		}
 	}
+	return max(loAt, n-1-hiAt, below, above)
+}
+
+// localityCost prices LocalitySort's pass structure.
+func localityCost(p *Problem, dev *gpusim.Device) float64 {
+	n, kb := len(p.Keys), p.KeyBytes()
+	passes := localityPasses(p)
 	run := gpusim.NewRun(dev)
 	k := run.Launch("localitysort", minInt(n, dev.MaxResidentThreads()*2))
 	k.GlobalRead(float64(n * kb)) // disorder-detection prepass

@@ -31,7 +31,10 @@ func FeatureNames() []string {
 // one pass over the row-pointer array (cheap: O(rows), no value traffic) plus
 // one pass over the column indices for the diagonal count (the expensive
 // part, O(nnz) — this asymmetry is what Fig. 8's overhead analysis is about).
-func ComputeFeatures(m *CSR) Features {
+func ComputeFeatures(m *CSR) Features { return featuresOf(m, CountDiagonals(m)) }
+
+// featuresOf derives the features of m given its distinct-diagonal count.
+func featuresOf(m *CSR, ndiags int) Features {
 	f := Features{
 		NNZ:     float64(m.NNZ()),
 		NumRows: float64(m.Rows),
@@ -59,7 +62,6 @@ func ComputeFeatures(m *CSR) Features {
 	f.RowLenStdDev = math.Sqrt(variance)
 	f.MaxDeviation = float64(maxLen) - f.AvgNZPerRow
 
-	ndiags := CountDiagonals(m)
 	nnz := f.NNZ
 	if nnz == 0 {
 		nnz = 1
@@ -69,15 +71,21 @@ func ComputeFeatures(m *CSR) Features {
 	return f
 }
 
-// CountDiagonals returns the number of distinct occupied diagonals.
+// CountDiagonals returns the number of distinct occupied diagonals. Offset
+// col-row lies in (-Rows, Cols), so one flag per possible offset replaces a
+// set.
 func CountDiagonals(m *CSR) int {
-	seen := make(map[int]struct{})
+	seen := make([]bool, m.Rows+m.Cols)
+	n := 0
 	for i := 0; i < m.Rows; i++ {
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			seen[int(m.ColIdx[p])-i] = struct{}{}
+			if d := int(m.ColIdx[p]) - i + m.Rows; !seen[d] {
+				seen[d] = true
+				n++
+			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // XReuse estimates the average number of times each touched element of the
@@ -87,12 +95,13 @@ func XReuse(m *CSR) float64 {
 	if m.NNZ() == 0 {
 		return 1
 	}
-	seen := make(map[int32]struct{})
+	seen := make([]bool, m.Cols)
+	distinct := 0
 	for _, c := range m.ColIdx {
-		seen[c] = struct{}{}
+		if !seen[c] {
+			seen[c] = true
+			distinct++
+		}
 	}
-	if len(seen) == 0 {
-		return 1
-	}
-	return float64(m.NNZ()) / float64(len(seen))
+	return float64(m.NNZ()) / float64(distinct)
 }

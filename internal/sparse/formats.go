@@ -9,8 +9,10 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,6 +65,15 @@ func (m *CSR) NNZ() int { return len(m.Vals) }
 
 // RowLen returns the number of stored entries in row i.
 func (m *CSR) RowLen(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
+
+// maxRowLen returns the longest row's entry count: the ELL width.
+func (m *CSR) maxRowLen() int {
+	width := 0
+	for i := 0; i < m.Rows; i++ {
+		width = max(width, m.RowLen(i))
+	}
+	return width
+}
 
 // Validate checks structural invariants: monotone row pointers, in-range and
 // sorted column indices.
@@ -163,31 +174,28 @@ func (m *CSR) ToCOO() *COO {
 // ToCSR converts coordinate form to CSR, summing duplicate entries and
 // sorting columns within each row.
 func (m *COO) ToCSR() *CSR {
+	// key orders entries by row, then column.
 	type ent struct {
-		r, c int32
-		v    float64
+		key uint64
+		v   float64
 	}
 	ents := make([]ent, m.NNZ())
 	for i := range m.Vals {
-		ents[i] = ent{m.RowIdx[i], m.ColIdx[i], m.Vals[i]}
+		ents[i] = ent{uint64(uint32(m.RowIdx[i]))<<32 | uint64(uint32(m.ColIdx[i])), m.Vals[i]}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].r != ents[b].r {
-			return ents[a].r < ents[b].r
-		}
-		return ents[a].c < ents[b].c
-	})
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int32, m.Rows+1)}
+	slices.SortFunc(ents, func(a, b ent) int { return cmp.Compare(a.key, b.key) })
+	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int32, m.Rows+1),
+		ColIdx: make([]int32, 0, len(ents)), Vals: make([]float64, 0, len(ents))}
 	for i := 0; i < len(ents); {
 		j := i
 		v := 0.0
-		for j < len(ents) && ents[j].r == ents[i].r && ents[j].c == ents[i].c {
+		for j < len(ents) && ents[j].key == ents[i].key {
 			v += ents[j].v
 			j++
 		}
-		out.ColIdx = append(out.ColIdx, ents[i].c)
+		out.ColIdx = append(out.ColIdx, int32(uint32(ents[i].key)))
 		out.Vals = append(out.Vals, v)
-		out.RowPtr[ents[i].r+1]++
+		out.RowPtr[ents[i].key>>32+1]++
 		i = j
 	}
 	for i := 0; i < m.Rows; i++ {
@@ -316,12 +324,7 @@ var ErrRowTooLong = errors.New("sparse: longest row exceeds ELL width budget")
 // ToELL converts to ELL form, failing with ErrRowTooLong if the widest row
 // exceeds maxWidth (<=0 means no limit).
 func (m *CSR) ToELL(maxWidth int) (*ELL, error) {
-	width := 0
-	for i := 0; i < m.Rows; i++ {
-		if l := m.RowLen(i); l > width {
-			width = l
-		}
-	}
+	width := m.maxRowLen()
 	if maxWidth > 0 && width > maxWidth {
 		return nil, fmt.Errorf("%w: %d > %d", ErrRowTooLong, width, maxWidth)
 	}

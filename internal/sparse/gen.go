@@ -125,17 +125,17 @@ func Banded(n int, offsets []int, seed int64) *CSR {
 func RegularRandom(n, k int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	coo := &COO{Rows: n, Cols: n}
+	seen := newRowSet(n)
 	for i := 0; i < n; i++ {
-		seen := map[int32]bool{int32(i): true}
+		seen.next(int32(i))
 		coo.RowIdx = append(coo.RowIdx, int32(i))
 		coo.ColIdx = append(coo.ColIdx, int32(i))
 		coo.Vals = append(coo.Vals, float64(k)+rng.Float64())
-		for len(seen) < min(k, n) {
+		for seen.size < min(k, n) {
 			c := int32(rng.Intn(n))
-			if seen[c] {
+			if !seen.add(c) {
 				continue
 			}
-			seen[c] = true
 			coo.RowIdx = append(coo.RowIdx, int32(i))
 			coo.ColIdx = append(coo.ColIdx, c)
 			coo.Vals = append(coo.Vals, rng.Float64()-0.5)
@@ -153,6 +153,7 @@ func PowerLaw(n int, avgNZ float64, alpha float64, seed int64) *CSR {
 		alpha = 2
 	}
 	coo := &COO{Rows: n, Cols: n}
+	seen := newRowSet(n)
 	for i := 0; i < n; i++ {
 		// Pareto-ish row length scaled to the target average.
 		u := rng.Float64()
@@ -163,16 +164,15 @@ func PowerLaw(n int, avgNZ float64, alpha float64, seed int64) *CSR {
 		if l > n {
 			l = n
 		}
-		seen := map[int32]bool{int32(i): true}
+		seen.next(int32(i))
 		coo.RowIdx = append(coo.RowIdx, int32(i))
 		coo.ColIdx = append(coo.ColIdx, int32(i))
 		coo.Vals = append(coo.Vals, avgNZ+rng.Float64())
-		for len(seen) < min(l, n) {
+		for seen.size < min(l, n) {
 			c := int32(rng.Intn(n))
-			if seen[c] {
+			if !seen.add(c) {
 				continue
 			}
-			seen[c] = true
 			coo.RowIdx = append(coo.RowIdx, int32(i))
 			coo.ColIdx = append(coo.ColIdx, c)
 			coo.Vals = append(coo.Vals, rng.Float64()-0.5)
@@ -191,6 +191,7 @@ func BlockClustered(n, rowLen, window int, seed int64) *CSR {
 		window = rowLen
 	}
 	coo := &COO{Rows: n, Cols: n}
+	seen := newRowSet(n)
 	for i := 0; i < n; i++ {
 		base := i - window/2
 		if base < 0 {
@@ -202,17 +203,16 @@ func BlockClustered(n, rowLen, window int, seed int64) *CSR {
 		if base < 0 {
 			base = 0
 		}
-		seen := map[int32]bool{int32(i): true}
+		seen.next(int32(i))
 		coo.RowIdx = append(coo.RowIdx, int32(i))
 		coo.ColIdx = append(coo.ColIdx, int32(i))
 		coo.Vals = append(coo.Vals, float64(rowLen)+rng.Float64())
 		limit := min(rowLen, min(window, n))
-		for len(seen) < limit {
+		for seen.size < limit {
 			c := int32(base + rng.Intn(min(window, n)))
-			if seen[c] {
+			if !seen.add(c) {
 				continue
 			}
-			seen[c] = true
 			coo.RowIdx = append(coo.RowIdx, int32(i))
 			coo.ColIdx = append(coo.ColIdx, c)
 			coo.Vals = append(coo.Vals, rng.Float64()-0.5)
@@ -280,6 +280,34 @@ func SPD(base *CSR, dominance float64, seed int64) *CSR {
 		out.Vals = append(out.Vals, dominance*rowAbs[i]+0.1+0.01*rng.Float64())
 	}
 	return out.ToCSR()
+}
+
+// rowSet is the set of columns a generator has placed in its current row.
+// A column belongs to the set when its stamp is the current row's, so
+// starting the next row clears the set in O(1).
+type rowSet struct {
+	stamp []int32 // column -> 1 + the last row that placed it
+	row   int32   // 1 + the current row
+	size  int
+}
+
+func newRowSet(cols int) *rowSet { return &rowSet{stamp: make([]int32, cols)} }
+
+// next starts row i with only its diagonal column placed.
+func (s *rowSet) next(i int32) {
+	s.row = i + 1
+	s.stamp[i] = s.row
+	s.size = 1
+}
+
+// add places column c and reports whether it was new to the row.
+func (s *rowSet) add(c int32) bool {
+	if s.stamp[c] == s.row {
+		return false
+	}
+	s.stamp[c] = s.row
+	s.size++
+	return true
 }
 
 func min(a, b int) int {

@@ -21,21 +21,23 @@ const (
 )
 
 // Problem is one SpMV instance: a CSR matrix and an input vector, with the
-// derived formats and features cached so repeated variant executions (as in
-// exhaustive search) do not pay conversion repeatedly.
+// derived formats, features and structure counts cached so repeated variant
+// executions (as in exhaustive search) do not pay them repeatedly.
 type Problem struct {
 	A *CSR
 	X []float64
 
-	feats    *Features
-	reuse    float64
-	haveDIA  bool
-	dia      *DIA
-	diaErr   error
-	haveELL  bool
-	ell      *ELL
-	ellErr   error
-	haveReus bool
+	feats     *Features
+	ndiags    int
+	haveDiags bool
+	reuse     float64
+	haveReus  bool
+	haveDIA   bool
+	dia       *DIA
+	diaErr    error
+	haveELL   bool
+	ell       *ELL
+	ellErr    error
 }
 
 // NewProblem validates dimensions and wraps the matrix/vector pair.
@@ -52,10 +54,20 @@ func NewProblem(a *CSR, x []float64) (*Problem, error) {
 // Features returns the cached selection features.
 func (p *Problem) Features() Features {
 	if p.feats == nil {
-		f := ComputeFeatures(p.A)
+		f := featuresOf(p.A, p.diagonals())
 		p.feats = &f
 	}
 	return *p.feats
+}
+
+// diagonals returns the cached count of distinct occupied diagonals: the
+// DIA-Fill feature's numerator and the DIA variants' stored-diagonal count.
+func (p *Problem) diagonals() int {
+	if !p.haveDiags {
+		p.ndiags = CountDiagonals(p.A)
+		p.haveDiags = true
+	}
+	return p.ndiags
 }
 
 // Reuse returns the cached x-vector reuse factor.
@@ -93,11 +105,17 @@ type Result struct {
 	Seconds float64
 }
 
-// Variant is one SpMV code variant: a runner plus an optional constraint
-// (false vetoes the variant for this input).
+// Variant is one SpMV code variant: a runner, its cost model and an optional
+// constraint (false vetoes the variant for this input). Run computes the
+// product in the variant's storage format and reports Cost's time; Cost
+// makes the same simulated-GPU charges from the matrix structure alone
+// (distinct diagonals for DIA, the longest row for ELL), so a labeller can
+// price a variant without building its format or multiplying. Both fail
+// exactly when the format would exceed its conversion budget.
 type Variant struct {
 	Name       string
 	Run        func(p *Problem, dev *gpusim.Device) (Result, error)
+	Cost       func(p *Problem, dev *gpusim.Device) (float64, error)
 	Constraint func(p *Problem) bool
 }
 
@@ -105,26 +123,18 @@ type Variant struct {
 // CSR-Vec, DIA, ELL, CSR-Tx, DIA-Tx, ELL-Tx.
 func Variants() []Variant {
 	diaOK := func(p *Problem) bool {
-		if f := p.Features(); f.DIAFill > DIAFillCutoff {
-			return false
-		}
-		_, err := p.DIA()
-		return err == nil
+		return p.Features().DIAFill <= DIAFillCutoff && p.diagonals() <= MaxDIADiagonals
 	}
 	ellOK := func(p *Problem) bool {
-		if f := p.Features(); f.ELLFill > ELLFillCutoff {
-			return false
-		}
-		_, err := p.ELL()
-		return err == nil
+		return p.Features().ELLFill <= ELLFillCutoff && p.A.maxRowLen() <= MaxELLWidth
 	}
 	return []Variant{
-		{Name: "CSR-Vec", Run: CSRVec},
-		{Name: "DIA", Run: DIAKernel, Constraint: diaOK},
-		{Name: "ELL", Run: ELLKernel, Constraint: ellOK},
-		{Name: "CSR-Tx", Run: CSRVecTx},
-		{Name: "DIA-Tx", Run: DIATx, Constraint: diaOK},
-		{Name: "ELL-Tx", Run: ELLTx, Constraint: ellOK},
+		{Name: "CSR-Vec", Run: CSRVec, Cost: csrVecCost},
+		{Name: "DIA", Run: DIAKernel, Cost: diaCost, Constraint: diaOK},
+		{Name: "ELL", Run: ELLKernel, Cost: ellCost, Constraint: ellOK},
+		{Name: "CSR-Tx", Run: CSRVecTx, Cost: csrVecTxCost},
+		{Name: "DIA-Tx", Run: DIATx, Cost: diaTxCost, Constraint: diaOK},
+		{Name: "ELL-Tx", Run: ELLTx, Cost: ellTxCost, Constraint: ellOK},
 	}
 }
 
@@ -138,19 +148,57 @@ func VariantNames() []string {
 	return names
 }
 
+// runVariant executes one variant: it prices the variant with cost and, when
+// the variant is feasible, computes y = A*x with mul, the reference kernel of
+// the variant's storage format.
+func runVariant(p *Problem, dev *gpusim.Device,
+	cost func(*Problem, *gpusim.Device) (float64, error),
+	mul func(p *Problem, y []float64) error) (Result, error) {
+	secs, err := cost(p, dev)
+	if err != nil {
+		return Result{}, err
+	}
+	y := make([]float64, p.A.Rows)
+	if err := mul(p, y); err != nil {
+		return Result{}, err
+	}
+	return Result{Y: y, Seconds: secs}, nil
+}
+
+func mulCSR(p *Problem, y []float64) error {
+	p.A.MulVec(p.X, y)
+	return nil
+}
+
+func mulDIA(p *Problem, y []float64) error {
+	d, err := p.DIA()
+	if err != nil {
+		return err
+	}
+	d.MulVec(p.X, y)
+	return nil
+}
+
+func mulELL(p *Problem, y []float64) error {
+	e, err := p.ELL()
+	if err != nil {
+		return err
+	}
+	e.MulVec(p.X, y)
+	return nil
+}
+
 // ChargeCSRSpMV charges one CSR-vector SpMV (including the x gather through
 // the global path) to an existing kernel; iterative solvers use it to account
 // their per-iteration matrix-vector cost.
 func ChargeCSRSpMV(k *gpusim.Kernel, m *CSR, reuse float64) {
-	p := &Problem{A: m, reuse: reuse, haveReus: true}
-	csrTraffic(p, k)
+	csrTraffic(m, k)
 	k.Gather(m.NNZ(), 8, float64(8*m.Cols), reuse)
 }
 
 // csrTraffic charges the CSR index/value streams shared by both CSR variants
-// and returns the active-lane fraction of the warp-per-row decomposition.
-func csrTraffic(p *Problem, k *gpusim.Kernel) {
-	m := p.A
+// and the idle lanes of the warp-per-row decomposition.
+func csrTraffic(m *CSR, k *gpusim.Kernel) {
 	k.GlobalRead(float64(8 * m.Rows))        // row pointers (two per row)
 	k.GlobalRead(float64(4 * m.NNZ()))       // column indices
 	k.GlobalRead(float64(8 * m.NNZ()))       // values
@@ -189,57 +237,73 @@ func csrTraffic(p *Problem, k *gpusim.Kernel) {
 // CSRVec is the CUSP csr_vector kernel: one warp per row, x gathered through
 // the plain global-memory path.
 func CSRVec(p *Problem, dev *gpusim.Device) (Result, error) {
+	return runVariant(p, dev, csrVecCost, mulCSR)
+}
+
+// csrVecCost prices CSRVec.
+func csrVecCost(p *Problem, dev *gpusim.Device) (float64, error) {
 	run := gpusim.NewRun(dev)
 	k := run.Launch("spmv_csr_vector", p.A.Rows*dev.WarpSize)
-	csrTraffic(p, k)
+	csrTraffic(p.A, k)
 	k.Gather(p.A.NNZ(), 8, float64(8*p.A.Cols), p.Reuse())
 	run.Done(k)
-
-	y := make([]float64, p.A.Rows)
-	p.A.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+	return run.Seconds(), nil
 }
 
 // CSRVecTx is CSRVec with the input vector bound to the texture cache.
 func CSRVecTx(p *Problem, dev *gpusim.Device) (Result, error) {
+	return runVariant(p, dev, csrVecTxCost, mulCSR)
+}
+
+// csrVecTxCost prices CSRVecTx.
+func csrVecTxCost(p *Problem, dev *gpusim.Device) (float64, error) {
 	run := gpusim.NewRun(dev)
 	k := run.Launch("spmv_csr_vector_tex", p.A.Rows*dev.WarpSize)
-	csrTraffic(p, k)
+	csrTraffic(p.A, k)
 	k.TextureGather(p.A.NNZ(), 8, float64(8*p.A.Cols), p.Reuse())
 	run.Done(k)
+	return run.Seconds(), nil
+}
 
-	y := make([]float64, p.A.Rows)
-	p.A.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+// diaDiagonals returns the stored-diagonal count of the problem's DIA form
+// without building it, failing as ToDIA does past MaxDIADiagonals.
+func diaDiagonals(p *Problem) (int, error) {
+	ndiags := p.diagonals()
+	if ndiags > MaxDIADiagonals {
+		return 0, fmt.Errorf("%w: > %d", ErrTooManyDiagonals, MaxDIADiagonals)
+	}
+	return ndiags, nil
 }
 
 // diaTraffic charges the diagonal-format streams shared by both DIA variants.
-func diaTraffic(d *DIA, k *gpusim.Kernel) {
-	cells := d.Rows * d.NDiags()
-	k.GlobalRead(float64(8 * cells))      // diagonal data (padded)
-	k.GlobalRead(float64(4 * d.NDiags())) // offsets
-	k.GlobalWrite(float64(8 * d.Rows))    // y
-	k.ComputeDP(float64(2 * cells))       // FMA per stored cell
-	k.Latency(float64(d.NDiags()) * 2)    // per-diagonal loop overhead
-	_ = cells
+func diaTraffic(rows, ndiags int, k *gpusim.Kernel) {
+	cells := rows * ndiags
+	k.GlobalRead(float64(8 * cells))  // diagonal data (padded)
+	k.GlobalRead(float64(4 * ndiags)) // offsets
+	k.GlobalWrite(float64(8 * rows))  // y
+	k.ComputeDP(float64(2 * cells))   // FMA per stored cell
+	k.Latency(float64(ndiags) * 2)    // per-diagonal loop overhead
 }
 
 // DIAKernel is the CUSP dia kernel: one thread per row marching over the
 // stored diagonals; x is read with unit stride per diagonal (coalesced).
 func DIAKernel(p *Problem, dev *gpusim.Device) (Result, error) {
-	d, err := p.DIA()
-	if err != nil {
-		return Result{}, err
-	}
-	run := gpusim.NewRun(dev)
-	k := run.Launch("spmv_dia", d.Rows)
-	diaTraffic(d, k)
-	k.GlobalRead(float64(8 * d.Rows * d.NDiags())) // x, coalesced per diagonal
-	run.Done(k)
+	return runVariant(p, dev, diaCost, mulDIA)
+}
 
-	y := make([]float64, d.Rows)
-	d.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+// diaCost prices DIAKernel.
+func diaCost(p *Problem, dev *gpusim.Device) (float64, error) {
+	ndiags, err := diaDiagonals(p)
+	if err != nil {
+		return 0, err
+	}
+	rows := p.A.Rows
+	run := gpusim.NewRun(dev)
+	k := run.Launch("spmv_dia", rows)
+	diaTraffic(rows, ndiags, k)
+	k.GlobalRead(float64(8 * rows * ndiags)) // x, coalesced per diagonal
+	run.Done(k)
+	return run.Seconds(), nil
 }
 
 // DIATx is DIAKernel with x read through the texture cache; sequential
@@ -247,65 +311,82 @@ func DIAKernel(p *Problem, dev *gpusim.Device) (Result, error) {
 // effective reuse (4 elements per cache line times the per-element reuse
 // across diagonals).
 func DIATx(p *Problem, dev *gpusim.Device) (Result, error) {
-	d, err := p.DIA()
-	if err != nil {
-		return Result{}, err
-	}
-	run := gpusim.NewRun(dev)
-	k := run.Launch("spmv_dia_tex", d.Rows)
-	diaTraffic(d, k)
-	k.TextureGather(d.Rows*d.NDiags(), 8, float64(8*d.Cols), 4*math.Max(float64(d.NDiags()), 1))
-	run.Done(k)
+	return runVariant(p, dev, diaTxCost, mulDIA)
+}
 
-	y := make([]float64, d.Rows)
-	d.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+// diaTxCost prices DIATx.
+func diaTxCost(p *Problem, dev *gpusim.Device) (float64, error) {
+	ndiags, err := diaDiagonals(p)
+	if err != nil {
+		return 0, err
+	}
+	rows := p.A.Rows
+	run := gpusim.NewRun(dev)
+	k := run.Launch("spmv_dia_tex", rows)
+	diaTraffic(rows, ndiags, k)
+	k.TextureGather(rows*ndiags, 8, float64(8*p.A.Cols), 4*math.Max(float64(ndiags), 1))
+	run.Done(k)
+	return run.Seconds(), nil
+}
+
+// ellWidth returns the padded row width of the problem's ELL form without
+// building it, failing as ToELL does past MaxELLWidth.
+func ellWidth(p *Problem) (int, error) {
+	width := p.A.maxRowLen()
+	if width > MaxELLWidth {
+		return 0, fmt.Errorf("%w: %d > %d", ErrRowTooLong, width, MaxELLWidth)
+	}
+	return width, nil
 }
 
 // ellTraffic charges the ELL streams shared by both ELL variants.
-func ellTraffic(p *Problem, e *ELL, k *gpusim.Kernel) {
-	cells := e.Rows * e.MaxNZ
+func ellTraffic(m *CSR, width int, k *gpusim.Kernel) {
+	cells := m.Rows * width
 	k.GlobalRead(float64(4 * cells)) // column indices (padded, coalesced)
 	k.GlobalRead(float64(8 * cells)) // values (padded, coalesced)
-	k.GlobalWrite(float64(8 * e.Rows))
+	k.GlobalWrite(float64(8 * m.Rows))
 	k.ComputeDP(float64(2 * cells))
 	// Padding slots branch away: active fraction is nnz over padded cells.
 	if cells > 0 {
-		k.Divergence(float64(p.A.NNZ()) / float64(cells))
+		k.Divergence(float64(m.NNZ()) / float64(cells))
 	}
 }
 
 // ELLKernel is the CUSP ell kernel: one thread per row over the padded
 // column-major arrays, x gathered through the global path.
 func ELLKernel(p *Problem, dev *gpusim.Device) (Result, error) {
-	e, err := p.ELL()
+	return runVariant(p, dev, ellCost, mulELL)
+}
+
+// ellCost prices ELLKernel.
+func ellCost(p *Problem, dev *gpusim.Device) (float64, error) {
+	width, err := ellWidth(p)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	run := gpusim.NewRun(dev)
-	k := run.Launch("spmv_ell", e.Rows)
-	ellTraffic(p, e, k)
+	k := run.Launch("spmv_ell", p.A.Rows)
+	ellTraffic(p.A, width, k)
 	k.Gather(p.A.NNZ(), 8, float64(8*p.A.Cols), p.Reuse())
 	run.Done(k)
-
-	y := make([]float64, e.Rows)
-	e.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+	return run.Seconds(), nil
 }
 
 // ELLTx is ELLKernel with texture-cached x gathers.
 func ELLTx(p *Problem, dev *gpusim.Device) (Result, error) {
-	e, err := p.ELL()
+	return runVariant(p, dev, ellTxCost, mulELL)
+}
+
+// ellTxCost prices ELLTx.
+func ellTxCost(p *Problem, dev *gpusim.Device) (float64, error) {
+	width, err := ellWidth(p)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	run := gpusim.NewRun(dev)
-	k := run.Launch("spmv_ell_tex", e.Rows)
-	ellTraffic(p, e, k)
+	k := run.Launch("spmv_ell_tex", p.A.Rows)
+	ellTraffic(p.A, width, k)
 	k.TextureGather(p.A.NNZ(), 8, float64(8*p.A.Cols), p.Reuse())
 	run.Done(k)
-
-	y := make([]float64, e.Rows)
-	e.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+	return run.Seconds(), nil
 }

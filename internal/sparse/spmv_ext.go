@@ -25,61 +25,77 @@ func cooCharge(p *Problem, k *gpusim.Kernel, nnz int) {
 // COOFlat is the CUSP coo_flat kernel: one thread per nonzero with a
 // segmented reduction, completely insensitive to row-length distribution.
 func COOFlat(p *Problem, dev *gpusim.Device) (Result, error) {
+	return runVariant(p, dev, cooCost, func(p *Problem, y []float64) error {
+		p.A.ToCOO().MulVec(p.X, y)
+		return nil
+	})
+}
+
+// cooCost prices COOFlat.
+func cooCost(p *Problem, dev *gpusim.Device) (float64, error) {
 	run := gpusim.NewRun(dev)
 	nnz := p.A.NNZ()
 	k := run.Launch("spmv_coo_flat", nnz)
 	cooCharge(p, k, nnz)
 	run.Done(k)
-
-	y := make([]float64, p.A.Rows)
-	coo := p.A.ToCOO()
-	coo.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+	return run.Seconds(), nil
 }
 
-// hyb caches the HYB conversion on the problem via a tiny side table keyed
-// by the problem pointer-free way: recompute is cheap relative to variant
-// execution, so no cache is kept.
-func hybOf(p *Problem) *HYB { return p.A.ToHYB(0) }
-
 // HYBKernel is the CUSP hyb kernel: the ELL part runs the regular coalesced
-// kernel, the COO overflow runs the flat kernel.
+// kernel, the COO overflow runs the flat kernel. The HYB conversion is not
+// cached: it is cheap next to a variant execution.
 func HYBKernel(p *Problem, dev *gpusim.Device) (Result, error) {
-	h := hybOf(p)
+	return runVariant(p, dev, hybCost, func(p *Problem, y []float64) error {
+		p.A.ToHYB(0).MulVec(p.X, y)
+		return nil
+	})
+}
+
+// hybCost prices HYBKernel from the row lengths ToHYB(0) would split at
+// TypicalWidth: each row stores min(len, width) entries in the ELL part and
+// the rest in the COO part.
+func hybCost(p *Problem, dev *gpusim.Device) (float64, error) {
+	m := p.A
+	width := TypicalWidth(m)
+	pad, overflow := 0, 0
+	for i := 0; i < m.Rows; i++ {
+		if l := m.RowLen(i); l < width {
+			pad += width - l
+		} else {
+			overflow += l - width
+		}
+	}
 	run := gpusim.NewRun(dev)
 
-	ke := run.Launch("spmv_hyb_ell", h.Ell.Rows)
-	cells := h.Ell.Rows * h.Ell.MaxNZ
+	ke := run.Launch("spmv_hyb_ell", m.Rows)
+	cells := m.Rows * width
 	ke.GlobalRead(float64(12 * cells))
-	ke.GlobalWrite(float64(8 * h.Ell.Rows))
+	ke.GlobalWrite(float64(8 * m.Rows))
 	ke.ComputeDP(float64(2 * cells))
 	stored := cells
-	if pad := h.ellPadding(); pad > 0 {
+	if pad > 0 {
 		stored -= pad
 		if cells > 0 {
 			ke.Divergence(float64(stored) / float64(cells))
 		}
 	}
-	ke.Gather(stored, 8, float64(8*p.A.Cols), p.Reuse())
+	ke.Gather(stored, 8, float64(8*m.Cols), p.Reuse())
 	run.Done(ke)
 
-	if n := h.Coo.NNZ(); n > 0 {
-		kc := run.Launch("spmv_hyb_coo", n)
-		cooCharge(p, kc, n)
+	if overflow > 0 {
+		kc := run.Launch("spmv_hyb_coo", overflow)
+		cooCharge(p, kc, overflow)
 		run.Done(kc)
 	}
-
-	y := make([]float64, p.A.Rows)
-	h.MulVec(p.X, y)
-	return Result{Y: y, Seconds: run.Seconds()}, nil
+	return run.Seconds(), nil
 }
 
 // ExtendedVariants returns the paper's six variants plus the COO and HYB
 // extension kernels (eight in total).
 func ExtendedVariants() []Variant {
 	return append(Variants(),
-		Variant{Name: "COO", Run: COOFlat},
-		Variant{Name: "HYB", Run: HYBKernel},
+		Variant{Name: "COO", Run: COOFlat, Cost: cooCost},
+		Variant{Name: "HYB", Run: HYBKernel, Cost: hybCost},
 	)
 }
 
@@ -93,20 +109,20 @@ func ExtendedVariantNames() []string {
 	return names
 }
 
-// BestExtended runs every feasible extended variant and returns the winning
-// name, for diagnostics.
+// BestExtended prices every feasible extended variant and returns the
+// winning name, for diagnostics.
 func BestExtended(p *Problem, dev *gpusim.Device) (string, float64) {
 	best, bestT := "", math.Inf(1)
 	for _, v := range ExtendedVariants() {
 		if v.Constraint != nil && !v.Constraint(p) {
 			continue
 		}
-		res, err := v.Run(p, dev)
+		secs, err := v.Cost(p, dev)
 		if err != nil {
 			continue
 		}
-		if res.Seconds < bestT {
-			best, bestT = v.Name, res.Seconds
+		if secs < bestT {
+			best, bestT = v.Name, secs
 		}
 	}
 	return best, bestT

@@ -212,3 +212,118 @@ func TestBiggerMatrixTakesLonger(t *testing.T) {
 		t.Errorf("64x larger matrix should take longer: %v vs %v", rl.Seconds, rs.Seconds)
 	}
 }
+
+// checkCostMatchesRun checks every extended variant's cost model against
+// its Run on p. Cost equals Run's Seconds bit for bit, and both refuse
+// exactly where building the variant's format (DIA or ELL) exceeds its
+// budget. The padded formats' constraints accept exactly where the format
+// builds within its fill cutoff, so Cost is infeasible exactly where the
+// constraint or Run refuses. Every product matches the CSR reference.
+func checkCostMatchesRun(t *testing.T, p *Problem) {
+	t.Helper()
+	ref := make([]float64, p.A.Rows)
+	p.A.MulVec(p.X, ref)
+	_, diaErr := p.A.ToDIA(MaxDIADiagonals)
+	_, ellErr := p.A.ToELL(MaxELLWidth)
+	f := p.Features()
+	for _, v := range ExtendedVariants() {
+		var buildErr error
+		fillOK := true
+		switch v.Name {
+		case "DIA", "DIA-Tx":
+			buildErr, fillOK = diaErr, f.DIAFill <= DIAFillCutoff
+		case "ELL", "ELL-Tx":
+			buildErr, fillOK = ellErr, f.ELLFill <= ELLFillCutoff
+		}
+		if v.Constraint != nil {
+			if got, want := v.Constraint(p), fillOK && buildErr == nil; got != want {
+				t.Fatalf("%s: constraint = %v, want %v (fill ok %v, build error %v)", v.Name, got, want, fillOK, buildErr)
+			}
+		}
+		secs, costErr := v.Cost(p, dev())
+		res, runErr := v.Run(p, dev())
+		if (costErr != nil) != (buildErr != nil) || (runErr != nil) != (buildErr != nil) {
+			t.Fatalf("%s: Cost error %v, Run error %v, building the format: %v", v.Name, costErr, runErr, buildErr)
+		}
+		if runErr != nil {
+			continue
+		}
+		if math.Float64bits(secs) != math.Float64bits(res.Seconds) {
+			t.Fatalf("%s: Cost %v, Run %v", v.Name, secs, res.Seconds)
+		}
+		if !(secs > 0) || math.IsInf(secs, 0) {
+			t.Fatalf("%s: bad time %v", v.Name, secs)
+		}
+		vecAlmostEqual(t, ref, res.Y, 1e-9, v.Name)
+	}
+}
+
+// TestSpMVCostMatchesRun prices every variant from structure on each
+// generator's matrices and on the edge cases of the conversion budgets and
+// fill cutoffs, against running it.
+func TestSpMVCostMatchesRun(t *testing.T) {
+	fromEntries := func(rows, cols int, entries [][2]int) *CSR {
+		coo := &COO{Rows: rows, Cols: cols}
+		for k, e := range entries {
+			coo.RowIdx = append(coo.RowIdx, int32(e[0]))
+			coo.ColIdx = append(coo.ColIdx, int32(e[1]))
+			coo.Vals = append(coo.Vals, float64(k%5+1))
+		}
+		return coo.ToCSR()
+	}
+	var antiDiag, longRow, wideRow [][2]int
+	n := MaxDIADiagonals + 2
+	for i := 0; i < n; i++ {
+		antiDiag = append(antiDiag, [2]int{i, n - 1 - i})
+	}
+	for i := 0; i < 100; i++ {
+		longRow = append(longRow, [2]int{i, i})
+	}
+	for j := 1; j < 60; j++ {
+		longRow = append(longRow, [2]int{0, j})
+	}
+	for j := 0; j <= MaxELLWidth; j++ {
+		wideRow = append(wideRow, [2]int{0, j})
+	}
+	wideRow = append(wideRow, [2]int{1, 1})
+
+	cases := []struct {
+		name    string
+		m       *CSR
+		premise func(m *CSR) bool
+	}{
+		{"Stencil2D", Stencil2D(12, 9), nil},
+		{"Stencil3D", Stencil3D(5, 4, 3), nil},
+		{"Banded", Banded(300, []int{0, 2, -2, 7}, 1), nil},
+		{"RegularRandom", RegularRandom(400, 9, 2), nil},
+		{"PowerLaw", PowerLaw(500, 8, 1.4, 3), nil},
+		{"BlockClustered", BlockClustered(600, 20, 120, 4), nil},
+		{"RandomUniform", RandomUniform(300, 2400, 5), nil},
+		{"SPD", SPD(RandomUniform(200, 800, 6), 1.5, 6), nil},
+		{"1x1", fromEntries(1, 1, [][2]int{{0, 0}}), nil},
+		{"empty row", fromEntries(3, 4, [][2]int{{0, 1}, {0, 3}, {2, 0}}),
+			func(m *CSR) bool { return m.RowLen(1) == 0 }},
+		{"DIA over fill cutoff", RandomUniform(300, 600, 7),
+			func(m *CSR) bool {
+				return ComputeFeatures(m).DIAFill > DIAFillCutoff && CountDiagonals(m) <= MaxDIADiagonals
+			}},
+		{"DIA over diagonal budget", fromEntries(n, n, antiDiag),
+			func(m *CSR) bool { return CountDiagonals(m) > MaxDIADiagonals }},
+		{"ELL over fill cutoff", fromEntries(100, 100, longRow),
+			func(m *CSR) bool { return ComputeFeatures(m).ELLFill > ELLFillCutoff && m.maxRowLen() <= MaxELLWidth }},
+		{"ELL over width budget", fromEntries(2, MaxELLWidth+1, wideRow),
+			func(m *CSR) bool { return m.maxRowLen() > MaxELLWidth }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.premise != nil && !c.premise(c.m) {
+				t.Fatalf("matrix does not exercise %s", c.name)
+			}
+			p, err := NewProblem(c.m, randVec(c.m.Cols, 9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCostMatchesRun(t, p)
+		})
+	}
+}
