@@ -48,11 +48,14 @@ stress:
 # compiled-program fuzz target (Validate never panics, and an
 # accepted program walks to a label from its classes on any input), the
 # sort-variant fuzz target (every variant sorts like sort.Float64s, Cost
-# equals Run's time, the locality pass count a one-pass displacement bound
-# settles equals the one MaxDisplacement gives), the SpMV cost fuzz target
+# equals Run's time, MaxDisplacement lies between its two one-pass bounds
+# and the locality pass count they settle equals the one MaxDisplacement
+# gives), the SpMV cost fuzz target
 # (on a small COO matrix with duplicates, every variant's structure-only
 # Cost equals Run's time bit for bit and refuses exactly where building the
-# format does), the journal fuzz target
+# format does), the COO-to-CSR fuzz target (ToCSR, which buckets entries by
+# row, equals the whole-array sort it replaced bit for bit, duplicates and
+# signed zeros included), the journal fuzz target
 # (recovery from arbitrary journal.wal bytes keeps the intact prefix, and
 # reopening and appending read back what was kept) and the registry's
 # request decoders: observation frames (an accepted frame re-encodes to
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCompiledProgram -fuzztime 10s ./internal/ml/
 	$(GO) test -run xxx -fuzz FuzzSortVariants -fuzztime 10s ./internal/sortbench/
 	$(GO) test -run xxx -fuzz FuzzSpMVCost -fuzztime 10s ./internal/sparse/
+	$(GO) test -run xxx -fuzz FuzzToCSR -fuzztime 10s ./internal/sparse/
 	$(GO) test -run xxx -fuzz FuzzJournal -fuzztime 10s -fuzzminimizetime 500x ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzSampleFrame -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzObservationsJSON -fuzztime 10s ./internal/server/

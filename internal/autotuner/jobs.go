@@ -97,17 +97,27 @@ var (
 	ErrOwnerThrottled = errors.New("autotuner: owner at fair-share job limit")
 )
 
+// retainedJobs bounds the finished statuses a queue keeps for Status. A
+// long-lived daemon tunes without end, so past this many the oldest
+// finished job is forgotten as each new one finishes and reads as unknown;
+// queued and running jobs are always kept.
+const retainedJobs = 1024
+
 // JobQueue runs tuning jobs on a fixed worker pool with a bounded backlog.
 type JobQueue struct {
-	mu       sync.Mutex
-	jobs     map[string]*JobStatus
-	held     map[string]int // owner -> its jobs queued or training
-	ch       chan queuedJob
-	closed   bool
-	next     int64
-	capacity int
-	wg       sync.WaitGroup
-	log      *trace.Log // nil-safe; lifecycle events only
+	mu   sync.Mutex
+	jobs map[string]*JobStatus
+	// finished rings the ids of the retained finished jobs; finishedAt is
+	// the slot of the oldest, which the next job to finish replaces.
+	finished   [retainedJobs]string
+	finishedAt int
+	held       map[string]int // owner -> its jobs queued or training
+	ch         chan queuedJob
+	closed     bool
+	next       int64
+	capacity   int
+	wg         sync.WaitGroup
+	log        *trace.Log // nil-safe; lifecycle events only
 }
 
 // queuedJob is one backlog entry: the job and the id Submit gave it.
@@ -194,7 +204,8 @@ func (q *JobQueue) Submit(job TuneJob) (string, error) {
 	return id, nil
 }
 
-// Status returns a snapshot of the job, or false for an unknown id.
+// Status returns a snapshot of the job, or false for an unknown id or a
+// finished job the queue no longer retains.
 func (q *JobQueue) Status(id string) (JobStatus, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -258,6 +269,9 @@ func (q *JobQueue) worker() {
 		st.Model = nil
 		q.mu.Lock()
 		*q.jobs[id] = st
+		delete(q.jobs, q.finished[q.finishedAt])
+		q.finished[q.finishedAt] = id
+		q.finishedAt = (q.finishedAt + 1) % retainedJobs
 		q.mu.Unlock()
 	}
 }

@@ -232,3 +232,64 @@ func TestJobQueueFairShare(t *testing.T) {
 		t.Fatalf("submit after a job finished: %v", err)
 	}
 }
+
+// TestJobQueueRetainsBoundedFinishedJobs: a queue that runs 5,000 owned
+// jobs one at a time keeps at most retainedJobs finished statuses beside
+// the jobs in flight. The oldest finished jobs read as unknown, the newest
+// reads done, and a job still running past all of them is never forgotten.
+func TestJobQueueRetainsBoundedFinishedJobs(t *testing.T) {
+	q := NewJobQueue(2, 4, nil)
+	defer q.Close()
+	gate := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(gate) })
+	running := make(chan struct{})
+	wedged, err := q.Submit(TuneJob{Function: "wedge", Owner: "t", Instances: jobInstances(12), Done: func(JobStatus) {
+		close(running)
+		<-gate
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	const jobs = 5000
+	finished := make(chan struct{})
+	var first, last string
+	for i := 0; i < jobs; i++ {
+		id, err := q.Submit(TuneJob{Function: "f", Owner: "t", Instances: jobInstances(12),
+			Done: func(JobStatus) { finished <- struct{}{} }})
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		<-finished
+		if i == 0 {
+			first = id
+		}
+		last = id
+		q.mu.Lock()
+		retained, held := len(q.jobs), q.held["t"]
+		q.mu.Unlock()
+		// In flight: the wedged job, and this one until it publishes.
+		if retained > retainedJobs+2 || held > 2 {
+			t.Fatalf("after job %d the queue retains %d statuses with %d held, want at most %d and 2",
+				i, retained, held, retainedJobs+2)
+		}
+	}
+	if st, ok := q.Status(wedged); !ok || st.State != JobRunning {
+		t.Fatalf("wedged job after %d others finished = %+v, %v, want running", jobs, st, ok)
+	}
+	once.Do(func() { close(gate) })
+	q.Close()
+	if _, ok := q.Status(first); ok {
+		t.Fatalf("first of %d finished jobs still retained", jobs)
+	}
+	if st, ok := q.Status(last); !ok || st.State != JobDone {
+		t.Fatalf("newest job = %+v, %v, want done", st, ok)
+	}
+	if st, ok := q.Status(wedged); !ok || st.State != JobDone {
+		t.Fatalf("wedged job after release = %+v, %v, want done", st, ok)
+	}
+	if n := len(q.jobs); n > retainedJobs {
+		t.Fatalf("queue retains %d statuses after Close, want at most %d", n, retainedJobs)
+	}
+}

@@ -126,6 +126,10 @@ func NewDevice(name string) *Device {
 // MaxResidentThreads is the whole-device thread capacity.
 func (d *Device) MaxResidentThreads() int { return d.SMCount * d.MaxThreadsPerSM }
 
+// HostSyncNs returns the cost of one host<->device synchronization, in
+// nanoseconds: half a kernel launch.
+func (d *Device) HostSyncNs() float64 { return d.LaunchOverheadNs / 2 }
+
 // bytesPerNs is the peak bandwidth expressed in bytes per nanosecond.
 func (d *Device) bytesPerNs() float64 { return d.MemBandwidthGBs } // GB/s == B/ns
 

@@ -351,7 +351,7 @@ func (r *Run) Done(k *Kernel) {
 func (r *Run) AddNs(ns float64) { r.totalNs += ns }
 
 // HostSync charges one host<->device synchronization.
-func (r *Run) HostSync() { r.totalNs += r.dev.LaunchOverheadNs / 2 }
+func (r *Run) HostSync() { r.totalNs += r.dev.HostSyncNs() }
 
 // Seconds returns the total simulated time in seconds.
 func (r *Run) Seconds() float64 { return r.totalNs * 1e-9 }

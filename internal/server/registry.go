@@ -337,7 +337,6 @@ type Registry struct {
 	tenants map[string]*tenantState
 	byToken map[string]*tenantState
 	jobs    *autotuner.JobQueue
-	jobMeta map[string]jobMeta // job id -> owner
 	cfg     RegistryConfig
 
 	journal  *journal
@@ -349,8 +348,6 @@ type Registry struct {
 	// route, exported as nitro_server_http_request_seconds{route=...}).
 	routeHist map[string]*obs.Histogram
 }
-
-type jobMeta struct{ tenant, fn string }
 
 // NewRegistry validates the tenant set, reloads persisted state when
 // DataDir is set, and starts the tuning workers.
@@ -386,7 +383,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	r := &Registry{
 		tenants:   make(map[string]*tenantState),
 		byToken:   make(map[string]*tenantState),
-		jobMeta:   make(map[string]jobMeta),
 		cfg:       cfg,
 		routeHist: make(map[string]*obs.Histogram),
 	}
@@ -1280,7 +1276,6 @@ func (r *Registry) submitTuneLocked(ctx context.Context, ts *tenantState, fs *fu
 		fs.autoTuned = true
 	}
 	fs.detector.OnRetrainStart()
-	r.jobMeta[id] = jobMeta{tenant: tenant, fn: fn}
 	r.metrics.tunesSubmitted.Add(1)
 	ts.tm.tunes.Add(1)
 	r.cfg.Log.Event(ctx, "server", "tune.submit",
@@ -1328,16 +1323,12 @@ func (r *Registry) onTuneDone(tenant, fn string, st autotuner.JobStatus) {
 		trace.F("state", state), trace.F("error", msg))
 }
 
-// Job reports a tune job's status; jobs are tenant-scoped.
+// Job reports a tune job's status; jobs are tenant-scoped, so another
+// tenant's job, like an unknown one or a finished one the queue no longer
+// retains, is not found.
 func (r *Registry) Job(tenant, id string) (autotuner.JobStatus, error) {
-	r.mu.Lock()
-	meta, ok := r.jobMeta[id]
-	r.mu.Unlock()
-	if !ok || meta.tenant != tenant {
-		return autotuner.JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
-	}
 	st, ok := r.jobs.Status(id)
-	if !ok {
+	if !ok || st.Owner != tenant {
 		return autotuner.JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
 	st.Model = nil // distributed as an artifact, not via job status

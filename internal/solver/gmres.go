@@ -74,7 +74,7 @@ func GMRES(a *sparse.CSR, b []float64, m Preconditioner, cfg Config, dev *gpusim
 			res.Iters = total
 			a.MulVec(v[j], ax)
 			m.Apply(ax, w)
-			chargeIteration(run, a, reuse, m, 1, 2*(j+2))
+			chargeIteration(run, priceIteration(run, a, reuse, m, 1, 2*(j+2)))
 			// Modified Gram-Schmidt.
 			for i := 0; i <= j; i++ {
 				h[i][j] = dot(w, v[i])

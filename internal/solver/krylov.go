@@ -49,26 +49,37 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// chargeIteration accounts one Krylov iteration: nSpMV matrix products, one
-// preconditioner application, and nVecOps streaming vector kernels (dots and
-// axpys, fused two per kernel).
-func chargeIteration(run *gpusim.Run, a *sparse.CSR, reuse float64, m Preconditioner, nSpMV, nVecOps int) {
+// priceIteration prices one Krylov iteration: nSpMV matrix products, one
+// preconditioner application, nVecOps streaming vector kernels (dots and
+// axpys, fused two per kernel) and the host-visible reduction the dot
+// products need (a pipeline bubble). It returns each charge in
+// nanoseconds, in the order chargeIteration adds them to run. Every kernel
+// is priced from the matrix's and the preconditioner's structure alone, so
+// a solve whose iterations launch the same kernels prices one and charges
+// it on every iteration.
+func priceIteration(run *gpusim.Run, a *sparse.CSR, reuse float64, m Preconditioner, nSpMV, nVecOps int) []float64 {
 	n := a.Rows
-	for s := 0; s < nSpMV; s++ {
-		k := run.Launch("spmv", n*run.Device().WarpSize)
-		sparse.ChargeCSRSpMV(k, a, reuse)
-		run.Done(k)
-	}
+	ks := run.Launch("spmv", n*run.Device().WarpSize)
+	sparse.ChargeCSRSpMV(ks, a, reuse)
+	spmv := ks.Finish()
 	kp := run.Launch("precond", n)
 	m.Charge(kp)
-	run.Done(kp)
 	kv := run.Launch("vecops", n)
 	kv.GlobalRead(float64(16 * n * nVecOps))
 	kv.GlobalWrite(float64(8 * n * nVecOps))
 	kv.ComputeDP(float64(2 * n * nVecOps))
-	run.Done(kv)
-	// Dot products require a host-visible reduction (pipeline bubble).
-	run.HostSync()
+	ns := make([]float64, 0, nSpMV+3)
+	for s := 0; s < nSpMV; s++ {
+		ns = append(ns, spmv)
+	}
+	return append(ns, kp.Finish(), kv.Finish(), run.Device().HostSyncNs())
+}
+
+// chargeIteration adds one priced iteration to run.
+func chargeIteration(run *gpusim.Run, iter []float64) {
+	for _, ns := range iter {
+		run.AddNs(ns)
+	}
 }
 
 // CG solves A x = b for symmetric positive-definite A with preconditioned
@@ -96,10 +107,12 @@ func CG(a *sparse.CSR, b []float64, m Preconditioner, cfg Config, dev *gpusim.De
 	}
 	rz := dot(r, z)
 	res := Result{X: x}
+	// Every iteration launches the same kernels: price them once.
+	iter := priceIteration(run, a, reuse, m, 1, 6)
 	for it := 1; it <= cfg.MaxIters; it++ {
 		a.MulVec(p, ap)
 		pap := dot(p, ap)
-		chargeIteration(run, a, reuse, m, 1, 6)
+		chargeIteration(run, iter)
 		res.Iters = it
 		if pap <= 0 || math.IsNaN(pap) {
 			break // breakdown: A not SPD along this direction
@@ -154,10 +167,12 @@ func BiCGStab(a *sparse.CSR, b []float64, m Preconditioner, cfg Config, dev *gpu
 	}
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	res := Result{X: x}
+	// Every iteration launches the same kernels: price them once.
+	iter := priceIteration(run, a, reuse, m, 2, 10)
 	for it := 1; it <= cfg.MaxIters; it++ {
 		res.Iters = it
 		rhoNew := dot(rhat, r)
-		chargeIteration(run, a, reuse, m, 2, 10)
+		chargeIteration(run, iter)
 		if math.Abs(rhoNew) < 1e-300 {
 			break // breakdown
 		}

@@ -425,3 +425,109 @@ func TestQuickCGConvergesOnSPD(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// chargeIterationReference is the per-iteration charge CG and BiCGStab made
+// before they priced an iteration once per solve: every kernel launched,
+// charged, finished and recorded on the run, then the host sync.
+func chargeIterationReference(run *gpusim.Run, a *sparse.CSR, reuse float64, m Preconditioner, nSpMV, nVecOps int) {
+	n := a.Rows
+	for s := 0; s < nSpMV; s++ {
+		k := run.Launch("spmv", n*run.Device().WarpSize)
+		sparse.ChargeCSRSpMV(k, a, reuse)
+		run.Done(k)
+	}
+	kp := run.Launch("precond", n)
+	m.Charge(kp)
+	run.Done(kp)
+	kv := run.Launch("vecops", n)
+	kv.GlobalRead(float64(16 * n * nVecOps))
+	kv.GlobalWrite(float64(8 * n * nVecOps))
+	kv.ComputeDP(float64(2 * n * nVecOps))
+	run.Done(kv)
+	run.HostSync()
+}
+
+// TestKrylovSecondsMatchPerIterationCharge: CG and BiCGStab price one
+// iteration per solve and charge it on every iteration, so their Seconds
+// must equal, bit for bit, iters calls of chargeIterationReference. Each
+// solver runs with every paper preconditioner on a system it solves, on
+// the same system capped at three iterations, and on a skew-symmetric
+// system that breaks it down at the first iteration (b'Ab = 0 for b all
+// ones, with preconditioners built from the identity).
+func TestKrylovSecondsMatchPerIterationCharge(t *testing.T) {
+	spd := sparse.Stencil2D(8, 8)
+	n := 16
+	skew := &sparse.COO{Rows: n, Cols: n}
+	eye := &sparse.COO{Rows: n, Cols: n}
+	for i := 0; i < n; i++ {
+		eye.RowIdx, eye.ColIdx, eye.Vals = append(eye.RowIdx, int32(i)), append(eye.ColIdx, int32(i)), append(eye.Vals, 1)
+		if i+1 < n {
+			skew.RowIdx = append(skew.RowIdx, int32(i), int32(i+1))
+			skew.ColIdx = append(skew.ColIdx, int32(i+1), int32(i))
+			skew.Vals = append(skew.Vals, 1, -1)
+		}
+	}
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	precs := func(a *sparse.CSR) []Preconditioner {
+		j, err := NewJacobi(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bj, err := NewBlockJacobi(a, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fai, err := NewFAI(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Preconditioner{j, bj, fai}
+	}
+	cases := []struct {
+		name  string
+		a     *sparse.CSR
+		b     []float64
+		precs []Preconditioner
+		cfg   Config
+		want  func(Result) bool
+	}{
+		{"converges", spd, rhs(spd.Rows, 1), precs(spd), DefaultConfig(),
+			func(r Result) bool { return r.Converged && r.Iters > 1 }},
+		{"capped", spd, rhs(spd.Rows, 1), precs(spd), Config{Tol: 1e-8, MaxIters: 3},
+			func(r Result) bool { return !r.Converged && r.Iters == 3 }},
+		{"breakdown", skew.ToCSR(), ones, precs(eye.ToCSR()), DefaultConfig(),
+			func(r Result) bool { return !r.Converged && r.Iters == 1 }},
+	}
+	solvers := []struct {
+		name           string
+		solve          func(*sparse.CSR, []float64, Preconditioner, Config, *gpusim.Device) (Result, error)
+		nSpMV, nVecOps int
+	}{
+		{"CG", CG, 1, 6},
+		{"BiCGStab", BiCGStab, 2, 10},
+	}
+	for _, c := range cases {
+		for _, s := range solvers {
+			for _, m := range c.precs {
+				res, err := s.solve(c.a, c.b, m, c.cfg, dev())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.want(res) {
+					t.Fatalf("%s %s+%s: premise fails: converged %v after %d iterations", c.name, s.name, m.Name(), res.Converged, res.Iters)
+				}
+				ref := gpusim.NewRun(dev())
+				reuse := sparse.XReuse(c.a)
+				for i := 0; i < res.Iters; i++ {
+					chargeIterationReference(ref, c.a, reuse, m, s.nSpMV, s.nVecOps)
+				}
+				if math.Float64bits(res.Seconds) != math.Float64bits(ref.Seconds()) {
+					t.Errorf("%s %s+%s: Seconds %v, per-iteration charge gives %v", c.name, s.name, m.Name(), res.Seconds, ref.Seconds())
+				}
+			}
+		}
+	}
+}

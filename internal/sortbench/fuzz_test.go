@@ -28,13 +28,18 @@ func tiedKeys(n int) []float64 {
 	return out
 }
 
+// boundsDisagreeKeys is an almost-sorted sequence on which the two one-pass
+// displacement bounds give different locality pass counts, and the exact
+// count lies strictly between them, so localityPasses must rank the keys.
+func boundsDisagreeKeys() []float64 { return AlmostSortedKeys(2*Tile+5, 0.2, 512, 1) }
+
 // FuzzSortVariants decodes the fuzz bytes as float64 keys (a trailing partial
 // key is dropped) and a width flag. NewProblem must accept exactly the
 // non-empty NaN-free inputs, and on each one every variant must sort like
 // sort.Float64s, Cost must equal Run's Seconds bit for bit, the maximum
-// displacement must lie in [0, n), and the locality pass count, which a
-// one-pass displacement bound may settle without ranking, must equal the
-// count from MaxDisplacement.
+// displacement must lie in [0, n) and between its two one-pass bounds, and
+// the locality pass count, which the bounds may settle without ranking,
+// must equal the count from MaxDisplacement.
 func FuzzSortVariants(f *testing.F) {
 	f.Add(fuzzKeyBytes([]float64{3, math.NaN(), 1, 2, math.NaN(), 0}), true)
 	f.Add(fuzzKeyBytes([]float64{math.Inf(1), -1, math.Copysign(0, -1), 0, math.Inf(-1), -1}), false)
@@ -44,6 +49,7 @@ func FuzzSortVariants(f *testing.F) {
 	f.Add(fuzzKeyBytes(UniformKeys(3*Tile, 3)), true)
 	f.Add(fuzzKeyBytes(AlmostSortedKeys(4*Tile+1, 0.2, 512, 4)), false)
 	f.Add(fuzzKeyBytes(tiedKeys(2*Tile+1)), true)
+	f.Add(fuzzKeyBytes(boundsDisagreeKeys()), true)
 	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
 		keys := make([]float64, len(data)/8)
 		hasNaN := false
@@ -83,6 +89,9 @@ func FuzzSortVariants(f *testing.F) {
 		}
 		if d := p.MaxDisplacement(); d < 0 || d >= len(keys) {
 			t.Fatalf("MaxDisplacement = %d for %d keys", d, len(keys))
+		}
+		if lo, d, hi := displacementLowerBound(keys), p.MaxDisplacement(), displacementUpperBound(keys); lo > d || d > hi {
+			t.Fatalf("MaxDisplacement %d outside its bounds [%d, %d]", d, lo, hi)
 		}
 		if got, want := localityPasses(p), passesForDisplacement(p.MaxDisplacement(), len(keys)); got != want {
 			t.Fatalf("locality passes = %d, MaxDisplacement %d gives %d", got, p.MaxDisplacement(), want)

@@ -279,21 +279,20 @@ func LocalitySort(p *Problem, dev *gpusim.Device) (Result, error) {
 
 // localityPasses returns LocalitySort's merge-pass count: one pass, plus
 // one for every merge width from Tile up that is below both twice the
-// maximum key displacement and n. The count saturates at
-// 1+mergePassCount(n) once some key moves more than half the widest merge
-// below n, so a one-pass lower bound on the displacement often settles it
-// without ranking the keys.
+// maximum key displacement and n. The count changes only where twice the
+// displacement crosses a merge width, so two one-pass bounds on the
+// displacement usually settle it without ranking the keys: a lower bound
+// that saturates the count on disordered inputs, then an upper bound that
+// pins it on almost-sorted ones. MaxDisplacement ranks the keys only when
+// the two bounds give different counts.
 func localityPasses(p *Problem) int {
 	n := len(p.Keys)
-	widest := 0
-	for width := Tile; width < n; width *= 2 {
-		widest = width
-	}
-	if widest == 0 {
+	if n <= Tile {
 		return 1
 	}
-	if 2*displacementLowerBound(p.Keys) > widest {
-		return 1 + mergePassCount(n)
+	lo := passesForDisplacement(displacementLowerBound(p.Keys), n)
+	if lo == 1+mergePassCount(n) || lo == passesForDisplacement(displacementUpperBound(p.Keys), n) {
+		return lo
 	}
 	return passesForDisplacement(p.MaxDisplacement(), n)
 }
@@ -334,6 +333,39 @@ func displacementLowerBound(keys []float64) int {
 		}
 	}
 	return max(loAt, n-1-hiAt, below, above)
+}
+
+// displacementUpperBound returns the widest inversion: the largest j-i over
+// pairs i<j whose key i compares above key j (in MaxDisplacement's order,
+// so -0 sorts below +0). It bounds every key's stable-rank displacement,
+// because every key that must pass key i on its way to its rank forms an
+// inversion with it and so lies within that distance. Some pair i'<=i<j<=j'
+// is an inversion exactly when the maximum of keys[:i+1] exceeds the
+// minimum of keys[j:]; both only grow with their index, so one sweep that
+// advances j while that holds and i otherwise visits the widest pair.
+func displacementUpperBound(keys []float64) int {
+	n := len(keys)
+	sufMin := make([]uint64, n)
+	m := uint64(math.MaxUint64)
+	for j := n - 1; j >= 0; j-- {
+		m = min(m, floatToSortable(keys[j]))
+		sufMin[j] = m
+	}
+	widest := 0
+	preMax := floatToSortable(keys[0])
+	for i, j := 0, 1; j < n; {
+		if preMax > sufMin[j] {
+			widest = max(widest, j-i)
+			j++
+			continue
+		}
+		i++
+		if i == j {
+			j++
+		}
+		preMax = max(preMax, floatToSortable(keys[i]))
+	}
+	return widest
 }
 
 // localityCost prices LocalitySort's pass structure.

@@ -1,6 +1,7 @@
 package sortbench
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -361,5 +362,49 @@ func TestCostMatchesRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDisplacementBounds: the two one-pass bounds bracket MaxDisplacement on
+// uniform, reverse, tied (with -0 and +0) and almost-sorted sequences, the
+// last with swap windows from 32 up to above Tile, each at several lengths.
+// On boundsDisagreeKeys, the FuzzSortVariants seed that keeps the ranking
+// path covered, the bounds' pass counts differ and the exact one lies
+// strictly between them.
+func TestDisplacementBounds(t *testing.T) {
+	const n = 4*Tile + 3
+	seqs := map[string][]float64{
+		"uniform": UniformKeys(n, 1),
+		"reverse": ReverseSortedKeys(n, 2),
+		"tied":    tiedKeys(n),
+	}
+	for _, w := range []int{32, 64, 128, 512, Tile, Tile + 1, 3 * Tile} {
+		seqs[fmt.Sprintf("almost/window=%d", w)] = AlmostSortedKeys(n, 0.22, w, int64(w))
+	}
+	for name, keys := range seqs {
+		for _, m := range []int{1, 2, 33, Tile, Tile + 1, 2*Tile + 5, n} {
+			p, err := NewProblem(keys[:m], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, d, hi := displacementLowerBound(p.Keys), p.MaxDisplacement(), displacementUpperBound(p.Keys)
+			if lo > d || d > hi {
+				t.Errorf("%s n=%d: MaxDisplacement %d outside its bounds [%d, %d]", name, m, d, lo, hi)
+			}
+		}
+	}
+	keys := boundsDisagreeKeys()
+	p, err := NewProblem(keys, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := passesForDisplacement(displacementLowerBound(keys), len(keys))
+	exact := passesForDisplacement(p.MaxDisplacement(), len(keys))
+	hi := passesForDisplacement(displacementUpperBound(keys), len(keys))
+	if !(lo < exact && exact < hi) {
+		t.Fatalf("premise: pass counts %d (lower bound), %d (exact), %d (upper bound) are not strictly increasing", lo, exact, hi)
+	}
+	if got := localityPasses(p); got != exact {
+		t.Fatalf("locality passes = %d, want %d", got, exact)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -172,8 +173,81 @@ func (m *CSR) ToCOO() *COO {
 }
 
 // ToCSR converts coordinate form to CSR, summing duplicate entries and
-// sorting columns within each row.
+// sorting columns within each row. One counting pass buckets the entries
+// by row and each row's columns are then sorted alone, so the generators,
+// which emit rows in order, pay for short sorts only. Two duplicates sum
+// to the same value in either order, but three or more do not, nor do two
+// NaNs, whose sum keeps one operand's payload. A matrix in which some
+// (row, col) occurs three or more times, or twice as NaN, is therefore
+// converted by sorting all its entries as one array, which fixes the order
+// in which every duplicate run is summed.
 func (m *COO) ToCSR() *CSR {
+	nnz := m.NNZ()
+	rowPtr := make([]int32, m.Rows+1)
+	for _, r := range m.RowIdx {
+		rowPtr[r+1]++
+	}
+	for i := 0; i < m.Rows; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	ents := make([]colVal, nnz)
+	next := append([]int32(nil), rowPtr[:m.Rows]...)
+	for i, r := range m.RowIdx {
+		ents[next[r]] = colVal{m.ColIdx[i], m.Vals[i]}
+		next[r]++
+	}
+	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rowPtr,
+		ColIdx: make([]int32, 0, nnz), Vals: make([]float64, 0, nnz)}
+	// rowPtr[i+1] ends row i's bucket in ents until the row is summed,
+	// then ends its entries in out.
+	lo := int32(0)
+	for i := 0; i < m.Rows; i++ {
+		row := ents[lo:rowPtr[i+1]]
+		lo = rowPtr[i+1]
+		sortByCol(row)
+		for k := 0; k < len(row); {
+			c, v, j := row[k].col, 0.0, k
+			for ; j < len(row) && row[j].col == c; j++ {
+				v += row[j].v
+			}
+			if j-k > 2 || j-k == 2 && math.IsNaN(row[k].v) && math.IsNaN(row[k+1].v) {
+				return m.toCSRSorted()
+			}
+			out.ColIdx = append(out.ColIdx, c)
+			out.Vals = append(out.Vals, v)
+			k = j
+		}
+		rowPtr[i+1] = int32(len(out.Vals))
+	}
+	return out
+}
+
+// colVal is one entry of a row being converted.
+type colVal struct {
+	col int32
+	v   float64
+}
+
+// sortByCol sorts one row's entries by column, by insertion when the row is
+// short, as most are.
+func sortByCol(row []colVal) {
+	if len(row) > 64 {
+		slices.SortFunc(row, func(a, b colVal) int { return cmp.Compare(a.col, b.col) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		e := row[i]
+		j := i
+		for ; j > 0 && row[j-1].col > e.col; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = e
+	}
+}
+
+// toCSRSorted is ToCSR over all entries sorted as one array by (row, col),
+// the order in which ToCSR sums a repeated cell whenever the order matters.
+func (m *COO) toCSRSorted() *CSR {
 	// key orders entries by row, then column.
 	type ent struct {
 		key uint64
